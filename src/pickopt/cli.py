@@ -2,7 +2,7 @@
 
 Subcommands: generate | build | solve | separate | report.  Exit codes
 are stable: 0 success, 2 validation problem, 3 desk-scale resource bound.
-The ``PICKOPT_THREADS`` environment variable overrides ``--threads``.
+Exact solves run serially in one thread.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -41,18 +40,6 @@ def _parse_kind(text: str) -> str:
         raise ValidationError(
             f"unknown formulation {text!r}; choose from {', '.join(ALL_KINDS)}")
     return kind
-
-
-def _threads(args) -> int:
-    env = os.environ.get("PICKOPT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"PICKOPT_THREADS must be an integer, got {env!r}")
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
 
 
 def cmd_generate(args) -> int:
@@ -125,13 +112,12 @@ REPORT_FIELDS = ["instance", "method", "ub", "lb", "gap_percent", "wall_time_s"]
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     graph = instance_graph(instance)
-    threads = _threads(args)
     start = time.perf_counter()
     if args.mode == "exact":
-        solution = solve_exact(instance, graph, threads=threads)
+        solution = solve_exact(instance, graph)
         lb = solution.total
     elif args.mode == "no-reversal-exact":
-        solution = solve_no_reversal_exact(instance, graph, threads=threads)
+        solution = solve_no_reversal_exact(instance, graph)
         lb = solution.total
     elif args.mode in ("seed", "cwii"):
         batching = (seed_batching if args.mode == "seed" else cw2_batching)(
@@ -265,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("--mode", default="exact",
                    choices=["exact", "no-reversal-exact", "seed", "cwii"])
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--report", default=None, help="append a CSV report row here")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_solve)

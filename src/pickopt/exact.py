@@ -1,11 +1,14 @@
 """Desk-scale exact solvers used as ground-truth oracles.
 
-The routing oracle enumerates every edge multiplicity vector in
-``{0,1,2}^|E|`` (each directed arc is traversed at most once by an optimal
-walk, so undirected multiplicity 2 suffices), keeps the vectors with even
-degrees everywhere, and answers minimum-walk queries by masking the
-surviving vectors.  The enumeration is bounded at ``|E| <= 14`` and the
-bound is enforced, never silently relaxed.
+The routing oracle holds every edge multiplicity vector in ``{0,1,2}^|E|``
+with even degrees everywhere (each directed arc is traversed at most once by
+an optimal walk, so undirected multiplicity 2 suffices), and answers
+minimum-walk queries by masking those vectors.  It builds them without
+scanning all ``3^|E|``: a vector has even degrees exactly when the edges of
+multiplicity 1 form an even subgraph, so each member of the cycle space is
+combined with every choice of 0 or 2 on the remaining edges.  The tests
+check the result against the full scan.  The oracle is bounded at
+``|E| <= 14`` and the bound is enforced, never silently relaxed.
 
 Ties are always broken by the lexicographically smallest multiplicity
 vector so results are reproducible byte for byte.
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -171,8 +174,41 @@ def load_solution(path, graph: PickingGraph) -> Solution:
 # -- the enumeration engine --------------------------------------------------
 
 
+def _cycle_space(graph: PickingGraph) -> list[int]:
+    """Edge bitmasks of every even-degree subgraph: the cycle space over GF(2).
+
+    Each edge outside a BFS spanning forest closes one fundamental cycle,
+    and the XOR of each subset of those cycles is one even subgraph.
+    """
+    root_path: dict[int, int] = {}  # vertex -> tree edges back to its root
+    tree = 0
+    for root in range(graph.n_vertices):
+        if root in root_path:
+            continue
+        root_path[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, eid in graph.adjacency[u]:
+                if v not in root_path:
+                    root_path[v] = root_path[u] ^ (1 << eid)
+                    tree |= 1 << eid
+                    queue.append(v)
+    patterns = [0]
+    for eid, (u, v) in enumerate(graph.edges):
+        if not (tree >> eid) & 1:
+            cycle = (1 << eid) ^ root_path[u] ^ root_path[v]
+            patterns += [p ^ cycle for p in patterns]
+    return patterns
+
+
 class WalkSpace:
-    """All even-degree multiplicity vectors of a small picking graph."""
+    """All even-degree multiplicity vectors of a small picking graph.
+
+    Rows of ``mult`` are sorted by their base-3 code, the order in which a
+    scan of ``{0,1,2}^|E|`` would meet them, so the smallest feasible index
+    is the lexicographically smallest vector.
+    """
 
     def __init__(self, graph: PickingGraph):
         m = len(graph.edges)
@@ -180,7 +216,11 @@ class WalkSpace:
             raise OracleSizeError(
                 f"|E| = {m} exceeds the desk-scale oracle bound "
                 f"{MAX_ORACLE_EDGES} (3^|E| enumeration)")
-        self.graph = graph
+        # the graph itself is not kept: the walk-space cache holds spaces
+        # weakly keyed by their graph, and a strong reference would pin it
+        self.n_vertices = graph.n_vertices
+        self.subaisles = graph.subaisles
+        self.adjacency = graph.adjacency
         self.n_edges = m
 
         lengths = np.array(graph.edge_length, dtype=np.float64)
@@ -188,62 +228,45 @@ class WalkSpace:
         if self._integral:
             lengths = lengths.astype(np.int64)
 
-        inc = np.zeros((m, graph.n_vertices), dtype=np.int16)
-        for eid, (u, v) in enumerate(graph.edges):
-            inc[eid, u] = 1
-            inc[eid, v] = 1
-
+        rows = []
+        for pattern in _cycle_space(graph):
+            # edges of the parity pattern carry 1, every other edge
+            # independently 0 or 2
+            odd = [(pattern >> e) & 1 == 1 for e in range(m)]
+            free = [e for e in range(m) if not odd[e]]
+            codes = np.arange(1 << len(free), dtype=np.int64)
+            block = np.zeros((len(codes), m), dtype=np.int8)
+            block[:, odd] = 1
+            for k, e in enumerate(free):
+                block[:, e] = 2 * ((codes >> k) & 1)
+            rows.append(block)
+        mult = np.concatenate(rows)
         powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        total = 3 ** m
-        chunk = 1 << 18
-        kept = []
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            digits = ((idx[:, None] // powers) % 3).astype(np.int8)
-            parity = (digits & 1).astype(np.int16) @ inc
-            even = ~(parity & 1).any(axis=1)
-            if even.any():
-                kept.append(digits[even])
-        self.mult = np.concatenate(kept) if kept else np.zeros((0, m), dtype=np.int8)
+        self.mult = mult[np.argsort(mult @ powers)]
         self.lengths = self.mult.astype(lengths.dtype) @ lengths
 
-        bits = (1 << np.arange(m, dtype=np.int64))
-        smask = ((self.mult > 0) * bits).sum(axis=1)
-        supports, inverse = np.unique(smask, return_inverse=True)
-        sup_ok = np.zeros(len(supports), dtype=bool)
-        sup_visited = np.zeros(len(supports), dtype=np.int64)
-        for k, mask in enumerate(supports):
-            edges = [e for e in range(m) if (int(mask) >> e) & 1]
-            if not edges:
-                continue
-            visited = 0
-            adj: dict[int, list[int]] = {}
-            for e in edges:
-                u, v = graph.edges[e]
-                visited |= (1 << u) | (1 << v)
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-            if graph.origin not in adj:
-                continue
-            seen = {graph.origin}
-            stack = [graph.origin]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            sup_ok[k] = all(u in seen for u in adj)
-            sup_visited[k] = visited
-        self.ok = sup_ok[inverse]
-        self.visited = sup_visited[inverse]
+        # support flags by bitmask closure from the origin: ``reach`` grows
+        # by the ends of every used edge that touches it until it is stable
+        used = self.mult > 0
+        ends = np.array([(1 << u) | (1 << v) for u, v in graph.edges], dtype=np.int64)
+        support = np.bitwise_or.reduce(np.where(used, ends, 0), axis=1)
+        reach = np.full(len(self.mult), 1 << graph.origin, dtype=np.int64)
+        while True:
+            before = reach.copy()
+            for e in range(m):
+                reach[used[:, e] & ((reach & ends[e]) != 0)] |= ends[e]
+            if (reach == before).all():
+                break
+        touches_origin = (support >> graph.origin) & 1 == 1
+        self.ok = touches_origin & (reach == support)
+        self.visited = np.where(touches_origin, support, 0)
 
     # -- queries -----------------------------------------------------------
 
     def query(self, required: Iterable[int], mask: Optional[np.ndarray] = None) -> int:
         req_bits = 0
         for v in required:
-            if not (0 <= v < self.graph.n_vertices):
+            if not (0 <= v < self.n_vertices):
                 raise ValidationError(f"required vertex {v} not in graph")
             req_bits |= 1 << v
         feasible = self.ok & ((self.visited & req_bits) == req_bits)
@@ -269,7 +292,7 @@ class WalkSpace:
     def mask_no_reversal(self) -> np.ndarray:
         """Walks where every entered subaisle is traversed completely."""
         ok = np.ones(len(self.mult), dtype=bool)
-        for sub in self.graph.subaisles:
+        for sub in self.subaisles:
             cols = list(sub.edge_ids)
             block = self.mult[:, cols]
             ok &= (block == block[:, :1]).all(axis=1)
@@ -278,7 +301,7 @@ class WalkSpace:
     def mask_single_traversal(self, exempt: frozenset[int] = frozenset()) -> np.ndarray:
         """No subaisle (outside ``exempt``) is fully traversed twice."""
         bad = np.zeros(len(self.mult), dtype=bool)
-        for sub in self.graph.subaisles:
+        for sub in self.subaisles:
             if sub.index in exempt:
                 continue
             cols = list(sub.edge_ids)
@@ -290,13 +313,13 @@ class WalkSpace:
         bad = np.zeros(len(self.mult), dtype=bool)
 
         def corner(vertex: int, chain_edge: int):
-            others = [eid for _, eid in self.graph.adjacency[vertex] if eid != chain_edge]
+            others = [eid for _, eid in self.adjacency[vertex] if eid != chain_edge]
             here = self.mult[:, chain_edge] == 2
             if others:
                 here = here & (self.mult[:, others] == 0).all(axis=1)
             return here
 
-        for sub in self.graph.subaisles:
+        for sub in self.subaisles:
             bad |= corner(sub.tail, sub.edge_ids[-1])
             if sub.block >= 1:
                 bad |= corner(sub.head, sub.edge_ids[0])
@@ -369,7 +392,7 @@ MAX_EXACT_ORDERS = 6
 
 
 def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
-                          mask_fn, threads: Optional[int]) -> Solution:
+                          mask_fn) -> Solution:
     if len(instance.orders) > MAX_EXACT_ORDERS:
         raise OracleSizeError(
             f"{len(instance.orders)} orders exceed the exact-solver bound "
@@ -405,12 +428,7 @@ def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
     if not partitions:
         raise ValidationError("no capacity-feasible batching exists for this picker count")
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(evaluate, partitions))
-    else:
-        scored = [evaluate(p) for p in partitions]
-    best_cost, best_partition = min(scored, key=lambda item: (item[0], item[1]))
+    best_cost, best_partition = min(map(evaluate, partitions))
 
     walks = []
     batching = []
@@ -428,19 +446,18 @@ def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
     return solution
 
 
-def solve_exact(instance: Instance, graph: Optional[PickingGraph] = None,
-                threads: Optional[int] = None) -> Solution:
+def solve_exact(instance: Instance, graph: Optional[PickingGraph] = None) -> Solution:
     """Exact optimum by canonical partition enumeration over the oracle."""
-    return _solve_by_enumeration(instance, graph, None, threads)
+    return _solve_by_enumeration(instance, graph, None)
 
 
-def solve_no_reversal_exact(instance: Instance, graph: Optional[PickingGraph] = None,
-                            threads: Optional[int] = None) -> Solution:
+def solve_no_reversal_exact(instance: Instance,
+                            graph: Optional[PickingGraph] = None) -> Solution:
     """Exact optimum over walks that fully traverse every entered subaisle."""
     if instance.layout.n_blocks > 2:
         raise UnsupportedFamilyError(
             "no-reversal routing is implemented for 1- and 2-block layouts")
-    return _solve_by_enumeration(instance, graph, WalkSpace.mask_no_reversal, threads)
+    return _solve_by_enumeration(instance, graph, WalkSpace.mask_no_reversal)
 
 
 # -- bin packing --------------------------------------------------------------

@@ -104,9 +104,13 @@ def _require_integral(assignment: VariableAssignment) -> None:
             "fractional assignment rejected: separation runs on integral candidates only")
 
 
-def _components_from_edges(edge_list: list[tuple[int, int]], origin: int):
-    """Connected components of an undirected support, origin's first."""
-    adj: dict[int, set[int]] = {}
+def _components_from_edges(edge_list: list[tuple[int, int]], origin: int,
+                           vertices: Iterable[int] = ()):
+    """Connected components of an undirected support, origin's first.
+
+    Each of ``vertices`` that no support edge touches is a component alone.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
     for u, v in edge_list:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
@@ -166,18 +170,16 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
                 if assignment.get(name):
                     support.append((e.u, e.v))
 
-        _, away = _components_from_edges(support, graph.origin)
+        # copies carry no y variables and picking locations only anchor
+        # the full arc-space family
+        limit = graph.n_vertices if family == "bs4" else graph.n_artificial
+        anchored = {v for v in range(limit) if assignment.get(f"y_{t}_{v}") == 1}
+        _, away = _components_from_edges(support, graph.origin, anchored)
         for comp in away:
-            # copies carry no y variables and picking locations only anchor
-            # the full arc-space family
-            candidates = [v for v in comp if v < graph.n_artificial]
-            if family == "bs4":
-                candidates = [v for v in comp if v < graph.n_vertices]
-            anchored = sorted(v for v in candidates if assignment.get(f"y_{t}_{v}") == 1)
-            if not anchored:
-                continue
-            cuts.append(CutRequest(picker=t, vertex_set=frozenset(comp),
-                                   family=family, anchor_vertex=anchored[0]))
+            hits = comp & anchored
+            if hits:
+                cuts.append(CutRequest(picker=t, vertex_set=frozenset(comp),
+                                       family=family, anchor_vertex=min(hits)))
     return sorted(cuts, key=CutRequest.sort_key)
 
 

@@ -2,13 +2,17 @@
 
 These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
-packing, Bellman-Ford distances, and a small parser for our LP output.
+packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
+distances, and a small parser for our LP output.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from types import SimpleNamespace
+
+import numpy as np
 
 from pickopt import walk_space
 
@@ -112,6 +116,86 @@ def support_connected_to_origin(instance, graph, assignment):
             if assignment.get(f"y_{t}_{v}") == 1 and v not in seen:
                 return False
     return True
+
+
+def scanned_walk_space(graph):
+    """Reference walk space by scanning every vector in {0,1,2}^|E|.
+
+    Keeps the even-degree vectors in scan order, flags each support by a
+    depth-first search from the origin and computes the three restriction
+    masks row by row from their definitions.  Takes seconds at |E| = 14.
+    """
+    m = len(graph.edges)
+    lengths = np.array(graph.edge_length, dtype=np.float64)
+    if all(float(x).is_integer() for x in graph.edge_length):
+        lengths = lengths.astype(np.int64)
+    inc = np.zeros((m, graph.n_vertices), dtype=np.int16)
+    for eid, (u, v) in enumerate(graph.edges):
+        inc[eid, u] = 1
+        inc[eid, v] = 1
+
+    powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    total = 3 ** m
+    chunk = 1 << 18
+    kept = []
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = ((idx[:, None] // powers) % 3).astype(np.int8)
+        parity = (digits & 1).astype(np.int16) @ inc
+        even = ~(parity & 1).any(axis=1)
+        kept.append(digits[even])
+    mult = np.concatenate(kept)
+
+    ok = np.zeros(len(mult), dtype=bool)
+    visited = np.zeros(len(mult), dtype=np.int64)
+    flags = {}
+    for r, row in enumerate(mult):
+        support = tuple(e for e in range(m) if row[e])
+        if support not in flags:
+            adj = {}
+            for e in support:
+                u, v = graph.edges[e]
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+            if graph.origin not in adj:
+                flags[support] = (False, 0)
+            else:
+                seen = {graph.origin}
+                stack = [graph.origin]
+                while stack:
+                    u = stack.pop()
+                    for v in adj[u]:
+                        if v not in seen:
+                            seen.add(v)
+                            stack.append(v)
+                flags[support] = (seen == set(adj), sum(1 << u for u in adj))
+        ok[r], visited[r] = flags[support]
+
+    def no_reversal(row):
+        return all(len({row[e] for e in sub.edge_ids}) == 1 for sub in graph.subaisles)
+
+    def single_traversal(row):
+        return not any(all(row[e] == 2 for e in sub.edge_ids) for sub in graph.subaisles)
+
+    def uturn_at(row, vertex, chain_edge):
+        others = [eid for _, eid in graph.adjacency[vertex] if eid != chain_edge]
+        return row[chain_edge] == 2 and all(row[e] == 0 for e in others)
+
+    def no_artificial_uturn(row):
+        for sub in graph.subaisles:
+            if uturn_at(row, sub.tail, sub.edge_ids[-1]):
+                return False
+            if sub.block >= 1 and uturn_at(row, sub.head, sub.edge_ids[0]):
+                return False
+        return True
+
+    def mask(rule):
+        return np.array([rule(row) for row in mult], dtype=bool)
+
+    return SimpleNamespace(
+        mult=mult, lengths=mult.astype(lengths.dtype) @ lengths, ok=ok, visited=visited,
+        no_reversal=mask(no_reversal), single_traversal=mask(single_traversal),
+        no_artificial_uturn=mask(no_artificial_uturn))
 
 
 def brute_force_bin_pack(sizes, capacity):

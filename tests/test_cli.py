@@ -158,13 +158,3 @@ def test_formulation_name_aliases(tmp_path, instance_file):
                        "-o", str(tmp_path / f"{alias}.lp")) == 0
     assert run_cli("build", "-i", str(instance_file), "-f", "PX",
                    "-o", str(tmp_path / "px.lp")) == 2
-
-
-def test_threads_env_override(tmp_path, instance_file, monkeypatch):
-    monkeypatch.setenv("PICKOPT_THREADS", "2")
-    out = tmp_path / "sol.json"
-    assert run_cli("solve", "-i", str(instance_file), "--mode", "exact",
-                   "-o", str(out)) == 0
-    monkeypatch.setenv("PICKOPT_THREADS", "zebra")
-    assert run_cli("solve", "-i", str(instance_file), "--mode", "exact",
-                   "-o", str(out)) == 2

@@ -1,15 +1,19 @@
+import gc
 import random
+import weakref
 
+import numpy as np
 import pytest
 
 from conftest import ORACLE_SHAPES, make_suite, shared_graph
-from oracles import blind_solve, brute_force_bin_pack
+from oracles import blind_solve, brute_force_bin_pack, scanned_walk_space
 from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick,
-                     ValidationError, WarehouseLayout, bin_pack_exact,
-                     capacity_feasible_partitions, first_fit_decreasing,
-                     generate_instance, load_solution, route_oracle,
-                     save_solution, solve_exact, solve_no_reversal_exact,
-                     validate_solution, walk_space)
+                     ValidationError, WalkSpace, WarehouseLayout, bin_pack_exact,
+                     build_graph, capacity_feasible_partitions,
+                     first_fit_decreasing, generate_instance, load_solution,
+                     route_oracle, save_solution, solve_exact,
+                     solve_no_reversal_exact, validate_solution, walk_space)
+from pickopt.exact import _space_cache
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 
@@ -36,6 +40,36 @@ def test_route_oracle_deterministic_tie_break():
     w1 = route_oracle(g, {g.subaisles[0].locs[0]})
     w2 = route_oracle(g, {g.subaisles[0].locs[0]})
     assert w1.edge_mult == w2.edge_mult
+
+
+def test_walk_space_matches_full_scan():
+    # aisle spacing 2 makes edge lengths non-uniform
+    for shape in ORACLE_SHAPES:
+        g = build_graph(WarehouseLayout(*shape, 1, 2))
+        space = WalkSpace(g)
+        ref = scanned_walk_space(g)
+        for name in ("mult", "lengths", "ok", "visited"):
+            got, want = getattr(space, name), getattr(ref, name)
+            assert got.dtype == want.dtype, (shape, name)
+            assert np.array_equal(got, want), (shape, name)
+        assert np.array_equal(space.mask_no_reversal(), ref.no_reversal), shape
+        assert np.array_equal(space.mask_single_traversal(), ref.single_traversal), shape
+        assert np.array_equal(space.mask_no_artificial_uturn(),
+                              ref.no_artificial_uturn), shape
+
+
+def test_walk_space_cache_releases_graphs():
+    gc.collect()
+    before = len(_space_cache)
+    graphs = [build_graph(WarehouseLayout(1 + k % 3, 1, 1, 1, 1 + k)) for k in range(20)]
+    refs = [weakref.ref(g) for g in graphs]
+    for g in graphs:
+        walk_space(g)
+    assert len(_space_cache) == before + 20
+    del graphs, g
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(_space_cache) == before
 
 
 def test_oracle_bound_enforced():
@@ -82,14 +116,6 @@ def test_solve_exact_matches_blind_enumeration():
     for instance, graph in suite:
         sol = solve_exact(instance, graph)
         assert sol.total == blind_solve(instance, graph)
-
-
-def test_solve_exact_threads_deterministic():
-    inst = generate_instance(LAYOUT, 4, 10, seed=6)
-    g = shared_graph(LAYOUT)
-    a = solve_exact(inst, g, threads=1)
-    b = solve_exact(inst, g, threads=4)
-    assert a == b
 
 
 def test_empty_picker_departs():

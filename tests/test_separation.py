@@ -143,6 +143,25 @@ def test_impf8_support_uses_gamma():
     assert lhs_value(model, row, a) < 0
 
 
+def test_isolated_anchored_vertex_is_its_own_component():
+    # the far subaisle is walked in x but carries no gamma arcs, so its
+    # anchored artificial vertices touch no impf8 support arc
+    order = Order(0, 1, (Pick(1, 0, 0, 0),))
+    inst = Instance(LAYOUT, (order,), 8, 1)
+    g = shared_graph(LAYOUT)
+    model = build_PG(inst, g)
+    sub = g.subaisles[1]
+    values = _depart_loop(0, g) | _subaisle_cycle(0, g, sub)
+    values["z_0_0"] = 1
+    a = VariableAssignment(values)
+    cuts = separate_connectivity(g, "P_G", a, inst)
+    assert [c.vertex_set for c in cuts] == [{sub.head}, {sub.tail}]
+    for cut in cuts:
+        assert cut.anchor_vertex in cut.vertex_set
+        row = cut_to_row(cut, model, g)
+        assert lhs_value(model, row, a) < row.rhs
+
+
 def test_tspo5_cut_has_coefficient_two():
     order = Order(0, 1, (Pick(1, 0, 0, 0),))
     inst = Instance(LAYOUT, (order,), 8, 1)
