@@ -22,7 +22,7 @@ from .heuristics import cw2_batching, seed_batching
 from .instance import (WarehouseLayout, generate_instance, instance_from_dict,
                        instance_graph, instance_to_dict, load_instance,
                        save_instance)
-from .model import VariableAssignment, write_lp, write_model_json, write_mps
+from .model import VariableAssignment, export_model, lp_terms
 from .separation import cut_to_row, separate_connectivity
 
 EXIT_OK = 0
@@ -69,18 +69,9 @@ def cmd_build(args) -> int:
     model = build_model(instance, graph, kind, options)
     model.meta["instance"] = instance_to_dict(instance)
 
-    fmt = args.format.lower()
-    if fmt == "lp":
-        text = write_lp(model)
-    elif fmt == "mps":
-        text = write_mps(model)
-    elif fmt == "json":
-        text = write_model_json(model)
-    else:
-        raise ValidationError(f"unknown model format {args.format!r}")
-    Path(args.output).write_text(text)
+    export_model(model, args.format, args.output)
 
-    print(f"wrote {args.output} ({kind}, {fmt})")
+    print(f"wrote {args.output} ({kind}, {args.format})")
     print("variables:")
     for family, count in sorted(model.variable_counts().items()):
         print(f"  {family}: {count}")
@@ -164,7 +155,16 @@ def cmd_separate(args) -> int:
         adoc = adoc["values"]
     if not isinstance(adoc, dict):
         raise ValidationError("assignment file must map variable names to values")
-    assignment = VariableAssignment(adoc)
+    names = [v.name for v in model.variables]
+    declared = set(names)
+    assignment = VariableAssignment()
+    for name, value in adoc.items():
+        if name not in declared:
+            raise ValidationError(f"assignment names undeclared variable {name!r}")
+        try:
+            assignment.set(name, value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"assignment value {value!r} of {name} is not a number") from None
 
     aux = None
     from .layout import SINGLE_BLOCK, TWO_BLOCK, build_auxiliary_graph
@@ -176,19 +176,7 @@ def cmd_separate(args) -> int:
     cuts = separate_connectivity(graph, kind, assignment, instance, aux=aux)
     for cut in cuts:
         row = cut_to_row(cut, model, graph, aux=aux)
-        terms = []
-        for pos, coef in row.coeffs:
-            name = model.var_name(pos)
-            if coef == 1:
-                terms.append(f"+ {name}")
-            elif coef == -1:
-                terms.append(f"- {name}")
-            else:
-                terms.append(f"{'+' if coef > 0 else '-'} {abs(coef)} {name}")
-        lhs = " ".join(terms)
-        if lhs.startswith("+ "):
-            lhs = lhs[2:]
-        print(f"{row.name}: {lhs} {row.sense} {row.rhs}")
+        print(f"{row.name}: {' '.join(lp_terms(row.coeffs, names))} {row.sense} {row.rhs}")
     return EXIT_OK
 
 

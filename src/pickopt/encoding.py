@@ -131,30 +131,30 @@ def encode_walk_PG(model: LinearModel, instance: Instance, graph: PickingGraph,
         walk = solution.walks[t]
         arcs = orient_walk(graph, walk)
         for u, v in sorted(arcs):
-            assignment.set(f"x_{t}_{u}_{v}", 1)
+            assignment.set(model.var_name(model.var("x", t, u, v)), 1)
         visited = walk.visited(graph)
         for v in sorted(visited):
             if v != graph.origin:
-                assignment.set(f"y_{t}_{v}", 1)
+                assignment.set(model.var_name(model.var("y", t, v)), 1)
         alpha, beta, full_down, full_up = _chain_flags(graph, arcs)
         if has_alpha:
             for v, flag in sorted(alpha.items()):
                 if flag:
-                    assignment.set(f"a_{t}_{v}", 1)
+                    assignment.set(model.var_name(model.var("a", t, v)), 1)
             for v, flag in sorted(beta.items()):
                 if flag:
-                    assignment.set(f"b_{t}_{v}", 1)
+                    assignment.set(model.var_name(model.var("b", t, v)), 1)
         if has_gamma:
             for u, v in sorted(_gamma_arcs(graph, arcs, full_down, full_up)):
-                assignment.set(f"g_{t}_{u}_{v}", 1)
+                assignment.set(model.var_name(model.var("g", t, u, v)), 1)
         if has_w:
             for sub in graph.subaisles:
                 if full_down[sub.index]:
-                    assignment.set(f"w_{t}_{sub.index}_dn", 1)
+                    assignment.set(model.var_name(model.var("w", t, sub.index, "dn")), 1)
                 if full_up[sub.index]:
-                    assignment.set(f"w_{t}_{sub.index}_up", 1)
+                    assignment.set(model.var_name(model.var("w", t, sub.index, "up")), 1)
         for o in solution.batching[t]:
-            assignment.set(f"z_{o}_{t}", 1)
+            assignment.set(model.var_name(model.var("z", o, t)), 1)
     return assignment
 
 
@@ -168,10 +168,10 @@ def encode_walk_PF(model: LinearModel, instance: Instance, graph: PickingGraph,
         gamma_out: dict[int, list[int]] = {}
         for u, v, _, _ in graph.reduced_edges:
             for a, b in ((u, v), (v, u)):
-                if assignment.get(f"g_{t}_{a}_{b}") == 1:
+                if assignment.get(model.var_name(model.var("g", t, a, b))) == 1:
                     gamma_out.setdefault(a, []).append(b)
         for v0 in graph.artificial_vertices:
-            if assignment.get(f"y_{t}_{v0}") != 1:
+            if assignment.get(model.var_name(model.var("y", t, v0))) != 1:
                 continue
             # BFS from v0 to the origin along gamma arcs
             parent: dict[int, int] = {v0: v0}
@@ -188,7 +188,7 @@ def encode_walk_PF(model: LinearModel, instance: Instance, graph: PickingGraph,
             v = s
             while v != v0:
                 u = parent[v]
-                assignment.set(f"s_{t}_{v0}_{u}_{v}", 1)
+                assignment.set(model.var_name(model.var("s", t, v0, u, v)), 1)
                 v = u
     return assignment
 
@@ -404,15 +404,14 @@ def encode_route_PU2(model: LinearModel, aux: AuxiliaryGraph, instance: Instance
     degree: dict[int, int] = {}
     for eid in sorted(used):
         e = aux.edges[eid]
-        family = "xt" if e.in_e3 else "x"
-        assignment.set(f"{family}_{picker}_{e.u}_{e.v}", 1)
+        assignment.set(model.var_name(model.var(*e.var_index(picker))), 1)
         degree[e.u] = degree.get(e.u, 0) + 1
         degree[e.v] = degree.get(e.v, 0) + 1
-    for v in graph.artificial_vertices:
+    for v in aux.vertices:
         if v != graph.origin and degree.get(v, 0):
-            assignment.set(f"y_{picker}_{v}", 1)
+            assignment.set(model.var_name(model.var("y", picker, v)), 1)
     for o in order_ids:
-        assignment.set(f"z_{o}_{picker}", 1)
+        assignment.set(model.var_name(model.var("z", o, picker)), 1)
     return assignment
 
 
@@ -459,6 +458,5 @@ def eq75_value(model: LinearModel, aux: AuxiliaryGraph, assignment: VariableAssi
     """Value of the second-cross-aisle crossing sum for one picker."""
     total = 0
     for e in aux.delta(aux.south_set):
-        family = "xt" if e.in_e3 else "x"
-        total += assignment.get(f"{family}_{picker}_{e.u}_{e.v}")
+        total += assignment.get(model.var_name(model.var(*e.var_index(picker))))
     return total

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import OracleSizeError, UnsupportedFamilyError, ValidationError
 from .instance import Instance
-from .layout import PickingGraph, build_graph
+from .layout import PickingGraph, build_graph, connected_components
 from .sshape import SShapeRoute, evaluate_s_shape, s_shape_candidates
 
 MAX_ORACLE_EDGES = 14
@@ -73,20 +73,9 @@ class Walk:
             raise ValidationError("walk is empty, pickers must depart from the origin")
         if degree[graph.origin] == 0:
             raise ValidationError("walk does not touch the origin")
-        # connectivity of the support, starting from the origin
-        support = {e for e, m in self.edge_mult if m}
-        seen = {graph.origin}
-        stack = [graph.origin]
-        while stack:
-            u = stack.pop()
-            for v, eid in graph.adjacency[u]:
-                if eid in support and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        for e in support:
-            u, v = graph.edges[e]
-            if u not in seen or v not in seen:
-                raise ValidationError("walk support is disconnected from the origin")
+        # the support touches the origin, so one component means connected
+        if len(connected_components(graph.edges[e] for e, _ in self.edge_mult)) > 1:
+            raise ValidationError("walk support is disconnected from the origin")
         missing = required - self.visited(graph)
         if missing:
             raise ValidationError(f"walk misses required locations {sorted(missing)}")
@@ -525,11 +514,6 @@ def bin_pack_exact(sizes: Sequence[int], capacity: int) -> int:
     return best
 
 
-def minimal_departure_length(graph: PickingGraph):
-    """Length of the cheapest out-and-back from the origin."""
-    return 2 * min(graph.edge_length[eid] for _, eid in graph.adjacency[graph.origin])
-
-
 def batching_to_solution(instance: Instance, graph: PickingGraph,
                          batches: Sequence[Iterable[int]]) -> Solution:
     """Route every batch of a (possibly heuristic) batching with the oracle.
@@ -561,5 +545,5 @@ __all__ = [
     "solve_no_reversal_exact", "bin_pack_exact", "first_fit_decreasing",
     "capacity_feasible_partitions", "evaluate_s_shape", "s_shape_candidates",
     "validate_solution", "solution_to_dict", "save_solution", "load_solution",
-    "minimal_departure_length", "batching_to_solution",
+    "batching_to_solution",
 ]

@@ -163,14 +163,14 @@ def _declare_arc_core(model: LinearModel, instance: Instance, graph: PickingGrap
     T = instance.pickers
     for t in range(T):
         for u, v in graph.arcs():
-            pos = model.add_variable(f"x_{t}_{u}_{v}", BINARY, ("x", t, u, v))
+            pos = model.add_variable(BINARY, ("x", t, u, v))
             model.set_objective_coeff(pos, graph.arc_length(u, v))
     for t in range(T):
         for v in range(graph.n_vertices):
-            model.add_variable(f"y_{t}_{v}", BINARY, ("y", t, v))
+            model.add_variable(BINARY, ("y", t, v))
     for o in instance.orders:
         for t in range(T):
-            model.add_variable(f"z_{o.id}_{t}", BINARY, ("z", o.id, t))
+            model.add_variable(BINARY, ("z", o.id, t))
 
 
 def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
@@ -234,8 +234,8 @@ def build_subaisle_cuts(model: LinearModel, instance: Instance, graph: PickingGr
     for t in range(T):
         for v in graph.picking_vertices:
             if not model.has_var("a", t, v):
-                model.add_variable(f"a_{t}_{v}", BINARY, ("a", t, v))
-                model.add_variable(f"b_{t}_{v}", BINARY, ("b", t, v))
+                model.add_variable(BINARY, ("a", t, v))
+                model.add_variable(BINARY, ("b", t, v))
     rows = []
     picks = instance.all_pick_vertices(graph)
     for t in range(T):
@@ -284,8 +284,8 @@ def _gamma_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> 
     T = instance.pickers
     for t in range(T):
         for u, v, _, _ in graph.reduced_edges:
-            model.add_variable(f"g_{t}_{u}_{v}", BINARY, ("g", t, u, v))
-            model.add_variable(f"g_{t}_{v}_{u}", BINARY, ("g", t, v, u))
+            model.add_variable(BINARY, ("g", t, u, v))
+            model.add_variable(BINARY, ("g", t, v, u))
 
     for t in range(T):
         for v in graph.artificial_vertices:
@@ -343,7 +343,7 @@ def build_PF(instance: Instance, graph: PickingGraph) -> LinearModel:
     for t in range(T):
         for v0 in graph.artificial_vertices:
             for u, v in reduced_arcs:
-                model.add_variable(f"s_{t}_{v0}_{u}_{v}", CONTINUOUS, ("s", t, v0, u, v))
+                model.add_variable(CONTINUOUS, ("s", t, v0, u, v))
 
     for t in range(T):
         for v0 in graph.artificial_vertices:
@@ -434,8 +434,8 @@ def build_no_reversal(model: LinearModel, instance: Instance, graph: PickingGrap
     rows = []
     for t in range(instance.pickers):
         for sub in graph.subaisles:
-            w_dn = model.add_variable(f"w_{t}_{sub.index}_dn", BINARY, ("w", t, sub.index, "dn"))
-            w_up = model.add_variable(f"w_{t}_{sub.index}_up", BINARY, ("w", t, sub.index, "up"))
+            w_dn = model.add_variable(BINARY, ("w", t, sub.index, "dn"))
+            w_up = model.add_variable(BINARY, ("w", t, sub.index, "up"))
             for v in sub.locs + (sub.tail,):
                 rows.append(model.add_row(
                     f"norev1_t{t}_i{sub.index}_v{v}", "norev1",
@@ -504,8 +504,7 @@ def build_symmetry_breaking(model: LinearModel, instance: Instance) -> list:
 
 
 def _tour_edge_var(model: LinearModel, edge, t: int):
-    family = "xt" if (edge.in_e3 and not (edge.in_e1 or edge.in_e2)) else "x"
-    return model.var(family, t, edge.u, edge.v)
+    return model.var(*edge.var_index(t))
 
 
 def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
@@ -519,16 +518,16 @@ def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
 
     for t in range(T):
         for e in aux.edges:
-            pos = model.add_variable(f"x_{t}_{e.u}_{e.v}", BINARY, ("x", t, e.u, e.v))
+            pos = model.add_variable(BINARY, e.var_index(t))
             model.set_objective_coeff(pos, e.length)
-        pos = model.add_variable(f"xt_{t}", BINARY, ("xt", t))
+        pos = model.add_variable(BINARY, ("xt", t))
         model.set_objective_coeff(pos, aux.parallel_edge_length)
     for t in range(T):
         for v in aux.vertices:
-            model.add_variable(f"y_{t}_{v}", BINARY, ("y", t, v))
+            model.add_variable(BINARY, ("y", t, v))
     for o in instance.orders:
         for t in range(T):
-            model.add_variable(f"z_{o.id}_{t}", BINARY, ("z", o.id, t))
+            model.add_variable(BINARY, ("z", o.id, t))
 
     tail1 = graph.subaisles[0].tail
     f2 = graph.q_east(s)
@@ -536,7 +535,7 @@ def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
     def edge_var(t, u, v):
         for e in aux.edges:
             if {e.u, e.v} == {u, v}:
-                return model.var("x", t, e.u, e.v)
+                return _tour_edge_var(model, e, t)
         raise ValidationError(f"auxiliary edge [{u},{v}] not found")
 
     for t in range(T):
@@ -545,7 +544,7 @@ def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
             coeffs.append((edge_var(t, s, f2), 1))
         model.add_row(f"tspo0_t{t}", "tspo0", coeffs, GE, 1)
 
-        at_s = [( _tour_edge_var(model, e, t), 1) for e in aux.incident(s)]
+        at_s = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(s)]
         model.add_row(f"tspo1_t{t}", "tspo1", at_s + [(model.var("xt", t), 1)], EQ, 2)
 
         for sub in graph.subaisles:
@@ -554,7 +553,7 @@ def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
                 edge = aux.edges[aux.e_of_subaisle[sub.index]]
                 model.add_row(
                     f"tspo2_t{t}_i{sub.index}_o{o}", "tspo2",
-                    [(model.var("x", t, edge.u, edge.v), 1), (model.var("z", o, t), -1)],
+                    [(_tour_edge_var(model, edge, t), 1), (model.var("z", o, t), -1)],
                     GE, 0)
 
         at_tail = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(tail1)]
@@ -588,25 +587,20 @@ def build_PU2(instance: Instance, aux: AuxiliaryGraph,
     model = LinearModel("pickopt_P_U2", kind=P_U2)
     T = instance.pickers
     s = graph.origin
-    movement = [e for e in aux.edges if e.in_e1 or e.in_e2]
-    returns = [e for e in aux.edges if e.in_e3]
 
     for t in range(T):
-        for e in movement:
-            pos = model.add_variable(f"x_{t}_{e.u}_{e.v}", BINARY, ("x", t, e.u, e.v))
-            model.set_objective_coeff(pos, e.length)
-        for e in returns:
-            pos = model.add_variable(f"xt_{t}_{e.u}_{e.v}", BINARY, ("xt", t, e.u, e.v))
+        for e in aux.edges:
+            pos = model.add_variable(BINARY, e.var_index(t))
             model.set_objective_coeff(pos, e.length)
     for t in range(T):
-        for v in graph.artificial_vertices:
-            model.add_variable(f"y_{t}_{v}", BINARY, ("y", t, v))
+        for v in aux.vertices:
+            model.add_variable(BINARY, ("y", t, v))
     for o in instance.orders:
         for t in range(T):
-            model.add_variable(f"z_{o.id}_{t}", BINARY, ("z", o.id, t))
+            model.add_variable(BINARY, ("z", o.id, t))
 
     for t in range(T):
-        at_s_move = [(model.var("x", t, e.u, e.v), 1) for e in movement if e.touches(s)]
+        at_s_move = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(s) if not e.in_e3]
         model.add_row(f"tspt0_t{t}", "tspt0", at_s_move, GE, 1)
         at_s = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(s)]
         model.add_row(f"tspt1_t{t}", "tspt1", at_s, EQ, 2)
@@ -617,10 +611,10 @@ def build_PU2(instance: Instance, aux: AuxiliaryGraph,
                 edge = aux.edges[aux.e_of_subaisle[sub.index]]
                 model.add_row(
                     f"tspt2_t{t}_i{sub.index}_o{o}", "tspt2",
-                    [(model.var("x", t, edge.u, edge.v), 1), (model.var("z", o, t), -1)],
+                    [(_tour_edge_var(model, edge, t), 1), (model.var("z", o, t), -1)],
                     GE, 0)
 
-        for u in graph.artificial_vertices:
+        for u in aux.vertices:
             if u == s:
                 continue
             at_u = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(u)]

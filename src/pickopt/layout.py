@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -244,9 +245,6 @@ class PickingGraph:
                 return eid
         raise ValidationError(f"no edge between {u} and {v}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return any(w == v for w, _ in self.adjacency[u])
-
     def delta_plus(self, s_set: Iterable[int]) -> list[tuple[int, int]]:
         """Arcs leaving the vertex set."""
         inside = set(s_set)
@@ -310,6 +308,31 @@ def build_graph(layout: WarehouseLayout) -> PickingGraph:
     return PickingGraph(layout)
 
 
+def connected_components(edges: Iterable[tuple[int, int]],
+                         vertices: Iterable[int] = ()) -> list[set[int]]:
+    """Components of the undirected graph on ``vertices`` and the edges'
+    endpoints, ordered by their smallest vertex."""
+    adj: defaultdict[int, list[int]] = defaultdict(list, {v: [] for v in vertices})
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def shortest_distance(graph: PickingGraph, u: int, v: int):
     """Exact shortest-path length between two vertices."""
     if not (0 <= u < graph.n_vertices and 0 <= v < graph.n_vertices):
@@ -342,6 +365,11 @@ class AuxEdge:
 
     def touches(self, w: int) -> bool:
         return self.u == w or self.v == w
+
+    def var_index(self, picker: int) -> tuple:
+        """Index of the picker's tour variable on this edge: family ``xt``
+        for the return edges (E3) of the two-block graph, ``x`` otherwise."""
+        return ("xt" if self.in_e3 else "x", picker, self.u, self.v)
 
 
 @dataclass(frozen=True)

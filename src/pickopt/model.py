@@ -2,8 +2,10 @@
 
 A :class:`LinearModel` is an ordered collection of typed variables, named
 constraint rows grouped into stable families, and a sparse minimization
-objective.  Models are exported to CPLEX-LP, fixed-field MPS or a JSON
-sidecar; no LP relaxations are solved here.
+objective.  A variable is addressed by its index tuple, and its name is
+derived from that tuple by :func:`var_name`, the only naming rule.  Models
+are exported to CPLEX-LP, free MPS or a JSON sidecar; no LP relaxations
+are solved here.
 
 Feasibility checks run in exact rational arithmetic (``fractions``), so
 there are no tolerances anywhere.
@@ -28,6 +30,15 @@ LE, EQ, GE = "<=", "=", ">="
 LP_FORMAT = "lp"
 MPS_FORMAT = "mps"
 JSON_FORMAT = "json"
+
+
+_NAME_FORMATS = tuple("_".join(["%s"] * n) for n in range(8))
+
+
+def var_name(index: tuple) -> str:
+    """Name of the variable with this index: its parts joined by ``_``,
+    so ``("x", 0, 3, 4)`` is ``x_0_3_4``.  An index has at most 7 parts."""
+    return _NAME_FORMATS[len(index)] % index
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,6 @@ class LinearModel:
         self.kind = kind
         self.meta = dict(meta or {})
         self.variables: list[Variable] = []
-        self._by_name: dict[str, int] = {}
         self._by_index: dict[tuple, int] = {}
         self.constraints: list[Constraint] = []
         self._row_names: set[str] = set()
@@ -65,15 +75,21 @@ class LinearModel:
 
     # -- construction ----------------------------------------------------
 
-    def add_variable(self, name: str, kind: str, index: tuple, lb=0, ub=None) -> int:
-        if name in self._by_name:
-            raise ValidationError(f"duplicate variable name {name}")
+    def add_variable(self, kind: str, index: tuple, lb=0, ub=None) -> int:
+        """Declare a variable; its name is ``var_name(index)``.
+
+        Text parts of the index may not contain ``_``, so distinct indices
+        always get distinct names.
+        """
+        name = var_name(index)
+        if name.count("_") != len(index) - 1:
+            raise ValidationError(f"variable index {index} has a part containing '_'")
+        pos = len(self.variables)
+        if self._by_index.setdefault(index, pos) != pos:
+            raise ValidationError(f"duplicate variable index {index}")
         if kind == BINARY:
             ub = 1
-        pos = len(self.variables)
         self.variables.append(Variable(name, kind, index, lb, ub))
-        self._by_name[name] = pos
-        self._by_index[index] = pos
         return pos
 
     def var(self, *index) -> int:
@@ -88,9 +104,6 @@ class LinearModel:
 
     def var_name(self, pos: int) -> str:
         return self.variables[pos].name
-
-    def position_of(self, name: str) -> Optional[int]:
-        return self._by_name.get(name)
 
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],
                 sense: str, rhs) -> Constraint:
@@ -236,7 +249,9 @@ def _num(x) -> str:
     return repr(float(f))
 
 
-def _lp_terms(pairs, names) -> list[str]:
+def lp_terms(pairs, names) -> list[str]:
+    """LP-format terms (``x_0``, ``- 2 y_1``) of ``(position, coefficient)``
+    pairs, with ``names`` indexed by position."""
     parts = []
     for pos, coef in pairs:
         c = Fraction(coef)
@@ -261,44 +276,32 @@ def _wrap(prefix: str, parts: list[str], per_line: int = 8) -> list[str]:
     return lines
 
 
-def _used_positions(model: LinearModel) -> set[int]:
-    used = set(model.objective)
-    for row in model.constraints:
-        used.update(pos for pos, _ in row.coeffs)
-    return used
-
-
-def write_lp(model: LinearModel, prune_unused: bool = False) -> str:
+def write_lp(model: LinearModel) -> str:
     names = [v.name for v in model.variables]
-    keep = _used_positions(model) if prune_unused else set(range(len(names)))
     out = [f"\\ {model.name}"]
     out.append("Minimize")
     obj = sorted(model.objective.items())
-    out.extend(_wrap(" obj:", _lp_terms(obj, names)))
+    out.extend(_wrap(" obj:", lp_terms(obj, names)))
     out.append("Subject To")
     for row in model.constraints:
         sense = row.sense if row.sense != EQ else "="
-        parts = _lp_terms(row.coeffs, names)
+        parts = lp_terms(row.coeffs, names)
         lines = _wrap(f" {row.name}:", parts)
         lines[-1] += f" {sense} {_num(row.rhs)}"
         out.extend(lines)
     bounds = []
-    for pos, v in enumerate(model.variables):
-        if v.kind == BINARY or pos not in keep:
-            continue
-        if Fraction(v.lb) != 0 or v.ub is not None:
+    for v in model.variables:
+        if v.kind != BINARY and (Fraction(v.lb) != 0 or v.ub is not None):
             hi = "+inf" if v.ub is None else _num(v.ub)
             bounds.append(f" {_num(v.lb)} <= {v.name} <= {hi}")
     if bounds:
         out.append("Bounds")
         out.extend(bounds)
-    binaries = [v.name for pos, v in enumerate(model.variables)
-                if v.kind == BINARY and pos in keep]
+    binaries = [v.name for v in model.variables if v.kind == BINARY]
     if binaries:
         out.append("Binaries")
         out.extend(_wrap(" ", binaries))
-    generals = [v.name for pos, v in enumerate(model.variables)
-                if v.kind == INTEGER and pos in keep]
+    generals = [v.name for v in model.variables if v.kind == INTEGER]
     if generals:
         out.append("Generals")
         out.extend(_wrap(" ", generals))
@@ -306,8 +309,8 @@ def write_lp(model: LinearModel, prune_unused: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_mps(model: LinearModel, prune_unused: bool = False) -> str:
-    keep = _used_positions(model) if prune_unused else set(range(len(model.variables)))
+def write_mps(model: LinearModel) -> str:
+    """Free MPS: names may exceed the eight characters of fixed-field MPS."""
     out = [f"NAME          {model.name[:60]}"]
     out.append("ROWS")
     out.append(" N  COST")
@@ -326,9 +329,7 @@ def write_mps(model: LinearModel, prune_unused: bool = False) -> str:
     out.append("COLUMNS")
     integer_open = False
     marker = 0
-    for pos, (v, entries) in enumerate(zip(model.variables, col_entries)):
-        if pos not in keep:
-            continue
+    for v, entries in zip(model.variables, col_entries):
         is_int = v.kind in (BINARY, INTEGER)
         if is_int and not integer_open:
             out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
@@ -348,9 +349,7 @@ def write_mps(model: LinearModel, prune_unused: bool = False) -> str:
         if Fraction(row.rhs) != 0:
             out.append(f"    RHS         {row.name:<10}  {_num(row.rhs)}")
     out.append("BOUNDS")
-    for pos, v in enumerate(model.variables):
-        if pos not in keep:
-            continue
+    for v in model.variables:
         if v.kind == BINARY:
             out.append(f" BV BND         {v.name}")
         else:
@@ -394,17 +393,13 @@ def write_model_json(model: LinearModel) -> str:
     return json.dumps(model_to_dict(model), indent=1, sort_keys=False) + "\n"
 
 
-def export_model(model: LinearModel, fmt: str, path, prune_unused: bool = False) -> None:
-    """Write the model to disk; byte output is deterministic per model.
-
-    ``prune_unused`` drops variables referenced by no row and no objective
-    term (off by default for fidelity to the declared variable space).
-    """
+def export_model(model: LinearModel, fmt: str, path) -> None:
+    """Write the model to disk; byte output is deterministic per model."""
     fmt = fmt.lower()
     if fmt == LP_FORMAT:
-        text = write_lp(model, prune_unused=prune_unused)
+        text = write_lp(model)
     elif fmt == MPS_FORMAT:
-        text = write_mps(model, prune_unused=prune_unused)
+        text = write_mps(model)
     elif fmt == JSON_FORMAT:
         text = write_model_json(model)
     else:

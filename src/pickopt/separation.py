@@ -14,8 +14,9 @@ from typing import Iterable, Optional
 
 from .errors import SeparationError, ValidationError
 from .instance import Instance
-from .layout import SINGLE_BLOCK, TWO_BLOCK, AuxiliaryGraph, PickingGraph, build_auxiliary_graph
-from .model import GE, Constraint, LinearModel, VariableAssignment
+from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxiliaryGraph, PickingGraph,
+                     build_auxiliary_graph, connected_components)
+from .model import GE, Constraint, LinearModel, VariableAssignment, var_name
 
 FAMILY_OF_KIND = {
     "P_basic": "bs4",
@@ -67,27 +68,9 @@ def order_components(graph: PickingGraph, picks: Iterable[int]) -> OrderComponen
         sub = graph.subaisles[i]
         v0.add(sub.head)
         v0.add(sub.tail)
-    adj: dict[int, set[int]] = {v: set() for v in v0}
-    for u, v, _, _ in graph.reduced_edges:
-        if u in v0 and v in v0:
-            adj[u].add(v)
-            adj[v].add(u)
-
-    seen: set[int] = set()
+    edges = [(u, v) for u, v, _, _ in graph.reduced_edges if u in v0 and v in v0]
     components = []
-    for start in sorted(v0):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
+    for comp in connected_components(edges, v0):
         contains_origin = graph.origin in comp
         full = set(comp)
         if not contains_origin:
@@ -104,37 +87,6 @@ def _require_integral(assignment: VariableAssignment) -> None:
             "fractional assignment rejected: separation runs on integral candidates only")
 
 
-def _components_from_edges(edge_list: list[tuple[int, int]], origin: int,
-                           vertices: Iterable[int] = ()):
-    """Connected components of an undirected support, origin's first.
-
-    Each of ``vertices`` that no support edge touches is a component alone.
-    """
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for u, v in edge_list:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(comp)
-    with_origin = [c for c in comps if origin in c]
-    without = [c for c in comps if origin not in c]
-    return with_origin, without
-
-
 def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAssignment,
                           instance: Instance,
                           aux: Optional[AuxiliaryGraph] = None) -> list[CutRequest]:
@@ -147,37 +99,39 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
         aux = build_auxiliary_graph(
             graph, SINGLE_BLOCK if family == "tspo5" else TWO_BLOCK)
 
+    # picking locations only anchor the full arc-space family
+    if family == "bs4":
+        vertices = range(graph.n_vertices)
+    elif family == "impf8":
+        vertices = graph.artificial_vertices
+    else:
+        vertices = aux.vertices
+
+    def value(*index):
+        return assignment.get(var_name(index))
+
     cuts: list[CutRequest] = []
     for t in range(instance.pickers):
         support: list[tuple[int, int]] = []
         if family == "bs4":
             for u, v in graph.edges:
-                if assignment.get(f"x_{t}_{u}_{v}") or assignment.get(f"x_{t}_{v}_{u}"):
+                if value("x", t, u, v) or value("x", t, v, u):
                     support.append((u, v))
         elif family == "impf8":
             for u, v, _, _ in graph.reduced_edges:
-                if assignment.get(f"g_{t}_{u}_{v}") or assignment.get(f"g_{t}_{v}_{u}"):
+                if value("g", t, u, v) or value("g", t, v, u):
                     support.append((u, v))
-        elif family == "tspo5":
+        else:
             for e in aux.edges:
-                if assignment.get(f"x_{t}_{e.u}_{e.v}"):
+                if value(*e.var_index(t)):
                     support.append((e.u, e.v))
-            if assignment.get(f"xt_{t}"):
+            if family == "tspo5" and value("xt", t):
                 support.append((graph.origin, graph.subaisles[0].tail))
-        else:  # tspt4
-            for e in aux.edges:
-                name = f"xt_{t}_{e.u}_{e.v}" if e.in_e3 else f"x_{t}_{e.u}_{e.v}"
-                if assignment.get(name):
-                    support.append((e.u, e.v))
 
-        # copies carry no y variables and picking locations only anchor
-        # the full arc-space family
-        limit = graph.n_vertices if family == "bs4" else graph.n_artificial
-        anchored = {v for v in range(limit) if assignment.get(f"y_{t}_{v}") == 1}
-        _, away = _components_from_edges(support, graph.origin, anchored)
-        for comp in away:
+        anchored = {v for v in vertices if value("y", t, v) == 1}
+        for comp in connected_components(support, anchored):
             hits = comp & anchored
-            if hits:
+            if hits and graph.origin not in comp:
                 cuts.append(CutRequest(picker=t, vertex_set=frozenset(comp),
                                        family=family, anchor_vertex=min(hits)))
     return sorted(cuts, key=CutRequest.sort_key)
@@ -210,10 +164,7 @@ def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph,
     if cut.family in ("tspo5", "tspt4"):
         if aux is None:
             raise ValidationError(f"{cut.family} cut needs the auxiliary graph")
-        coeffs = []
-        for e in aux.delta(S):
-            fam = "xt" if (e.in_e3 and cut.family == "tspt4") else "x"
-            coeffs.append((model.var(fam, t, e.u, e.v), 1))
+        coeffs = [(model.var(*e.var_index(t)), 1) for e in aux.delta(S)]
         if cut.family == "tspo5" and graph.subaisles[0].tail in S:
             coeffs.append((model.var("xt", t), 1))
         coeffs.append((model.var("y", t, cut.anchor_vertex), -2))

@@ -118,6 +118,16 @@ def test_separate_roundtrip(tmp_path, instance_file, capsys):
     frac = tmp_path / "frac.json"
     frac.write_text(json.dumps({"values": {"g_0_2_3": 0.5}}))
     assert run_cli("separate", "--model", str(model_path), "--assignment", str(frac)) == 2
+    # a name the model does not declare: exit 2, naming it
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"values": {"y_0_2": 1, "g_0_2_9": 1, "g_0_9_2": 1}}))
+    capsys.readouterr()
+    assert run_cli("separate", "--model", str(model_path), "--assignment", str(typo)) == 2
+    assert "'g_0_2_9'" in capsys.readouterr().err
+    # a value that is not a number: exit 2, not a traceback
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({"values": {"y_0_2": "one"}}))
+    assert run_cli("separate", "--model", str(model_path), "--assignment", str(word)) == 2
     # malformed file: exit 2
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")

@@ -184,9 +184,6 @@ def test_export_model_writes_files(tmp_path):
         again = tmp_path / f"m2.{fmt}"
         export_model(model, fmt, again)
         assert path.read_bytes() == again.read_bytes()
-    pruned = tmp_path / "pruned.lp"
-    export_model(model, "lp", pruned, prune_unused=True)
-    assert pruned.stat().st_size <= (tmp_path / "m.lp").stat().st_size
 
 
 def test_bin_pack_examples():

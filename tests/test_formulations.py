@@ -8,7 +8,8 @@ from pickopt import (Instance, ModelOptions, Order, Pick, UnsupportedFamilyError
                      build_PU2, build_single_traversing,
                      build_strengthened_cuts, build_subaisle_cuts,
                      build_symmetry_breaking, build_artificial_vertex_reversal,
-                     generate_instance, validate_options)
+                     check_feasible, generate_instance, validate_options,
+                     VariableAssignment)
 from pickopt.layout import SINGLE_BLOCK, TWO_BLOCK
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
@@ -245,12 +246,27 @@ def test_PU2_rows_and_cross_aisle_bound():
     aux = build_auxiliary_graph(g, TWO_BLOCK)
     m = build_PU2(inst, aux, with_cross_aisle_bound=True)
     assert m.group_counts()["less2con"] == inst.pickers
-    # degree rows exist only for original artificial vertices besides the origin
-    assert m.group_counts()["tspt3"] == g.n_artificial - 1
+    # degree rows for every auxiliary vertex besides the origin, copies included
+    assert m.group_counts()["tspt3"] == g.n_artificial + len(aux.copies) - 1
     assert "tspt4" in m.lazy_groups
-    # no y variables for the copies
     for cp in aux.copies:
-        assert not m.has_var("y", 0, cp)
+        assert m.has_var("y", 0, cp)
+
+
+def test_PU2_rejects_a_tour_ending_at_a_copy():
+    # copy 11 has degree 1 and copy 10 degree 3; without degree rows at the
+    # copies this candidate is feasible, cut-free and costs 10, below the
+    # no-reversal optimum of 12
+    layout = WarehouseLayout(2, 2, 1, 1, 2)
+    inst = generate_instance(layout, 4, 10, seed=126)
+    g = shared_graph(layout)
+    m = build_PU2(inst, build_auxiliary_graph(g, TWO_BLOCK))
+    names = ("x_0_0_2 x_0_2_10 x_0_10_4 x_0_4_5 x_0_11_5 xt_0_0_10 "
+             "y_0_2 y_0_4 y_0_5 z_0_0 z_1_0 z_2_0 z_3_0").split()
+    candidate = VariableAssignment({name: 1 for name in names})
+    report = check_feasible(m, candidate)
+    assert not report.satisfied
+    assert {"tspt3_t0_u10", "tspt3_t0_u11"} <= {v.row for v in report.violations}
 
 
 def test_variant_mismatch_errors():

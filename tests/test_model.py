@@ -10,9 +10,9 @@ from pickopt.model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE
 
 def tiny_model():
     m = LinearModel("tiny", kind="test")
-    x = m.add_variable("x_0", BINARY, ("x", 0))
-    y = m.add_variable("y_0", INTEGER, ("y", 0))
-    s = m.add_variable("s_0", CONTINUOUS, ("s", 0))
+    x = m.add_variable(BINARY, ("x", 0))
+    y = m.add_variable(INTEGER, ("y", 0))
+    s = m.add_variable(CONTINUOUS, ("s", 0))
     m.set_objective_coeff(x, 2)
     m.set_objective_coeff(s, 1)
     m.add_row("r1", "grp", [(x, 1), (y, 1)], GE, 1)
@@ -23,12 +23,28 @@ def tiny_model():
 
 def test_duplicate_names_rejected():
     m = LinearModel("dup")
-    m.add_variable("x_0", BINARY, ("x", 0))
-    with pytest.raises(ValidationError):
-        m.add_variable("x_0", BINARY, ("x", 1))
+    m.add_variable(BINARY, ("x", 0))
+    # a repeated index would repeat the name and re-point var("x", 0)
+    with pytest.raises(ValidationError, match="duplicate variable index"):
+        m.add_variable(BINARY, ("x", 0))
+    assert m.var("x", 0) == 0 and len(m.variables) == 1
     m.add_row("r", "g", [(0, 1)], GE, 0)
     with pytest.raises(ValidationError):
         m.add_row("r", "g", [(0, 1)], GE, 0)
+
+
+def test_names_follow_the_index():
+    m = LinearModel("names")
+    cases = [(("x", 0, 3, 4), "x_0_3_4"), (("w", 1, 2, "dn"), "w_1_2_dn"),
+             (("xt", 0), "xt_0"), (("s", 2, 0, 10, 11), "s_2_0_10_11")]
+    for index, name in cases:
+        assert m.var_name(m.add_variable(BINARY, index)) == name
+        assert m.var_name(m.var(*index)) == name
+    # ("x", "0_1") and ("x", 0, 1) would both be named x_0_1
+    with pytest.raises(ValidationError, match="'_'"):
+        m.add_variable(BINARY, ("x", "0_1"))
+    with pytest.raises(ValidationError, match="undeclared"):
+        m.var("x", 9)
 
 
 def test_group_counts_and_lazy():
@@ -50,7 +66,7 @@ def test_check_feasible_reports_violations():
 
 def test_check_feasible_is_exact_rational():
     m = LinearModel("frac")
-    x = m.add_variable("x_0", CONTINUOUS, ("x", 0))
+    x = m.add_variable(CONTINUOUS, ("x", 0))
     m.add_row("r", "g", [(x, Fraction(1, 3))], EQ, Fraction(1, 3))
     assert check_feasible(m, VariableAssignment({"x_0": 1})).satisfied
     bad = check_feasible(m, VariableAssignment({"x_0": Fraction(2, 3)}))
@@ -108,15 +124,3 @@ def test_objective_value():
     m = tiny_model()
     val = m.objective_value({"x_0": Fraction(1), "s_0": Fraction(3)})
     assert val == 5
-
-
-def test_prune_unused_at_export():
-    m = tiny_model()
-    m.add_variable("idle_0", BINARY, ("idle", 0))
-    with_idle = write_lp(m)
-    pruned = write_lp(m, prune_unused=True)
-    assert "idle_0" in with_idle
-    assert "idle_0" not in pruned
-    assert "idle_0" not in write_mps(m, prune_unused=True)
-    # default keeps the full declared variable space
-    assert "idle_0" in write_mps(m)
