@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import OracleSizeError, ValidationError
@@ -58,14 +59,7 @@ def cmd_build(args) -> int:
     instance = load_instance(args.instance)
     graph = instance_graph(instance)
     kind = _parse_kind(args.formulation)
-    options = ModelOptions(
-        subaisle_cuts=args.subaisle_cuts,
-        aisle_cuts=args.aisle_cuts,
-        basic_cuts=args.basic_cuts,
-        single_traversing=args.single_traversing,
-        artificial_vertex_reversal=args.artificial_vertex_reversal,
-        column_inequalities=args.column_inequalities,
-        cross_aisle_bound=args.cross_aisle_bound)
+    options = ModelOptions(**{f.name: getattr(args, f.name) for f in fields(ModelOptions)})
     model = build_model(instance, graph, kind, options)
     model.meta["instance"] = instance_to_dict(instance)
 
@@ -144,7 +138,15 @@ def cmd_separate(args) -> int:
     instance = instance_from_dict(doc["meta"]["instance"])
     graph = instance_graph(instance)
     kind = doc.get("kind")
-    options = ModelOptions(**{name: True for name in doc["meta"].get("options", [])})
+    enabled = doc["meta"].get("options", [])
+    if not isinstance(enabled, list):
+        raise ValidationError(f"meta.options must be a list of option names, got {enabled!r}")
+    known = [f.name for f in fields(ModelOptions)]
+    for name in enabled:
+        if name not in known:
+            raise ValidationError(
+                f"unknown option {name!r} in meta.options; choose from {', '.join(known)}")
+    options = ModelOptions(**{name: True for name in enabled})
     model = build_model(instance, graph, kind, options)
 
     try:
@@ -225,13 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--formulation", required=True,
                    help="one of " + ", ".join(ALL_KINDS))
     p.add_argument("--format", default="lp", choices=["lp", "mps", "json"])
-    p.add_argument("--subaisle-cuts", action="store_true")
-    p.add_argument("--aisle-cuts", action="store_true")
-    p.add_argument("--basic-cuts", action="store_true")
-    p.add_argument("--single-traversing", action="store_true")
-    p.add_argument("--artificial-vertex-reversal", action="store_true")
-    p.add_argument("--column-inequalities", action="store_true")
-    p.add_argument("--cross-aisle-bound", action="store_true")
+    for f in fields(ModelOptions):
+        p.add_argument("--" + f.name.replace("_", "-"), action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_build)
 

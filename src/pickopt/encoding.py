@@ -276,6 +276,20 @@ class _AuxResolver:
             degree[edge.u] -= 1
             degree[edge.v] -= 1
 
+        def attempt(edges: list[int], k: int, row: str, aisle: int) -> bool:
+            """Take the edges and search on from unit k; undo them on failure."""
+            taken = []
+            for eid in edges:
+                if not take(eid):
+                    break
+                taken.append(eid)
+            else:
+                if rec(k, row, aisle):
+                    return True
+            for eid in taken:
+                untake(eid)
+            return False
+
         def connector_options(row: str, a: int):
             """(edges_to_take, resulting_row) alternatives from a middle row."""
             yield [], row
@@ -294,32 +308,11 @@ class _AuxResolver:
                 _, band, a, b = unit
                 if band in (TOP_BAND, BOTTOM_BAND):
                     need = _TOPROW if band == TOP_BAND else _BOTROW
-                    if row != need:
-                        return False
-                    eid = self._edge(need, a, need, b)
-                    if not take(eid):
-                        return False
-                    if rec(k + 1, need, b):
-                        return True
-                    untake(eid)
-                    return False
+                    return row == need and attempt([self._edge(need, a, need, b)], k + 1, need, b)
                 if row not in (_MIDROW, _MID2ROW):
                     return False
-                for pre, lane in connector_options(row, a):
-                    seg = self._edge(lane, a, lane, b)
-                    picked = []
-                    ok = True
-                    for eid in pre + [seg]:
-                        if take(eid):
-                            picked.append(eid)
-                        else:
-                            ok = False
-                            break
-                    if ok and rec(k + 1, lane, b):
-                        return True
-                    for eid in picked:
-                        untake(eid)
-                return False
+                return any(attempt(pre + [self._edge(lane, a, lane, b)], k + 1, lane, b)
+                           for pre, lane in connector_options(row, a))
             if unit[0] == "vert":
                 _, sub, direction = unit
                 a = sub % self.n
@@ -337,45 +330,22 @@ class _AuxResolver:
                         eid = self._edge(lane, a, _BOTROW, a)
                         ends = (lane, _BOTROW) if direction == "down" else (_BOTROW, lane)
                     start_row, end_row = ends
-                    pre_options = [([], row)]
-                    if row in (_MIDROW, _MID2ROW) and start_row in (_MIDROW, _MID2ROW) \
-                            and row != start_row:
-                        pre_options = [([self._edge(row, aisle, start_row, aisle)], start_row)]
-                    for pre, here in pre_options:
-                        if here != start_row:
-                            continue
-                        picked = []
-                        ok = True
-                        for edge in pre + [eid]:
-                            if take(edge):
-                                picked.append(edge)
-                            else:
-                                ok = False
-                                break
-                        if ok and rec(k + 1, end_row, a):
-                            return True
-                        for edge in picked:
-                            untake(edge)
+                    if row == start_row:
+                        pre = []
+                    elif row in (_MIDROW, _MID2ROW) and start_row in (_MIDROW, _MID2ROW):
+                        pre = [self._edge(row, aisle, start_row, aisle)]
+                    else:
+                        continue
+                    if attempt(pre + [eid], k + 1, end_row, a):
+                        return True
                 return False
             # star: one return edge home, optionally switching middle lane first
-            star_options = (list(connector_options(row, aisle))
+            star_options = (connector_options(row, aisle)
                             if row in (_MIDROW, _MID2ROW) else [([], row)])
             for pre, lane in star_options:
                 eid = self.star_edge.get(self.vertex(lane, aisle))
-                if eid is None:
-                    continue
-                picked = []
-                ok = True
-                for edge in pre + [eid]:
-                    if take(edge):
-                        picked.append(edge)
-                    else:
-                        ok = False
-                        break
-                if ok and rec(k + 1, _TOPROW, 0):
+                if eid is not None and attempt(pre + [eid], k + 1, _TOPROW, 0):
                     return True
-                for edge in picked:
-                    untake(edge)
             return False
 
         if not rec(0, _TOPROW, 0):
@@ -438,6 +408,8 @@ def encode_best_s_shape(model: LinearModel, aux: AuxiliaryGraph, instance: Insta
     K2 = sorted(i for i in subs if i >= n)
     candidates = [r for r in s_shape_candidates(graph, K1, K2)
                   if kind is None or r.kind == kind]
+    if not candidates:
+        raise EncodingError(f"no serpentine route of kind {kind!r} covers this batch")
     candidates.sort(key=lambda r: (r.total_length, r.kind,
                                    r.i0 if r.i0 is not None else -1))
     best_length = candidates[0].total_length

@@ -22,12 +22,12 @@ separation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
-from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxiliaryGraph, PickingGraph,
+from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxEdge, AuxiliaryGraph, PickingGraph,
                      build_auxiliary_graph)
 from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
 
@@ -113,10 +113,7 @@ class ModelOptions:
     cross_aisle_bound: bool = False
 
     def enabled(self) -> tuple[str, ...]:
-        return tuple(name for name in (
-            "subaisle_cuts", "aisle_cuts", "basic_cuts", "single_traversing",
-            "artificial_vertex_reversal", "column_inequalities", "cross_aisle_bound")
-            if getattr(self, name))
+        return tuple(f.name for f in fields(self) if getattr(self, f.name))
 
 
 def validate_options(kind: str, options: ModelOptions, instance: Instance) -> None:
@@ -145,15 +142,32 @@ def validate_options(kind: str, options: ModelOptions, instance: Instance) -> No
                 "single_traversing needs the alpha/beta variables of the subaisle cuts")
 
 
-def _has_picks(instance: Instance, graph: PickingGraph, sub_index: int) -> set[int]:
-    """Order ids with at least one pick in the subaisle."""
-    sub = graph.subaisles[sub_index]
-    locs = set(sub.locs)
-    out = set()
+def _orders_by_subaisle(instance: Instance, graph: PickingGraph) -> list[list[int]]:
+    """Sorted ids of the orders with a pick in each subaisle, by subaisle index."""
+    by_sub: list[set[int]] = [set() for _ in graph.subaisles]
     for o in instance.orders:
-        if locs & instance.pick_vertices(graph, o):
-            out.add(o.id)
-    return out
+        for v in instance.pick_vertices(graph, o):
+            by_sub[graph.subaisle_of(v)].add(o.id)
+    return [sorted(ids) for ids in by_sub]
+
+
+def _declare_assignment(model: LinearModel, instance: Instance) -> None:
+    for o in instance.orders:
+        for t in range(instance.pickers):
+            model.add_variable(BINARY, ("z", o.id, t))
+
+
+def _assignment_rows(model: LinearModel, instance: Instance, assign: str,
+                     capacity: str) -> None:
+    """Each order goes to one picker; each picker's load fits the trolley."""
+    T = instance.pickers
+    for o in instance.orders:
+        model.add_row(f"{assign}_o{o.id}", assign,
+                      [(model.var("z", o.id, t), 1) for t in range(T)], EQ, 1)
+    for t in range(T):
+        model.add_row(f"{capacity}_t{t}", capacity,
+                      [(model.var("z", o.id, t), o.size) for o in instance.orders],
+                      LE, instance.capacity)
 
 
 # -- arc-space core --------------------------------------------------------
@@ -168,9 +182,7 @@ def _declare_arc_core(model: LinearModel, instance: Instance, graph: PickingGrap
     for t in range(T):
         for v in range(graph.n_vertices):
             model.add_variable(BINARY, ("y", t, v))
-    for o in instance.orders:
-        for t in range(T):
-            model.add_variable(BINARY, ("z", o.id, t))
+    _declare_assignment(model, instance)
 
 
 def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
@@ -207,14 +219,7 @@ def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
             coeffs += [(model.var("x", t, u, v), -1) for u, _ in graph.adjacency[v]]
             model.add_row(f"{labels['flow']}_t{t}_v{v}", labels["flow"], coeffs, EQ, 0)
 
-    for o in instance.orders:
-        coeffs = [(model.var("z", o.id, t), 1) for t in range(T)]
-        model.add_row(f"{labels['assign']}_o{o.id}", labels["assign"], coeffs, EQ, 1)
-
-    for t in range(T):
-        coeffs = [(model.var("z", o.id, t), o.size) for o in instance.orders]
-        model.add_row(f"{labels['capacity']}_t{t}", labels["capacity"], coeffs,
-                      LE, instance.capacity)
+    _assignment_rows(model, instance, labels["assign"], labels["capacity"])
 
 
 def build_basic(instance: Instance, graph: PickingGraph) -> LinearModel:
@@ -374,8 +379,7 @@ def build_strengthened_cuts(model: LinearModel, instance: Instance, graph: Picki
     T = instance.pickers
     rows = []
     if family == "aisle":
-        for sub in graph.subaisles:
-            order_ids = sorted(_has_picks(instance, graph, sub.index))
+        for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(instance, graph)):
             if not order_ids:
                 continue
             arcs = graph.delta_plus(sub.locs)
@@ -503,79 +507,74 @@ def build_symmetry_breaking(model: LinearModel, instance: Instance) -> list:
 # -- TSP-style no-reversal models -------------------------------------------
 
 
-def _tour_edge_var(model: LinearModel, edge, t: int):
-    return model.var(*edge.var_index(t))
+def _build_tour(instance: Instance, aux: AuxiliaryGraph, kind: str, labels: dict[str, str],
+                departure: list[AuxEdge], lead: Optional[int] = None,
+                crossing: Optional[list[AuxEdge]] = None) -> LinearModel:
+    """Undirected TSP model on an auxiliary graph, shared by P_U1 and P_U2.
+
+    Per picker: a departure row over ``departure``, the origin degree, the
+    cover rows, the degree rows (``lead`` first, under its own group) and,
+    given ``crossing`` edges, the second-cross-aisle bound.
+    """
+    graph = aux.graph
+    model = LinearModel(f"pickopt_{kind}", kind=kind)
+    T = instance.pickers
+    s = graph.origin
+
+    x: list[list[int]] = []
+    for t in range(T):
+        x.append([])
+        for e in aux.edges:
+            pos = model.add_variable(BINARY, e.var_index(t))
+            model.set_objective_coeff(pos, e.length)
+            x[t].append(pos)
+    for t in range(T):
+        for v in aux.vertices:
+            model.add_variable(BINARY, ("y", t, v))
+    _declare_assignment(model, instance)
+
+    orders_by_sub = _orders_by_subaisle(instance, graph)
+    degree_vertices = [u for u in aux.vertices if u not in (s, lead)]
+    if lead is not None:
+        degree_vertices.insert(0, lead)
+
+    def edge_sum(t, edges):
+        return [(x[t][e.id], 1) for e in edges]
+
+    for t in range(T):
+        model.add_row(f"{labels['depart']}_t{t}", labels["depart"],
+                      edge_sum(t, departure), GE, 1)
+        model.add_row(f"{labels['origin']}_t{t}", labels["origin"],
+                      edge_sum(t, aux.incident(s)), EQ, 2)
+        for sub, order_ids in zip(graph.subaisles, orders_by_sub):
+            traversal = x[t][aux.e_of_subaisle[sub.index]]
+            for o in order_ids:
+                model.add_row(f"{labels['cover']}_t{t}_i{sub.index}_o{o}", labels["cover"],
+                              [(traversal, 1), (model.var("z", o, t), -1)], GE, 0)
+        for u in degree_vertices:
+            if u == lead:
+                group, name = labels["lead"], f"{labels['lead']}_t{t}"
+            else:
+                group, name = labels["degree"], f"{labels['degree']}_t{t}_u{u}"
+            model.add_row(name, group,
+                          edge_sum(t, aux.incident(u)) + [(model.var("y", t, u), -2)], EQ, 0)
+        if crossing is not None:
+            model.add_row(f"less2con_t{t}", "less2con", edge_sum(t, crossing), LE, 2)
+
+    _assignment_rows(model, instance, labels["assign"], labels["capacity"])
+    model.declare_lazy_group(labels["lazy"], GROUP_DESCRIPTIONS[labels["lazy"]])
+    return model
 
 
 def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
     """Undirected TSP model for single-block no-reversal routing."""
     if aux.variant != SINGLE_BLOCK:
         raise VariantMismatchError("build_PU1 needs a single_block auxiliary graph")
-    graph = aux.graph
-    model = LinearModel("pickopt_P_U1", kind=P_U1)
-    T = instance.pickers
-    s = graph.origin
-
-    for t in range(T):
-        for e in aux.edges:
-            pos = model.add_variable(BINARY, e.var_index(t))
-            model.set_objective_coeff(pos, e.length)
-        pos = model.add_variable(BINARY, ("xt", t))
-        model.set_objective_coeff(pos, aux.parallel_edge_length)
-    for t in range(T):
-        for v in aux.vertices:
-            model.add_variable(BINARY, ("y", t, v))
-    for o in instance.orders:
-        for t in range(T):
-            model.add_variable(BINARY, ("z", o.id, t))
-
-    tail1 = graph.subaisles[0].tail
-    f2 = graph.q_east(s)
-
-    def edge_var(t, u, v):
-        for e in aux.edges:
-            if {e.u, e.v} == {u, v}:
-                return _tour_edge_var(model, e, t)
-        raise ValidationError(f"auxiliary edge [{u},{v}] not found")
-
-    for t in range(T):
-        coeffs = [(edge_var(t, s, tail1), 1)]
-        if f2 is not None:
-            coeffs.append((edge_var(t, s, f2), 1))
-        model.add_row(f"tspo0_t{t}", "tspo0", coeffs, GE, 1)
-
-        at_s = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(s)]
-        model.add_row(f"tspo1_t{t}", "tspo1", at_s + [(model.var("xt", t), 1)], EQ, 2)
-
-        for sub in graph.subaisles:
-            order_ids = sorted(_has_picks(instance, graph, sub.index))
-            for o in order_ids:
-                edge = aux.edges[aux.e_of_subaisle[sub.index]]
-                model.add_row(
-                    f"tspo2_t{t}_i{sub.index}_o{o}", "tspo2",
-                    [(_tour_edge_var(model, edge, t), 1), (model.var("z", o, t), -1)],
-                    GE, 0)
-
-        at_tail = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(tail1)]
-        model.add_row(f"tspo3_t{t}", "tspo3",
-                      at_tail + [(model.var("xt", t), 1), (model.var("y", t, tail1), -2)],
-                      EQ, 0)
-        for u in aux.vertices:
-            if u in (s, tail1):
-                continue
-            at_u = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(u)]
-            model.add_row(f"tspo4_t{t}_u{u}", "tspo4",
-                          at_u + [(model.var("y", t, u), -2)], EQ, 0)
-
-    for o in instance.orders:
-        model.add_row(f"tspo6_o{o.id}", "tspo6",
-                      [(model.var("z", o.id, t), 1) for t in range(T)], EQ, 1)
-    for t in range(T):
-        model.add_row(f"tspo7_t{t}", "tspo7",
-                      [(model.var("z", o.id, t), o.size) for o in instance.orders],
-                      LE, instance.capacity)
-    model.declare_lazy_group("tspo5", GROUP_DESCRIPTIONS["tspo5"])
-    return model
+    labels = {"depart": "tspo0", "origin": "tspo1", "cover": "tspo2", "lead": "tspo3",
+              "degree": "tspo4", "lazy": "tspo5", "assign": "tspo6", "capacity": "tspo7"}
+    departure = [e for e in aux.incident(aux.graph.origin) if e.in_e1]
+    return _build_tour(instance, aux, P_U1, labels, departure,
+                       lead=aux.graph.subaisles[0].tail)
 
 
 def build_PU2(instance: Instance, aux: AuxiliaryGraph,
@@ -583,57 +582,11 @@ def build_PU2(instance: Instance, aux: AuxiliaryGraph,
     """Undirected TSP model for two-block no-reversal routing."""
     if aux.variant != TWO_BLOCK:
         raise VariantMismatchError("build_PU2 needs a two_block auxiliary graph")
-    graph = aux.graph
-    model = LinearModel("pickopt_P_U2", kind=P_U2)
-    T = instance.pickers
-    s = graph.origin
-
-    for t in range(T):
-        for e in aux.edges:
-            pos = model.add_variable(BINARY, e.var_index(t))
-            model.set_objective_coeff(pos, e.length)
-    for t in range(T):
-        for v in aux.vertices:
-            model.add_variable(BINARY, ("y", t, v))
-    for o in instance.orders:
-        for t in range(T):
-            model.add_variable(BINARY, ("z", o.id, t))
-
-    for t in range(T):
-        at_s_move = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(s) if not e.in_e3]
-        model.add_row(f"tspt0_t{t}", "tspt0", at_s_move, GE, 1)
-        at_s = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(s)]
-        model.add_row(f"tspt1_t{t}", "tspt1", at_s, EQ, 2)
-
-        for sub in graph.subaisles:
-            order_ids = sorted(_has_picks(instance, graph, sub.index))
-            for o in order_ids:
-                edge = aux.edges[aux.e_of_subaisle[sub.index]]
-                model.add_row(
-                    f"tspt2_t{t}_i{sub.index}_o{o}", "tspt2",
-                    [(_tour_edge_var(model, edge, t), 1), (model.var("z", o, t), -1)],
-                    GE, 0)
-
-        for u in aux.vertices:
-            if u == s:
-                continue
-            at_u = [(_tour_edge_var(model, e, t), 1) for e in aux.incident(u)]
-            model.add_row(f"tspt3_t{t}_u{u}", "tspt3",
-                          at_u + [(model.var("y", t, u), -2)], EQ, 0)
-
-        if with_cross_aisle_bound:
-            crossing = [(_tour_edge_var(model, e, t), 1) for e in aux.delta(aux.south_set)]
-            model.add_row(f"less2con_t{t}", "less2con", crossing, LE, 2)
-
-    for o in instance.orders:
-        model.add_row(f"tspt5_o{o.id}", "tspt5",
-                      [(model.var("z", o.id, t), 1) for t in range(T)], EQ, 1)
-    for t in range(T):
-        model.add_row(f"tspt6_t{t}", "tspt6",
-                      [(model.var("z", o.id, t), o.size) for o in instance.orders],
-                      LE, instance.capacity)
-    model.declare_lazy_group("tspt4", GROUP_DESCRIPTIONS["tspt4"])
-    return model
+    labels = {"depart": "tspt0", "origin": "tspt1", "cover": "tspt2", "degree": "tspt3",
+              "lazy": "tspt4", "assign": "tspt5", "capacity": "tspt6"}
+    departure = [e for e in aux.incident(aux.graph.origin) if not e.in_e3]
+    crossing = aux.delta(aux.south_set) if with_cross_aisle_bound else None
+    return _build_tour(instance, aux, P_U2, labels, departure, crossing=crossing)
 
 
 # -- top-level dispatcher ----------------------------------------------------

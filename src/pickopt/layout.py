@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .errors import ValidationError, VariantMismatchError
@@ -350,7 +350,8 @@ class AuxEdge:
 
     ``subaisle`` names the subaisle whose full traversal the edge stands
     for (None for horizontal and return edges); ``primary`` tells the first
-    traversal apart from the parallel second-traversal copy.
+    traversal apart from the second-traversal copies, and ``parallel``
+    marks the single-block copy of the first subaisle edge.
     """
 
     id: int
@@ -362,13 +363,14 @@ class AuxEdge:
     in_e3: bool = False
     subaisle: Optional[int] = None
     primary: bool = False
-
-    def touches(self, w: int) -> bool:
-        return self.u == w or self.v == w
+    parallel: bool = False
 
     def var_index(self, picker: int) -> tuple:
-        """Index of the picker's tour variable on this edge: family ``xt``
-        for the return edges (E3) of the two-block graph, ``x`` otherwise."""
+        """Index of the picker's tour variable on this edge: ``("xt", picker)``
+        for the single-block parallel edge, family ``xt`` for the two-block
+        return edges (E3), ``x`` otherwise."""
+        if self.parallel:
+            return ("xt", picker)
         return ("xt" if self.in_e3 else "x", picker, self.u, self.v)
 
 
@@ -377,9 +379,8 @@ class AuxiliaryGraph:
     """Auxiliary undirected graph for the no-reversal TSP formulations.
 
     Single block: vertices are the artificial locations, edge set is the
-    reduced graph plus a star of return edges from the origin; a parallel
-    copy of the first subaisle edge is kept as a separate flag slot
-    (``parallel_edge_length``).
+    reduced graph plus a star of return edges from the origin, and last a
+    parallel copy of the first subaisle edge (``AuxEdge.parallel``).
 
     Two block: the second (middle) cross aisle is doubled.  Copies sit at
     the same physical position as their originals, are joined to them by
@@ -393,8 +394,16 @@ class AuxiliaryGraph:
     copy_of: dict[int, int]
     edges: tuple[AuxEdge, ...]
     e_of_subaisle: dict[int, int]
-    parallel_edge_length: Optional[float]
     south_set: frozenset[int]
+    _incident: dict[int, tuple[AuxEdge, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        incident: dict[int, list[AuxEdge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            incident[e.u].append(e)
+            incident[e.v].append(e)
+        object.__setattr__(self, "_incident",
+                           {v: tuple(edges) for v, edges in incident.items()})
 
     @property
     def copies(self) -> tuple[int, ...]:
@@ -403,8 +412,8 @@ class AuxiliaryGraph:
     def base_vertex(self, v: int) -> int:
         return self.copy_of.get(v, v)
 
-    def incident(self, w: int) -> list[AuxEdge]:
-        return [e for e in self.edges if e.touches(w)]
+    def incident(self, w: int) -> tuple[AuxEdge, ...]:
+        return self._incident.get(w, ())
 
     def delta(self, s_set: Iterable[int]) -> list[AuxEdge]:
         inside = set(s_set)
@@ -459,6 +468,9 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
     for v in graph.artificial_vertices:
         if v != s:
             add(s, v, dist[v], in_e2=True)
+    # last, so the tour variables keep their order
+    edges.append(AuxEdge(len(edges), s, graph.subaisles[0].tail, graph.layout.subaisle_length,
+                         subaisle=0, parallel=True))
 
     return AuxiliaryGraph(
         variant=SINGLE_BLOCK,
@@ -467,7 +479,6 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
         copy_of={},
         edges=tuple(edges),
         e_of_subaisle=e_of_subaisle,
-        parallel_edge_length=graph.layout.subaisle_length,
         south_set=frozenset(),
     )
 
@@ -522,6 +533,5 @@ def _build_two_block(graph: PickingGraph) -> AuxiliaryGraph:
         copy_of=copy_of,
         edges=tuple(edges),
         e_of_subaisle=e_of_subaisle,
-        parallel_edge_length=None,
         south_set=frozenset(copies + bot),
     )

@@ -34,7 +34,6 @@ class CutRequest:
     vertex_set: frozenset[int]
     family: str
     anchor_vertex: Optional[int] = None
-    anchor_order: Optional[int] = None
 
     def sort_key(self):
         return (self.picker, min(self.vertex_set))
@@ -125,8 +124,6 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
             for e in aux.edges:
                 if value(*e.var_index(t)):
                     support.append((e.u, e.v))
-            if family == "tspo5" and value("xt", t):
-                support.append((graph.origin, graph.subaisles[0].tail))
 
         anchored = {v for v in vertices if value("y", t, v) == 1}
         for comp in connected_components(support, anchored):
@@ -146,14 +143,9 @@ def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph,
     if name is None:
         name = f"{cut.family}_t{t}_c{len(model.rows_in_group(cut.family))}"
 
-    if cut.family in ("bs4", "strengthened"):
+    if cut.family == "bs4":
         coeffs = [(model.var("x", t, u, v), 1) for u, v in graph.delta_plus(S)]
-        if cut.family == "strengthened":
-            if cut.anchor_order is None:
-                raise ValidationError("strengthened cut needs an anchor order")
-            coeffs.append((model.var("z", cut.anchor_order, t), -1))
-        else:
-            coeffs.append((model.var("y", t, cut.anchor_vertex), -1))
+        coeffs.append((model.var("y", t, cut.anchor_vertex), -1))
         return model.add_row(name, cut.family, coeffs, GE, 0)
 
     if cut.family == "impf8":
@@ -165,8 +157,6 @@ def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph,
         if aux is None:
             raise ValidationError(f"{cut.family} cut needs the auxiliary graph")
         coeffs = [(model.var(*e.var_index(t)), 1) for e in aux.delta(S)]
-        if cut.family == "tspo5" and graph.subaisles[0].tail in S:
-            coeffs.append((model.var("xt", t), 1))
         coeffs.append((model.var("y", t, cut.anchor_vertex), -2))
         return model.add_row(name, cut.family, coeffs, GE, 0)
 

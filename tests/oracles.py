@@ -270,8 +270,10 @@ def parse_lp(text):
 def enumerate_PU1_minimum(instance, aux):
     """Minimum over integral P_U1-feasible points, one picker, enumerated.
 
-    Degree equalities determine y; connectivity is checked directly, which
-    on integral points is equivalent to the exponential cut family.
+    Every subset of the auxiliary edges, the parallel copy of the first
+    subaisle edge included, is tried.  Degree equalities determine y;
+    connectivity is checked directly, which on integral points is
+    equivalent to the exponential cut family.
     """
     assert instance.pickers == 1
     graph = aux.graph
@@ -279,31 +281,25 @@ def enumerate_PU1_minimum(instance, aux):
     tail1 = graph.subaisles[0].tail
     f2 = graph.q_east(s)
     edges = aux.edges
-    m = len(edges)
     picked_subs = set()
     for o in instance.orders:
         for v in instance.pick_vertices(graph, o):
             picked_subs.add(graph.subaisle_of(v))
 
     best = None
-    parallel_len = aux.parallel_edge_length
-    for bits in range(2 ** (m + 1)):
-        xt = bits >> m
+    for bits in range(2 ** len(edges)):
         chosen = [e for e in edges if (bits >> e.id) & 1]
-        # degree per vertex, the parallel edge joins s and tail1
         deg = {}
         for e in chosen:
             deg[e.u] = deg.get(e.u, 0) + 1
             deg[e.v] = deg.get(e.v, 0) + 1
-        if xt:
-            deg[s] = deg.get(s, 0) + 1
-            deg[tail1] = deg.get(tail1, 0) + 1
         if deg.get(s, 0) != 2:
             continue
         if any(d not in (0, 2) for u, d in deg.items() if u != s):
             continue
-        # departure must use a graph movement edge
-        depart = any({e.u, e.v} == {s, tail1} or (f2 is not None and {e.u, e.v} == {s, f2})
+        # departure must use a graph movement edge, not the parallel copy
+        depart = any(not e.parallel and ({e.u, e.v} == {s, tail1}
+                                         or (f2 is not None and {e.u, e.v} == {s, f2}))
                      for e in chosen)
         if not depart:
             continue
@@ -320,9 +316,6 @@ def enumerate_PU1_minimum(instance, aux):
         for e in chosen:
             adj.setdefault(e.u, set()).add(e.v)
             adj.setdefault(e.v, set()).add(e.u)
-        if xt:
-            adj.setdefault(s, set()).add(tail1)
-            adj.setdefault(tail1, set()).add(s)
         seen = {s}
         stack = [s]
         while stack:
@@ -333,7 +326,7 @@ def enumerate_PU1_minimum(instance, aux):
                     stack.append(v)
         if any(u not in seen for u in adj):
             continue
-        total = sum(e.length for e in chosen) + (parallel_len if xt else 0)
+        total = sum(e.length for e in chosen)
         if best is None or total < best:
             best = total
     return best

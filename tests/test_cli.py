@@ -128,6 +128,16 @@ def test_separate_roundtrip(tmp_path, instance_file, capsys):
     word = tmp_path / "word.json"
     word.write_text(json.dumps({"values": {"y_0_2": "one"}}))
     assert run_cli("separate", "--model", str(model_path), "--assignment", str(word)) == 2
+    # an unknown option name, or options that are not a list: exit 2, naming them
+    doc = json.loads(model_path.read_text())
+    for options, named in ((["subaisle_cut"], "'subaisle_cut'"),
+                           ("subaisle_cuts", "'subaisle_cuts'")):
+        doc["meta"]["options"] = options
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("separate", "--model", str(odd), "--assignment", str(assign)) == 2
+        assert named in capsys.readouterr().err
     # malformed file: exit 2
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")

@@ -185,3 +185,16 @@ def test_pu2_route_encodings():
             assert model.objective_value(a.values) == route.total_length
             if K2:
                 assert eq75_value(model, aux, a, 0) == 2
+
+
+def test_best_s_shape_of_an_absent_kind_is_an_encoding_error():
+    # order 0 has no block-1 subaisle, so no r_S1 route exists
+    layout = WarehouseLayout(5, 2, 2, 1, 3)
+    g = shared_graph(layout)
+    aux = build_auxiliary_graph(g, TWO_BLOCK)
+    inst = generate_instance(layout, 3, 10, seed=9)
+    assert all(g.subaisle_of(v) >= layout.n_aisles
+               for v in inst.pick_vertices(g, inst.order_by_id(0)))
+    model = build_PU2(inst, aux)
+    with pytest.raises(EncodingError, match="r_S1"):
+        encode_best_s_shape(model, aux, inst, 0, [0], kind="r_S1")

@@ -23,6 +23,9 @@ ARC_OPTION_SETS = [
     ("subaisle_cuts", "single_traversing"), ("artificial_vertex_reversal",),
     ("column_inequalities",), ALL_ARC_OPTIONS,
 ]
+# one-aisle layouts, where the origin has a single departure edge
+ONE_AISLE = {"P_U1:one-aisle": ((1, 1, 2, 1, 2), 3, 10, 7),
+             "P_U2:one-aisle": ((1, 2, 1, 1, 2), 3, 10, 7)}
 OPTION_SETS = {
     **{kind: ARC_OPTION_SETS for kind in ("P_basic", "P_A", "P_G", "P_F", "P_U")},
     "P_U1": [(), ("column_inequalities",)],
@@ -131,28 +134,39 @@ GOLDEN = {
         "0e797e6c8b52dd46ee3238b114395fb448e52974fab1dd5a4aac4c7c1c90939e",
     "P_U2:column_inequalities+cross_aisle_bound":
         "9eee9d5941966800e7f001b2d66b80f0001090ab5f6732058445849bd534b906",
+    "P_U1:one-aisle":
+        "794b49a2adcd72e90cf6d05de4ab5350c889cd8efde9655652a52f6c850e4eed",
+    "P_U2:one-aisle":
+        "ad1ddcb02ef297a349b843358e536bfef10267af8b049ada68a88d681cfa885d",
 }
 
 
+def _instance(shape, n_orders, delta, seed):
+    layout = WarehouseLayout(*shape)
+    return generate_instance(layout, n_orders, delta, seed=seed), shared_graph(layout)
+
+
+def _digest(kind, options, instances) -> str:
+    h = hashlib.sha256()
+    for instance, graph in instances:
+        blocks = instance.layout.n_blocks
+        if (kind == "P_U1" and blocks != 1) or (kind == "P_U2" and blocks != 2):
+            continue
+        model = build_model(instance, graph, kind, options)
+        for writer in (write_lp, write_mps, write_model_json):
+            h.update(writer(model).encode())
+    return h.hexdigest()
+
+
 def export_digests() -> dict[str, str]:
-    instances = []
-    for shape, n_orders, delta, seed in INSTANCES:
-        layout = WarehouseLayout(*shape)
-        instances.append((generate_instance(layout, n_orders, delta, seed=seed),
-                          shared_graph(layout)))
+    instances = [_instance(*spec) for spec in INSTANCES]
     digests = {}
     for kind, option_sets in OPTION_SETS.items():
         for names in option_sets:
             options = ModelOptions(**{name: True for name in names})
-            h = hashlib.sha256()
-            for instance, graph in instances:
-                blocks = instance.layout.n_blocks
-                if (kind == "P_U1" and blocks != 1) or (kind == "P_U2" and blocks != 2):
-                    continue
-                model = build_model(instance, graph, kind, options)
-                for writer in (write_lp, write_mps, write_model_json):
-                    h.update(writer(model).encode())
-            digests[label(kind, names)] = h.hexdigest()
+            digests[label(kind, names)] = _digest(kind, options, instances)
+    for key, spec in ONE_AISLE.items():
+        digests[key] = _digest(key.split(":")[0], ModelOptions(), [_instance(*spec)])
     return digests
 
 

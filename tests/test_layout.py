@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ORACLE_SHAPES
 from oracles import bellman_ford
 from pickopt import (SINGLE_BLOCK, TWO_BLOCK, ValidationError,
                      VariantMismatchError, WarehouseLayout,
@@ -122,7 +123,11 @@ def test_single_block_auxiliary_star():
     for e in star:
         other = e.v if e.u == g.origin else e.u
         assert e.length == independent[other]
-    assert aux.parallel_edge_length == g.layout.subaisle_length
+    # the parallel copy of the first subaisle edge comes last
+    assert [e for e in aux.edges if e.parallel] == [aux.edges[-1]]
+    parallel = aux.edges[-1]
+    assert (parallel.u, parallel.v) == (g.origin, g.subaisles[0].tail)
+    assert parallel.length == g.layout.subaisle_length
 
 
 def test_two_block_auxiliary_structure():
@@ -136,7 +141,7 @@ def test_two_block_auxiliary_structure():
         assert e.length == layout.subaisle_length
     # copies join their originals at distance zero
     for cp, orig in aux.copy_of.items():
-        connector = [e for e in aux.edges if e.touches(cp) and e.touches(orig)]
+        connector = [e for e in aux.edges if {e.u, e.v} == {cp, orig}]
         assert len(connector) == 1 and connector[0].length == 0
     # return edges reach every vertex including the copies
     e3_targets = {e.v if e.u == g.origin else e.u for e in aux.edges if e.in_e3}
@@ -157,6 +162,14 @@ def test_auxiliary_lengths_are_shortest_paths():
         if u not in dist_from:
             dist_from[u] = bellman_ford(g, u)
         assert e.length == dist_from[u][v]
+
+
+def test_incident_matches_a_full_edge_scan():
+    for shape in ORACLE_SHAPES + [(10, 2, 15)]:
+        g = build_graph(WarehouseLayout(*shape))
+        aux = build_auxiliary_graph(g, SINGLE_BLOCK if shape[1] == 1 else TWO_BLOCK)
+        for w in aux.vertices:
+            assert list(aux.incident(w)) == [e for e in aux.edges if w in (e.u, e.v)]
 
 
 def test_variant_mismatch():

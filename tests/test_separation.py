@@ -8,6 +8,7 @@ from pickopt import (CutRequest, Instance, Order, Pick, SeparationError,
                      order_components, separate_connectivity, solve_exact,
                      encode_walk_PG)
 from pickopt.layout import SINGLE_BLOCK
+from pickopt.model import lp_terms
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 LAYOUT2B = WarehouseLayout(2, 2, 1, 1, 2)
@@ -193,18 +194,24 @@ def test_tspo5_cut_has_coefficient_two():
     assert y_coef == [-2]
 
 
-def test_strengthened_cut_row_uses_order_variable():
-    order = Order(0, 1, (Pick(1, 0, 0, 0),))
-    inst = Instance(LAYOUT, (order,), 8, 1)
-    g = shared_graph(LAYOUT)
-    model = build_basic(inst, g)
-    sub = g.subaisles[1]
-    cut = CutRequest(picker=0, vertex_set=frozenset(sub.locs), family="strengthened",
-                     anchor_order=0)
-    row = cut_to_row(cut, model, g)
-    names = {model.var_name(pos) for pos, _ in row.coeffs}
-    assert "z_0_0" in names
-    assert len(row.coeffs) == 3  # two boundary arcs plus z
+def test_PU1_cut_counts_the_parallel_edge():
+    # vertices 0, 1 on the top cross aisle, 2, 3 on the bottom one; the
+    # parallel edge xt_0 joins the origin 0 to the first tail 2
+    layout = WarehouseLayout(2, 1, 1, 1, 2)
+    inst = Instance(layout, (Order(0, 1, (Pick(1, 0, 0, 0),)),), 8, 1)
+    g = shared_graph(layout)
+    aux = build_auxiliary_graph(g, SINGLE_BLOCK)
+    model = build_PU1(inst, aux)
+    names = [v.name for v in model.variables]
+
+    def cut_lines(values):
+        cuts = separate_connectivity(g, "P_U1", VariableAssignment(values), inst, aux=aux)
+        rows = [cut_to_row(cut, model, g, aux=aux) for cut in cuts]
+        return [f"{' '.join(lp_terms(r.coeffs, names))} {r.sense} {r.rhs}" for r in rows]
+
+    assert cut_lines({"x_0_2_3": 1, "y_0_2": 1, "y_0_3": 1}) == [
+        "x_0_0_2 + x_0_1_3 + x_0_0_3 + xt_0 - 2 y_0_2 >= 0"]
+    assert cut_lines({"x_0_0_2": 1, "xt_0": 1, "y_0_2": 1}) == []
 
 
 def test_unknown_kind_rejected():
