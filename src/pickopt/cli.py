@@ -164,8 +164,10 @@ def cmd_separate(args) -> int:
         if name not in declared:
             raise ValidationError(f"assignment names undeclared variable {name!r}")
         try:
+            if isinstance(value, bool):
+                raise TypeError("a JSON boolean is not a number")
             assignment.set(name, value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"assignment value {value!r} of {name} is not a number") from None
 
     aux = None

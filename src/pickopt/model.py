@@ -7,8 +7,10 @@ derived from that tuple by :func:`var_name`, the only naming rule.  Models
 are exported to CPLEX-LP, free MPS or a JSON sidecar; no LP relaxations
 are solved here.
 
-Feasibility checks run in exact rational arithmetic (``fractions``), so
-there are no tolerances anywhere.
+Feasibility checks and exports are exact, with no tolerances anywhere: they
+compute in plain ``int`` arithmetic, and a ``Fraction`` is built only for a
+value that is not an ``int``, such as a float objective coefficient at
+fractional spacing or a fractional candidate value.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ LE, EQ, GE = "<=", "=", ">="
 LP_FORMAT = "lp"
 MPS_FORMAT = "mps"
 JSON_FORMAT = "json"
+
+
+def _exact(c):
+    """``c`` itself when it is an ``int``, else ``c`` as a ``Fraction``, which
+    is exact for every float; an integral value becomes an ``int``."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 _NAME_FORMATS = tuple("_".join(["%s"] * n) for n in range(8))
@@ -148,10 +160,12 @@ class LinearModel:
         return counts
 
     def objective_value(self, values: dict[str, Fraction]) -> Fraction:
-        total = Fraction(0)
+        total = 0
         for pos, coef in sorted(self.objective.items()):
-            total += Fraction(coef) * values.get(self.variables[pos].name, Fraction(0))
-        return total
+            val = values.get(self.variables[pos].name)
+            if val:
+                total += _exact(coef) * _exact(val)
+        return Fraction(total)
 
 
 @dataclass(frozen=True)
@@ -212,26 +226,30 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
 
     def note(name, group, lhs, sense, rhs):
         if len(violations) < max_report:
-            violations.append(Violation(name, group, lhs, sense, rhs))
+            violations.append(Violation(name, group, Fraction(lhs), sense, Fraction(rhs)))
 
-    for v in model.variables:
-        x = values.get(v.name)
-        if x is None:
+    # the assignment by variable position, integral values as ints; sums
+    # need exact terms, while comparing an int, float or Fraction is exact
+    x = [0] * len(model.variables)
+    for pos, v in enumerate(model.variables):
+        val = values.get(v.name)
+        if val is None:
             continue
-        if v.kind in (BINARY, INTEGER) and x.denominator != 1:
-            note(f"domain({v.name})", "domain", x, EQ, Fraction(0))
-        if x < Fraction(v.lb):
-            note(f"bound({v.name})", "domain", x, GE, Fraction(v.lb))
-        if v.ub is not None and x > Fraction(v.ub):
-            note(f"bound({v.name})", "domain", x, LE, Fraction(v.ub))
+        val = x[pos] = _exact(val)
+        if v.kind in (BINARY, INTEGER) and type(val) is not int:
+            note(f"domain({v.name})", "domain", val, EQ, 0)
+        if val < v.lb:
+            note(f"bound({v.name})", "domain", val, GE, v.lb)
+        if v.ub is not None and val > v.ub:
+            note(f"bound({v.name})", "domain", val, LE, v.ub)
 
     for row in model.constraints:
-        lhs = Fraction(0)
+        lhs = 0
         for pos, coef in row.coeffs:
-            val = values.get(model.variables[pos].name)
+            val = x[pos]
             if val:
-                lhs += Fraction(coef) * val
-        rhs = Fraction(row.rhs)
+                lhs += _exact(coef) * val
+        rhs = row.rhs
         ok = lhs <= rhs if row.sense == LE else lhs >= rhs if row.sense == GE else lhs == rhs
         if not ok:
             note(row.name, row.group, lhs, row.sense, rhs)
@@ -243,10 +261,8 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
 
 
 def _num(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return repr(float(f))
+    c = _exact(x)
+    return str(c) if type(c) is int else repr(float(c))
 
 
 def lp_terms(pairs, names) -> list[str]:
@@ -254,7 +270,7 @@ def lp_terms(pairs, names) -> list[str]:
     pairs, with ``names`` indexed by position."""
     parts = []
     for pos, coef in pairs:
-        c = Fraction(coef)
+        c = _exact(coef)
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
         if mag == 1:
@@ -291,7 +307,7 @@ def write_lp(model: LinearModel) -> str:
         out.extend(lines)
     bounds = []
     for v in model.variables:
-        if v.kind != BINARY and (Fraction(v.lb) != 0 or v.ub is not None):
+        if v.kind != BINARY and (_exact(v.lb) != 0 or v.ub is not None):
             hi = "+inf" if v.ub is None else _num(v.ub)
             bounds.append(f" {_num(v.lb)} <= {v.name} <= {hi}")
     if bounds:
@@ -346,14 +362,14 @@ def write_mps(model: LinearModel) -> str:
 
     out.append("RHS")
     for row in model.constraints:
-        if Fraction(row.rhs) != 0:
+        if _exact(row.rhs) != 0:
             out.append(f"    RHS         {row.name:<10}  {_num(row.rhs)}")
     out.append("BOUNDS")
     for v in model.variables:
         if v.kind == BINARY:
             out.append(f" BV BND         {v.name}")
         else:
-            if Fraction(v.lb) != 0:
+            if _exact(v.lb) != 0:
                 out.append(f" LO BND         {v.name}  {_num(v.lb)}")
             if v.ub is not None:
                 out.append(f" UP BND         {v.name}  {_num(v.ub)}")

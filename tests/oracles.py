@@ -3,13 +3,15 @@
 These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
 packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
-distances, and a small parser for our LP output.
+distances, a small parser for our LP output, and a row-by-row evaluator of
+model rows in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -265,6 +267,46 @@ def parse_lp(text):
     keywords = {"Minimize", "Subject", "To", "Bounds", "Binaries", "Generals", "End", "obj", "inf"}
     variables = {n for n in names if n not in keywords and not n.startswith("obj")}
     return variables, rows
+
+
+def fraction_feasibility(model, values):
+    """``check_feasible`` restated with every number a ``Fraction``.
+
+    Reads only the model's data (variables, rows, senses as their text), not
+    the package's arithmetic.  Returns every violation as a ``(row, group,
+    lhs, sense, rhs)`` tuple, in the order ``check_feasible`` reports them:
+    domain and bound violations by variable, then rows by position.  An
+    absent variable counts as zero in the rows and is not checked against
+    its bounds.
+    """
+    violations = []
+    for v in model.variables:
+        if v.name not in values:
+            continue
+        x = Fraction(values[v.name])
+        if v.kind in ("binary", "integer") and x.denominator != 1:
+            violations.append((f"domain({v.name})", "domain", x, "=", Fraction(0)))
+        if x < Fraction(v.lb):
+            violations.append((f"bound({v.name})", "domain", x, ">=", Fraction(v.lb)))
+        if v.ub is not None and x > Fraction(v.ub):
+            violations.append((f"bound({v.name})", "domain", x, "<=", Fraction(v.ub)))
+    for row in model.constraints:
+        lhs = Fraction(0)
+        for pos, coef in row.coeffs:
+            lhs += Fraction(coef) * Fraction(values.get(model.variables[pos].name, 0))
+        rhs = Fraction(row.rhs)
+        holds = {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[row.sense]
+        if not holds:
+            violations.append((row.name, row.group, lhs, row.sense, rhs))
+    return violations
+
+
+def fraction_objective(model, values):
+    """The objective at ``values``, summed as ``Fraction``s."""
+    total = Fraction(0)
+    for pos, coef in model.objective.items():
+        total += Fraction(coef) * Fraction(values.get(model.variables[pos].name, 0))
+    return total
 
 
 def enumerate_PU1_minimum(instance, aux):

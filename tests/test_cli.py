@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pickopt
 from pickopt.cli import main
 
 
@@ -124,10 +127,14 @@ def test_separate_roundtrip(tmp_path, instance_file, capsys):
     capsys.readouterr()
     assert run_cli("separate", "--model", str(model_path), "--assignment", str(typo)) == 2
     assert "'g_0_2_9'" in capsys.readouterr().err
-    # a value that is not a number: exit 2, not a traceback
+    # a value that is not a number, not finite or a JSON boolean: exit 2,
+    # not a traceback and not a silent 1 or 0
     word = tmp_path / "word.json"
-    word.write_text(json.dumps({"values": {"y_0_2": "one"}}))
-    assert run_cli("separate", "--model", str(model_path), "--assignment", str(word)) == 2
+    for value in ("one", float("nan"), float("inf"), float("-inf"), True, False):
+        word.write_text(json.dumps({"values": {"y_0_2": value}}))
+        capsys.readouterr()
+        assert run_cli("separate", "--model", str(model_path), "--assignment", str(word)) == 2
+        assert f"assignment value {value!r} of y_0_2 is not a number" in capsys.readouterr().err
     # an unknown option name, or options that are not a list: exit 2, naming them
     doc = json.loads(model_path.read_text())
     for options, named in ((["subaisle_cut"], "'subaisle_cut'"),
@@ -160,10 +167,13 @@ def test_report_merges_rows(tmp_path, instance_file, capsys):
 
 def test_console_module_entrypoint(tmp_path):
     out = tmp_path / "inst.json"
+    # the child imports the package this process imported, installed or not
+    path = [str(Path(pickopt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "pickopt.cli", "generate", "--aisles", "1",
          "--blocks", "1", "--orders", "1", "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert proc.returncode == 0
     assert out.exists()
 

@@ -2,10 +2,12 @@
 
 Each digest is the sha256 of ``write_lp``, ``write_mps`` and
 ``write_model_json`` output, for one formulation kind and option set, over
-a one-block and a two-block seeded instance.  Any change to a variable or
-row name, their order, a coefficient or the file layout changes a digest.
-Two builds within one run agreeing (the determinism tests) cannot catch a
-name that changes between commits; these digests can.
+a one-block and a two-block seeded instance.  The same shapes and seeds at
+loc_spacing 0.5 and aisle_spacing 1.5 are pinned once per kind, with no
+options.  Any change to a variable or row name, their order, a coefficient
+or the file layout changes a digest.  Two builds within one run agreeing
+(the determinism tests) cannot catch a name that changes between commits;
+these digests can.
 """
 
 import hashlib
@@ -26,6 +28,9 @@ ARC_OPTION_SETS = [
 # one-aisle layouts, where the origin has a single departure edge
 ONE_AISLE = {"P_U1:one-aisle": ((1, 1, 2, 1, 2), 3, 10, 7),
              "P_U2:one-aisle": ((1, 2, 1, 1, 2), 3, 10, 7)}
+# the seeded instances at loc_spacing 0.5 and aisle_spacing 1.5, whose float
+# objective coefficients take the writers' non-integral branch
+FRACTIONAL_SPACING = [((3, 1, 2, 0.5, 1.5), 4, 10, 5), ((2, 2, 1, 0.5, 1.5), 4, 10, 126)]
 OPTION_SETS = {
     **{kind: ARC_OPTION_SETS for kind in ("P_basic", "P_A", "P_G", "P_F", "P_U")},
     "P_U1": [(), ("column_inequalities",)],
@@ -138,6 +143,20 @@ GOLDEN = {
         "794b49a2adcd72e90cf6d05de4ab5350c889cd8efde9655652a52f6c850e4eed",
     "P_U2:one-aisle":
         "ad1ddcb02ef297a349b843358e536bfef10267af8b049ada68a88d681cfa885d",
+    "P_basic:fractional-spacing":
+        "15d29503ce736f28de1f28d0642d773cf3f21b807e594c442aaca3074fe4fdb9",
+    "P_A:fractional-spacing":
+        "14c9f3d569d3371087d887239276e1c151ca964d143e685100e0345490762ea4",
+    "P_G:fractional-spacing":
+        "15c36d4ecf9d156c98af8f7b48f04d7197bee743e6bfd6dc3701fae52b2dd1c9",
+    "P_F:fractional-spacing":
+        "2ecd62010924bca90c0723e87c0589eb75f28ac3c8242d004bcb4bd4134dbd4b",
+    "P_U:fractional-spacing":
+        "9750d09a7ccaadcea48e0322116584ed80e1ed9d53ed445f55e0ffb5580c429f",
+    "P_U1:fractional-spacing":
+        "653c306fb48405c6328ad3f9232daf14cc71076589b6fc888bd1482fc1dc9470",
+    "P_U2:fractional-spacing":
+        "52547f7b90e6b2303aa94f89a263463b2acaacdf868fd19c34f0b58bfd40d15e",
 }
 
 
@@ -167,6 +186,9 @@ def export_digests() -> dict[str, str]:
             digests[label(kind, names)] = _digest(kind, options, instances)
     for key, spec in ONE_AISLE.items():
         digests[key] = _digest(key.split(":")[0], ModelOptions(), [_instance(*spec)])
+    fractional = [_instance(*spec) for spec in FRACTIONAL_SPACING]
+    for kind in OPTION_SETS:
+        digests[f"{kind}:fractional-spacing"] = _digest(kind, ModelOptions(), fractional)
     return digests
 
 

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import parse_lp
-from pickopt import (LinearModel, ValidationError, VariableAssignment,
-                     check_feasible, write_lp, write_mps, write_model_json)
+from conftest import shared_graph
+from oracles import fraction_feasibility, fraction_objective, parse_lp
+from pickopt import (ALL_KINDS, LinearModel, ValidationError, VariableAssignment,
+                     WarehouseLayout, build_model, check_feasible, encode_walk_PF,
+                     encode_walk_PG, generate_instance, solve_exact, write_lp, write_mps,
+                     write_model_json)
 from pickopt.model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE
 
 
@@ -124,3 +128,55 @@ def test_objective_value():
     m = tiny_model()
     val = m.objective_value({"x_0": Fraction(1), "s_0": Fraction(3)})
     assert val == 5
+
+
+def _random_assignment(rng, model, mode):
+    """Values for about a third of the declared variables, plus one name the
+    model does not declare."""
+    pools = {
+        "integral": [0, 1, 1, 1, 2],
+        "fractional": [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 0.25, 1],
+        "negative": [-1, -3, Fraction(-1, 2), 0, 1],
+        "out of bounds": [2, 7, -1, 1, 0],
+    }
+    values = {v.name: rng.choice(pools[mode]) for v in model.variables if rng.random() < 0.35}
+    values["q_9"] = 1
+    return VariableAssignment(values)
+
+
+def test_check_feasible_matches_a_fraction_evaluator():
+    rng = random.Random(17)
+    satisfied = 0
+    for spacing in ((1, 2), (0.5, 1.5)):
+        for shape in ((3, 1, 2), (2, 2, 1)):
+            layout = WarehouseLayout(*shape, *spacing)
+            graph = shared_graph(layout)
+            instance = generate_instance(layout, 3, 10, seed=5)
+            solution = solve_exact(instance, graph)
+            for kind in ALL_KINDS:
+                if (kind, layout.n_blocks) in (("P_U1", 2), ("P_U2", 1)):
+                    continue
+                model = build_model(instance, graph, kind)
+                candidates = [_random_assignment(rng, model, mode)
+                              for mode in ("integral", "fractional", "negative", "out of bounds")
+                              for _ in range(2)]
+                if kind in ("P_basic", "P_G"):
+                    candidates.append(encode_walk_PG(model, instance, graph, solution))
+                elif kind == "P_F":
+                    candidates.append(encode_walk_PF(model, instance, graph, solution))
+                for assignment in candidates:
+                    expected = fraction_feasibility(model, assignment.values)
+                    for max_report in (10, 10 ** 6):
+                        report = check_feasible(model, assignment, max_report)
+                        found = [(v.row, v.group, v.lhs, v.sense, v.rhs) for v in report.violations]
+                        assert found == expected[:max_report]
+                        assert (report.satisfied, report.checked_rows) == \
+                            (not expected, len(model.constraints))
+                        assert all(type(v.lhs) is Fraction and type(v.rhs) is Fraction
+                                   for v in report.violations)
+                    satisfied += report.satisfied
+                    value = model.objective_value(assignment.values)
+                    assert type(value) is Fraction
+                    assert value == fraction_objective(model, assignment.values)
+    # the encoded optima of P_basic, P_G and P_F at both spacings and both shapes
+    assert satisfied == 12
