@@ -4,6 +4,12 @@ Both heuristics take a distance estimator, a callable from a frozenset of
 pick vertices to a route length, so they can run against the serpentine
 estimate (fast, the experimental setup) or against the exact routing
 oracle (for apples-to-apples comparisons on tiny instances).
+
+The serpentine estimate is a closed form on one and two blocks alike: it
+counts the subaisle traversals ``V`` and aisle steps ``H`` of the cheapest
+S-shape route from the picked subaisles, and prices them with
+:func:`pickopt.sshape.route_length`, the rule the constructed routes of
+:mod:`pickopt.sshape` use too.  It builds no route.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Callable, Iterable
 from .errors import UnsupportedFamilyError, ValidationError
 from .instance import Instance
 from .layout import PickingGraph, build_graph
-from .sshape import s_shape_candidates
+from .sshape import route_length
 
 Estimator = Callable[[frozenset], float]
 
@@ -57,10 +63,11 @@ def s_shape_estimate(graph: PickingGraph, picks: Iterable[int]):
     """Serpentine route length estimate for one batch of picks.
 
     Empty pick sets cost zero (no departure is counted in estimation
-    mode).  Single-block layouts use the closed form: one vertical
-    traversal per picked subaisle, one more if their number is odd, plus
-    twice the distance to the rightmost picked aisle.  Two-block layouts
-    take the cheapest constructed serpentine route.
+    mode).  Single-block layouts: one vertical traversal per picked
+    subaisle, one more if their number is odd, plus twice the distance to
+    the rightmost picked aisle.  Two-block layouts: the length of the
+    cheapest route among ``s_shape_candidates``, counted without building
+    one (see :func:`_two_block_units`).
     """
     picks = frozenset(picks)
     if not picks:
@@ -70,16 +77,52 @@ def s_shape_estimate(graph: PickingGraph, picks: Iterable[int]):
     if None in subs:
         raise ValidationError("picks must be picking locations")
     if layout.n_blocks == 1:
-        vertical = (len(subs) + (len(subs) % 2)) * layout.subaisle_length
         rightmost = max(graph.subaisles[i].aisle for i in subs)
-        return vertical + 2 * rightmost * layout.aisle_spacing
+        return route_length(layout, len(subs) + len(subs) % 2, 2 * rightmost)
     if layout.n_blocks == 2:
         n = layout.n_aisles
-        K1 = [i for i in subs if i < n]
-        K2 = [i for i in subs if i >= n]
-        routes = s_shape_candidates(graph, K1, K2)
-        return min(r.total_length for r in routes)
+        k1 = [i for i in subs if i < n]
+        k2 = [i - n for i in subs if i >= n]
+        return min(route_length(layout, v, h) for v, h in _two_block_units(k1, k2))
     raise UnsupportedFamilyError("serpentine estimation supports 1- and 2-block layouts")
+
+
+def _two_block_units(k1: list[int], k2: list[int]) -> list[tuple[int, int]]:
+    """``(V, H)`` of the shortest ``r_S1`` (if ``k1``) and ``r_S2`` routes.
+
+    ``k1`` and ``k2`` are the sorted picked aisles of blocks 1 and 2.  All
+    variants of a kind make the same traversals, so ``V`` depends only on
+    the kind and the parities of ``|k1|`` and ``|k2|``; for a fixed ``V``
+    the length grows with ``H``, so the fewest aisle steps win.  The steps
+    follow from where the sweeps end: block 1 is swept left to right from
+    aisle 0, block 2 in either direction, both transit choices cost the
+    same, and the route returns to aisle 0.
+    """
+    n1, n2 = len(k1), len(k2)
+
+    def steps(end1: int, goal: int) -> int:
+        # from the end of the block-1 sweep, through block 2, to ``goal``
+        if not k2:
+            return end1 + abs(end1 - goal)
+        lo, hi = k2[0], k2[-1]
+        return end1 + hi - lo + min(abs(end1 - lo) + abs(hi - goal),
+                                    abs(end1 - hi) + abs(lo - goal))
+
+    units = []
+    if k1:
+        # r_S1 ascends its anchor i0 last, after a sweep of the other
+        # block-1 aisles.  Its steps depend on i0 through terms
+        # |x - i0| + i0, which never fall as i0 grows, and the anchor at
+        # the largest aisle mirrors the one at the second largest; so the
+        # leftmost anchor is cheapest, and the sweep ends at the largest.
+        units.append((n1 + n1 % 2 + n2 + n2 % 2,
+                      steps(k1[-1] if n1 > 1 else 0, k1[0]) + k1[0]))
+    # r_S2 transits to block 2 after an even block-1 sweep, and goes home
+    # from the middle cross aisle after an even block-2 sweep, from the
+    # bottom after an odd one
+    v2 = n1 + 1 - n1 % 2 + n2 + 1 + n2 % 2 if k2 else n1 + n1 % 2
+    units.append((v2, steps(k1[-1] if k1 else 0, 0)))
+    return units
 
 
 def make_s_shape_estimator(graph: PickingGraph) -> Estimator:
@@ -163,43 +206,42 @@ def cw2_batching(instance: Instance, distance_estimator: Estimator = None,
     lengths minus the estimate of the merged pick set.  The best strictly
     positive feasible merge is applied and savings are recomputed against
     the merged batches until no improving merge remains.  Ties break on
-    the smallest (min order id, min order id) pair.
+    the smallest (min order id, min order id) pair.  A pair's saving never
+    changes while both batches live, so it is priced once, and a merge
+    prices only the pairs of the merged batch.
     """
     graph = graph or build_graph(instance.layout)
     estimate = distance_estimator or make_s_shape_estimator(graph)
     picks = instance.all_pick_vertices(graph)
     sizes = {o.id: o.size for o in instance.orders}
 
-    batches: list[frozenset[int]] = [frozenset([o]) for o in sorted(instance.order_ids)]
+    # live batches by their smallest order id: orders, pick set, load
+    batches = {o: (frozenset([o]), picks[o], sizes[o]) for o in sorted(instance.order_ids)}
+    # (min a, min b) with min a < min b -> strictly positive saving
+    savings: dict[tuple[int, int], float] = {}
 
-    def batch_picks(batch: frozenset) -> frozenset:
-        out: frozenset = frozenset()
-        for o in batch:
-            out |= picks[o]
-        return out
+    def price(a: int, b: int) -> None:
+        _, picks_a, load_a = batches[a]
+        _, picks_b, load_b = batches[b]
+        if load_a + load_b > instance.capacity:
+            return
+        saving = estimate(picks_a) + estimate(picks_b) - estimate(picks_a | picks_b)
+        if saving > 0:
+            savings[a, b] = saving
 
-    def load(batch: frozenset) -> int:
-        return sum(sizes[o] for o in batch)
-
-    while True:
-        best = None
-        for i in range(len(batches)):
-            for j in range(i + 1, len(batches)):
-                a, b = batches[i], batches[j]
-                if load(a) + load(b) > instance.capacity:
-                    continue
-                saving = (estimate(batch_picks(a)) + estimate(batch_picks(b))
-                          - estimate(batch_picks(a) | batch_picks(b)))
-                key = (-saving, min(a), min(b))
-                if saving > 0 and (best is None or key < best[0]):
-                    best = (key, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        merged = batches[i] | batches[j]
-        batches = [b for k, b in enumerate(batches) if k not in (i, j)]
-        batches.append(merged)
-        batches.sort(key=min)
-    result = Batching(_canonical(batches))
+    ids = list(batches)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            price(a, b)
+    while savings:
+        a, b = min(savings, key=lambda pair: (-savings[pair], pair))
+        orders_a, picks_a, load_a = batches.pop(a)
+        orders_b, picks_b, load_b = batches.pop(b)
+        savings = {pair: v for pair, v in savings.items() if a not in pair and b not in pair}
+        batches[a] = (orders_a | orders_b, picks_a | picks_b, load_a + load_b)
+        for c in batches:
+            if c != a:
+                price(min(a, c), max(a, c))
+    result = Batching(_canonical(orders for orders, _, _ in batches.values()))
     validate_batching(instance, result)
     return result

@@ -219,12 +219,16 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
     """Exact satisfaction check of every enumerated row plus variable domains.
 
     Missing variables count as zero.  The first ``max_report`` violations
-    are returned with their row names.
+    are returned with their row names; ``satisfied`` counts every violation,
+    reported or not.
     """
     values = assignment.values
     violations: list[Violation] = []
+    violated = 0
 
     def note(name, group, lhs, sense, rhs):
+        nonlocal violated
+        violated += 1
         if len(violations) < max_report:
             violations.append(Violation(name, group, Fraction(lhs), sense, Fraction(rhs)))
 
@@ -254,7 +258,7 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
         if not ok:
             note(row.name, row.group, lhs, row.sense, rhs)
 
-    return FeasibilityReport(not violations, tuple(violations), len(model.constraints))
+    return FeasibilityReport(not violated, tuple(violations), len(model.constraints))
 
 
 # -- exporters -------------------------------------------------------------

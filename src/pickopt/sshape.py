@@ -14,6 +14,14 @@ are inserted at the current aisle, which never adds horizontal distance.
 The resulting vertical excess over ``|K1 cup K2| * d`` is 0 when both
 sweep sizes are even, d when exactly one is odd, and 2d when both are
 odd, matching the no-reversal optimum when the first subaisle is swept.
+
+A route is measured in whole units: ``V`` subaisle traversals and ``H``
+aisle steps.  Its length is ``route_length(layout, V, H)``, i.e.
+``V * d + H * s``, the one rule that the closed-form estimate in
+:mod:`pickopt.heuristics` also applies, so both give the same float for the
+same route.  The explicit construction is kept for encoding a route into a
+model (:func:`pickopt.encoding.encode_best_s_shape`) and as the reference
+the estimate is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import UnsupportedFamilyError, ValidationError
-from .layout import PickingGraph
+from .layout import PickingGraph, WarehouseLayout
 
 R_S1 = "r_S1"
 R_S2 = "r_S2"
@@ -32,6 +40,11 @@ MIDDLE_BAND = "middle"
 BOTTOM_BAND = "bottom"
 
 _STAR_BLOCKS = {TOP_BAND: 0, MIDDLE_BAND: 1, BOTTOM_BAND: 2}
+
+
+def route_length(layout: WarehouseLayout, vertical: int, horizontal: int):
+    """Length of ``vertical`` subaisle traversals and ``horizontal`` aisle steps."""
+    return vertical * layout.subaisle_length + horizontal * layout.aisle_spacing
 
 
 @dataclass(frozen=True)
@@ -45,7 +58,7 @@ class SShapeRoute:
 
 
 class _Builder:
-    """Collects moves and traversals, tracking band, aisle and lengths."""
+    """Collects moves and traversals, tracking band, aisle and unit counts."""
 
     def __init__(self, graph: PickingGraph):
         layout = graph.layout
@@ -53,21 +66,19 @@ class _Builder:
             raise UnsupportedFamilyError("S-shape routes are defined for 2-block layouts")
         self.graph = graph
         self.n = layout.n_aisles
-        self.d = layout.subaisle_length
-        self.spacing = layout.aisle_spacing
         self.band = TOP_BAND
         self.aisle = 0
         self.steps: list = []
         self.visits: list[int] = []
-        self.vertical = 0
-        self.horizontal = 0
+        self.vertical = 0  # subaisle traversals
+        self.horizontal = 0  # aisle steps
         self.traversals: dict[int, int] = {}
 
     def to_aisle(self, a: int) -> None:
         if a == self.aisle:
             return
         self.steps.append(("move", self.band, self.aisle, a))
-        self.horizontal += abs(a - self.aisle) * self.spacing
+        self.horizontal += abs(a - self.aisle)
         self.aisle = a
 
     def _traverse(self, sub_index: int, down: bool, from_band: str, to_band: str) -> None:
@@ -80,7 +91,7 @@ class _Builder:
         self.traversals[sub_index] = count + 1
         self.steps.append(("vert", sub_index, "down" if down else "up", count))
         self.visits.append(sub_index)
-        self.vertical += self.d
+        self.vertical += 1
         self.band = to_band
 
     def down_block1(self, aisle: int) -> None:
@@ -102,12 +113,18 @@ class _Builder:
     def star_home(self) -> None:
         if self.band == TOP_BAND and self.aisle == 0:
             return
-        vertical_part = _STAR_BLOCKS[self.band] * self.d
         self.steps.append(("star", self.band, self.aisle))
-        self.vertical += vertical_part
-        self.horizontal += self.aisle * self.spacing
+        self.vertical += _STAR_BLOCKS[self.band]
+        self.horizontal += self.aisle
         self.band = TOP_BAND
         self.aisle = 0
+
+    def route(self, kind: str, i0: Optional[int]) -> SShapeRoute:
+        layout = self.graph.layout
+        return SShapeRoute(kind, tuple(self.visits), i0,
+                           self.vertical * layout.subaisle_length,
+                           route_length(layout, self.vertical, self.horizontal),
+                           tuple(self.steps))
 
 
 def _split_sets(graph: PickingGraph, K1: Iterable[int], K2: Iterable[int]):
@@ -169,8 +186,7 @@ def _build_r_s1(graph: PickingGraph, k1: list[int], k2: list[int],
         b.down_block1(b.aisle)
     b.up_block1(i0)
     b.star_home()
-    return SShapeRoute(R_S1, tuple(b.visits), i0, b.vertical,
-                       b.vertical + b.horizontal, tuple(b.steps))
+    return b.route(R_S1, i0)
 
 
 def _build_r_s2(graph: PickingGraph, k1: list[int], k2: list[int],
@@ -184,8 +200,7 @@ def _build_r_s2(graph: PickingGraph, k1: list[int], k2: list[int],
         # at the bottom and go straight home
         _sweep_block2(b, k2, direction, fix_parity=False)
     b.star_home()
-    return SShapeRoute(R_S2, tuple(b.visits), None, b.vertical,
-                       b.vertical + b.horizontal, tuple(b.steps))
+    return b.route(R_S2, None)
 
 
 def s_shape_variants(graph: PickingGraph, K1: Iterable[int], K2: Iterable[int],

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from pickopt import (Batching, Instance, Order, Pick, UnsupportedFamilyError,
                      make_s_shape_estimator, s_shape_candidates,
                      s_shape_estimate, seed_batching, solve_exact,
                      validate_batching)
+from pickopt.heuristics import _two_block_units
+from pickopt.sshape import R_S1, R_S2, route_length
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 
@@ -31,20 +34,39 @@ def test_estimate_single_block_odd_adds_one_traversal():
     assert s_shape_estimate(g, picks) == 2 * LAYOUT.subaisle_length
 
 
+SPACINGS = [(1, 2), (0.5, 1.5), (0.3, 1.7)]
+
+
+def assert_estimate_matches_candidates(g, subaisles):
+    # the estimate counts what the constructed routes measure, to the last
+    # bit, and so does its count for each route kind
+    n = g.layout.n_aisles
+    picks = {g.subaisles[i].locs[-1] for i in subaisles}
+    K1 = [i for i in subaisles if i < n]
+    K2 = [i for i in subaisles if i >= n]
+    routes = s_shape_candidates(g, K1, K2)
+    expected = min(r.total_length for r in routes)
+    assert s_shape_estimate(g, picks) == expected, (g.layout, subaisles)
+    kinds = ([R_S1] if K1 else []) + [R_S2]
+    for kind, (v, h) in zip(kinds, _two_block_units(K1, [i - n for i in K2])):
+        shortest = min(r.total_length for r in routes if r.kind == kind)
+        assert route_length(g.layout, v, h) == shortest, (g.layout, subaisles, kind)
+
+
 def test_estimate_two_block_matches_candidates():
-    layout = WarehouseLayout(2, 2, 1, 1, 2)
-    g = shared_graph(layout)
+    for spacing in SPACINGS:
+        for n_aisles in (2, 3, 4):
+            g = shared_graph(WarehouseLayout(n_aisles, 2, 1, *spacing))
+            subaisles = range(2 * n_aisles)
+            for size in range(1, 2 * n_aisles + 1):
+                for chosen in itertools.combinations(subaisles, size):
+                    assert_estimate_matches_candidates(g, chosen)
     rng = random.Random(12)
-    n = layout.n_aisles
-    for _ in range(25):
-        picks = {v for sub in g.subaisles for v in sub.locs if rng.random() < 0.5}
-        if not picks:
-            continue
-        subs = sorted({g.subaisle_of(v) for v in picks})
-        K1 = [i for i in subs if i < n]
-        K2 = [i for i in subs if i >= n]
-        expected = min(r.total_length for r in s_shape_candidates(g, K1, K2))
-        assert s_shape_estimate(g, picks) == expected
+    for k in range(300):
+        g = shared_graph(WarehouseLayout(20, 2, 30, *SPACINGS[k % len(SPACINGS)]))
+        density = rng.random()
+        chosen = [i for i in range(40) if rng.random() < density] or [rng.randrange(40)]
+        assert_estimate_matches_candidates(g, chosen)
 
 
 def test_estimate_rejects_three_blocks():

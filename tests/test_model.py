@@ -68,6 +68,16 @@ def test_check_feasible_reports_violations():
     assert ok.satisfied
 
 
+def test_check_feasible_without_reported_violations_still_fails():
+    m = LinearModel("one-row")
+    x = m.add_variable(CONTINUOUS, ("x", 0))
+    m.add_row("r", "g", [(x, 1)], GE, 1)
+    report = check_feasible(m, VariableAssignment({}), max_report=0)
+    assert not report.satisfied
+    assert report.violations == () and report.checked_rows == 1
+    assert check_feasible(m, VariableAssignment({"x_0": 1}), max_report=0).satisfied
+
+
 def test_check_feasible_is_exact_rational():
     m = LinearModel("frac")
     x = m.add_variable(CONTINUOUS, ("x", 0))
