@@ -26,11 +26,10 @@ from .separation import (CutRequest, OrderComponents, cut_to_row,
                          order_components, separate_connectivity)
 from .exact import (MAX_EXACT_ORDERS, MAX_ORACLE_EDGES, Solution, Walk,
                     WalkSpace, batching_to_solution, bin_pack_exact,
-                    capacity_feasible_partitions, evaluate_s_shape,
-                    first_fit_decreasing, load_solution, route_oracle,
-                    s_shape_candidates, save_solution, solve_exact,
+                    capacity_feasible_partitions, first_fit_decreasing,
+                    load_solution, route_oracle, save_solution, solve_exact,
                     solve_no_reversal_exact, validate_solution, walk_space)
-from .sshape import R_S1, R_S2, SShapeRoute
+from .sshape import R_S1, R_S2, SShapeRoute, evaluate_s_shape, s_shape_candidates
 from .encoding import (encode_route_PU2, encode_walk_PF, encode_walk_PG,
                        eq75_value, orient_walk)
 from .heuristics import (Batching, cw2_batching, make_oracle_estimator,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate | build | solve | separate | report.  Exit codes
-are stable: 0 success, 2 validation problem, 3 desk-scale resource bound.
+are stable: 0 success, 2 validation problem (bad input, or a file that
+cannot be read or written), 3 desk-scale resource bound.
 Exact solves run serially in one thread.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from dataclasses import fields
@@ -22,7 +22,7 @@ from .formulations import ALL_KINDS, ModelOptions, build_model
 from .heuristics import cw2_batching, seed_batching
 from .instance import (WarehouseLayout, generate_instance, instance_from_dict,
                        instance_graph, instance_to_dict, load_instance,
-                       save_instance)
+                       read_json, save_instance)
 from .model import VariableAssignment, export_model, lp_terms
 from .separation import cut_to_row, separate_connectivity
 
@@ -128,11 +128,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    try:
-        doc = json.loads(Path(args.model).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {args.model}: {exc}") from exc
-    if not isinstance(doc, dict) or "meta" not in doc or "instance" not in doc.get("meta", {}):
+    doc = read_json(args.model)
+    if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+            and "instance" in doc["meta"]):
         raise ValidationError("model file lacks embedded instance metadata; "
                               "build it with --format json")
     instance = instance_from_dict(doc["meta"]["instance"])
@@ -149,10 +147,7 @@ def cmd_separate(args) -> int:
     options = ModelOptions(**{name: True for name in enabled})
     model = build_model(instance, graph, kind, options)
 
-    try:
-        adoc = json.loads(Path(args.assignment).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {args.assignment}: {exc}") from exc
+    adoc = read_json(args.assignment)
     if isinstance(adoc, dict) and "values" in adoc:
         adoc = adoc["values"]
     if not isinstance(adoc, dict):
@@ -170,16 +165,8 @@ def cmd_separate(args) -> int:
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"assignment value {value!r} of {name} is not a number") from None
 
-    aux = None
-    from .layout import SINGLE_BLOCK, TWO_BLOCK, build_auxiliary_graph
-
-    if kind == "P_U1":
-        aux = build_auxiliary_graph(graph, SINGLE_BLOCK)
-    elif kind == "P_U2":
-        aux = build_auxiliary_graph(graph, TWO_BLOCK)
-    cuts = separate_connectivity(graph, kind, assignment, instance, aux=aux)
-    for cut in cuts:
-        row = cut_to_row(cut, model, graph, aux=aux)
+    for cut in separate_connectivity(graph, kind, assignment, instance):
+        row = cut_to_row(cut, model, graph)
         print(f"{row.name}: {' '.join(lp_terms(row.coeffs, names))} {row.sense} {row.rhs}")
     return EXIT_OK
 
@@ -259,7 +246,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OracleSizeError as exc:

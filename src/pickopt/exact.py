@@ -29,7 +29,6 @@ import numpy as np
 from .errors import OracleSizeError, UnsupportedFamilyError, ValidationError
 from .instance import Instance
 from .layout import PickingGraph, build_graph, connected_components
-from .sshape import SShapeRoute, evaluate_s_shape, s_shape_candidates
 
 MAX_ORACLE_EDGES = 14
 
@@ -88,12 +87,6 @@ class Solution:
     batching: tuple[tuple[int, ...], ...]
     walks: tuple[Walk, ...]
     total: float
-
-    def picker_of(self, order_id: int) -> int:
-        for t, orders in enumerate(self.batching):
-            if order_id in orders:
-                return t
-        raise ValidationError(f"order {order_id} not batched")
 
 
 def validate_solution(instance: Instance, graph: PickingGraph, solution: Solution) -> None:
@@ -390,22 +383,10 @@ def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
     space = walk_space(graph)
     mask = mask_fn(space) if mask_fn is not None else None
 
-    picks = instance.all_pick_vertices(graph)
     sizes = {o.id: o.size for o in instance.orders}
     T = instance.pickers
-
-    route_memo: dict[frozenset, int] = {}
-
-    def route(batch: tuple[int, ...]) -> int:
-        req = frozenset().union(*(picks[o] for o in batch))
-        idx = route_memo.get(req)
-        if idx is None:
-            idx = space.query(req, mask)
-            route_memo[req] = idx
-        return idx
-
-    departure_idx = space.query(frozenset(), mask)
-    departure_len = space.length(departure_idx)
+    route = _router(instance, graph, space, mask)
+    departure_len = space.length(route(()))
 
     def evaluate(partition):
         cost = sum(space.length(route(batch)) for batch in partition)
@@ -418,19 +399,31 @@ def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
         raise ValidationError("no capacity-feasible batching exists for this picker count")
 
     best_cost, best_partition = min(map(evaluate, partitions))
+    return _route_batches(instance, graph, space, best_partition, route)
 
-    walks = []
-    batching = []
-    for t in range(T):
-        if t < len(best_partition):
-            batch = best_partition[t]
-            walks.append(space.walk(route(batch), picker=t))
-            batching.append(tuple(batch))
-        else:
-            walks.append(space.walk(departure_idx, picker=t))
-            batching.append(())
-    total = sum(w.length(graph) for w in walks)
-    solution = Solution(tuple(batching), tuple(walks), total)
+
+def _router(instance: Instance, graph: PickingGraph, space: WalkSpace,
+            mask: Optional[np.ndarray] = None):
+    """Walk index of a batch's cheapest route, memoized by its pick set."""
+    picks = instance.all_pick_vertices(graph)
+    memo: dict[frozenset, int] = {}
+
+    def route(batch: tuple[int, ...]) -> int:
+        req = frozenset().union(*(picks[o] for o in batch))
+        idx = memo.get(req)
+        if idx is None:
+            idx = memo[req] = space.query(req, mask)
+        return idx
+    return route
+
+
+def _route_batches(instance: Instance, graph: PickingGraph, space: WalkSpace,
+                   batches: Sequence[tuple[int, ...]], route) -> Solution:
+    """Route batch t for picker t; pickers beyond the batches get the
+    route of an empty batch, the minimal departure walk."""
+    batching = tuple(batches) + ((),) * (instance.pickers - len(batches))
+    walks = tuple(space.walk(route(batch), picker=t) for t, batch in enumerate(batching))
+    solution = Solution(batching, walks, sum(w.length(graph) for w in walks))
     validate_solution(instance, graph, solution)
     return solution
 
@@ -522,28 +515,15 @@ def batching_to_solution(instance: Instance, graph: PickingGraph,
     spare pickers up to the instance count get the minimal departure walk.
     """
     space = walk_space(graph)
-    picks = instance.all_pick_vertices(graph)
     ordered = sorted((tuple(sorted(b)) for b in batches), key=lambda b: b[0])
-    walks = []
-    batching = []
-    for t, batch in enumerate(ordered):
-        req = frozenset().union(*(picks[o] for o in batch))
-        walks.append(space.walk(space.query(req), picker=t))
-        batching.append(batch)
-    for t in range(len(ordered), instance.pickers):
-        walks.append(space.walk(space.query(frozenset()), picker=t))
-        batching.append(())
-    total = sum(w.length(graph) for w in walks)
-    solution = Solution(tuple(batching), tuple(walks), total)
-    validate_solution(instance, graph, solution)
-    return solution
+    return _route_batches(instance, graph, space, ordered, _router(instance, graph, space))
 
 
 __all__ = [
-    "MAX_ORACLE_EDGES", "MAX_EXACT_ORDERS", "Walk", "Solution", "SShapeRoute",
+    "MAX_ORACLE_EDGES", "MAX_EXACT_ORDERS", "Walk", "Solution",
     "WalkSpace", "walk_space", "route_oracle", "solve_exact",
     "solve_no_reversal_exact", "bin_pack_exact", "first_fit_decreasing",
-    "capacity_feasible_partitions", "evaluate_s_shape", "s_shape_candidates",
+    "capacity_feasible_partitions",
     "validate_solution", "solution_to_dict", "save_solution", "load_solution",
     "batching_to_solution",
 ]

@@ -30,6 +30,7 @@ from .instance import Instance
 from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxEdge, AuxiliaryGraph, PickingGraph,
                      build_auxiliary_graph)
 from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
+from .separation import FAMILIES, FAMILY_OF_KIND, order_components
 
 P_BASIC = "P_basic"
 P_A = "P_A"
@@ -151,6 +152,15 @@ def _orders_by_subaisle(instance: Instance, graph: PickingGraph) -> list[list[in
     return [sorted(ids) for ids in by_sub]
 
 
+def _new_model(kind: str) -> LinearModel:
+    """An empty model of one kind, with its lazy connectivity family declared."""
+    model = LinearModel(f"pickopt_{kind}", kind=kind)
+    family = FAMILY_OF_KIND.get(kind)
+    if family is not None:
+        model.declare_lazy_group(family, GROUP_DESCRIPTIONS[family])
+    return model
+
+
 def _declare_assignment(model: LinearModel, instance: Instance) -> None:
     for o in instance.orders:
         for t in range(instance.pickers):
@@ -222,15 +232,18 @@ def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
     _assignment_rows(model, instance, labels["assign"], labels["capacity"])
 
 
-def build_basic(instance: Instance, graph: PickingGraph) -> LinearModel:
-    """Arc-space model: routing, batching and a lazy connectivity family."""
-    model = LinearModel("pickopt_P_basic", kind=P_BASIC)
+def _basic_model(kind: str, instance: Instance, graph: PickingGraph) -> LinearModel:
+    model = _new_model(kind)
     _declare_arc_core(model, instance, graph)
     labels = {"depart": "bs1", "cover": "bs2", "ydef": "bs3", "flow": "bs5",
               "assign": "bs6", "capacity": "bs7"}
     _arc_core_rows(model, instance, graph, labels, range(graph.n_vertices))
-    model.declare_lazy_group("bs4", GROUP_DESCRIPTIONS["bs4"])
     return model
+
+
+def build_basic(instance: Instance, graph: PickingGraph) -> LinearModel:
+    """Arc-space model: routing, batching and a lazy connectivity family."""
+    return _basic_model(P_BASIC, instance, graph)
 
 
 def build_subaisle_cuts(model: LinearModel, instance: Instance, graph: PickingGraph) -> list:
@@ -277,9 +290,7 @@ def build_subaisle_cuts(model: LinearModel, instance: Instance, graph: PickingGr
 
 
 def build_PA(instance: Instance, graph: PickingGraph) -> LinearModel:
-    model = build_basic(instance, graph)
-    model.name = "pickopt_P_A"
-    model.kind = P_A
+    model = _basic_model(P_A, instance, graph)
     build_subaisle_cuts(model, instance, graph)
     return model
 
@@ -322,54 +333,51 @@ def _gamma_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> 
                           GE, 0)
 
 
-def build_PG(instance: Instance, graph: PickingGraph) -> LinearModel:
-    """Improved formulation: subaisle cuts plus reduced-graph connectivity."""
-    model = LinearModel("pickopt_P_G", kind=P_G)
+def _improved_model(kind: str, instance: Instance, graph: PickingGraph) -> LinearModel:
+    """The arc-space core with subaisle cuts and gamma, shared by P_G, P_F and P_U."""
+    model = _new_model(kind)
     _declare_arc_core(model, instance, graph)
     build_subaisle_cuts(model, instance, graph)
     labels = {"depart": "impf1", "cover": "impf2", "ydef": "impf3", "flow": "impf9",
               "assign": "impf10", "capacity": "impf11"}
     _arc_core_rows(model, instance, graph, labels, graph.artificial_vertices)
     _gamma_rows(model, instance, graph)
-    model.declare_lazy_group("impf8", GROUP_DESCRIPTIONS["impf8"])
     return model
+
+
+def build_PG(instance: Instance, graph: PickingGraph) -> LinearModel:
+    """Improved formulation: subaisle cuts plus reduced-graph connectivity."""
+    return _improved_model(P_G, instance, graph)
 
 
 def build_PF(instance: Instance, graph: PickingGraph) -> LinearModel:
     """Compact formulation: connectivity by one flow per artificial vertex."""
-    model = build_PG(instance, graph)
-    model.name = "pickopt_P_F"
-    model.kind = P_F
-    del model.lazy_groups["impf8"]
+    model = _improved_model(P_F, instance, graph)
 
     T = instance.pickers
     reduced_arcs = list(graph.reduced_arcs())
     s = graph.origin
-    for t in range(T):
-        for v0 in graph.artificial_vertices:
-            for u, v in reduced_arcs:
-                model.add_variable(CONTINUOUS, ("s", t, v0, u, v))
+    # (arc, +1) for each reduced arc leaving a vertex, (arc, -1) for each entering it
+    net_arcs = {u: [(arc, 1) for arc in graph.eta_plus([u])]
+                + [(arc, -1) for arc in graph.eta_minus([u])]
+                for u in graph.artificial_vertices}
+    flow = {(t, v0): {arc: model.add_variable(CONTINUOUS, ("s", t, v0) + arc)
+                      for arc in reduced_arcs}
+            for t in range(T) for v0 in graph.artificial_vertices}
 
     for t in range(T):
         for v0 in graph.artificial_vertices:
-            out_v0 = [(model.var("s", t, v0, u, v), 1) for u, v in graph.eta_plus([v0])]
-            in_v0 = [(model.var("s", t, v0, u, v), -1) for u, v in graph.eta_minus([v0])]
-            model.add_row(f"impcf1_t{t}_c{v0}", "impcf1",
-                          out_v0 + in_v0 + [(model.var("y", t, v0), -1)], EQ, 0)
+            f = flow[t, v0]
+            net = {u: [(f[arc], c) for arc, c in net_arcs[u]] for u in graph.artificial_vertices}
+            y = model.var("y", t, v0)
+            model.add_row(f"impcf1_t{t}_c{v0}", "impcf1", net[v0] + [(y, -1)], EQ, 0)
             for u in graph.artificial_vertices:
-                if u in (s, v0):
-                    continue
-                out_u = [(model.var("s", t, v0, a, b), 1) for a, b in graph.eta_plus([u])]
-                in_u = [(model.var("s", t, v0, a, b), -1) for a, b in graph.eta_minus([u])]
-                model.add_row(f"impcf2_t{t}_c{v0}_u{u}", "impcf2", out_u + in_u, EQ, 0)
-            out_s = [(model.var("s", t, v0, a, b), 1) for a, b in graph.eta_plus([s])]
-            in_s = [(model.var("s", t, v0, a, b), -1) for a, b in graph.eta_minus([s])]
-            model.add_row(f"impcf3_t{t}_c{v0}", "impcf3",
-                          out_s + in_s + [(model.var("y", t, v0), 1)], EQ, 0)
+                if u not in (s, v0):
+                    model.add_row(f"impcf2_t{t}_c{v0}_u{u}", "impcf2", net[u], EQ, 0)
+            model.add_row(f"impcf3_t{t}_c{v0}", "impcf3", net[s] + [(y, 1)], EQ, 0)
             for u, v in reduced_arcs:
                 model.add_row(f"impcf4_t{t}_c{v0}_{u}_{v}", "impcf4",
-                              [(model.var("s", t, v0, u, v), 1), (model.var("g", t, u, v), -1)],
-                              LE, 0)
+                              [(f[u, v], 1), (model.var("g", t, u, v), -1)], LE, 0)
     return model
 
 
@@ -391,8 +399,6 @@ def build_strengthened_cuts(model: LinearModel, instance: Instance, graph: Picki
                         f"aisle_cut_t{t}_o{o}_i{sub.index}", "aisle_cut", coeffs, GE, 0))
         return rows
     if family == "basic":
-        from .separation import order_components
-
         for o in instance.orders:
             comps = order_components(graph, instance.pick_vertices(graph, o))
             for k, (vertex_set, contains_origin) in enumerate(comps.components):
@@ -517,7 +523,7 @@ def _build_tour(instance: Instance, aux: AuxiliaryGraph, kind: str, labels: dict
     given ``crossing`` edges, the second-cross-aisle bound.
     """
     graph = aux.graph
-    model = LinearModel(f"pickopt_{kind}", kind=kind)
+    model = _new_model(kind)
     T = instance.pickers
     s = graph.origin
 
@@ -562,7 +568,6 @@ def _build_tour(instance: Instance, aux: AuxiliaryGraph, kind: str, labels: dict
             model.add_row(f"less2con_t{t}", "less2con", edge_sum(t, crossing), LE, 2)
 
     _assignment_rows(model, instance, labels["assign"], labels["capacity"])
-    model.declare_lazy_group(labels["lazy"], GROUP_DESCRIPTIONS[labels["lazy"]])
     return model
 
 
@@ -571,7 +576,7 @@ def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
     if aux.variant != SINGLE_BLOCK:
         raise VariantMismatchError("build_PU1 needs a single_block auxiliary graph")
     labels = {"depart": "tspo0", "origin": "tspo1", "cover": "tspo2", "lead": "tspo3",
-              "degree": "tspo4", "lazy": "tspo5", "assign": "tspo6", "capacity": "tspo7"}
+              "degree": "tspo4", "assign": "tspo6", "capacity": "tspo7"}
     departure = [e for e in aux.incident(aux.graph.origin) if e.in_e1]
     return _build_tour(instance, aux, P_U1, labels, departure,
                        lead=aux.graph.subaisles[0].tail)
@@ -583,7 +588,7 @@ def build_PU2(instance: Instance, aux: AuxiliaryGraph,
     if aux.variant != TWO_BLOCK:
         raise VariantMismatchError("build_PU2 needs a two_block auxiliary graph")
     labels = {"depart": "tspt0", "origin": "tspt1", "cover": "tspt2", "degree": "tspt3",
-              "lazy": "tspt4", "assign": "tspt5", "capacity": "tspt6"}
+              "assign": "tspt5", "capacity": "tspt6"}
     departure = [e for e in aux.incident(aux.graph.origin) if not e.in_e3]
     crossing = aux.delta(aux.south_set) if with_cross_aisle_bound else None
     return _build_tour(instance, aux, P_U2, labels, departure, crossing=crossing)
@@ -598,11 +603,11 @@ def build_model(instance: Instance, graph: PickingGraph, kind: str,
     options = options or ModelOptions()
     validate_options(kind, options, instance)
 
+    if kind in TSP_KINDS:
+        aux = build_auxiliary_graph(graph, FAMILIES[FAMILY_OF_KIND[kind]].aux_variant)
     if kind == P_U1:
-        aux = build_auxiliary_graph(graph, SINGLE_BLOCK)
         model = build_PU1(instance, aux)
     elif kind == P_U2:
-        aux = build_auxiliary_graph(graph, TWO_BLOCK)
         model = build_PU2(instance, aux, with_cross_aisle_bound=options.cross_aisle_bound)
     elif kind == P_BASIC:
         model = build_basic(instance, graph)
@@ -615,9 +620,7 @@ def build_model(instance: Instance, graph: PickingGraph, kind: str,
     elif kind == P_F:
         model = build_PF(instance, graph)
     elif kind == P_U:
-        model = build_PG(instance, graph)
-        model.name = "pickopt_P_U"
-        model.kind = P_U
+        model = _improved_model(P_U, instance, graph)
         build_no_reversal(model, instance, graph)
     else:  # pragma: no cover - validate_options already rejected it
         raise ValidationError(f"unknown formulation kind {kind!r}")

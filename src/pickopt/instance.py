@@ -135,9 +135,9 @@ def generate_instance(layout: WarehouseLayout, n_orders: int, delta: int, seed: 
 # -- JSON persistence ----------------------------------------------------
 
 
-def instance_to_dict(instance: Instance, include_pickers: bool = True) -> dict:
+def instance_to_dict(instance: Instance) -> dict:
     lay = instance.layout
-    doc = {
+    return {
         "format": FORMAT_INSTANCE,
         "layout": {
             "aisles": lay.n_aisles,
@@ -151,10 +151,8 @@ def instance_to_dict(instance: Instance, include_pickers: bool = True) -> dict:
             {"id": o.id, "size": o.size, "picks": [p.as_dict() for p in o.picks]}
             for o in instance.orders
         ],
+        "pickers": instance.pickers,
     }
-    if include_pickers:
-        doc["pickers"] = instance.pickers
-    return doc
 
 
 def canonical_json_bytes(doc: dict) -> bytes:
@@ -233,12 +231,17 @@ def instance_from_dict(doc: dict) -> Instance:
     return Instance(layout=layout, orders=tuple(orders), capacity=capacity, pickers=pickers)
 
 
-def load_instance(path) -> Instance:
+def read_json(path):
+    """The document in a JSON file; a file that is not JSON text is a
+    validation error."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return instance_from_dict(doc)
+
+
+def load_instance(path) -> Instance:
+    return instance_from_dict(read_json(path))
 
 
 def instance_graph(instance: Instance) -> PickingGraph:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional
 
 from .errors import ValidationError, VariantMismatchError
@@ -443,31 +443,20 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
     index: dict[frozenset, int] = {}
     e_of_subaisle: dict[int, int] = {}
 
-    def add(u, v, length, **flags):
-        key = frozenset((u, v))
-        if key in index:
-            eid = index[key]
-            old = edges[eid]
-            edges[eid] = AuxEdge(eid, old.u, old.v, old.length,
-                                 in_e1=old.in_e1 or flags.get("in_e1", False),
-                                 in_e2=old.in_e2 or flags.get("in_e2", False),
-                                 in_e3=old.in_e3 or flags.get("in_e3", False),
-                                 subaisle=old.subaisle if old.subaisle is not None
-                                 else flags.get("subaisle"),
-                                 primary=old.primary or flags.get("primary", False))
-            return eid
-        eid = len(edges)
-        index[key] = eid
-        edges.append(AuxEdge(eid, u, v, length, **flags))
-        return eid
-
     for u, v, length, sub in graph.reduced_edges:
-        eid = add(u, v, length, in_e1=True, subaisle=sub, primary=sub is not None)
+        eid = index[frozenset((u, v))] = len(edges)
+        edges.append(AuxEdge(eid, u, v, length, in_e1=True, subaisle=sub,
+                             primary=sub is not None))
         if sub is not None:
             e_of_subaisle[sub] = eid
+    # E2, a star from the origin; a star edge along an E1 edge is that edge
     for v in graph.artificial_vertices:
         if v != s:
-            add(s, v, dist[v], in_e2=True)
+            eid = index.get(frozenset((s, v)))
+            if eid is None:
+                edges.append(AuxEdge(len(edges), s, v, dist[v], in_e2=True))
+            else:
+                edges[eid] = replace(edges[eid], in_e2=True)
     # last, so the tour variables keep their order
     edges.append(AuxEdge(len(edges), s, graph.subaisles[0].tail, graph.layout.subaisle_length,
                          subaisle=0, parallel=True))

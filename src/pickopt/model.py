@@ -207,12 +207,6 @@ class VariableAssignment:
     def items(self):
         return self.values.items()
 
-    def as_dict(self) -> dict:
-        out = {}
-        for name, val in sorted(self.values.items()):
-            out[name] = int(val) if val.denominator == 1 else float(val)
-        return out
-
 
 def check_feasible(model: LinearModel, assignment: VariableAssignment,
                    max_report: int = 10) -> FeasibilityReport:

@@ -1,16 +1,22 @@
 """Integral separation of the lazy connectivity families.
 
+``FAMILY_OF_KIND`` maps each formulation to its family, and ``FAMILIES``
+describes each family once: its anchor vertices, the edges its cuts count
+(with the picker's variable for leaving either end), its anchor coefficient
+and the auxiliary graph it lives on.  Separation, cut rows and the model
+builders all read that table.
+
 Candidate assignments must be integral (the branch-and-cut procedure this
 feeds separates at integral nodes only).  For each picker, the support
-multigraph of the relevant variables is searched from the origin; every
-connected component away from the origin that contains an anchored vertex
-yields one cut request, anchored at its smallest-index visited vertex.
+multigraph of the family's edge variables is searched from the origin;
+every connected component away from the origin that contains an anchored
+vertex yields one cut request, anchored at its smallest-index visited vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import SeparationError, ValidationError
 from .instance import Instance
@@ -25,6 +31,41 @@ FAMILY_OF_KIND = {
     "P_U": "impf8",
     "P_U1": "tspo5",
     "P_U2": "tspt4",
+}
+
+
+@dataclass(frozen=True)
+class Family:
+    """A lazy connectivity family.  A picker who visits an anchor vertex in a
+    set S away from the origin leaves S: the variables for leaving S along
+    ``edges`` sum to at least ``-anchor_coeff`` times the anchor's ``y``
+    (once on arcs, twice on a tour)."""
+
+    anchors: Callable  # (graph, aux) -> anchor vertices
+    edges: Callable  # (graph, aux, picker) -> [(u, v, index leaving u, index leaving v)]
+    anchor_coeff: int
+    aux_variant: Optional[str] = None  # the auxiliary graph the family lives on
+
+
+def _graph_arcs(graph: PickingGraph, aux, t: int) -> list:
+    return [(u, v, ("x", t, u, v), ("x", t, v, u)) for u, v in graph.edges]
+
+
+def _reduced_arcs(graph: PickingGraph, aux, t: int) -> list:
+    return [(u, v, ("g", t, u, v), ("g", t, v, u)) for u, v, _, _ in graph.reduced_edges]
+
+
+def _tour_edges(graph: PickingGraph, aux: AuxiliaryGraph, t: int) -> list:
+    # an undirected tour edge has one variable, whichever end is inside
+    return [(e.u, e.v, index, index) for e in aux.edges for index in (e.var_index(t),)]
+
+
+# picking locations only anchor the full arc-space family
+FAMILIES = {
+    "bs4": Family(lambda graph, aux: range(graph.n_vertices), _graph_arcs, -1),
+    "impf8": Family(lambda graph, aux: graph.artificial_vertices, _reduced_arcs, -1),
+    "tspo5": Family(lambda graph, aux: aux.vertices, _tour_edges, -2, SINGLE_BLOCK),
+    "tspt4": Family(lambda graph, aux: aux.vertices, _tour_edges, -2, TWO_BLOCK),
 }
 
 
@@ -91,73 +132,47 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
                           aux: Optional[AuxiliaryGraph] = None) -> list[CutRequest]:
     """Connectivity cuts violated by an integral candidate assignment."""
     _require_integral(assignment)
-    family = FAMILY_OF_KIND.get(kind)
-    if family is None:
+    name = FAMILY_OF_KIND.get(kind)
+    if name is None:
         raise ValidationError(f"formulation {kind!r} has no lazy connectivity family")
-    if family in ("tspo5", "tspt4") and aux is None:
-        aux = build_auxiliary_graph(
-            graph, SINGLE_BLOCK if family == "tspo5" else TWO_BLOCK)
-
-    # picking locations only anchor the full arc-space family
-    if family == "bs4":
-        vertices = range(graph.n_vertices)
-    elif family == "impf8":
-        vertices = graph.artificial_vertices
-    else:
-        vertices = aux.vertices
-
-    def value(*index):
-        return assignment.get(var_name(index))
+    family = FAMILIES[name]
+    if aux is None and family.aux_variant is not None:
+        aux = build_auxiliary_graph(graph, family.aux_variant)
+    anchors = family.anchors(graph, aux)
+    values = assignment.values
 
     cuts: list[CutRequest] = []
     for t in range(instance.pickers):
-        support: list[tuple[int, int]] = []
-        if family == "bs4":
-            for u, v in graph.edges:
-                if value("x", t, u, v) or value("x", t, v, u):
-                    support.append((u, v))
-        elif family == "impf8":
-            for u, v, _, _ in graph.reduced_edges:
-                if value("g", t, u, v) or value("g", t, v, u):
-                    support.append((u, v))
-        else:
-            for e in aux.edges:
-                if value(*e.var_index(t)):
-                    support.append((e.u, e.v))
-
-        anchored = {v for v in vertices if value("y", t, v) == 1}
+        support = [(u, v) for u, v, out_u, out_v in family.edges(graph, aux, t)
+                   if values.get(var_name(out_u)) or values.get(var_name(out_v))]
+        anchored = {v for v in anchors if values.get(var_name(("y", t, v))) == 1}
         for comp in connected_components(support, anchored):
             hits = comp & anchored
             if hits and graph.origin not in comp:
                 cuts.append(CutRequest(picker=t, vertex_set=frozenset(comp),
-                                       family=family, anchor_vertex=min(hits)))
+                                       family=name, anchor_vertex=min(hits)))
     return sorted(cuts, key=CutRequest.sort_key)
 
 
 def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph,
                aux: Optional[AuxiliaryGraph] = None,
                name: Optional[str] = None) -> Constraint:
-    """Materialize a cut request as a constraint row on the model."""
+    """Materialize a cut request as a constraint row on the model.
+
+    The row counts every edge leaving ``cut.vertex_set`` by the variable for
+    leaving it from inside.  A family on an auxiliary graph builds that graph
+    when ``aux`` is not given.
+    """
+    family = FAMILIES.get(cut.family)
+    if family is None:
+        raise ValidationError(f"unknown cut family {cut.family!r}")
+    if aux is None and family.aux_variant is not None:
+        aux = build_auxiliary_graph(graph, family.aux_variant)
     t = cut.picker
     S = cut.vertex_set
     if name is None:
         name = f"{cut.family}_t{t}_c{len(model.rows_in_group(cut.family))}"
-
-    if cut.family == "bs4":
-        coeffs = [(model.var("x", t, u, v), 1) for u, v in graph.delta_plus(S)]
-        coeffs.append((model.var("y", t, cut.anchor_vertex), -1))
-        return model.add_row(name, cut.family, coeffs, GE, 0)
-
-    if cut.family == "impf8":
-        coeffs = [(model.var("g", t, u, v), 1) for u, v in graph.eta_plus(S)]
-        coeffs.append((model.var("y", t, cut.anchor_vertex), -1))
-        return model.add_row(name, cut.family, coeffs, GE, 0)
-
-    if cut.family in ("tspo5", "tspt4"):
-        if aux is None:
-            raise ValidationError(f"{cut.family} cut needs the auxiliary graph")
-        coeffs = [(model.var(*e.var_index(t)), 1) for e in aux.delta(S)]
-        coeffs.append((model.var("y", t, cut.anchor_vertex), -2))
-        return model.add_row(name, cut.family, coeffs, GE, 0)
-
-    raise ValidationError(f"unknown cut family {cut.family!r}")
+    coeffs = [(model.var(*(out_u if u in S else out_v)), 1)
+              for u, v, out_u, out_v in family.edges(graph, aux, t) if (u in S) != (v in S)]
+    coeffs.append((model.var("y", t, cut.anchor_vertex), family.anchor_coeff))
+    return model.add_row(name, cut.family, coeffs, GE, 0)

@@ -204,16 +204,12 @@ def _build_r_s2(graph: PickingGraph, k1: list[int], k2: list[int],
 
 
 def s_shape_variants(graph: PickingGraph, K1: Iterable[int], K2: Iterable[int],
-                     kind: str, i0: Optional[int] = None,
-                     k2_direction: str = "auto") -> list[SShapeRoute]:
+                     kind: str, i0: Optional[int] = None) -> list[SShapeRoute]:
     """All constructions of one kind: sweep directions times transit choices."""
     k1, k2_aisles = _split_sets(graph, K1, K2)
     if not k1 and not k2_aisles:
         raise ValidationError("S-shape route needs at least one subaisle to visit")
-    directions = ("lr", "rl") if k2_direction == "auto" else (k2_direction,)
-    for d in directions:
-        if d not in ("lr", "rl"):
-            raise ValidationError(f"unknown sweep direction {d!r}")
+    directions = ("lr", "rl")
     transits = ("entry", "current") if k2_aisles else ("current",)
 
     routes: list[SShapeRoute] = []
@@ -239,10 +235,9 @@ def s_shape_variants(graph: PickingGraph, K1: Iterable[int], K2: Iterable[int],
 
 
 def evaluate_s_shape(graph: PickingGraph, K1: Iterable[int], K2: Iterable[int],
-                     kind: str, i0: Optional[int] = None,
-                     k2_direction: str = "auto") -> SShapeRoute:
+                     kind: str, i0: Optional[int] = None) -> SShapeRoute:
     """Construct the requested S-shape route and measure it exactly."""
-    routes = s_shape_variants(graph, K1, K2, kind, i0, k2_direction)
+    routes = s_shape_variants(graph, K1, K2, kind, i0)
     return min(routes, key=lambda r: r.total_length)
 
 

@@ -151,6 +151,46 @@ def test_separate_roundtrip(tmp_path, instance_file, capsys):
     assert run_cli("separate", "--model", str(model_path), "--assignment", str(broken)) == 2
 
 
+def test_separate_tour_model(tmp_path, instance_file, capsys):
+    model_path = tmp_path / "pu1.json"
+    assert run_cli("build", "-i", str(instance_file), "-f", "PU1", "--format", "json",
+                   "-o", str(model_path)) == 0
+    # a tour edge on the far subaisle alone, away from the origin
+    assign = tmp_path / "far.json"
+    assign.write_text(json.dumps({"values": {"x_0_1_3": 1, "y_0_1": 1, "y_0_3": 1}}))
+    capsys.readouterr()
+    assert run_cli("separate", "--model", str(model_path), "--assignment", str(assign)) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1 and out[0].startswith("tspo5_t0_c0:") and "- 2 y_0_1" in out[0]
+
+
+def test_unreadable_input_exits_2(tmp_path, instance_file, capsys):
+    missing = str(tmp_path / "missing.json")
+    model_path = tmp_path / "pg.json"
+    assert run_cli("build", "-i", str(instance_file), "-f", "PG", "--format", "json",
+                   "-o", str(model_path)) == 0
+    assign = tmp_path / "none.json"
+    assign.write_text(json.dumps({"values": {}}))
+    no_meta = tmp_path / "no_meta.json"
+    no_meta.write_text(json.dumps({"meta": 3}))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for argv, named in [
+        (("solve", "-i", missing, "-o", str(tmp_path / "s.json")), missing),
+        (("build", "-i", missing, "-f", "PG", "-o", str(tmp_path / "m.lp")), missing),
+        (("separate", "--model", missing, "--assignment", str(assign)), missing),
+        (("separate", "--model", str(model_path), "--assignment", missing), missing),
+        (("report", str(tmp_path / "missing.csv")), "missing.csv"),
+        (("solve", "-i", str(instance_file), "-o", str(tmp_path / "no" / "s.json")),
+         str(tmp_path / "no" / "s.json")),
+        (("separate", "--model", str(no_meta), "--assignment", str(assign)), "metadata"),
+        (("solve", "-i", str(binary), "-o", str(tmp_path / "s.json")), str(binary)),
+    ]:
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        assert named in capsys.readouterr().err, argv
+
+
 def test_report_merges_rows(tmp_path, instance_file, capsys):
     csv_path = tmp_path / "rows.csv"
     run_cli("solve", "-i", str(instance_file), "--mode", "exact",
