@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import OracleSizeError, UnsupportedFamilyError, ValidationError
-from .instance import Instance
+from .instance import Instance, _expect, read_json
 from .layout import PickingGraph, build_graph, connected_components
 
 MAX_ORACLE_EDGES = 14
@@ -138,19 +138,23 @@ def save_solution(solution: Solution, graph: PickingGraph, path) -> None:
 
 
 def load_solution(path, graph: PickingGraph) -> Solution:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != FORMAT_SOLUTION:
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError("solution: not a JSON object")
+    if _expect(doc, "format", str, "solution") != FORMAT_SOLUTION:
         raise ValidationError(f"format: expected {FORMAT_SOLUTION!r}")
+    batches = _expect(doc, "batches", list, "solution")
+    total = _expect(doc, "total", (int, float), "solution")
     walks = []
     batching = []
-    for bdoc in sorted(doc["batches"], key=lambda b: b["picker"]):
+    for bdoc in sorted(batches, key=lambda b: b["picker"]):
         mult: dict[int, int] = {}
         for entry in bdoc["walk"]:
             eid = graph.edge_id(entry["u"], entry["v"])
             mult[eid] = mult.get(eid, 0) + entry["count"]
         walks.append(Walk(bdoc["picker"], tuple(sorted(mult.items()))))
         batching.append(tuple(bdoc["orders"]))
-    return Solution(tuple(batching), tuple(walks), doc["total"])
+    return Solution(tuple(batching), tuple(walks), total)
 
 
 # -- the enumeration engine --------------------------------------------------

@@ -5,7 +5,12 @@ constraint rows grouped into stable families, and a sparse minimization
 objective.  A variable is addressed by its index tuple, and its name is
 derived from that tuple by :func:`var_name`, the only naming rule.  Models
 are exported to CPLEX-LP, free MPS or a JSON sidecar; no LP relaxations
-are solved here.
+are solved here.  Variables and rows are immutable named tuples.
+
+The writers format each distinct number once per call.  The JSON writer
+lays the document out field by field and sends only its small head through
+``json.dumps``, yet its bytes are exactly ``json.dumps(doc, indent=1)`` plus
+a newline, where ``doc`` holds the same fields as plain dicts and lists.
 
 Feasibility checks and exports are exact, with no tolerances anywhere: they
 compute in plain ``int`` arithmetic, and a ``Fraction`` is built only for a
@@ -18,8 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
 
@@ -44,6 +51,7 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+_POSITION = itemgetter(0)
 _NAME_FORMATS = tuple("_".join(["%s"] * n) for n in range(8))
 
 
@@ -53,8 +61,7 @@ def var_name(index: tuple) -> str:
     return _NAME_FORMATS[len(index)] % index
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str
     index: tuple
@@ -62,8 +69,7 @@ class Variable:
     ub: Optional[float] = None  # None = +inf (binary gets 1 implicitly)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     group: str
     coeffs: tuple[tuple[int, float], ...]  # (variable position, coefficient)
@@ -82,6 +88,7 @@ class LinearModel:
         self._by_index: dict[tuple, int] = {}
         self.constraints: list[Constraint] = []
         self._row_names: set[str] = set()
+        self._group_rows: dict[str, int] = {}  # rows per group, in order of first row
         self.objective: dict[int, float] = {}
         self.lazy_groups: dict[str, str] = {}  # group name -> short description
 
@@ -119,18 +126,26 @@ class LinearModel:
 
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],
                 sense: str, rhs) -> Constraint:
+        """Append a row.  Its terms are sorted by position; the coefficients of
+        a repeated position are summed, and a term summing to zero is kept."""
         if sense not in (LE, EQ, GE):
             raise ValidationError(f"bad sense {sense!r}")
         if name in self._row_names:
             raise ValidationError(f"duplicate row name {name}")
-        merged: dict[int, float] = {}
-        for pos, coef in coeffs:
-            if not (0 <= pos < len(self.variables)):
-                raise ValidationError(f"row {name}: variable position {pos} not declared")
-            merged[pos] = merged.get(pos, 0) + coef
-        row = Constraint(name, group, tuple(sorted(merged.items())), sense, rhs)
+        terms = sorted(coeffs, key=_POSITION)
+        if terms:
+            for pos in (terms[0][0], terms[-1][0]):
+                if not (0 <= pos < len(self.variables)):
+                    raise ValidationError(f"row {name}: variable position {pos} not declared")
+            if len(dict(terms)) < len(terms):
+                merged: dict[int, float] = {}
+                for pos, coef in terms:
+                    merged[pos] = merged.get(pos, 0) + coef
+                terms = merged.items()
+        row = Constraint(name, group, tuple(terms), sense, rhs)
         self.constraints.append(row)
         self._row_names.add(name)
+        self._group_rows[group] = self._group_rows.get(group, 0) + 1
         return row
 
     def declare_lazy_group(self, group: str, description: str) -> None:
@@ -143,9 +158,9 @@ class LinearModel:
     # -- inspection --------------------------------------------------------
 
     def group_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for row in self.constraints:
-            counts[row.group] = counts.get(row.group, 0) + 1
+        """Rows per group, in order of each group's first row, then every
+        lazy group with no row."""
+        counts = dict(self._group_rows)
         for group in self.lazy_groups:
             counts.setdefault(group, 0)
         return counts
@@ -263,26 +278,43 @@ def _num(x) -> str:
     return str(c) if type(c) is int else repr(float(c))
 
 
-def lp_terms(pairs, names) -> list[str]:
-    """LP-format terms (``x_0``, ``- 2 y_1``) of ``(position, coefficient)``
-    pairs, with ``names`` indexed by position."""
-    parts = []
-    for pos, coef in pairs:
-        c = _exact(coef)
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if mag == 1:
-            parts.append(f"{sign} {names[pos]}")
-        else:
-            parts.append(f"{sign} {_num(mag)} {names[pos]}")
-    if parts and parts[0].startswith("+ "):
+class _Memo(dict):
+    """``fn`` of each distinct key, computed once.  Equal keys share an
+    entry, so ``fn`` must depend on the key's value alone: ``_num`` and
+    ``_lp_sign`` give ``1``, ``1.0`` and ``Fraction(1)`` the same text."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _lp_sign(coef) -> str:
+    """The text before a name in an LP term: ``+ ``, ``- ``, ``+ 2 ``, ..."""
+    c = _exact(coef)
+    text = "- " if c < 0 else "+ "
+    return text if abs(c) == 1 else text + _num(abs(c)) + " "
+
+
+def _lp_terms(pairs, names, signs: _Memo) -> list[str]:
+    parts = [signs[coef] + names[pos] for pos, coef in pairs]
+    if parts and parts[0][0] == "+":
         parts[0] = parts[0][2:]
     return parts
 
 
+def lp_terms(pairs, names) -> list[str]:
+    """LP-format terms (``x_0``, ``- 2 y_1``) of ``(position, coefficient)``
+    pairs, with ``names`` indexed by position."""
+    return _lp_terms(pairs, names, _Memo(_lp_sign))
+
+
 def _wrap(prefix: str, parts: list[str], per_line: int = 8) -> list[str]:
-    if not parts:
-        return [f"{prefix} 0"]
+    if len(parts) <= per_line:
+        return [f"{prefix} {' '.join(parts) or '0'}"]
     lines = []
     for k in range(0, len(parts), per_line):
         chunk = " ".join(parts[k:k + per_line])
@@ -292,22 +324,22 @@ def _wrap(prefix: str, parts: list[str], per_line: int = 8) -> list[str]:
 
 def write_lp(model: LinearModel) -> str:
     names = [v.name for v in model.variables]
+    signs = _Memo(_lp_sign)
+    nums = _Memo(_num)
     out = [f"\\ {model.name}"]
     out.append("Minimize")
     obj = sorted(model.objective.items())
-    out.extend(_wrap(" obj:", lp_terms(obj, names)))
+    out.extend(_wrap(" obj:", _lp_terms(obj, names, signs)))
     out.append("Subject To")
     for row in model.constraints:
-        sense = row.sense if row.sense != EQ else "="
-        parts = lp_terms(row.coeffs, names)
-        lines = _wrap(f" {row.name}:", parts)
-        lines[-1] += f" {sense} {_num(row.rhs)}"
+        lines = _wrap(f" {row.name}:", _lp_terms(row.coeffs, names, signs))
+        lines[-1] += f" {row.sense} {nums[row.rhs]}"
         out.extend(lines)
     bounds = []
     for v in model.variables:
         if v.kind != BINARY and (_exact(v.lb) != 0 or v.ub is not None):
-            hi = "+inf" if v.ub is None else _num(v.ub)
-            bounds.append(f" {_num(v.lb)} <= {v.name} <= {hi}")
+            hi = "+inf" if v.ub is None else nums[v.ub]
+            bounds.append(f" {nums[v.lb]} <= {v.name} <= {hi}")
     if bounds:
         out.append("Bounds")
         out.extend(bounds)
@@ -325,6 +357,7 @@ def write_lp(model: LinearModel) -> str:
 
 def write_mps(model: LinearModel) -> str:
     """Free MPS: names may exceed the eight characters of fixed-field MPS."""
+    nums = _Memo(_num)
     out = [f"NAME          {model.name[:60]}"]
     out.append("ROWS")
     out.append(" N  COST")
@@ -332,13 +365,14 @@ def write_mps(model: LinearModel) -> str:
     for row in model.constraints:
         out.append(f" {sense_tag[row.sense]}  {row.name}")
 
-    # column-major entries
-    col_entries: list[list[tuple[str, str]]] = [[] for _ in model.variables]
+    # column-major entries: each row's padded name and the coefficient
+    col_entries: list[list[str]] = [[] for _ in model.variables]
     for pos, coef in sorted(model.objective.items()):
-        col_entries[pos].append(("COST", _num(coef)))
+        col_entries[pos].append(f"{'COST':<10}  {nums[coef]}")
     for row in model.constraints:
+        label = f"{row.name:<10}  "
         for pos, coef in row.coeffs:
-            col_entries[pos].append((row.name, _num(coef)))
+            col_entries[pos].append(label + nums[coef])
 
     out.append("COLUMNS")
     integer_open = False
@@ -353,24 +387,24 @@ def write_mps(model: LinearModel) -> str:
             out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
             marker += 1
             integer_open = False
-        for row_name, coef in entries:
-            out.append(f"    {v.name:<10}  {row_name:<10}  {coef}")
+        column = f"    {v.name:<10}  "
+        out.extend([column + entry for entry in entries])
     if integer_open:
         out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
 
     out.append("RHS")
     for row in model.constraints:
         if _exact(row.rhs) != 0:
-            out.append(f"    RHS         {row.name:<10}  {_num(row.rhs)}")
+            out.append(f"    RHS         {row.name:<10}  {nums[row.rhs]}")
     out.append("BOUNDS")
     for v in model.variables:
         if v.kind == BINARY:
             out.append(f" BV BND         {v.name}")
         else:
             if _exact(v.lb) != 0:
-                out.append(f" LO BND         {v.name}  {_num(v.lb)}")
+                out.append(f" LO BND         {v.name}  {nums[v.lb]}")
             if v.ub is not None:
-                out.append(f" UP BND         {v.name}  {_num(v.ub)}")
+                out.append(f" UP BND         {v.name}  {nums[v.ub]}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
@@ -378,33 +412,56 @@ def write_mps(model: LinearModel) -> str:
 FORMAT_MODEL = "pickopt-model-v1"
 
 
-def model_to_dict(model: LinearModel) -> dict:
-    return {
+def _json_num(x) -> str:
+    """A number, or ``None``, as ``json.dumps`` writes it."""
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is float and x - x == 0:
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
+def _json_block(items: list[str], opening: str, closing: str) -> str:
+    """A non-empty list or object whose items are already indented, or the
+    empty one, as ``json.dumps(..., indent=1)`` lays it out."""
+    if not items:
+        return opening + closing.lstrip()
+    return opening + "\n" + ",\n".join(items) + "\n" + closing
+
+
+def write_model_json(model: LinearModel) -> str:
+    """The model as a JSON document, laid out as ``json.dumps(doc, indent=1)``
+    plus a newline.  Only the head goes through ``json.dumps``; variables,
+    objective and rows are written field by field, each name quoted once."""
+    head = json.dumps({
         "format": FORMAT_MODEL,
         "name": model.name,
         "kind": model.kind,
         "meta": model.meta,
         "lazy_groups": dict(sorted(model.lazy_groups.items())),
-        "variables": [
-            {"name": v.name, "kind": v.kind, "lb": v.lb, "ub": v.ub}
-            for v in model.variables
-        ],
-        "objective": {model.var_name(pos): coef for pos, coef in sorted(model.objective.items())},
-        "constraints": [
-            {
-                "name": row.name,
-                "group": row.group,
-                "coeffs": {model.var_name(pos): coef for pos, coef in row.coeffs},
-                "sense": row.sense,
-                "rhs": row.rhs,
-            }
-            for row in model.constraints
-        ],
-    }
-
-
-def write_model_json(model: LinearModel) -> str:
-    return json.dumps(model_to_dict(model), indent=1, sort_keys=False) + "\n"
+    }, indent=1)
+    quoted = _Memo(encode_basestring_ascii)  # kinds, groups and senses
+    names = [encode_basestring_ascii(v.name) for v in model.variables]
+    variables = [
+        f'  {{\n   "name": {name},\n   "kind": {quoted[v.kind]},\n'
+        f'   "lb": {_json_num(v.lb)},\n   "ub": {_json_num(v.ub)}\n  }}'
+        for name, v in zip(names, model.variables)]
+    objective = [f"  {names[pos]}: {_json_num(coef)}"
+                 for pos, coef in sorted(model.objective.items())]
+    keys = [f"    {name}: " for name in names]
+    constraints = []
+    for row in model.constraints:
+        # str(c) is int.__repr__(c) for an int, nearly every coefficient
+        terms = ",\n".join([keys[pos] + (str(coef) if type(coef) is int else _json_num(coef))
+                            for pos, coef in row.coeffs])
+        coeffs = "{\n" + terms + "\n   }" if terms else "{}"
+        constraints.append(
+            f'  {{\n   "name": {encode_basestring_ascii(row.name)},\n'
+            f'   "group": {quoted[row.group]},\n   "coeffs": {coeffs},\n'
+            f'   "sense": {quoted[row.sense]},\n   "rhs": {_json_num(row.rhs)}\n  }}')
+    return (head[:-2] + ',\n "variables": ' + _json_block(variables, "[", " ]")
+            + ',\n "objective": ' + _json_block(objective, "{", " }")
+            + ',\n "constraints": ' + _json_block(constraints, "[", " ]") + "\n}\n")
 
 
 def export_model(model: LinearModel, fmt: str, path) -> None:

@@ -46,6 +46,12 @@ class Family:
     anchor_coeff: int
     aux_variant: Optional[str] = None  # the auxiliary graph the family lives on
 
+    def aux_graph(self, graph: PickingGraph) -> Optional[AuxiliaryGraph]:
+        """The auxiliary graph the family lives on, or None for arc families."""
+        if self.aux_variant is None:
+            return None
+        return build_auxiliary_graph(graph, self.aux_variant)
+
 
 def _graph_arcs(graph: PickingGraph, aux, t: int) -> list:
     return [(u, v, ("x", t, u, v), ("x", t, v, u)) for u, v in graph.edges]
@@ -136,8 +142,8 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
     if name is None:
         raise ValidationError(f"formulation {kind!r} has no lazy connectivity family")
     family = FAMILIES[name]
-    if aux is None and family.aux_variant is not None:
-        aux = build_auxiliary_graph(graph, family.aux_variant)
+    if aux is None:
+        aux = family.aux_graph(graph)
     anchors = family.anchors(graph, aux)
     values = assignment.values
 
@@ -166,12 +172,12 @@ def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph,
     family = FAMILIES.get(cut.family)
     if family is None:
         raise ValidationError(f"unknown cut family {cut.family!r}")
-    if aux is None and family.aux_variant is not None:
-        aux = build_auxiliary_graph(graph, family.aux_variant)
+    if aux is None:
+        aux = family.aux_graph(graph)
     t = cut.picker
     S = cut.vertex_set
     if name is None:
-        name = f"{cut.family}_t{t}_c{len(model.rows_in_group(cut.family))}"
+        name = f"{cut.family}_t{t}_c{model.group_counts().get(cut.family, 0)}"
     coeffs = [(model.var(*(out_u if u in S else out_v)), 1)
               for u, v, out_u, out_v in family.edges(graph, aux, t) if (u in S) != (v in S)]
     coeffs.append((model.var("y", t, cut.anchor_vertex), family.anchor_coeff))

@@ -10,6 +10,7 @@ model rows in ``Fraction`` arithmetic.
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -372,3 +373,34 @@ def enumerate_PU1_minimum(instance, aux):
         if best is None or total < best:
             best = total
     return best
+
+
+def model_to_dict(model) -> dict:
+    """The model's JSON document as plain containers, for ``json.dumps``."""
+    return {
+        "format": "pickopt-model-v1",
+        "name": model.name,
+        "kind": model.kind,
+        "meta": model.meta,
+        "lazy_groups": dict(sorted(model.lazy_groups.items())),
+        "variables": [
+            {"name": v.name, "kind": v.kind, "lb": v.lb, "ub": v.ub}
+            for v in model.variables
+        ],
+        "objective": {model.var_name(pos): coef for pos, coef in sorted(model.objective.items())},
+        "constraints": [
+            {
+                "name": row.name,
+                "group": row.group,
+                "coeffs": {model.var_name(pos): coef for pos, coef in row.coeffs},
+                "sense": row.sense,
+                "rhs": row.rhs,
+            }
+            for row in model.constraints
+        ],
+    }
+
+
+def reference_model_json(model) -> str:
+    """``write_model_json`` as ``json.dumps`` writes the document."""
+    return json.dumps(model_to_dict(model), indent=1) + "\n"

@@ -164,6 +164,22 @@ def test_separate_tour_model(tmp_path, instance_file, capsys):
     assert len(out) == 1 and out[0].startswith("tspo5_t0_c0:") and "- 2 y_0_1" in out[0]
 
 
+def test_separate_builds_one_auxiliary_graph(tmp_path, instance_file, capsys, monkeypatch):
+    model_path = tmp_path / "pu1.json"
+    assert run_cli("build", "-i", str(instance_file), "-f", "PU1", "--format", "json",
+                   "-o", str(model_path)) == 0
+    assign = tmp_path / "far.json"
+    assign.write_text(json.dumps({"values": {"x_0_1_3": 1, "y_0_1": 1, "y_0_3": 1}}))
+    builds = []
+    build = pickopt.separation.build_auxiliary_graph
+    monkeypatch.setattr(pickopt.separation, "build_auxiliary_graph",
+                        lambda *args: builds.append(args) or build(*args))
+    capsys.readouterr()
+    assert run_cli("separate", "--model", str(model_path), "--assignment", str(assign)) == 0
+    assert capsys.readouterr().out.startswith("tspo5_t0_c0:")
+    assert len(builds) == 1
+
+
 def test_unreadable_input_exits_2(tmp_path, instance_file, capsys):
     missing = str(tmp_path / "missing.json")
     model_path = tmp_path / "pg.json"

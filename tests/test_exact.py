@@ -220,6 +220,25 @@ def test_solution_round_trip(tmp_path):
     assert (tmp_path / "sol2.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("text,match", [
+    ("{oops", "invalid JSON"),
+    ("[1]", "not a JSON object"),
+    ('{"batches": [], "total": 0}', "format: missing field"),
+    ('{"format": 1, "batches": [], "total": 0}', "format: wrong type int"),
+    ('{"format": "pickopt-instance-v1", "batches": [], "total": 0}', "format: expected"),
+    ('{"format": "pickopt-solution-v1", "total": 0}', "batches: missing field"),
+    ('{"format": "pickopt-solution-v1", "batches": {}, "total": 0}', "batches: wrong type dict"),
+    ('{"format": "pickopt-solution-v1", "batches": []}', "total: missing field"),
+    ('{"format": "pickopt-solution-v1", "batches": [], "total": "9"}', "total: wrong type str"),
+    ('{"format": "pickopt-solution-v1", "batches": [], "total": true}', "total: wrong type bool"),
+])
+def test_load_solution_rejects_malformed_files(tmp_path, text, match):
+    path = tmp_path / "sol.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=match):
+        load_solution(path, shared_graph(LAYOUT))
+
+
 def test_all_oracle_shapes_within_bound():
     for shape in ORACLE_SHAPES:
         g = shared_graph(WarehouseLayout(*shape, 1, 2))

@@ -165,30 +165,38 @@ def _instance(shape, n_orders, delta, seed):
     return generate_instance(layout, n_orders, delta, seed=seed), shared_graph(layout)
 
 
-def _digest(kind, options, instances) -> str:
-    h = hashlib.sha256()
+def _models(kind, options, instances):
     for instance, graph in instances:
         blocks = instance.layout.n_blocks
         if (kind == "P_U1" and blocks != 1) or (kind == "P_U2" and blocks != 2):
             continue
-        model = build_model(instance, graph, kind, options)
-        for writer in (write_lp, write_mps, write_model_json):
-            h.update(writer(model).encode())
-    return h.hexdigest()
+        yield build_model(instance, graph, kind, options)
 
 
-def export_digests() -> dict[str, str]:
+def export_models() -> dict[str, list]:
+    """The models behind each digest, by digest label."""
     instances = [_instance(*spec) for spec in INSTANCES]
-    digests = {}
+    models = {}
     for kind, option_sets in OPTION_SETS.items():
         for names in option_sets:
             options = ModelOptions(**{name: True for name in names})
-            digests[label(kind, names)] = _digest(kind, options, instances)
+            models[label(kind, names)] = list(_models(kind, options, instances))
     for key, spec in ONE_AISLE.items():
-        digests[key] = _digest(key.split(":")[0], ModelOptions(), [_instance(*spec)])
+        models[key] = list(_models(key.split(":")[0], ModelOptions(), [_instance(*spec)]))
     fractional = [_instance(*spec) for spec in FRACTIONAL_SPACING]
     for kind in OPTION_SETS:
-        digests[f"{kind}:fractional-spacing"] = _digest(kind, ModelOptions(), fractional)
+        models[f"{kind}:fractional-spacing"] = list(_models(kind, ModelOptions(), fractional))
+    return models
+
+
+def export_digests() -> dict[str, str]:
+    digests = {}
+    for key, models in export_models().items():
+        h = hashlib.sha256()
+        for model in models:
+            for writer in (write_lp, write_mps, write_model_json):
+                h.update(writer(model).encode())
+        digests[key] = h.hexdigest()
     return digests
 
 

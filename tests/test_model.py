@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import shared_graph
-from oracles import fraction_feasibility, fraction_objective, parse_lp
+from oracles import (fraction_feasibility, fraction_objective, parse_lp,
+                     reference_model_json)
+from test_golden_exports import export_models
 from pickopt import (ALL_KINDS, LinearModel, ValidationError, VariableAssignment,
                      WarehouseLayout, build_model, check_feasible, encode_walk_PF,
                      encode_walk_PG, generate_instance, solve_exact, write_lp, write_mps,
                      write_model_json)
-from pickopt.model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE
+from pickopt.model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, Constraint, Variable
 
 
 def tiny_model():
@@ -51,11 +53,54 @@ def test_names_follow_the_index():
         m.var("x", 9)
 
 
+def test_add_row_sums_and_sorts_repeated_positions():
+    m = LinearModel("merge")
+    x, y, z = (m.add_variable(CONTINUOUS, ("v", k)) for k in range(3))
+    row = m.add_row("r", "g", [(z, 2), (x, 1), (z, 0.5), (y, 3), (y, -3), (x, 4)], LE, 1)
+    # y's coefficients sum to zero and the term is kept
+    assert row.coeffs == ((x, 5), (y, 0), (z, 2.5))
+    assert m.add_row("s", "g", [(z, 1), (x, -1)], GE, 0).coeffs == ((x, -1), (z, 1))
+    assert m.add_row("empty", "g", [], EQ, 0).coeffs == ()
+    assert m.add_row("gen", "g", ((p, 1) for p in (y, x)), EQ, 0).coeffs == ((x, 1), (y, 1))
+    # repeated positions sum in the order given: 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
+    order = m.add_row("order", "g", [(y, 0.3), (x, 1), (y, 0.2), (y, 0.1)], EQ, 0)
+    assert order.coeffs == ((x, 1), (y, 0.3 + 0.2 + 0.1))
+    assert 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
+
+
+@pytest.mark.parametrize("pos", [-1, 3, 9])
+def test_add_row_rejects_undeclared_positions(pos):
+    m = LinearModel("bad")
+    for k in range(3):
+        m.add_variable(BINARY, ("x", k))
+    with pytest.raises(ValidationError, match=f"variable position {pos} not declared"):
+        m.add_row("r", "g", [(1, 1), (pos, 1), (0, 1)], GE, 0)
+    with pytest.raises(ValidationError, match="bad sense"):
+        m.add_row("r", "g", [(0, 1)], "<", 0)
+    # a rejected row leaves no trace
+    assert m.constraints == [] and m.group_counts() == {}
+    m.add_row("r", "g", [(0, 1)], GE, 0)
+
+
+def test_variables_and_rows_are_immutable():
+    m = tiny_model()
+    with pytest.raises(AttributeError):
+        m.variables[0].ub = 5
+    with pytest.raises(AttributeError):
+        m.constraints[0].rhs = 0
+    assert Variable("x_0", BINARY, ("x", 0)) == ("x_0", BINARY, ("x", 0), 0, None)
+    assert Constraint("r1", "grp", ((0, 1), (1, 1)), GE, 1) == m.constraints[0]
+
+
 def test_group_counts_and_lazy():
     m = tiny_model()
     m.declare_lazy_group("lazy_grp", "demo")
     counts = m.group_counts()
     assert counts == {"grp": 2, "other": 1, "lazy_grp": 0}
+    m.add_row("late", "lazy_grp", [(0, 1)], GE, 0)
+    m.add_row("r4", "grp", [(1, 1)], LE, 5)
+    assert list(m.group_counts().items()) == [("grp", 3), ("other", 1), ("lazy_grp", 1)]
+    assert {g: len(m.rows_in_group(g)) for g in m.group_counts()} == m.group_counts()
 
 
 def test_check_feasible_reports_violations():
@@ -190,3 +235,37 @@ def test_check_feasible_matches_a_fraction_evaluator():
                     assert value == fraction_objective(model, assignment.values)
     # the encoded optima of P_basic, P_G and P_F at both spacings and both shapes
     assert satisfied == 12
+
+
+def _odd_models():
+    """Models at the edges of the JSON layout: no variables or rows, a row
+    with no terms, an unbounded continuous variable with a float lower bound,
+    and text that ``json`` escapes."""
+    empty = LinearModel("empty")
+    no_terms = LinearModel("no-terms", kind="test")
+    x = no_terms.add_variable(BINARY, ("x", 0))
+    no_terms.add_row("nothing", "g", [], LE, 0)
+    no_terms.add_row("something", "g", [(x, 1)], GE, 0.25)
+    continuous = LinearModel("continuous")
+    s = continuous.add_variable(CONTINUOUS, ("s", 0), lb=-1.5)
+    t = continuous.add_variable(INTEGER, ("t", 0), lb=2, ub=7.0)
+    continuous.set_objective_coeff(s, 0.1)
+    continuous.set_objective_coeff(t, -3)
+    continuous.add_row("mix", "g", [(s, 1e-7), (t, 2.0)], EQ, 1e20)
+    continuous.add_row("infinite", "g", [(s, 1)], LE, float("inf"))
+    quoted = LinearModel('say "\\" in Zürich \u2603', kind="q\"k",
+                         meta={"note": 'tab\there "é"', "nested": {"ü": [1, 2.5, None]}})
+    q = quoted.add_variable(BINARY, ("q", 0))
+    quoted.declare_lazy_group("l\u00e4zy", 'a "lazy" group')
+    quoted.add_row('row "1" \\ ø', 'grüp', [(q, 1)], GE, 1)
+    return {"empty": [empty], "no-terms": [no_terms], "continuous": [continuous],
+            "quoted": [quoted], "tiny": [tiny_model()]}
+
+
+def test_model_json_matches_json_dumps():
+    cases = {**export_models(), **_odd_models()}
+    assert sum(1 for key in cases if key.endswith("fractional-spacing")) == 7
+    for key, models in cases.items():
+        assert models, key
+        for model in models:
+            assert write_model_json(model) == reference_model_json(model), key
