@@ -152,7 +152,7 @@ def cmd_separate(args) -> int:
         adoc = adoc["values"]
     if not isinstance(adoc, dict):
         raise ValidationError("assignment file must map variable names to values")
-    names = [v.name for v in model.variables]
+    names = model.variable_names()
     declared = set(names)
     assignment = VariableAssignment()
     for name, value in adoc.items():

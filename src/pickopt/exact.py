@@ -145,6 +145,17 @@ def load_solution(path, graph: PickingGraph) -> Solution:
         raise ValidationError(f"format: expected {FORMAT_SOLUTION!r}")
     batches = _expect(doc, "batches", list, "solution")
     total = _expect(doc, "total", (int, float), "solution")
+    for k, bdoc in enumerate(batches):
+        where = f"solution.batches[{k}]"
+        if not isinstance(bdoc, dict):
+            raise ValidationError(f"{where}: not a JSON object")
+        _expect(bdoc, "picker", int, where)
+        _expect(bdoc, "orders", list, where)
+        for j, entry in enumerate(_expect(bdoc, "walk", list, where)):
+            if not isinstance(entry, dict):
+                raise ValidationError(f"{where}.walk[{j}]: not a JSON object")
+            for key in ("u", "v", "count"):
+                _expect(entry, key, int, f"{where}.walk[{j}]")
     walks = []
     batching = []
     for bdoc in sorted(batches, key=lambda b: b["picker"]):

@@ -18,19 +18,31 @@ Constraint groups carry short stable labels (``bs4``, ``sub5``, ``impf8``,
 ``tspo5`` and so on) so tests and the CLI can count rows per family; lazy
 exponential families are declared with zero initial rows and filled by
 separation.
+
+Nearly every variable and row belongs to a per-picker family.  Variables
+are declared in bulk so that picker t's copy of a variable sits
+``t * stride`` positions after picker 0's: picker-major, with the family's
+size per picker as stride, except z, which is picker-minor with stride 1.
+Each per-picker row family is built once, for picker 0, as a block of rows
+whose terms carry their family's stride; :func:`_emit` shifts the block for
+every picker and appends all copies through one ``add_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter, mod
 from typing import Optional
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
 from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxEdge, AuxiliaryGraph, PickingGraph,
                      build_auxiliary_graph)
-from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
+from .model import BINARY, CONTINUOUS, EQ, GE, LE, ConstraintView, LinearModel
 from .separation import FAMILIES, FAMILY_OF_KIND, order_components
+
+_POSITION = itemgetter(0)
 
 P_BASIC = "P_basic"
 P_A = "P_A"
@@ -161,73 +173,141 @@ def _new_model(kind: str) -> LinearModel:
     return model
 
 
-def _declare_assignment(model: LinearModel, instance: Instance) -> None:
-    for o in instance.orders:
-        for t in range(instance.pickers):
-            model.add_variable(BINARY, ("z", o.id, t))
+# -- per-picker blocks ---------------------------------------------------------
+#
+# A per-picker block is a list of picker 0's rows ``(name, group, terms,
+# sense, rhs)``: the name holds one ``%d`` for the picker and each term is
+# ``(position, coefficient, stride)``.
+
+
+def _family(model: LinearModel, index: tuple, keys, step: int = 1) -> dict:
+    """Picker 0's position of each variable of a family, by key: ``index``
+    names picker 0's first variable, and ``keys`` name picker 0's variables
+    in declaration order, ``step`` positions apart."""
+    first = model.var(*index)
+    return dict(zip(keys, range(first, first + step * len(keys), step)))
+
+
+def _emit(model: LinearModel, pickers: int, *blocks: list) -> int:
+    """Append each block's rows for pickers 0 to ``pickers - 1``, block by
+    block and picker by picker, through one ``add_rows``; returns the index
+    of the first row appended.  Each row's terms are sorted once, for picker
+    0: families hold disjoint ranges of positions, so every shifted copy
+    stays sorted."""
+    names, groups, senses, rhs, ends, positions, coefs = [], [], [], [], [], [], []
+    for block in blocks:
+        if not block:
+            continue
+        b_names, b_groups, b_terms, b_senses, b_rhs = zip(*block)
+        b_terms = [sorted(terms, key=_POSITION) for terms in b_terms]
+        b_ends = list(accumulate(map(len, b_terms)))
+        b_positions, b_coefs, b_strides = zip(*chain.from_iterable(b_terms)) \
+            if b_ends[-1] else ((), (), ())
+        for t in range(pickers):
+            names += map(mod, b_names, repeat(t))
+            ends += map(add, b_ends, repeat(len(positions)))
+            if t:
+                b_positions = list(map(add, b_positions, b_strides))
+            positions += b_positions
+        groups += b_groups * pickers
+        senses += b_senses * pickers
+        rhs += b_rhs * pickers
+        coefs += b_coefs * pickers
+    return model.add_rows(names, groups, senses, rhs, ends, positions, coefs)
+
+
+def _assignment_indices(instance: Instance) -> list[tuple]:
+    return [("z", o.id, t) for o in instance.orders for t in range(instance.pickers)]
+
+
+def _orders(model: LinearModel, instance: Instance) -> dict:
+    """Picker 0's position of z by order id; picker t's is t after it."""
+    return {o.id: model.var("z", o.id, 0) for o in instance.orders}
 
 
 def _assignment_rows(model: LinearModel, instance: Instance, assign: str,
                      capacity: str) -> None:
     """Each order goes to one picker; each picker's load fits the trolley."""
     T = instance.pickers
-    for o in instance.orders:
-        model.add_row(f"{assign}_o{o.id}", assign,
-                      [(model.var("z", o.id, t), 1) for t in range(T)], EQ, 1)
-    for t in range(T):
-        model.add_row(f"{capacity}_t{t}", capacity,
-                      [(model.var("z", o.id, t), o.size) for o in instance.orders],
-                      LE, instance.capacity)
+    orders = instance.orders
+    O = len(orders)
+    z = _orders(model, instance)
+    # O rows of T terms, one per order, then T rows of O terms, one per picker
+    model.add_rows([f"{assign}_o{o.id}" for o in orders] + [f"{capacity}_t{t}" for t in range(T)],
+                   [assign] * O + [capacity] * T, [EQ] * O + [LE] * T,
+                   [1] * O + [instance.capacity] * T,
+                   [T * k for k in range(1, O + 1)] + [O * (T + k) for k in range(1, T + 1)],
+                   [z[o.id] + t for o in orders for t in range(T)]
+                   + [z[o.id] + t for t in range(T) for o in orders],
+                   [1] * (O * T) + [o.size for o in orders] * T)
 
 
 # -- arc-space core --------------------------------------------------------
 
 
-def _declare_arc_core(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
+def _alpha_beta_indices(instance: Instance, graph: PickingGraph) -> list[tuple]:
+    return [(family, t, v) for t in range(instance.pickers)
+            for v in graph.picking_vertices for family in ("a", "b")]
+
+
+def _declare_arc_core(model: LinearModel, instance: Instance, graph: PickingGraph,
+                      more: tuple = ()) -> None:
+    """Declare x, y and z, then the binaries indexed by ``more``, in one call."""
     T = instance.pickers
-    for t in range(T):
-        for u, v in graph.arcs():
-            pos = model.add_variable(BINARY, ("x", t, u, v))
-            model.set_objective_coeff(pos, graph.arc_length(u, v))
-    for t in range(T):
-        for v in range(graph.n_vertices):
-            model.add_variable(BINARY, ("y", t, v))
-    _declare_assignment(model, instance)
+    arcs = graph.arcs()
+    first = model.add_variables(BINARY, [("x", t, u, v) for t in range(T) for u, v in arcs]
+                                + [("y", t, v) for t in range(T) for v in range(graph.n_vertices)]
+                                + _assignment_indices(instance) + list(more))
+    lengths = [length for length in graph.edge_length for _ in (0, 1)]  # by arc
+    model.set_objective_coeffs(range(first, first + T * len(arcs)), lengths * T)
+
+
+def _arcs(model: LinearModel, graph: PickingGraph) -> tuple[dict, int]:
+    """Picker 0's position of x by arc, and the stride of x."""
+    arcs = graph.arcs()
+    return _family(model, ("x", 0, *arcs[0]), arcs), len(arcs)
+
+
+def _vertices(model: LinearModel, graph: PickingGraph) -> tuple[dict, int]:
+    """Picker 0's position of y by vertex, and the stride of y."""
+    return _family(model, ("y", 0, 0), range(graph.n_vertices)), graph.n_vertices
+
+
+def _gamma(model: LinearModel, graph: PickingGraph) -> tuple[dict, int]:
+    """Picker 0's position of gamma by reduced arc, and the stride of gamma."""
+    reduced_arcs = graph.reduced_arcs()
+    return _family(model, ("g", 0, *reduced_arcs[0]), reduced_arcs), len(reduced_arcs)
+
+
+def _alpha_beta(model: LinearModel, graph: PickingGraph) -> tuple[dict, dict, int]:
+    """Picker 0's positions of alpha and beta by picking vertex, declared in
+    pairs, and their stride."""
+    picking = graph.picking_vertices
+    return (_family(model, ("a", 0, picking[0]), picking, 2),
+            _family(model, ("b", 0, picking[0]), picking, 2), 2 * len(picking))
 
 
 def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
                    labels: dict[str, str], ydef_vertices) -> None:
     """Rows shared by P_basic and P_G, with per-kind group labels."""
-    T = instance.pickers
     s = graph.origin
     picks = instance.all_pick_vertices(graph)
+    x, X = _arcs(model, graph)
+    y, Y = _vertices(model, graph)
+    z = _orders(model, instance)
+    adjacency = graph.adjacency
 
-    for t in range(T):
-        coeffs = [(model.var("x", t, s, v), 1) for v, _ in graph.adjacency[s]]
-        model.add_row(f"{labels['depart']}_t{t}", labels["depart"], coeffs, GE, 1)
-
-    for t in range(T):
-        for o in instance.orders:
-            for u in sorted(picks[o.id]):
-                coeffs = [(model.var("x", t, u, v), 1) for v, _ in graph.adjacency[u]]
-                coeffs.append((model.var("z", o.id, t), -1))
-                model.add_row(f"{labels['cover']}_t{t}_o{o.id}_v{u}",
-                              labels["cover"], coeffs, GE, 0)
-
-    for t in range(T):
-        for u in ydef_vertices:
-            if u == s:
-                continue
-            for v, _ in graph.adjacency[u]:
-                model.add_row(
-                    f"{labels['ydef']}_t{t}_v{u}_{v}", labels["ydef"],
-                    [(model.var("y", t, u), 1), (model.var("x", t, u, v), -1)], GE, 0)
-
-    for t in range(T):
-        for v in range(graph.n_vertices):
-            coeffs = [(model.var("x", t, v, u), 1) for u, _ in graph.adjacency[v]]
-            coeffs += [(model.var("x", t, u, v), -1) for u, _ in graph.adjacency[v]]
-            model.add_row(f"{labels['flow']}_t{t}_v{v}", labels["flow"], coeffs, EQ, 0)
+    depart, cover, ydef, flow = labels["depart"], labels["cover"], labels["ydef"], labels["flow"]
+    departs = [(f"{depart}_t%d", depart, [(x[s, v], 1, X) for v, _ in adjacency[s]], GE, 1)]
+    covers = [(f"{cover}_t%d_o{o.id}_v{u}", cover,
+               [(x[u, v], 1, X) for v, _ in adjacency[u]] + [(z[o.id], -1, 1)], GE, 0)
+              for o in instance.orders for u in sorted(picks[o.id])]
+    ydefs = [(f"{ydef}_t%d_v{u}_{v}", ydef, [(y[u], 1, Y), (x[u, v], -1, X)], GE, 0)
+             for u in ydef_vertices if u != s for v, _ in adjacency[u]]
+    flows = [(f"{flow}_t%d_v{v}", flow, [(x[v, u], 1, X) for u, _ in adjacency[v]]
+              + [(x[u, v], -1, X) for u, _ in adjacency[v]], EQ, 0)
+             for v in range(graph.n_vertices)]
+    _emit(model, instance.pickers, departs, covers, ydefs, flows)
 
     _assignment_rows(model, instance, labels["assign"], labels["capacity"])
 
@@ -246,47 +326,30 @@ def build_basic(instance: Instance, graph: PickingGraph) -> LinearModel:
     return _basic_model(P_BASIC, instance, graph)
 
 
-def build_subaisle_cuts(model: LinearModel, instance: Instance, graph: PickingGraph) -> list:
+def build_subaisle_cuts(model: LinearModel, instance: Instance,
+                        graph: PickingGraph) -> ConstraintView:
     """Append the subaisle cut rows, declaring alpha/beta when missing."""
-    T = instance.pickers
-    for t in range(T):
-        for v in graph.picking_vertices:
-            if not model.has_var("a", t, v):
-                model.add_variable(BINARY, ("a", t, v))
-                model.add_variable(BINARY, ("b", t, v))
-    rows = []
+    if not model.has_var("a", 0, graph.picking_vertices[0]):
+        model.add_variables(BINARY, _alpha_beta_indices(instance, graph))
+    x, X = _arcs(model, graph)
+    a, b, AB = _alpha_beta(model, graph)
+    z = _orders(model, instance)
+    north, south = graph.north_of, graph.south_of
+    chains = []
+    for sub in graph.subaisles:
+        chains += [(f"sub1_t%d_v{v}", "sub1", [(a[v], 1, AB), (a[south(v)], -1, AB)], GE, 0)
+                   for v in sub.locs[:-1]]
+        chains += [(f"sub2_t%d_v{v}", "sub2", [(x[north(v), v], 1, X), (a[v], -1, AB)], GE, 0)
+                   for v in sub.locs]
+        chains += [(f"sub3_t%d_v{v}", "sub3", [(b[v], 1, AB), (b[north(v)], -1, AB)], GE, 0)
+                   for v in sub.locs[1:]]
+        chains += [(f"sub4_t%d_v{v}", "sub4", [(x[south(v), v], 1, X), (b[v], -1, AB)], GE, 0)
+                   for v in sub.locs]
     picks = instance.all_pick_vertices(graph)
-    for t in range(T):
-        for sub in graph.subaisles:
-            for v in sub.locs[:-1]:
-                rows.append(model.add_row(
-                    f"sub1_t{t}_v{v}", "sub1",
-                    [(model.var("a", t, v), 1), (model.var("a", t, graph.south_of(v)), -1)],
-                    GE, 0))
-            for v in sub.locs:
-                rows.append(model.add_row(
-                    f"sub2_t{t}_v{v}", "sub2",
-                    [(model.var("x", t, graph.north_of(v), v), 1), (model.var("a", t, v), -1)],
-                    GE, 0))
-            for v in sub.locs[1:]:
-                rows.append(model.add_row(
-                    f"sub3_t{t}_v{v}", "sub3",
-                    [(model.var("b", t, v), 1), (model.var("b", t, graph.north_of(v)), -1)],
-                    GE, 0))
-            for v in sub.locs:
-                rows.append(model.add_row(
-                    f"sub4_t{t}_v{v}", "sub4",
-                    [(model.var("x", t, graph.south_of(v), v), 1), (model.var("b", t, v), -1)],
-                    GE, 0))
-    for t in range(T):
-        for o in instance.orders:
-            for v in sorted(picks[o.id]):
-                rows.append(model.add_row(
-                    f"sub5_t{t}_o{o.id}_v{v}", "sub5",
-                    [(model.var("a", t, v), 1), (model.var("b", t, v), 1),
-                     (model.var("z", o.id, t), -1)],
-                    GE, 0))
-    return rows
+    covers = [(f"sub5_t%d_o{o.id}_v{v}", "sub5",
+               [(a[v], 1, AB), (b[v], 1, AB), (z[o.id], -1, 1)], GE, 0)
+              for o in instance.orders for v in sorted(picks[o.id])]
+    return model.constraints_from(_emit(model, instance.pickers, chains, covers))
 
 
 def build_PA(instance: Instance, graph: PickingGraph) -> LinearModel:
@@ -296,47 +359,38 @@ def build_PA(instance: Instance, graph: PickingGraph) -> LinearModel:
 
 
 def _gamma_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
-    """Declare gamma over the reduced arcs and link it to x, alpha, beta."""
+    """Link gamma over the reduced arcs to x, alpha, beta."""
     T = instance.pickers
-    for t in range(T):
-        for u, v, _, _ in graph.reduced_edges:
-            model.add_variable(BINARY, ("g", t, u, v))
-            model.add_variable(BINARY, ("g", t, v, u))
+    g, G = _gamma(model, graph)
+    x, X = _arcs(model, graph)
+    a, b, AB = _alpha_beta(model, graph)
 
-    for t in range(T):
-        for v in graph.artificial_vertices:
-            w = graph.q_west(v)
-            if w is not None:
-                model.add_row(f"impf4_t{t}_v{v}", "impf4",
-                              [(model.var("x", t, v, w), 1), (model.var("g", t, v, w), -1)],
-                              EQ, 0)
-            e = graph.q_east(v)
-            if e is not None:
-                model.add_row(f"impf5_t{t}_v{v}", "impf5",
-                              [(model.var("x", t, v, e), 1), (model.var("g", t, v, e), -1)],
-                              EQ, 0)
-        for sub in graph.subaisles:
-            f, l = sub.head, sub.tail
-            n_l = graph.north_of(l)
-            s_f = graph.south_of(f)
-            model.add_row(f"impf6_5_t{t}_i{sub.index}", "impf6_5",
-                          [(model.var("a", t, n_l), 1), (model.var("g", t, f, l), -1)],
-                          GE, 0)
-            model.add_row(f"impf6_t{t}_i{sub.index}", "impf6",
-                          [(model.var("x", t, n_l, l), 1), (model.var("g", t, f, l), -1)],
-                          GE, 0)
-            model.add_row(f"impf7_5_t{t}_i{sub.index}", "impf7_5",
-                          [(model.var("b", t, s_f), 1), (model.var("g", t, l, f), -1)],
-                          GE, 0)
-            model.add_row(f"impf7_t{t}_i{sub.index}", "impf7",
-                          [(model.var("x", t, s_f, f), 1), (model.var("g", t, l, f), -1)],
-                          GE, 0)
+    rows = []
+    for v in graph.artificial_vertices:
+        w = graph.q_west(v)
+        if w is not None:
+            rows.append((f"impf4_t%d_v{v}", "impf4", [(x[v, w], 1, X), (g[v, w], -1, G)], EQ, 0))
+        e = graph.q_east(v)
+        if e is not None:
+            rows.append((f"impf5_t%d_v{v}", "impf5", [(x[v, e], 1, X), (g[v, e], -1, G)], EQ, 0))
+    for sub in graph.subaisles:
+        f, l, i = sub.head, sub.tail, sub.index
+        n_l = graph.north_of(l)
+        s_f = graph.south_of(f)
+        rows += [
+            (f"impf6_5_t%d_i{i}", "impf6_5", [(a[n_l], 1, AB), (g[f, l], -1, G)], GE, 0),
+            (f"impf6_t%d_i{i}", "impf6", [(x[n_l, l], 1, X), (g[f, l], -1, G)], GE, 0),
+            (f"impf7_5_t%d_i{i}", "impf7_5", [(b[s_f], 1, AB), (g[l, f], -1, G)], GE, 0),
+            (f"impf7_t%d_i{i}", "impf7", [(x[s_f, f], 1, X), (g[l, f], -1, G)], GE, 0),
+        ]
+    _emit(model, T, rows)
 
 
 def _improved_model(kind: str, instance: Instance, graph: PickingGraph) -> LinearModel:
     """The arc-space core with subaisle cuts and gamma, shared by P_G, P_F and P_U."""
     model = _new_model(kind)
-    _declare_arc_core(model, instance, graph)
+    gammas = [("g", t, u, v) for t in range(instance.pickers) for u, v in graph.reduced_arcs()]
+    _declare_arc_core(model, instance, graph, _alpha_beta_indices(instance, graph) + gammas)
     build_subaisle_cuts(model, instance, graph)
     labels = {"depart": "impf1", "cover": "impf2", "ydef": "impf3", "flow": "impf9",
               "assign": "impf10", "capacity": "impf11"}
@@ -355,67 +409,59 @@ def build_PF(instance: Instance, graph: PickingGraph) -> LinearModel:
     model = _improved_model(P_F, instance, graph)
 
     T = instance.pickers
-    reduced_arcs = list(graph.reduced_arcs())
+    reduced_arcs = graph.reduced_arcs()
     s = graph.origin
+    first = model.add_variables(CONTINUOUS, [("s", t, v0, u, v) for t in range(T)
+                                             for v0 in graph.artificial_vertices
+                                             for u, v in reduced_arcs])
+    S = graph.n_artificial * len(reduced_arcs)  # commodities x reduced arcs
+    y, Y = _vertices(model, graph)
+    g, G = _gamma(model, graph)
     # (arc, +1) for each reduced arc leaving a vertex, (arc, -1) for each entering it
     net_arcs = {u: [(arc, 1) for arc in graph.eta_plus([u])]
                 + [(arc, -1) for arc in graph.eta_minus([u])]
                 for u in graph.artificial_vertices}
-    flow = {(t, v0): {arc: model.add_variable(CONTINUOUS, ("s", t, v0) + arc)
-                      for arc in reduced_arcs}
-            for t in range(T) for v0 in graph.artificial_vertices}
 
-    for t in range(T):
-        for v0 in graph.artificial_vertices:
-            f = flow[t, v0]
-            net = {u: [(f[arc], c) for arc, c in net_arcs[u]] for u in graph.artificial_vertices}
-            y = model.var("y", t, v0)
-            model.add_row(f"impcf1_t{t}_c{v0}", "impcf1", net[v0] + [(y, -1)], EQ, 0)
-            for u in graph.artificial_vertices:
-                if u not in (s, v0):
-                    model.add_row(f"impcf2_t{t}_c{v0}_u{u}", "impcf2", net[u], EQ, 0)
-            model.add_row(f"impcf3_t{t}_c{v0}", "impcf3", net[s] + [(y, 1)], EQ, 0)
-            for u, v in reduced_arcs:
-                model.add_row(f"impcf4_t{t}_c{v0}_{u}_{v}", "impcf4",
-                              [(f[u, v], 1), (model.var("g", t, u, v), -1)], LE, 0)
+    rows = []
+    for k, v0 in enumerate(graph.artificial_vertices):
+        # picker 0's flow of commodity v0, by reduced arc
+        f = dict(zip(reduced_arcs, range(first + k * len(reduced_arcs), first + S)))
+        net = {u: [(f[arc], c, S) for arc, c in net_arcs[u]] for u in graph.artificial_vertices}
+        rows.append((f"impcf1_t%d_c{v0}", "impcf1", net[v0] + [(y[v0], -1, Y)], EQ, 0))
+        rows += [(f"impcf2_t%d_c{v0}_u{u}", "impcf2", net[u], EQ, 0)
+                 for u in graph.artificial_vertices if u not in (s, v0)]
+        rows.append((f"impcf3_t%d_c{v0}", "impcf3", net[s] + [(y[v0], 1, Y)], EQ, 0))
+        rows += [(f"impcf4_t%d_c{v0}_{u}_{v}", "impcf4", [(f[u, v], 1, S), (g[u, v], -1, G)],
+                  LE, 0) for u, v in reduced_arcs]
+    _emit(model, T, rows)
     return model
 
 
 def build_strengthened_cuts(model: LinearModel, instance: Instance, graph: PickingGraph,
-                            family: str) -> list:
+                            family: str) -> ConstraintView:
     """Aisle cuts (one subaisle per set) or basic cuts (order components)."""
-    T = instance.pickers
-    rows = []
     if family == "aisle":
-        for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(instance, graph)):
-            if not order_ids:
-                continue
-            arcs = graph.delta_plus(sub.locs)
-            for o in order_ids:
-                for t in range(T):
-                    coeffs = [(model.var("x", t, u, v), 1) for u, v in arcs]
-                    coeffs.append((model.var("z", o, t), -1))
-                    rows.append(model.add_row(
-                        f"aisle_cut_t{t}_o{o}_i{sub.index}", "aisle_cut", coeffs, GE, 0))
-        return rows
-    if family == "basic":
-        for o in instance.orders:
-            comps = order_components(graph, instance.pick_vertices(graph, o))
-            for k, (vertex_set, contains_origin) in enumerate(comps.components):
-                if contains_origin:
-                    continue
-                arcs = graph.delta_plus(vertex_set)
-                for t in range(T):
-                    coeffs = [(model.var("x", t, u, v), 1) for u, v in arcs]
-                    coeffs.append((model.var("z", o.id, t), -1))
-                    rows.append(model.add_row(
-                        f"basic_cut_t{t}_o{o.id}_k{k}", "basic_cut", coeffs, GE, 0))
-        return rows
-    raise ValidationError(f"unknown strengthened-cut family {family!r}")
+        cuts = [(f"aisle_cut_t%d_o{o}_i{sub.index}", "aisle_cut", graph.delta_plus(sub.locs), o)
+                for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(instance, graph))
+                for o in order_ids]
+    elif family == "basic":
+        cuts = [(f"basic_cut_t%d_o{o.id}_k{k}", "basic_cut", graph.delta_plus(vertex_set), o.id)
+                for o in instance.orders
+                for k, (vertex_set, contains_origin) in enumerate(
+                    order_components(graph, instance.pick_vertices(graph, o)).components)
+                if not contains_origin]
+    else:
+        raise ValidationError(f"unknown strengthened-cut family {family!r}")
+    x, X = _arcs(model, graph)
+    z = _orders(model, instance)
+    # one block per cut, so that the pickers of a cut are consecutive rows
+    blocks = [[(name, group, [(x[arc], 1, X) for arc in arcs] + [(z[o], -1, 1)], GE, 0)]
+              for name, group, arcs, o in cuts]
+    return model.constraints_from(_emit(model, instance.pickers, *blocks))
 
 
 def build_single_traversing(model: LinearModel, instance: Instance,
-                            graph: PickingGraph) -> list:
+                            graph: PickingGraph) -> ConstraintView:
     """No subaisle is fully traversed both ways; block-2 layouts exempt
     the first subaisle."""
     blocks = instance.layout.n_blocks
@@ -425,63 +471,57 @@ def build_single_traversing(model: LinearModel, instance: Instance,
     exempt: frozenset[int] = frozenset()
     if blocks == 2:
         exempt = frozenset(graph.subaisles[0].locs)
-    rows = []
+    a, b, AB = _alpha_beta(model, graph)
     picks = instance.all_pick_vertices(graph)
-    for t in range(instance.pickers):
-        for o in instance.orders:
-            for v in sorted(picks[o.id]):
-                if v in exempt:
-                    continue
-                rows.append(model.add_row(
-                    f"sitr_t{t}_o{o.id}_v{v}", "sitr",
-                    [(model.var("a", t, v), 1), (model.var("b", t, v), 1)], LE, 1))
-    return rows
+    rows = [(f"sitr_t%d_o{o.id}_v{v}", "sitr", [(a[v], 1, AB), (b[v], 1, AB)], LE, 1)
+            for o in instance.orders for v in sorted(picks[o.id]) if v not in exempt]
+    return model.constraints_from(_emit(model, instance.pickers, rows))
 
 
-def build_no_reversal(model: LinearModel, instance: Instance, graph: PickingGraph) -> list:
+def build_no_reversal(model: LinearModel, instance: Instance,
+                      graph: PickingGraph) -> ConstraintView:
     """Tie every vertical arc of a subaisle to one traversal variable per
     direction, so a picker entering a subaisle crosses it completely."""
+    traversals = [(sub.index, direction) for sub in graph.subaisles for direction in ("dn", "up")]
+    first = model.add_variables(BINARY, [("w", t, *key) for t in range(instance.pickers)
+                                         for key in traversals])
+    w, W = dict(zip(traversals, range(first, first + len(traversals)))), len(traversals)
+    x, X = _arcs(model, graph)
     rows = []
-    for t in range(instance.pickers):
-        for sub in graph.subaisles:
-            w_dn = model.add_variable(BINARY, ("w", t, sub.index, "dn"))
-            w_up = model.add_variable(BINARY, ("w", t, sub.index, "up"))
-            for v in sub.locs + (sub.tail,):
-                rows.append(model.add_row(
-                    f"norev1_t{t}_i{sub.index}_v{v}", "norev1",
-                    [(model.var("x", t, graph.north_of(v), v), 1), (w_dn, -1)], EQ, 0))
-            for v in (sub.head,) + sub.locs:
-                rows.append(model.add_row(
-                    f"norev2_t{t}_i{sub.index}_v{v}", "norev2",
-                    [(model.var("x", t, graph.south_of(v), v), 1), (w_up, -1)], EQ, 0))
-    return rows
+    for sub in graph.subaisles:
+        i = sub.index
+        rows += [(f"norev1_t%d_i{i}_v{v}", "norev1",
+                  [(x[graph.north_of(v), v], 1, X), (w[i, "dn"], -1, W)], EQ, 0)
+                 for v in sub.locs + (sub.tail,)]
+        rows += [(f"norev2_t%d_i{i}_v{v}", "norev2",
+                  [(x[graph.south_of(v), v], 1, X), (w[i, "up"], -1, W)], EQ, 0)
+                 for v in (sub.head,) + sub.locs]
+    return model.constraints_from(_emit(model, instance.pickers, rows))
 
 
 def build_artificial_vertex_reversal(model: LinearModel, instance: Instance,
-                                     graph: PickingGraph) -> list:
+                                     graph: PickingGraph) -> ConstraintView:
     """Forbid touching an artificial vertex only to turn around there.
 
     At the tail of each subaisle (and at interior-cross-aisle heads) the
     walk may use both vertical arcs of the last chain edge only if it also
     uses some other arc at that vertex.
     """
+    x, X = _arcs(model, graph)
+
+    def corner_row(sub_index, corner, chain_nbr, tag):
+        terms = [(x[chain_nbr, corner], 1, X), (x[corner, chain_nbr], 1, X)]
+        for u, _ in graph.adjacency[corner]:
+            if u != chain_nbr:
+                terms += [(x[u, corner], -1, X), (x[corner, u], -1, X)]
+        return (f"avr_{tag}_t%d_i{sub_index}", "avr", terms, LE, 1)
+
     rows = []
-
-    def corner_row(t, sub_index, corner, chain_nbr, tag):
-        others = [u for u, _ in graph.adjacency[corner] if u != chain_nbr]
-        coeffs = [(model.var("x", t, chain_nbr, corner), 1),
-                  (model.var("x", t, corner, chain_nbr), 1)]
-        for u in others:
-            coeffs.append((model.var("x", t, u, corner), -1))
-            coeffs.append((model.var("x", t, corner, u), -1))
-        return model.add_row(f"avr_{tag}_t{t}_i{sub_index}", "avr", coeffs, LE, 1)
-
-    for t in range(instance.pickers):
-        for sub in graph.subaisles:
-            rows.append(corner_row(t, sub.index, sub.tail, graph.north_of(sub.tail), "l"))
-            if sub.block >= 1:  # head sits on an interior cross aisle
-                rows.append(corner_row(t, sub.index, sub.head, graph.south_of(sub.head), "f"))
-    return rows
+    for sub in graph.subaisles:
+        rows.append(corner_row(sub.index, sub.tail, graph.north_of(sub.tail), "l"))
+        if sub.block >= 1:  # head sits on an interior cross aisle
+            rows.append(corner_row(sub.index, sub.head, graph.south_of(sub.head), "f"))
+    return model.constraints_from(_emit(model, instance.pickers, rows))
 
 
 def build_symmetry_breaking(model: LinearModel, instance: Instance) -> list:
@@ -527,45 +567,38 @@ def _build_tour(instance: Instance, aux: AuxiliaryGraph, kind: str, labels: dict
     T = instance.pickers
     s = graph.origin
 
-    x: list[list[int]] = []
-    for t in range(T):
-        x.append([])
-        for e in aux.edges:
-            pos = model.add_variable(BINARY, e.var_index(t))
-            model.set_objective_coeff(pos, e.length)
-            x[t].append(pos)
-    for t in range(T):
-        for v in aux.vertices:
-            model.add_variable(BINARY, ("y", t, v))
-    _declare_assignment(model, instance)
+    first = model.add_variables(BINARY, [e.var_index(t) for t in range(T) for e in aux.edges]
+                                + [("y", t, v) for t in range(T) for v in aux.vertices]
+                                + _assignment_indices(instance))
+    model.set_objective_coeffs(range(first, first + T * len(aux.edges)),
+                               [e.length for e in aux.edges] * T)
+    E = len(aux.edges)
+    y, Y = _family(model, ("y", 0, aux.vertices[0]), aux.vertices), len(aux.vertices)
+    z = _orders(model, instance)
 
     orders_by_sub = _orders_by_subaisle(instance, graph)
     degree_vertices = [u for u in aux.vertices if u not in (s, lead)]
     if lead is not None:
         degree_vertices.insert(0, lead)
 
-    def edge_sum(t, edges):
-        return [(x[t][e.id], 1) for e in edges]
+    def edge_sum(edges):
+        return [(first + e.id, 1, E) for e in edges]
 
-    for t in range(T):
-        model.add_row(f"{labels['depart']}_t{t}", labels["depart"],
-                      edge_sum(t, departure), GE, 1)
-        model.add_row(f"{labels['origin']}_t{t}", labels["origin"],
-                      edge_sum(t, aux.incident(s)), EQ, 2)
-        for sub, order_ids in zip(graph.subaisles, orders_by_sub):
-            traversal = x[t][aux.e_of_subaisle[sub.index]]
-            for o in order_ids:
-                model.add_row(f"{labels['cover']}_t{t}_i{sub.index}_o{o}", labels["cover"],
-                              [(traversal, 1), (model.var("z", o, t), -1)], GE, 0)
-        for u in degree_vertices:
-            if u == lead:
-                group, name = labels["lead"], f"{labels['lead']}_t{t}"
-            else:
-                group, name = labels["degree"], f"{labels['degree']}_t{t}_u{u}"
-            model.add_row(name, group,
-                          edge_sum(t, aux.incident(u)) + [(model.var("y", t, u), -2)], EQ, 0)
-        if crossing is not None:
-            model.add_row(f"less2con_t{t}", "less2con", edge_sum(t, crossing), LE, 2)
+    rows = [(f"{labels['depart']}_t%d", labels["depart"], edge_sum(departure), GE, 1),
+            (f"{labels['origin']}_t%d", labels["origin"], edge_sum(aux.incident(s)), EQ, 2)]
+    for sub, order_ids in zip(graph.subaisles, orders_by_sub):
+        traversal = (first + aux.e_of_subaisle[sub.index], 1, E)
+        rows += [(f"{labels['cover']}_t%d_i{sub.index}_o{o}", labels["cover"],
+                  [traversal, (z[o], -1, 1)], GE, 0) for o in order_ids]
+    for u in degree_vertices:
+        if u == lead:
+            group, name = labels["lead"], f"{labels['lead']}_t%d"
+        else:
+            group, name = labels["degree"], f"{labels['degree']}_t%d_u{u}"
+        rows.append((name, group, edge_sum(aux.incident(u)) + [(y[u], -2, Y)], EQ, 0))
+    if crossing is not None:
+        rows.append(("less2con_t%d", "less2con", edge_sum(crossing), LE, 2))
+    _emit(model, T, rows)
 
     _assignment_rows(model, instance, labels["assign"], labels["capacity"])
     return model

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import ValidationError, VariantMismatchError
 
@@ -161,6 +161,8 @@ class PickingGraph:
             for a in range(n - 1):
                 reduced.append((c * n + a, c * n + a + 1, layout.aisle_spacing, None))
         self.reduced_edges = tuple(reduced)
+        self._arcs = tuple(arc for u, v in self.edges for arc in ((u, v), (v, u)))
+        self._reduced_arcs = tuple(arc for u, v, _, _ in reduced for arc in ((u, v), (v, u)))
 
         self._sp_cache: dict[int, tuple] = {}
 
@@ -229,11 +231,9 @@ class PickingGraph:
 
     # -- arc views -------------------------------------------------------
 
-    def arcs(self) -> Iterator[tuple[int, int]]:
+    def arcs(self) -> tuple[tuple[int, int], ...]:
         """Directed arcs: each edge replaced by its two orientations."""
-        for u, v in self.edges:
-            yield (u, v)
-            yield (v, u)
+        return self._arcs
 
     def arc_length(self, u: int, v: int):
         eid = self.edge_id(u, v)
@@ -257,10 +257,8 @@ class PickingGraph:
     def delta_minus(self, s_set: Iterable[int]) -> list[tuple[int, int]]:
         return [(v, u) for u, v in self.delta_plus(s_set)]
 
-    def reduced_arcs(self) -> Iterator[tuple[int, int]]:
-        for u, v, _, _ in self.reduced_edges:
-            yield (u, v)
-            yield (v, u)
+    def reduced_arcs(self) -> tuple[tuple[int, int], ...]:
+        return self._reduced_arcs
 
     def eta_plus(self, s_set: Iterable[int]) -> list[tuple[int, int]]:
         """Reduced-graph arcs leaving the vertex set."""

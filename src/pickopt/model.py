@@ -5,7 +5,19 @@ constraint rows grouped into stable families, and a sparse minimization
 objective.  A variable is addressed by its index tuple, and its name is
 derived from that tuple by :func:`var_name`, the only naming rule.  Models
 are exported to CPLEX-LP, free MPS or a JSON sidecar; no LP relaxations
-are solved here.  Variables and rows are immutable named tuples.
+are solved here.
+
+A model stores columns, not objects.  Variables are five parallel lists
+(names, kinds, index tuples, lower and upper bounds).  Rows are in
+compressed sparse row form: names, groups, senses and right-hand sides per
+row, each row's end offset, and one flat list each of term positions and
+coefficients.  :meth:`LinearModel.add_variables` declares a whole family
+and :meth:`LinearModel.add_rows` appends many rows at once;
+``add_variable`` and ``add_row`` are their one-item cases.  Every check
+runs before anything is stored, so a rejected call leaves the model as it
+was.  ``model.variables`` and ``model.constraints`` are read-only views
+that build :class:`Variable` and :class:`Constraint` named tuples on
+access; the writers and the feasibility check read the columns directly.
 
 The writers format each distinct number once per call.  The JSON writer
 lays the document out field by field and sends only its small head through
@@ -15,16 +27,22 @@ a newline, where ``doc`` holds the same fields as plain dicts and lists.
 Feasibility checks and exports are exact, with no tolerances anywhere: they
 compute in plain ``int`` arithmetic, and a ``Fraction`` is built only for a
 value that is not an ``int``, such as a float objective coefficient at
-fractional spacing or a fractional candidate value.
+fractional spacing or a fractional candidate value.  Every coefficient,
+right-hand side and bound is a finite number.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from math import isfinite
+from operator import add, is_not, itemgetter, lt, mod, mul, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -35,6 +53,9 @@ INTEGER = "integer"
 CONTINUOUS = "continuous"
 
 LE, EQ, GE = "<=", "=", ">="
+_SENSES = frozenset((LE, EQ, GE))
+_PLAIN = frozenset((int, float))
+_INT_OR_NONE = frozenset((int, type(None)))
 
 LP_FORMAT = "lp"
 MPS_FORMAT = "mps"
@@ -49,6 +70,33 @@ def _exact(c):
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, (int, Fraction)):
+        return True
+    try:
+        return isfinite(value)
+    except TypeError:  # not a number
+        return False
+
+
+def _nonfinite_at(values) -> Optional[int]:
+    """Position of the first value that is not a finite number, or None.
+    An infinity or NaN makes the sum infinite or NaN, so a finite sum
+    clears every value at once."""
+    try:
+        total = sum(values)
+        if isinstance(total, (int, Fraction)) or isfinite(total):
+            return None
+    except (OverflowError, TypeError):  # a huge Fraction, or not a number
+        pass
+    return next((k for k, value in enumerate(values) if not _is_finite(value)), None)
+
+
+def _require_finite(value, what: str) -> None:
+    if not _is_finite(value):
+        raise ValidationError(f"{what} is not a finite number: {value!r}")
 
 
 _POSITION = itemgetter(0)
@@ -77,39 +125,183 @@ class Constraint(NamedTuple):
     rhs: float
 
 
+def _sorted_rows(ends: list, positions: list, coefs: list):
+    """CSR rows with each row's terms sorted by position, as ``add_rows``
+    stores them.  Rows whose positions already strictly increase are kept
+    as they are; in the others the coefficients of a repeated position are
+    summed in input order, and a term summing to zero is kept.  Returns
+    ``(ends, positions, coefs)``, the inputs themselves when no row moved."""
+    ascending = list(map(lt, positions, islice(positions, 1, None)))
+    ascending.append(True)
+    for end in ends:  # a row's last term need not precede the next row's first
+        ascending[end - 1] = True
+    if False in ascending:
+        unsorted = []
+        k = ascending.index(False)
+        while True:
+            row = bisect_right(ends, k)
+            unsorted.append(row)
+            try:
+                k = ascending.index(False, ends[row])
+            except ValueError:
+                break
+        lengths = list(map(sub, ends, chain((0,), ends)))
+        out_positions, out_coefs = [], []
+        done = 0
+        for row in unsorted:
+            start, end = (ends[row - 1] if row else 0), ends[row]
+            out_positions += positions[done:start]
+            out_coefs += coefs[done:start]
+            terms = sorted(zip(positions[start:end], coefs[start:end]), key=_POSITION)
+            if len(dict(terms)) < len(terms):
+                merged: dict[int, float] = {}
+                for pos, coef in terms:
+                    merged[pos] = merged.get(pos, 0) + coef
+                terms = merged.items()
+                lengths[row] = len(terms)
+            out_positions += [pos for pos, _ in terms]
+            out_coefs += [coef for _, coef in terms]
+            done = end
+        out_positions += positions[done:]
+        out_coefs += coefs[done:]
+        return list(accumulate(lengths)), out_positions, out_coefs
+    return ends, positions, coefs
+
+
+class _View(Sequence):
+    """A read-only sequence over a model's columns; items are built on access.
+    A view with ``span`` covers those items only, else every item, however
+    many there are when it is read."""
+
+    __slots__ = ("_model", "_span")
+    __hash__ = None
+
+    def __init__(self, model: "LinearModel", span: Optional[range] = None):
+        self._model = model
+        self._span = span
+
+    def _items(self) -> range:
+        return range(self._count()) if self._span is None else self._span
+
+    def __len__(self) -> int:
+        return len(self._items())
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self._item(i) for i in self._items()[key]]
+        return self._item(self._items()[key])
+
+    def __iter__(self):
+        return map(self._item, self._items())
+
+    def __eq__(self, other):
+        if isinstance(other, _View):
+            other = list(other)
+        return list(self) == other
+
+
+class VariableView(_View):
+    """``model.variables``: each variable as a :class:`Variable`."""
+
+    __slots__ = ()
+
+    def _count(self) -> int:
+        return len(self._model._names)
+
+    def _item(self, pos: int) -> Variable:
+        m = self._model
+        return Variable(m._names[pos], m._kinds[pos], m._indices[pos], m._lbs[pos], m._ubs[pos])
+
+
+class ConstraintView(_View):
+    """``model.constraints``: each row as a :class:`Constraint`."""
+
+    __slots__ = ()
+
+    def _count(self) -> int:
+        return len(self._model._row_names)
+
+    def _item(self, row: int) -> Constraint:
+        return self._model._row(row)
+
+
 class LinearModel:
-    """Ordered variables + grouped rows + minimize objective."""
+    """Ordered variables + grouped rows + minimize objective, stored as columns."""
 
     def __init__(self, name: str, kind: Optional[str] = None, meta: Optional[dict] = None):
         self.name = name
         self.kind = kind
         self.meta = dict(meta or {})
-        self.variables: list[Variable] = []
+        # variable columns, by position
+        self._names: list[str] = []
+        self._kinds: list[str] = []
+        self._indices: list[tuple] = []
+        self._lbs: list = []
+        self._ubs: list = []
         self._by_index: dict[tuple, int] = {}
-        self.constraints: list[Constraint] = []
-        self._row_names: set[str] = set()
+        # row columns; row i's terms are _positions and _coefs over
+        # [_row_ends[i - 1], _row_ends[i]), from 0 for the first row
+        self._row_names: list[str] = []
+        self._groups: list[str] = []
+        self._senses: list[str] = []
+        self._rhs: list = []
+        self._row_ends: list[int] = []
+        self._positions: list[int] = []
+        self._coefs: list = []
+        self._row_name_set: set[str] = set()
         self._group_rows: dict[str, int] = {}  # rows per group, in order of first row
         self.objective: dict[int, float] = {}
         self.lazy_groups: dict[str, str] = {}  # group name -> short description
 
+    @property
+    def variables(self) -> VariableView:
+        return VariableView(self)
+
+    @property
+    def constraints(self) -> ConstraintView:
+        return ConstraintView(self)
+
+    def constraints_from(self, first: int) -> ConstraintView:
+        """A view of the rows from index ``first`` to the last row now."""
+        return ConstraintView(self, range(first, len(self._row_names)))
+
     # -- construction ----------------------------------------------------
 
-    def add_variable(self, kind: str, index: tuple, lb=0, ub=None) -> int:
-        """Declare a variable; its name is ``var_name(index)``.
-
-        Text parts of the index may not contain ``_``, so distinct indices
-        always get distinct names.
-        """
-        name = var_name(index)
-        if name.count("_") != len(index) - 1:
-            raise ValidationError(f"variable index {index} has a part containing '_'")
-        pos = len(self.variables)
-        if self._by_index.setdefault(index, pos) != pos:
-            raise ValidationError(f"duplicate variable index {index}")
+    def add_variables(self, kind: str, indices: Iterable[tuple], lb=0, ub=None) -> int:
+        """Declare one variable per index, all of one kind and with the same
+        bounds, and return the position of the first.  A variable's name is
+        ``var_name(index)``; text parts of an index may not contain ``_``,
+        so distinct indices always get distinct names."""
+        indices = list(indices)
+        _require_finite(lb, "variable lower bound")
+        if ub is not None:
+            _require_finite(ub, "variable upper bound")
+        names = list(map(mod, map(_NAME_FORMATS.__getitem__, map(len, indices)), indices))
+        # joining adds len(index) - 1 underscores to each name, so any more
+        # come from a text part
+        if "".join(names).count("_") != sum(map(len, indices)) - len(indices):
+            bad = next(index for name, index in zip(names, indices)
+                       if name.count("_") != len(index) - 1)
+            raise ValidationError(f"variable index {bad} has a part containing '_'")
+        first = len(self._names)
+        positions = dict(zip(indices, range(first, first + len(indices))))
+        if len(positions) < len(indices) or not self._by_index.keys().isdisjoint(positions):
+            seen = set(self._by_index)
+            bad = next(index for index in indices if index in seen or seen.add(index))
+            raise ValidationError(f"duplicate variable index {bad}")
         if kind == BINARY:
             ub = 1
-        self.variables.append(Variable(name, kind, index, lb, ub))
-        return pos
+        self._by_index.update(positions)
+        self._names += names
+        self._kinds += [kind] * len(indices)
+        self._indices += indices
+        self._lbs += [lb] * len(indices)
+        self._ubs += [ub] * len(indices)
+        return first
+
+    def add_variable(self, kind: str, index: tuple, lb=0, ub=None) -> int:
+        """Declare a variable; its name is ``var_name(index)``."""
+        return self.add_variables(kind, [index], lb, ub)
 
     def var(self, *index) -> int:
         """Position of the variable with the given index tuple."""
@@ -122,38 +314,102 @@ class LinearModel:
         return tuple(index) in self._by_index
 
     def var_name(self, pos: int) -> str:
-        return self.variables[pos].name
+        return self._names[pos]
+
+    def variable_names(self) -> list[str]:
+        """Every variable's name, by position."""
+        return list(self._names)
+
+    def add_rows(self, names: list[str], groups: list[str], senses: list[str], rhs: list,
+                 ends: list[int], positions: list[int], coefs: list) -> int:
+        """Append rows given as columns and return the index of the first.
+
+        Row ``i`` is named ``names[i]`` and has the terms ``positions[k]``,
+        ``coefs[k]`` for ``k`` from ``ends[i - 1]`` (0 for the first row) up
+        to ``ends[i]``.  A row's terms are stored sorted by position; the
+        coefficients of a repeated position are summed in input order, and a
+        term summing to zero is kept.
+        """
+        n = len(names)
+        if not (len(groups) == len(senses) == len(rhs) == len(ends) == n):
+            raise ValidationError("row columns differ in length")
+        if len(positions) != len(coefs) or (ends[-1] if ends else 0) != len(positions) \
+                or (ends and ends[0] < 0) or sorted(ends) != list(ends):
+            raise ValidationError("row ends do not fit the terms")
+        if not _SENSES.issuperset(senses):
+            bad = next(sense for sense in senses if sense not in _SENSES)
+            raise ValidationError(f"bad sense {bad!r}")
+        new_names = set(names)
+        if len(new_names) < n or not self._row_name_set.isdisjoint(new_names):
+            seen = set(self._row_name_set)
+            bad = next(name for name in names if name in seen or seen.add(name))
+            raise ValidationError(f"duplicate row name {bad}")
+        if positions and (min(positions) < 0 or max(positions) >= len(self._names)):
+            self._reject_position(names, ends, positions)
+        k = _nonfinite_at(coefs)
+        if k is not None:
+            raise ValidationError(f"row {names[bisect_right(ends, k)]}: coefficient "
+                                  f"is not a finite number: {coefs[k]!r}")
+        k = _nonfinite_at(rhs)
+        if k is not None:
+            raise ValidationError(f"row {names[k]}: right-hand side "
+                                  f"is not a finite number: {rhs[k]!r}")
+
+        ends, positions, coefs = _sorted_rows(ends, positions, coefs)
+        first = len(self._row_names)
+        offset = len(self._positions)
+        self._row_names += names
+        self._row_name_set |= new_names
+        self._groups += groups
+        self._senses += senses
+        self._rhs += rhs
+        self._row_ends += map(add, ends, repeat(offset))
+        self._positions += positions
+        self._coefs += coefs
+        counts = self._group_rows
+        for group in dict.fromkeys(groups):  # few groups, in order of first row
+            counts[group] = counts.get(group, 0) + groups.count(group)
+        return first
+
+    def _reject_position(self, names, ends, positions) -> None:
+        declared = len(self._names)
+        for row, name in enumerate(names):
+            terms = sorted(positions[(ends[row - 1] if row else 0):ends[row]])
+            for pos in terms[:1] + terms[-1:]:
+                if not (0 <= pos < declared):
+                    raise ValidationError(f"row {name}: variable position {pos} not declared")
 
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],
                 sense: str, rhs) -> Constraint:
-        """Append a row.  Its terms are sorted by position; the coefficients of
-        a repeated position are summed, and a term summing to zero is kept."""
-        if sense not in (LE, EQ, GE):
-            raise ValidationError(f"bad sense {sense!r}")
-        if name in self._row_names:
-            raise ValidationError(f"duplicate row name {name}")
-        terms = sorted(coeffs, key=_POSITION)
-        if terms:
-            for pos in (terms[0][0], terms[-1][0]):
-                if not (0 <= pos < len(self.variables)):
-                    raise ValidationError(f"row {name}: variable position {pos} not declared")
-            if len(dict(terms)) < len(terms):
-                merged: dict[int, float] = {}
-                for pos, coef in terms:
-                    merged[pos] = merged.get(pos, 0) + coef
-                terms = merged.items()
-        row = Constraint(name, group, tuple(terms), sense, rhs)
-        self.constraints.append(row)
-        self._row_names.add(name)
-        self._group_rows[group] = self._group_rows.get(group, 0) + 1
-        return row
+        """Append one row of ``(position, coefficient)`` terms, as
+        :meth:`add_rows` does."""
+        terms = list(coeffs)
+        return self._row(self.add_rows([name], [group], [sense], [rhs], [len(terms)],
+                                       [pos for pos, _ in terms], [coef for _, coef in terms]))
+
+    def _row(self, row: int) -> Constraint:
+        start, end = (self._row_ends[row - 1] if row else 0), self._row_ends[row]
+        return Constraint(self._row_names[row], self._groups[row],
+                          tuple(zip(self._positions[start:end], self._coefs[start:end])),
+                          self._senses[row], self._rhs[row])
 
     def declare_lazy_group(self, group: str, description: str) -> None:
         self.lazy_groups[group] = description
 
+    def set_objective_coeffs(self, positions: Iterable[int], coefs: Iterable) -> None:
+        """Add each coefficient to its position's objective coefficient; a
+        zero adds no term."""
+        positions, coefs = list(positions), list(coefs)
+        k = _nonfinite_at(coefs)
+        if k is not None:
+            raise ValidationError(f"objective coefficient at position {positions[k]} "
+                                  f"is not a finite number: {coefs[k]!r}")
+        objective = self.objective
+        for pos, coef in compress(zip(positions, coefs), coefs):
+            objective[pos] = objective.get(pos, 0) + coef
+
     def set_objective_coeff(self, pos: int, coef) -> None:
-        if coef:
-            self.objective[pos] = self.objective.get(pos, 0) + coef
+        self.set_objective_coeffs([pos], [coef])
 
     # -- inspection --------------------------------------------------------
 
@@ -166,18 +422,15 @@ class LinearModel:
         return counts
 
     def rows_in_group(self, group: str) -> list[Constraint]:
-        return [row for row in self.constraints if row.group == group]
+        return [self._row(i) for i, g in enumerate(self._groups) if g == group]
 
     def variable_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for v in self.variables:
-            counts[v.index[0]] = counts.get(v.index[0], 0) + 1
-        return counts
+        return dict(Counter(map(_POSITION, self._indices)))
 
     def objective_value(self, values: dict[str, Fraction]) -> Fraction:
         total = 0
         for pos, coef in sorted(self.objective.items()):
-            val = values.get(self.variables[pos].name)
+            val = values.get(self._names[pos])
             if val:
                 total += _exact(coef) * _exact(val)
         return Fraction(total)
@@ -243,31 +496,35 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
 
     # the assignment by variable position, integral values as ints; sums
     # need exact terms, while comparing an int, float or Fraction is exact
-    x = [0] * len(model.variables)
-    for pos, v in enumerate(model.variables):
-        val = values.get(v.name)
-        if val is None:
-            continue
-        val = x[pos] = _exact(val)
-        if v.kind in (BINARY, INTEGER) and type(val) is not int:
-            note(f"domain({v.name})", "domain", val, EQ, 0)
-        if val < v.lb:
-            note(f"bound({v.name})", "domain", val, GE, v.lb)
-        if v.ub is not None and val > v.ub:
-            note(f"bound({v.name})", "domain", val, LE, v.ub)
+    names = model._names
+    x = [0] * len(names)
+    given = list(map(values.get, names))
+    for pos in compress(range(len(names)), map(is_not, given, repeat(None))):
+        val = x[pos] = _exact(given[pos])
+        name, lb, ub = names[pos], model._lbs[pos], model._ubs[pos]
+        if model._kinds[pos] in (BINARY, INTEGER) and type(val) is not int:
+            note(f"domain({name})", "domain", val, EQ, 0)
+        if val < lb:
+            note(f"bound({name})", "domain", val, GE, lb)
+        if ub is not None and val > ub:
+            note(f"bound({name})", "domain", val, LE, ub)
 
-    for row in model.constraints:
-        lhs = 0
-        for pos, coef in row.coeffs:
-            val = x[pos]
-            if val:
-                lhs += _exact(coef) * val
-        rhs = row.rhs
-        ok = lhs <= rhs if row.sense == LE else lhs >= rhs if row.sense == GE else lhs == rhs
-        if not ok:
-            note(row.name, row.group, lhs, row.sense, rhs)
+    # every row's left-hand side as a difference of prefix sums over all
+    # terms; a float coefficient makes the sums floats, so they are summed
+    # again with every coefficient exact
+    positions = model._positions
+    prefix = list(accumulate(map(mul, model._coefs, map(x.__getitem__, positions)), initial=0))
+    if type(prefix[-1]) not in (int, Fraction):
+        prefix = list(accumulate(map(mul, map(_exact, model._coefs),
+                                     map(x.__getitem__, positions)), initial=0))
+    before = 0
+    for row, end, sense, rhs in zip(count(), model._row_ends, model._senses, model._rhs):
+        lhs = prefix[end] - before
+        before = prefix[end]
+        if not (lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs):
+            note(model._row_names[row], model._groups[row], lhs, sense, rhs)
 
-    return FeasibilityReport(not violated, tuple(violations), len(model.constraints))
+    return FeasibilityReport(not violated, tuple(violations), len(model._row_names))
 
 
 # -- exporters -------------------------------------------------------------
@@ -322,8 +579,14 @@ def _wrap(prefix: str, parts: list[str], per_line: int = 8) -> list[str]:
     return lines
 
 
+def _row_spans(model: LinearModel):
+    """Each row's first term and the end of its terms, by row."""
+    ends = model._row_ends
+    return zip(chain((0,), ends), ends)
+
+
 def write_lp(model: LinearModel) -> str:
-    names = [v.name for v in model.variables]
+    names = model._names
     signs = _Memo(_lp_sign)
     nums = _Memo(_num)
     out = [f"\\ {model.name}"]
@@ -331,23 +594,30 @@ def write_lp(model: LinearModel) -> str:
     obj = sorted(model.objective.items())
     out.extend(_wrap(" obj:", _lp_terms(obj, names, signs)))
     out.append("Subject To")
-    for row in model.constraints:
-        lines = _wrap(f" {row.name}:", _lp_terms(row.coeffs, names, signs))
-        lines[-1] += f" {row.sense} {nums[row.rhs]}"
+    # every term's text, leading "+ " included, in one pass over the columns
+    terms = list(map(add, map(signs.__getitem__, model._coefs),
+                     map(names.__getitem__, model._positions)))
+    for name, (start, end), sense, rhs in zip(model._row_names, _row_spans(model),
+                                              model._senses, model._rhs):
+        parts = terms[start:end]
+        if parts and parts[0][0] == "+":
+            parts[0] = parts[0][2:]
+        lines = _wrap(f" {name}:", parts)
+        lines[-1] += f" {sense} {nums[rhs]}"
         out.extend(lines)
     bounds = []
-    for v in model.variables:
-        if v.kind != BINARY and (_exact(v.lb) != 0 or v.ub is not None):
-            hi = "+inf" if v.ub is None else nums[v.ub]
-            bounds.append(f" {nums[v.lb]} <= {v.name} <= {hi}")
+    for name, kind, lb, ub in zip(names, model._kinds, model._lbs, model._ubs):
+        if kind != BINARY and (_exact(lb) != 0 or ub is not None):
+            hi = "+inf" if ub is None else nums[ub]
+            bounds.append(f" {nums[lb]} <= {name} <= {hi}")
     if bounds:
         out.append("Bounds")
         out.extend(bounds)
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
+    binaries = [name for name, kind in zip(names, model._kinds) if kind == BINARY]
     if binaries:
         out.append("Binaries")
         out.extend(_wrap(" ", binaries))
-    generals = [v.name for v in model.variables if v.kind == INTEGER]
+    generals = [name for name, kind in zip(names, model._kinds) if kind == INTEGER]
     if generals:
         out.append("Generals")
         out.extend(_wrap(" ", generals))
@@ -362,23 +632,27 @@ def write_mps(model: LinearModel) -> str:
     out.append("ROWS")
     out.append(" N  COST")
     sense_tag = {LE: "L", EQ: "E", GE: "G"}
-    for row in model.constraints:
-        out.append(f" {sense_tag[row.sense]}  {row.name}")
+    out += [f" {sense_tag[sense]}  {name}" for sense, name in zip(model._senses, model._row_names)]
 
-    # column-major entries: each row's padded name and the coefficient
-    col_entries: list[list[str]] = [[] for _ in model.variables]
+    # column-major entries: the column's padded name, each row's padded
+    # name and the coefficient
+    columns = [f"    {name:<10}  " for name in model._names]
+    col_entries: list[list[str]] = [[] for _ in model._names]
     for pos, coef in sorted(model.objective.items()):
-        col_entries[pos].append(f"{'COST':<10}  {nums[coef]}")
-    for row in model.constraints:
-        label = f"{row.name:<10}  "
-        for pos, coef in row.coeffs:
-            col_entries[pos].append(label + nums[coef])
+        col_entries[pos].append(f"{columns[pos]}{'COST':<10}  {nums[coef]}")
+    labels = [f"{name:<10}  " for name in model._row_names]
+    term_labels = chain.from_iterable(map(repeat, labels, (end - start for start, end
+                                                             in _row_spans(model))))
+    lines = map(add, map(add, map(columns.__getitem__, model._positions), term_labels),
+                map(nums.__getitem__, model._coefs))
+    for pos, line in zip(model._positions, lines):
+        col_entries[pos].append(line)
 
     out.append("COLUMNS")
     integer_open = False
     marker = 0
-    for v, entries in zip(model.variables, col_entries):
-        is_int = v.kind in (BINARY, INTEGER)
+    for kind, entries in zip(model._kinds, col_entries):
+        is_int = kind in (BINARY, INTEGER)
         if is_int and not integer_open:
             out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
             marker += 1
@@ -387,24 +661,23 @@ def write_mps(model: LinearModel) -> str:
             out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
             marker += 1
             integer_open = False
-        column = f"    {v.name:<10}  "
-        out.extend([column + entry for entry in entries])
+        out += entries
     if integer_open:
         out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
 
     out.append("RHS")
-    for row in model.constraints:
-        if _exact(row.rhs) != 0:
-            out.append(f"    RHS         {row.name:<10}  {nums[row.rhs]}")
+    for name, rhs in zip(model._row_names, model._rhs):
+        if _exact(rhs) != 0:
+            out.append(f"    RHS         {name:<10}  {nums[rhs]}")
     out.append("BOUNDS")
-    for v in model.variables:
-        if v.kind == BINARY:
-            out.append(f" BV BND         {v.name}")
+    for name, kind, lb, ub in zip(model._names, model._kinds, model._lbs, model._ubs):
+        if kind == BINARY:
+            out.append(f" BV BND         {name}")
         else:
-            if _exact(v.lb) != 0:
-                out.append(f" LO BND         {v.name}  {nums[v.lb]}")
-            if v.ub is not None:
-                out.append(f" UP BND         {v.name}  {nums[v.ub]}")
+            if _exact(lb) != 0:
+                out.append(f" LO BND         {name}  {nums[lb]}")
+            if ub is not None:
+                out.append(f" UP BND         {name}  {nums[ub]}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
@@ -419,6 +692,14 @@ def _json_num(x) -> str:
     if type(x) is float and x - x == 0:
         return float.__repr__(x)
     return json.dumps(x)
+
+
+def _json_texts(values: list):
+    """Each value as ``_json_num`` writes it.  When every value is an int or
+    None, equal values print alike, so each distinct value is formatted once."""
+    if _INT_OR_NONE.issuperset(map(type, values)):
+        return map(_Memo(_json_num).__getitem__, values)
+    return map(_json_num, values)
 
 
 def _json_block(items: list[str], opening: str, closing: str) -> str:
@@ -441,24 +722,29 @@ def write_model_json(model: LinearModel) -> str:
         "lazy_groups": dict(sorted(model.lazy_groups.items())),
     }, indent=1)
     quoted = _Memo(encode_basestring_ascii)  # kinds, groups and senses
-    names = [encode_basestring_ascii(v.name) for v in model.variables]
+    names = list(map(encode_basestring_ascii, model._names))
     variables = [
-        f'  {{\n   "name": {name},\n   "kind": {quoted[v.kind]},\n'
-        f'   "lb": {_json_num(v.lb)},\n   "ub": {_json_num(v.ub)}\n  }}'
-        for name, v in zip(names, model.variables)]
+        f'  {{\n   "name": {name},\n   "kind": {quoted[kind]},\n'
+        f'   "lb": {lb},\n   "ub": {ub}\n  }}'
+        for name, kind, lb, ub in zip(names, model._kinds, _json_texts(model._lbs),
+                                      _json_texts(model._ubs))]
     objective = [f"  {names[pos]}: {_json_num(coef)}"
                  for pos, coef in sorted(model.objective.items())]
     keys = [f"    {name}: " for name in names]
+    coefs = model._coefs
+    # str is int.__repr__ on an int and float.__repr__ on a float, as json
+    # writes them; every coefficient is finite
+    coef_texts = map(str if _PLAIN.issuperset(map(type, coefs)) else _json_num, coefs)
+    terms = list(map(add, map(keys.__getitem__, model._positions), coef_texts))
     constraints = []
-    for row in model.constraints:
-        # str(c) is int.__repr__(c) for an int, nearly every coefficient
-        terms = ",\n".join([keys[pos] + (str(coef) if type(coef) is int else _json_num(coef))
-                            for pos, coef in row.coeffs])
-        coeffs = "{\n" + terms + "\n   }" if terms else "{}"
+    for name, group, (start, end), sense, rhs in zip(model._row_names, model._groups,
+                                                     _row_spans(model), model._senses,
+                                                     _json_texts(model._rhs)):
+        coeffs = "{\n" + ",\n".join(terms[start:end]) + "\n   }" if end > start else "{}"
         constraints.append(
-            f'  {{\n   "name": {encode_basestring_ascii(row.name)},\n'
-            f'   "group": {quoted[row.group]},\n   "coeffs": {coeffs},\n'
-            f'   "sense": {quoted[row.sense]},\n   "rhs": {_json_num(row.rhs)}\n  }}')
+            f'  {{\n   "name": {encode_basestring_ascii(name)},\n'
+            f'   "group": {quoted[group]},\n   "coeffs": {coeffs},\n'
+            f'   "sense": {quoted[sense]},\n   "rhs": {rhs}\n  }}')
     return (head[:-2] + ',\n "variables": ' + _json_block(variables, "[", " ]")
             + ',\n "objective": ' + _json_block(objective, "{", " }")
             + ',\n "constraints": ' + _json_block(constraints, "[", " ]") + "\n}\n")

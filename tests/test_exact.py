@@ -231,6 +231,21 @@ def test_solution_round_trip(tmp_path):
     ('{"format": "pickopt-solution-v1", "batches": []}', "total: missing field"),
     ('{"format": "pickopt-solution-v1", "batches": [], "total": "9"}', "total: wrong type str"),
     ('{"format": "pickopt-solution-v1", "batches": [], "total": true}', "total: wrong type bool"),
+    ('{"format": "pickopt-solution-v1", "batches": [1], "total": 0}',
+     r"batches\[0\]: not a JSON object"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0}], "total": 0}',
+     r"batches\[0\]\.orders: missing field"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": "0", "orders": [], "walk": []}],'
+     ' "total": 0}', r"batches\[0\]\.picker: wrong type str"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0], "walk": 1}],'
+     ' "total": 0}', r"batches\[0\]\.walk: wrong type int"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
+     ' "walk": [{"u": 0, "v": 1}]}], "total": 2}', r"batches\[0\]\.walk\[0\]\.count: missing field"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
+     ' "walk": [{"u": 0, "v": 1, "count": "2"}]}], "total": 2}',
+     r"batches\[0\]\.walk\[0\]\.count: wrong type str"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
+     ' "walk": [[0, 1, 2]]}], "total": 2}', r"batches\[0\]\.walk\[0\]: not a JSON object"),
 ])
 def test_load_solution_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "sol.json"

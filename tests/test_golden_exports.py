@@ -4,10 +4,12 @@ Each digest is the sha256 of ``write_lp``, ``write_mps`` and
 ``write_model_json`` output, for one formulation kind and option set, over
 a one-block and a two-block seeded instance.  The same shapes and seeds at
 loc_spacing 0.5 and aisle_spacing 1.5 are pinned once per kind, with no
-options.  Any change to a variable or row name, their order, a coefficient
-or the file layout changes a digest.  Two builds within one run agreeing
-(the determinism tests) cannot catch a name that changes between commits;
-these digests can.
+options.  Every kind and option set is pinned once more on the same shapes
+with 8 orders, which need 2 or 3 pickers, so that each per-picker family is
+checked beyond picker 0.  Any change to a variable or row name, their
+order, a coefficient or the file layout changes a digest.  Two builds within
+one run agreeing (the determinism tests) cannot catch a name that changes
+between commits; these digests can.
 """
 
 import hashlib
@@ -160,8 +162,127 @@ GOLDEN = {
 }
 
 
-def _instance(shape, n_orders, delta, seed):
+# the same kinds, option sets and shapes with 8 orders at delta 10 and seed
+# 19: 3 pickers on each golden shape and at fractional spacing, 2 on the
+# one-aisle shapes, so every per-picker family has copies beyond picker 0
+MULTI_PICKER_ORDERS = (8, 10, 19)
+GOLDEN_MULTI_PICKER = {
+    "P_basic:none":
+        "7b823a1541c7e050f312063e06f29382fc13738dc5d2819bb317b5da10dd4169",
+    "P_basic:subaisle_cuts":
+        "3b2ed3d5c24055530991bac987afe4148db88f94e492c841952b0af9c278c4fb",
+    "P_basic:aisle_cuts":
+        "105d53df86986975ee7e8a95b8a4a4a41dd6e606690bcc97bae5cafeb31e00ee",
+    "P_basic:basic_cuts":
+        "2026412ed8f28af9d50f5bb06f52ac14a1dcb25bb48250907871cb5a302b1d1b",
+    "P_basic:subaisle_cuts+single_traversing":
+        "e2ad09703d969474d2e808e5d06a1c7c6d3f8bd4da3c86b8a35d2758a1452859",
+    "P_basic:artificial_vertex_reversal":
+        "dc18cd2f8f64685c2acfa19cc2403b4cd3ebd5da3974e28f3765b6b5e9b41bb8",
+    "P_basic:column_inequalities":
+        "3d1c7ea3fe43dc00a3af06519d6ecc2197b968e2a805b0b83a7a4a7b01ec6560",
+    "P_basic:all":
+        "1b4701b243ef90228d57edb06a6478a29348ab39230ff5ce723abf3f1d258f02",
+    "P_A:none":
+        "ed26c85e3a2d401011bb3f6f519ad11fa3100d53c5c57657a244dacbe879ce83",
+    "P_A:subaisle_cuts":
+        "b6184e48f00e21a860aabecdf12fabbd01536d10f896c94cf38976289bd015d9",
+    "P_A:aisle_cuts":
+        "d452a467051763c52b90e578394b4928acb8d74c8d35318ac5fc1a8e1080ad72",
+    "P_A:basic_cuts":
+        "3a308beb7bf56c1689c0d13b3fa1a108da1f080cd4957b64e77ca3c6535d7c1d",
+    "P_A:subaisle_cuts+single_traversing":
+        "42c50d6da606f9ff208889f76ba135c6a427b37f09107ecb5f270a280df2ec48",
+    "P_A:artificial_vertex_reversal":
+        "e2961358c89440fb7e58929a141bd593c64c6941c1919275acfc50740b737244",
+    "P_A:column_inequalities":
+        "6ffc62af32fac694b215ab7cd18b4d3a76b9df0d8d7db464acb9148a7f1bdd2e",
+    "P_A:all":
+        "8b5e38c78cbc2e49e7cad6bd0d14c7990f0a32a85d4fd3b022967383f5e3deb4",
+    "P_G:none":
+        "45e7a6a44811372a2af4b96f4506a21fc1eb1c6ec7feff57c67d9287e6afe3e8",
+    "P_G:subaisle_cuts":
+        "95fa382fd58780e62c5ca9e834231dcd4204b37152b8e6ba2a54ca0feb62b562",
+    "P_G:aisle_cuts":
+        "208cb17814874c39aed9fac1562c742b22de4dad090fac77439e5645f6b8319e",
+    "P_G:basic_cuts":
+        "10a1f7a26a0e9eedd0b960e5a7159de6e7b0011612c10e7117abf1100689149b",
+    "P_G:subaisle_cuts+single_traversing":
+        "62dcf5410026837c1e07b3a4a45d82a6c1ee885a90a311707a05ab7ebb9cadab",
+    "P_G:artificial_vertex_reversal":
+        "98fe5989770d8305048e27a285db6af9ae96ae8d0e7fba08466cde39a25f4169",
+    "P_G:column_inequalities":
+        "4b4ee002cc00c85a80e39c37669432ecff990d35b44f6972284e7db8c8cda555",
+    "P_G:all":
+        "edfee3f33fca68b2001f9c070f9650f9cda36426fdc78e556d50061c2e59f858",
+    "P_F:none":
+        "497f337bb862d98101339602ec4dd537414c41379859830a0d808ede77e7c156",
+    "P_F:subaisle_cuts":
+        "8b7606012a20bae702376cddcd374d3bf1b7c0bf50a2dbb42fcb4e0127f10e5d",
+    "P_F:aisle_cuts":
+        "178ffa63e7ebcddb323ca17a47f20d39fa6ceb6022dc43d50fe893557f21b277",
+    "P_F:basic_cuts":
+        "baaa78292e3f0c9c2cc0c8d8f9059a920d2cc4661df8c3c5e0543f486955c900",
+    "P_F:subaisle_cuts+single_traversing":
+        "4a79fe3518d5527bef7bb78c5c22075a48268d9dba7b366c7871c083ce871357",
+    "P_F:artificial_vertex_reversal":
+        "52276012c856983f5754f60ce01ae0802366f1124169dedaf8b2a210c7045a21",
+    "P_F:column_inequalities":
+        "6ea14a35da8f177676335c57c7b731cc7c6d8d52492925da65408f965ecbf4ba",
+    "P_F:all":
+        "94c30250d3ff3c9014edfad0012e963089c8737414ba3668e1eb48123efab947",
+    "P_U:none":
+        "e68b5875df32040982d350fd49c18f0cb647b4dba5bd7a782a7f61f7b777c402",
+    "P_U:subaisle_cuts":
+        "690664285b90236b30934adf43b8c240edebee3d69e61b47243e982a353825f7",
+    "P_U:aisle_cuts":
+        "11d9d30b6931b723346fff49cac731c9910045fbd4f293f0fe8c3b7147a3cfee",
+    "P_U:basic_cuts":
+        "1e9e77dc7a1b93f990da6e73425f4847573723e81e3e2836a440a1032b80842b",
+    "P_U:subaisle_cuts+single_traversing":
+        "3a705de69b89f5e26b75d153b35b21edd6b0bc10f62c10d19397a50d7cb65998",
+    "P_U:artificial_vertex_reversal":
+        "469a96f2f28b3d163678ed3a6861a2a00817ebffbfa58532ffc552d2408d5ed9",
+    "P_U:column_inequalities":
+        "3e44c8de6cdeac52568ca37df292982e954fea61f3cb6ae9d17301124f0bcbf1",
+    "P_U:all":
+        "8980e0909037c78a84a4eade0822ab5d2f6ec04ff51ff11b5be765635ef0af83",
+    "P_U1:none":
+        "56b59eab10b8c8fd4e6f0d5099009015eb8e95bc4d1b9c375d57795d4ec4c610",
+    "P_U1:column_inequalities":
+        "353aedf1d258c86ffee50a859a5a278d2b3d193f9a8f1fae302209ce478582ac",
+    "P_U2:none":
+        "930697bd00c1e6ad890067db16dd471e761283593eceb0e220453325dbb5b2f7",
+    "P_U2:column_inequalities":
+        "fd2eb8619eb5bfb44724cb3f18de1da7d8bee37a09cad695c79cc601a3cfb5d1",
+    "P_U2:cross_aisle_bound":
+        "2515717892dbee140305bb7f956603c1d901ee79ba18880d50b2a1e6d9c03d94",
+    "P_U2:column_inequalities+cross_aisle_bound":
+        "61bf82a06143f88c28cc8b1ff49ff7860ccb46c9ff72e1c409678d76af649b91",
+    "P_U1:one-aisle":
+        "923eabf6374108f54bfef512ed110265a34b3f1cd80f47d2dbdc6ac99714ce10",
+    "P_U2:one-aisle":
+        "82803614b3a818bebf185fbef2006648b60ae4551a5e52af630d507dbd21d000",
+    "P_basic:fractional-spacing":
+        "d944200d90e7d7418b8b07138fe06a8e03620cba39375f0da4fcf10fcd694308",
+    "P_A:fractional-spacing":
+        "4e5b7af4898564adc4f1b39e31bce9920bb671c57463dfc841ac7f582a2bd54f",
+    "P_G:fractional-spacing":
+        "b3472a002c235d6a9489cc88e8f15df0d2d9b5ad9c7ef741c696a64de37072e1",
+    "P_F:fractional-spacing":
+        "2055b91b77749ddbc9d267fc508e573d9292bc8b5a683a75bedbcf8a2a466b03",
+    "P_U:fractional-spacing":
+        "f3a1e8aaad25cc8ff9464755348276afac007307bb02f1ca62fcf4564084f18a",
+    "P_U1:fractional-spacing":
+        "f1916b1630390db226c3e0a9d9d2355f62631cd705935ce3d7d7f6647a7be296",
+    "P_U2:fractional-spacing":
+        "3f1dfddd25dc0cf6b10cb424372a2766a7bdca12927400684bcb709d1fc992fa",
+}
+
+
+def _instance(shape, n_orders, delta, seed, orders=None):
     layout = WarehouseLayout(*shape)
+    n_orders, delta, seed = orders or (n_orders, delta, seed)
     return generate_instance(layout, n_orders, delta, seed=seed), shared_graph(layout)
 
 
@@ -173,25 +294,27 @@ def _models(kind, options, instances):
         yield build_model(instance, graph, kind, options)
 
 
-def export_models() -> dict[str, list]:
-    """The models behind each digest, by digest label."""
-    instances = [_instance(*spec) for spec in INSTANCES]
+def export_models(orders=None) -> dict[str, list]:
+    """The models behind each digest, by digest label.  ``orders`` replaces
+    every instance's ``(orders, delta, seed)``."""
+    instances = [_instance(*spec, orders) for spec in INSTANCES]
     models = {}
     for kind, option_sets in OPTION_SETS.items():
         for names in option_sets:
             options = ModelOptions(**{name: True for name in names})
             models[label(kind, names)] = list(_models(kind, options, instances))
     for key, spec in ONE_AISLE.items():
-        models[key] = list(_models(key.split(":")[0], ModelOptions(), [_instance(*spec)]))
-    fractional = [_instance(*spec) for spec in FRACTIONAL_SPACING]
+        models[key] = list(_models(key.split(":")[0], ModelOptions(),
+                                   [_instance(*spec, orders)]))
+    fractional = [_instance(*spec, orders) for spec in FRACTIONAL_SPACING]
     for kind in OPTION_SETS:
         models[f"{kind}:fractional-spacing"] = list(_models(kind, ModelOptions(), fractional))
     return models
 
 
-def export_digests() -> dict[str, str]:
+def export_digests(orders=None) -> dict[str, str]:
     digests = {}
-    for key, models in export_models().items():
+    for key, models in export_models(orders).items():
         h = hashlib.sha256()
         for model in models:
             for writer in (write_lp, write_mps, write_model_json):
@@ -202,3 +325,7 @@ def export_digests() -> dict[str, str]:
 
 def test_exports_match_golden_digests():
     assert export_digests() == GOLDEN
+
+
+def test_multi_picker_exports_match_golden_digests():
+    assert export_digests(MULTI_PICKER_ORDERS) == GOLDEN_MULTI_PICKER

@@ -240,7 +240,8 @@ def test_check_feasible_matches_a_fraction_evaluator():
 def _odd_models():
     """Models at the edges of the JSON layout: no variables or rows, a row
     with no terms, an unbounded continuous variable with a float lower bound,
-    and text that ``json`` escapes."""
+    and text that ``json`` escapes.  A non-finite number is rejected when it
+    is added (``test_non_finite_numbers_are_rejected``)."""
     empty = LinearModel("empty")
     no_terms = LinearModel("no-terms", kind="test")
     x = no_terms.add_variable(BINARY, ("x", 0))
@@ -252,7 +253,6 @@ def _odd_models():
     continuous.set_objective_coeff(s, 0.1)
     continuous.set_objective_coeff(t, -3)
     continuous.add_row("mix", "g", [(s, 1e-7), (t, 2.0)], EQ, 1e20)
-    continuous.add_row("infinite", "g", [(s, 1)], LE, float("inf"))
     quoted = LinearModel('say "\\" in Zürich \u2603', kind="q\"k",
                          meta={"note": 'tab\there "é"', "nested": {"ü": [1, 2.5, None]}})
     q = quoted.add_variable(BINARY, ("q", 0))
@@ -269,3 +269,170 @@ def test_model_json_matches_json_dumps():
         assert models, key
         for model in models:
             assert write_model_json(model) == reference_model_json(model), key
+
+
+# -- the column store: bulk fill, checks and views ---------------------------------
+
+
+def _random_rows(rng, n_vars, n_rows):
+    """Rows as ``(name, group, terms, sense, rhs)``: unsorted terms, repeated
+    positions, repeats whose coefficients cancel, float coefficients and
+    empty rows."""
+    rows = []
+    for k in range(n_rows):
+        terms = [(rng.randrange(n_vars), rng.choice([1, -1, 2, 0.5, 0.1, 3.25]))
+                 for _ in range(0 if k % 7 == 3 else rng.randrange(1, 6))]
+        if terms and k % 5 == 1:
+            pos, coef = terms[0]
+            terms.append((pos, -coef))  # sums to zero, or merges with a third repeat
+        rows.append((f"r{k}", rng.choice(["g1", "g2", "g3"]), terms,
+                     rng.choice([LE, EQ, GE]), rng.choice([0, 1, -2, 0.25])))
+    return rows
+
+
+def _variables(m, n_vars):
+    m.add_variables(BINARY, [("x", k) for k in range(n_vars // 2)])
+    m.add_variables(CONTINUOUS, [("s", k) for k in range(n_vars - n_vars // 2)], lb=-1.5, ub=4)
+    m.set_objective_coeffs(range(0, n_vars, 3), [1, 0.5, 2] * n_vars)
+
+
+def _exports(m):
+    return write_lp(m), write_mps(m), write_model_json(m)
+
+
+def test_add_rows_equals_add_row_one_at_a_time():
+    rng = random.Random(23)
+    for n_rows in (0, 1, 5, 60):
+        rows = _random_rows(rng, 12, n_rows)
+        bulk, single = LinearModel("m", kind="k"), LinearModel("m", kind="k")
+        for m in (bulk, single):
+            _variables(m, 12)
+        ends, positions, coefs = [], [], []
+        for _, _, terms, _, _ in rows:
+            positions += [pos for pos, _ in terms]
+            coefs += [coef for _, coef in terms]
+            ends.append(len(positions))
+        assert bulk.add_rows([r[0] for r in rows], [r[1] for r in rows], [r[3] for r in rows],
+                             [r[4] for r in rows], ends, positions, coefs) == 0
+        for row in rows:
+            single.add_row(*row)
+        assert bulk.constraints == single.constraints == list(single.constraints)
+        assert bulk.variables == single.variables
+        assert bulk.group_counts() == single.group_counts()
+        assert _exports(bulk) == _exports(single)
+        for constraint in bulk.constraints:
+            positions = [pos for pos, _ in constraint.coeffs]
+            assert positions == sorted(set(positions))
+    # the last batch has empty rows and kept terms whose coefficients cancel
+    assert any(not row.coeffs for row in bulk.constraints)
+    assert any(coef == 0 for row in bulk.constraints for _, coef in row.coeffs)
+
+
+def _rejections():
+    """Calls that must raise ValidationError, by what is wrong."""
+    inf, nan = float("inf"), float("nan")
+    return {
+        "bad sense": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, "=>"], [0, 0], [1, 2],
+                                          [0, 1], [1, 1]),
+        "name repeated in the call": lambda m: m.add_rows(["n", "n"], ["g", "g"], [GE, GE],
+                                                          [0, 0], [1, 2], [0, 1], [1, 1]),
+        "name in the model": lambda m: m.add_row("r1", "g", [(0, 1)], GE, 0),
+        "negative position": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
+                                                  [1, 2], [0, -1], [1, 1]),
+        "undeclared position": lambda m: m.add_row("n", "g", [(0, 1), (3, 1)], GE, 0),
+        "ends past the terms": lambda m: m.add_rows(["n"], ["g"], [GE], [0], [3], [0, 1], [1, 1]),
+        "infinite coefficient": lambda m: m.add_row("n", "g", [(0, inf)], GE, 0),
+        "NaN coefficient": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
+                                                [1, 2], [0, 1], [1, nan]),
+        "infinite right-hand side": lambda m: m.add_row("n", "g", [(0, 1)], LE, inf),
+        "text coefficient": lambda m: m.add_row("n", "g", [(0, "1")], LE, 1),
+        "infinite objective": lambda m: m.set_objective_coeff(0, -inf),
+        "NaN objective": lambda m: m.set_objective_coeffs([0, 1], [1, nan]),
+        "infinite bound": lambda m: m.add_variables(CONTINUOUS, [("u", 0)], ub=inf),
+        "NaN bound": lambda m: m.add_variable(CONTINUOUS, ("u", 0), lb=nan),
+        "'_' in a text index part": lambda m: m.add_variables(BINARY, [("u", 0), ("u", "1_2")]),
+        "index repeated in the call": lambda m: m.add_variables(BINARY, [("u", 0), ("u", 0)]),
+        "index in the model": lambda m: m.add_variables(BINARY, [("u", 0), ("x", 0)]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_rejections()))
+def test_a_rejected_call_leaves_the_model_unchanged(case):
+    m = tiny_model()
+    before = (len(m.variables), len(m.constraints), m.group_counts(), dict(m.objective),
+              _exports(m))
+    with pytest.raises(ValidationError):
+        _rejections()[case](m)
+    assert (len(m.variables), len(m.constraints), m.group_counts(), dict(m.objective),
+            _exports(m)) == before
+    # the model still takes the rows and variables the call would have added
+    m.add_variables(BINARY, [("u", 0), ("u", 1)])
+    m.add_rows(["n", "n1", "n2"], ["g"] * 3, [GE] * 3, [0] * 3, [1, 2, 3], [0, 1, 2], [1] * 3)
+
+
+def test_non_finite_numbers_are_rejected():
+    m = LinearModel("inf")
+    s = m.add_variable(CONTINUOUS, ("s", 0))
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValidationError, match="right-hand side is not a finite number"):
+            m.add_row("r", "g", [(s, 1)], LE, bad)
+        with pytest.raises(ValidationError, match="row r: coefficient is not a finite number"):
+            m.add_row("r", "g", [(s, bad)], LE, 0)
+        with pytest.raises(ValidationError, match="objective coefficient"):
+            m.set_objective_coeff(s, bad)
+        with pytest.raises(ValidationError, match="bound is not a finite number"):
+            m.add_variable(CONTINUOUS, ("t", 0), ub=bad)
+    # every finite number is taken, however large
+    m.add_row("big", "g", [(s, 10 ** 400), (s, Fraction(10 ** 400, 3))], LE, 1e308)
+    m.set_objective_coeff(s, 10 ** 400)
+    assert check_feasible(m, VariableAssignment({"s_0": 0})).satisfied
+
+
+def test_views_are_read_only_sequences():
+    m = tiny_model()
+    rows = m.constraints
+    assert len(rows) == 3 and rows[-1] == rows[2] == Constraint("r3", "other", ((0, 1),), EQ, 1)
+    assert rows[1:] == [rows[1], rows[2]] and rows[::-1][0].name == "r3"
+    assert rows == list(rows) and rows == m.constraints and rows != list(rows)[:2]
+    assert [v.name for v in m.variables[-2:]] == ["y_0", "s_0"]
+    assert m.variables[0] == Variable("x_0", BINARY, ("x", 0), 0, 1)
+    with pytest.raises(IndexError):
+        rows[3]
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+    with pytest.raises(AttributeError):
+        m.variables.append(m.variables[0])
+    with pytest.raises(TypeError):
+        hash(rows)
+    m.add_row("r4", "grp", [(1, 1)], LE, 5)
+    assert len(rows) == 4 and rows[-1].name == "r4"  # a view reads the model as it is now
+    assert [row.name for row in m.constraints_from(2)] == ["r3", "r4"]
+    assert m.rows_in_group("grp") == [rows[0], rows[1], rows[3]]
+
+
+def test_check_feasible_sums_float_coefficients_exactly():
+    m = LinearModel("float")
+    x = m.add_variable(INTEGER, ("x", 0))
+    y = m.add_variable(INTEGER, ("y", 0))
+    m.add_row("tenths", "g", [(x, 0.1), (y, 0.2)], LE, 0.30000000000000004)
+    m.add_row("exact", "g", [(x, 0.5), (y, 0.25)], EQ, 1)
+    values = VariableAssignment({"x_0": 1, "y_0": 2})
+    # 0.1 + 2 * 0.2 in exact binary fractions exceeds 0.30000000000000004
+    assert [v.row for v in check_feasible(m, values).violations] == ["tenths"]
+    assert fraction_feasibility(m, values.values)[0][0] == "tenths"
+
+
+def test_building_a_model_keeps_few_objects_for_the_collector():
+    import gc
+
+    layout = WarehouseLayout(3, 1, 2, 1, 2)
+    instance = generate_instance(layout, 8, 10, seed=19)
+    assert instance.pickers == 3
+    graph = shared_graph(layout)
+    build_model(instance, graph, "P_G")  # warm every lazy cache
+    gc.collect()
+    before = len(gc.get_objects())
+    model = build_model(instance, graph, "P_G")
+    gc.collect()
+    assert len(model.constraints) > 300
+    assert len(gc.get_objects()) - before < 100
