@@ -359,30 +359,32 @@ def capacity_feasible_partitions(order_ids: Sequence[int], sizes: dict[int, int]
     Orders are placed in id order, so blocks appear sorted by their smallest
     order id: the canonical representative of each partition orbit.
     """
-    order_ids = sorted(order_ids)
-    parts: list[list[int]] = []
-    loads: list[int] = []
+    yield from _placements(sorted(order_ids), 0, sizes, capacity, max_blocks, [], [])
 
-    def rec(k: int) -> Iterator[tuple]:
-        if k == len(order_ids):
-            yield tuple(tuple(p) for p in parts)
-            return
-        o = order_ids[k]
-        for i in range(len(parts)):
-            if loads[i] + sizes[o] <= capacity:
-                parts[i].append(o)
-                loads[i] += sizes[o]
-                yield from rec(k + 1)
-                parts[i].pop()
-                loads[i] -= sizes[o]
-        if len(parts) < max_blocks:
-            parts.append([o])
-            loads.append(sizes[o])
-            yield from rec(k + 1)
-            parts.pop()
-            loads.pop()
 
-    yield from rec(0)
+def _placements(order_ids: list[int], k: int, sizes: dict[int, int], capacity: int,
+                max_blocks: int, parts: list[list[int]], loads: list[int]) -> Iterator[tuple]:
+    """Every way to place orders ``k`` onward into ``parts`` (whose loads are
+    ``loads``) or into new blocks; ``parts`` and ``loads`` are restored after
+    each partition is yielded.  The state travels as arguments, so the
+    recursion leaves no reference cycle behind."""
+    if k == len(order_ids):
+        yield tuple(map(tuple, parts))
+        return
+    o = order_ids[k]
+    for i in range(len(parts)):
+        if loads[i] + sizes[o] <= capacity:
+            parts[i].append(o)
+            loads[i] += sizes[o]
+            yield from _placements(order_ids, k + 1, sizes, capacity, max_blocks, parts, loads)
+            parts[i].pop()
+            loads[i] -= sizes[o]
+    if len(parts) < max_blocks:
+        parts.append([o])
+        loads.append(sizes[o])
+        yield from _placements(order_ids, k + 1, sizes, capacity, max_blocks, parts, loads)
+        parts.pop()
+        loads.pop()
 
 
 MAX_EXACT_ORDERS = 6

@@ -524,7 +524,7 @@ def build_artificial_vertex_reversal(model: LinearModel, instance: Instance,
     return model.constraints_from(_emit(model, instance.pickers, rows))
 
 
-def build_symmetry_breaking(model: LinearModel, instance: Instance) -> list:
+def build_symmetry_breaking(model: LinearModel, instance: Instance) -> ConstraintView:
     """Column inequalities over the order-to-picker assignment matrix.
 
     With orders ranked by id and pickers ordered, order of rank r may only
@@ -534,20 +534,25 @@ def build_symmetry_breaking(model: LinearModel, instance: Instance) -> list:
     """
     T = instance.pickers
     ranked = sorted(instance.orders, key=lambda o: o.id)
-    rows = []
+    names, groups, senses, terms = [], [], [], []
     for r, o in enumerate(ranked, start=1):
-        for t in range(T):
-            if t + 1 > r:
-                rows.append(model.add_row(
-                    f"col_fix_o{o.id}_t{t}", "col_fix",
-                    [(model.var("z", o.id, t), 1)], EQ, 0))
+        for t in range(r, T):
+            names.append(f"col_fix_o{o.id}_t{t}")
+            groups.append("col_fix")
+            senses.append(EQ)
+            terms.append([(model.var("z", o.id, t), 1)])
         for t in range(1, min(r, T)):
-            coeffs = [(model.var("z", o.id, t), 1)]
-            for o2 in ranked[:r - 1]:
-                coeffs.append((model.var("z", o2.id, t - 1), -1))
-            rows.append(model.add_row(
-                f"col_link_o{o.id}_t{t}", "col_link", coeffs, LE, 0))
-    return rows
+            names.append(f"col_link_o{o.id}_t{t}")
+            groups.append("col_link")
+            senses.append(LE)
+            row = [(model.var("z", o.id, t), 1)]
+            row += [(model.var("z", o2.id, t - 1), -1) for o2 in ranked[:r - 1]]
+            terms.append(sorted(row, key=_POSITION))
+    flat = list(chain.from_iterable(terms))
+    first = model.add_rows(names, groups, senses, [0] * len(names),
+                           list(accumulate(map(len, terms))),
+                           [pos for pos, _ in flat], [coef for _, coef in flat])
+    return model.constraints_from(first)
 
 
 # -- TSP-style no-reversal models -------------------------------------------

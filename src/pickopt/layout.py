@@ -51,10 +51,6 @@ class WarehouseLayout:
         return self.n_aisles * self.n_blocks
 
     @property
-    def n_cross_aisles(self) -> int:
-        return self.n_blocks + 1
-
-    @property
     def subaisle_length(self):
         return (self.locs_per_subaisle + 1) * self.loc_spacing
 
@@ -346,10 +342,10 @@ TWO_BLOCK = "two_block"
 class AuxEdge:
     """Edge of an auxiliary no-reversal graph.
 
-    ``subaisle`` names the subaisle whose full traversal the edge stands
-    for (None for horizontal and return edges); ``primary`` tells the first
-    traversal apart from the second-traversal copies, and ``parallel``
-    marks the single-block copy of the first subaisle edge.
+    ``in_e1``, ``in_e2`` and ``in_e3`` tell which of the variant's edge sets
+    hold the edge, and ``parallel`` marks the single-block copy of the first
+    subaisle edge.  ``AuxiliaryGraph.e_of_subaisle`` names the edge of each
+    subaisle's first traversal.
     """
 
     id: int
@@ -359,8 +355,6 @@ class AuxEdge:
     in_e1: bool = False
     in_e2: bool = False
     in_e3: bool = False
-    subaisle: Optional[int] = None
-    primary: bool = False
     parallel: bool = False
 
     def var_index(self, picker: int) -> tuple:
@@ -443,8 +437,7 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
 
     for u, v, length, sub in graph.reduced_edges:
         eid = index[frozenset((u, v))] = len(edges)
-        edges.append(AuxEdge(eid, u, v, length, in_e1=True, subaisle=sub,
-                             primary=sub is not None))
+        edges.append(AuxEdge(eid, u, v, length, in_e1=True))
         if sub is not None:
             e_of_subaisle[sub] = eid
     # E2, a star from the origin; a star edge along an E1 edge is that edge
@@ -457,7 +450,7 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
                 edges[eid] = replace(edges[eid], in_e2=True)
     # last, so the tour variables keep their order
     edges.append(AuxEdge(len(edges), s, graph.subaisles[0].tail, graph.layout.subaisle_length,
-                         subaisle=0, parallel=True))
+                         parallel=True))
 
     return AuxiliaryGraph(
         variant=SINGLE_BLOCK,
@@ -497,15 +490,15 @@ def _build_two_block(graph: PickingGraph) -> AuxiliaryGraph:
         for a in range(n - 1):
             add(row[a], row[a + 1], layout.aisle_spacing, in_e1=True)
     for a in range(n):
-        eid = add(top[a], mid[a], d_sub, in_e1=True, subaisle=a, primary=True)
+        eid = add(top[a], mid[a], d_sub, in_e1=True)
         e_of_subaisle[a] = eid
         add(mid[a], copies[a], 0, in_e1=True)
-        eid = add(copies[a], bot[a], d_sub, in_e1=True, subaisle=n + a, primary=True)
+        eid = add(copies[a], bot[a], d_sub, in_e1=True)
         e_of_subaisle[n + a] = eid
     # E2: second traversal of each subaisle.
     for a in range(n):
-        add(copies[a], top[a], d_sub, in_e2=True, subaisle=a)
-        add(mid[a], bot[a], d_sub, in_e2=True, subaisle=n + a)
+        add(copies[a], top[a], d_sub, in_e2=True)
+        add(mid[a], bot[a], d_sub, in_e2=True)
     # E3: return edges from the origin to everything else, copies included.
     for v in top + mid + bot:
         if v != s:

@@ -13,11 +13,15 @@ compressed sparse row form: names, groups, senses and right-hand sides per
 row, each row's end offset, and one flat list each of term positions and
 coefficients.  :meth:`LinearModel.add_variables` declares a whole family
 and :meth:`LinearModel.add_rows` appends many rows at once;
-``add_variable`` and ``add_row`` are their one-item cases.  Every check
-runs before anything is stored, so a rejected call leaves the model as it
-was.  ``model.variables`` and ``model.constraints`` are read-only views
-that build :class:`Variable` and :class:`Constraint` named tuples on
-access; the writers and the feasibility check read the columns directly.
+``add_variable`` and ``add_row`` are their one-item cases.  The rows are
+canonical CSR: within each row the positions strictly increase.
+``add_rows`` takes only such rows and rejects any other; ``add_row`` is the
+one place a row is sorted by position and a repeated position merged.
+Every check runs before anything is stored, so a rejected call leaves the
+model as it was.  ``model.variables`` and ``model.constraints`` are
+read-only views that build :class:`Variable` and :class:`Constraint` named
+tuples on access; the writers and the feasibility check read the columns
+directly.
 
 The writers format each distinct number once per call.  The JSON writer
 lays the document out field by field and sends only its small head through
@@ -27,8 +31,10 @@ a newline, where ``doc`` holds the same fields as plain dicts and lists.
 Feasibility checks and exports are exact, with no tolerances anywhere: they
 compute in plain ``int`` arithmetic, and a ``Fraction`` is built only for a
 value that is not an ``int``, such as a float objective coefficient at
-fractional spacing or a fractional candidate value.  Every coefficient,
-right-hand side and bound is a finite number.
+fractional spacing.  A :class:`VariableAssignment` holds each value as an
+``int`` or, when it is not integral, a ``Fraction``; ``set`` is the one
+place a value is converted.  Every coefficient, right-hand side and bound
+is a finite number.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import add, is_not, itemgetter, lt, mod, mul, sub
+from operator import add, is_not, itemgetter, lt, mod, mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -99,6 +105,13 @@ def _require_finite(value, what: str) -> None:
         raise ValidationError(f"{what} is not a finite number: {value!r}")
 
 
+def _require_finite_coefs(names: list[str], ends: list[int], coefs: list) -> None:
+    k = _nonfinite_at(coefs)
+    if k is not None:
+        raise ValidationError(f"row {names[bisect_right(ends, k)]}: coefficient "
+                              f"is not a finite number: {coefs[k]!r}")
+
+
 _POSITION = itemgetter(0)
 _NAME_FORMATS = tuple("_".join(["%s"] * n) for n in range(8))
 
@@ -123,49 +136,6 @@ class Constraint(NamedTuple):
     coeffs: tuple[tuple[int, float], ...]  # (variable position, coefficient)
     sense: str
     rhs: float
-
-
-def _sorted_rows(ends: list, positions: list, coefs: list):
-    """CSR rows with each row's terms sorted by position, as ``add_rows``
-    stores them.  Rows whose positions already strictly increase are kept
-    as they are; in the others the coefficients of a repeated position are
-    summed in input order, and a term summing to zero is kept.  Returns
-    ``(ends, positions, coefs)``, the inputs themselves when no row moved."""
-    ascending = list(map(lt, positions, islice(positions, 1, None)))
-    ascending.append(True)
-    for end in ends:  # a row's last term need not precede the next row's first
-        ascending[end - 1] = True
-    if False in ascending:
-        unsorted = []
-        k = ascending.index(False)
-        while True:
-            row = bisect_right(ends, k)
-            unsorted.append(row)
-            try:
-                k = ascending.index(False, ends[row])
-            except ValueError:
-                break
-        lengths = list(map(sub, ends, chain((0,), ends)))
-        out_positions, out_coefs = [], []
-        done = 0
-        for row in unsorted:
-            start, end = (ends[row - 1] if row else 0), ends[row]
-            out_positions += positions[done:start]
-            out_coefs += coefs[done:start]
-            terms = sorted(zip(positions[start:end], coefs[start:end]), key=_POSITION)
-            if len(dict(terms)) < len(terms):
-                merged: dict[int, float] = {}
-                for pos, coef in terms:
-                    merged[pos] = merged.get(pos, 0) + coef
-                terms = merged.items()
-                lengths[row] = len(terms)
-            out_positions += [pos for pos, _ in terms]
-            out_coefs += [coef for _, coef in terms]
-            done = end
-        out_positions += positions[done:]
-        out_coefs += coefs[done:]
-        return list(accumulate(lengths)), out_positions, out_coefs
-    return ends, positions, coefs
 
 
 class _View(Sequence):
@@ -322,13 +292,13 @@ class LinearModel:
 
     def add_rows(self, names: list[str], groups: list[str], senses: list[str], rhs: list,
                  ends: list[int], positions: list[int], coefs: list) -> int:
-        """Append rows given as columns and return the index of the first.
+        """Append canonical rows given as columns and return the index of the
+        first.
 
         Row ``i`` is named ``names[i]`` and has the terms ``positions[k]``,
         ``coefs[k]`` for ``k`` from ``ends[i - 1]`` (0 for the first row) up
-        to ``ends[i]``.  A row's terms are stored sorted by position; the
-        coefficients of a repeated position are summed in input order, and a
-        term summing to zero is kept.
+        to ``ends[i]``.  Within a row the positions must strictly increase;
+        :meth:`add_row` sorts and merges a row that is not yet canonical.
         """
         n = len(names)
         if not (len(groups) == len(senses) == len(rhs) == len(ends) == n):
@@ -344,18 +314,27 @@ class LinearModel:
             seen = set(self._row_name_set)
             bad = next(name for name in names if name in seen or seen.add(name))
             raise ValidationError(f"duplicate row name {bad}")
-        if positions and (min(positions) < 0 or max(positions) >= len(self._names)):
-            self._reject_position(names, ends, positions)
-        k = _nonfinite_at(coefs)
-        if k is not None:
-            raise ValidationError(f"row {names[bisect_right(ends, k)]}: coefficient "
-                                  f"is not a finite number: {coefs[k]!r}")
+        declared = len(self._names)
+        if positions and (min(positions) < 0 or max(positions) >= declared):
+            k = next(k for k, pos in enumerate(positions) if not 0 <= pos < declared)
+            raise ValidationError(f"row {names[bisect_right(ends, k)]}: variable position "
+                                  f"{positions[k]} not declared")
+        # one pass over neighbouring terms; a row's last term need not
+        # precede the next row's first
+        ascending = list(map(lt, positions, islice(positions, 1, None)))
+        ascending.append(True)
+        for end in ends:
+            ascending[end - 1] = True
+        if False in ascending:
+            k = ascending.index(False)
+            raise ValidationError(f"row {names[bisect_right(ends, k)]}: term positions do not "
+                                  f"strictly increase ({positions[k]} then {positions[k + 1]})")
+        _require_finite_coefs(names, ends, coefs)
         k = _nonfinite_at(rhs)
         if k is not None:
             raise ValidationError(f"row {names[k]}: right-hand side "
                                   f"is not a finite number: {rhs[k]!r}")
 
-        ends, positions, coefs = _sorted_rows(ends, positions, coefs)
         first = len(self._row_names)
         offset = len(self._positions)
         self._row_names += names
@@ -371,19 +350,22 @@ class LinearModel:
             counts[group] = counts.get(group, 0) + groups.count(group)
         return first
 
-    def _reject_position(self, names, ends, positions) -> None:
-        declared = len(self._names)
-        for row, name in enumerate(names):
-            terms = sorted(positions[(ends[row - 1] if row else 0):ends[row]])
-            for pos in terms[:1] + terms[-1:]:
-                if not (0 <= pos < declared):
-                    raise ValidationError(f"row {name}: variable position {pos} not declared")
-
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],
                 sense: str, rhs) -> Constraint:
-        """Append one row of ``(position, coefficient)`` terms, as
-        :meth:`add_rows` does."""
-        terms = list(coeffs)
+        """Append one row of ``(position, coefficient)`` terms and return it.
+
+        This is where a row is made canonical: its terms are sorted by
+        position, and the coefficients of a repeated position are summed in
+        input order; a term summing to zero is kept.  The row is then checked
+        and stored by :meth:`add_rows`.
+        """
+        terms = sorted(coeffs, key=_POSITION)
+        if len(dict(terms)) < len(terms):
+            _require_finite_coefs([name], [len(terms)], [coef for _, coef in terms])
+            merged: dict[int, float] = {}
+            for pos, coef in terms:
+                merged[pos] = merged.get(pos, 0) + coef
+            terms = merged.items()
         return self._row(self.add_rows([name], [group], [sense], [rhs], [len(terms)],
                                        [pos for pos, _ in terms], [coef for _, coef in terms]))
 
@@ -427,12 +409,14 @@ class LinearModel:
     def variable_counts(self) -> dict[str, int]:
         return dict(Counter(map(_POSITION, self._indices)))
 
-    def objective_value(self, values: dict[str, Fraction]) -> Fraction:
+    def objective_value(self, values: dict) -> Fraction:
+        """The objective at exact values by name, such as a
+        :class:`VariableAssignment`'s ``values``."""
         total = 0
         for pos, coef in sorted(self.objective.items()):
             val = values.get(self._names[pos])
             if val:
-                total += _exact(coef) * _exact(val)
+                total += _exact(coef) * val
         return Fraction(total)
 
 
@@ -456,21 +440,25 @@ class FeasibilityReport:
 
 
 class VariableAssignment:
-    """Mapping from declared variable names to rational values."""
+    """Mapping from declared variable names to exact values: an ``int`` for
+    an integral value, else a ``Fraction``."""
 
     def __init__(self, values: Optional[dict] = None):
-        self.values: dict[str, Fraction] = {}
+        self.values: dict[str, int | Fraction] = {}
         for name, val in (values or {}).items():
             self.set(name, val)
 
     def set(self, name: str, value) -> None:
-        self.values[name] = Fraction(value)
+        """Store ``value`` exactly; the one place a value is normalised.  A
+        value ``Fraction`` cannot take raises its ``TypeError`` or
+        ``ValueError``."""
+        self.values[name] = _exact(value)
 
-    def get(self, name: str) -> Fraction:
-        return self.values.get(name, Fraction(0))
+    def get(self, name: str) -> int | Fraction:
+        return self.values.get(name, 0)
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values.values())
+        return Fraction not in map(type, self.values.values())
 
     def items(self):
         return self.values.items()
@@ -494,13 +482,13 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
         if len(violations) < max_report:
             violations.append(Violation(name, group, Fraction(lhs), sense, Fraction(rhs)))
 
-    # the assignment by variable position, integral values as ints; sums
-    # need exact terms, while comparing an int, float or Fraction is exact
+    # the assignment by variable position; its values are exact, and
+    # comparing an int, float or Fraction is exact
     names = model._names
     x = [0] * len(names)
     given = list(map(values.get, names))
     for pos in compress(range(len(names)), map(is_not, given, repeat(None))):
-        val = x[pos] = _exact(given[pos])
+        val = x[pos] = given[pos]
         name, lb, ub = names[pos], model._lbs[pos], model._ubs[pos]
         if model._kinds[pos] in (BINARY, INTEGER) and type(val) is not int:
             note(f"domain({name})", "domain", val, EQ, 0)

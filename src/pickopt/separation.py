@@ -127,17 +127,13 @@ def order_components(graph: PickingGraph, picks: Iterable[int]) -> OrderComponen
     return OrderComponents(tuple(components))
 
 
-def _require_integral(assignment: VariableAssignment) -> None:
-    if not assignment.is_integral():
-        raise SeparationError(
-            "fractional assignment rejected: separation runs on integral candidates only")
-
-
 def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAssignment,
                           instance: Instance,
                           aux: Optional[AuxiliaryGraph] = None) -> list[CutRequest]:
     """Connectivity cuts violated by an integral candidate assignment."""
-    _require_integral(assignment)
+    if not assignment.is_integral():
+        raise SeparationError(
+            "fractional assignment rejected: separation runs on integral candidates only")
     name = FAMILY_OF_KIND.get(kind)
     if name is None:
         raise ValidationError(f"formulation {kind!r} has no lazy connectivity family")

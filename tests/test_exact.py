@@ -111,6 +111,20 @@ def test_partitions_respect_capacity():
     assert all({0, 1} != set(b) for p in parts for b in p)  # 5+4 > 8
 
 
+def test_partitions_leave_nothing_for_the_collector():
+    sizes = dict.fromkeys(range(6), 1)
+    gc.collect()
+    gc.disable()
+    try:
+        parts = list(capacity_feasible_partitions(range(6), sizes, 6, 6))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # every set partition of six orders (Bell number 203), all in one batch first
+    assert len(parts) == 203 and len(set(parts)) == 203
+    assert parts[0] == ((0, 1, 2, 3, 4, 5),) and parts[-1] == tuple((o,) for o in range(6))
+
+
 def test_solve_exact_matches_blind_enumeration():
     suite = make_suite(15, master_seed=31)
     for instance, graph in suite:

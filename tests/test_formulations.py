@@ -195,6 +195,31 @@ def test_symmetry_breaking_fix_count():
     assert len(fixes) == 3  # z_{1,2}, z_{1,3}, z_{2,3} in 1-based terms
 
 
+def test_symmetry_rows_with_orders_out_of_id_order():
+    # z is declared in the listed order, so a rank-ordered row is unsorted
+    base = generate_instance(LAYOUT, 5, 5, seed=4)
+    inst = Instance(base.layout, tuple(reversed(base.orders)), base.capacity, 3)
+    g = shared_graph(LAYOUT)
+    m, reference = build_basic(inst, g), build_basic(inst, g)
+    rows = build_symmetry_breaking(m, inst)
+    expected, unsorted = [], 0
+    ranked = sorted(inst.orders, key=lambda o: o.id)
+    for r, o in enumerate(ranked, start=1):
+        for t in range(inst.pickers):
+            if t >= r:
+                expected.append(reference.add_row(f"col_fix_o{o.id}_t{t}", "col_fix",
+                                                  [(reference.var("z", o.id, t), 1)], "=", 0))
+        for t in range(1, min(r, inst.pickers)):
+            coeffs = [(reference.var("z", o.id, t), 1)]
+            coeffs += [(reference.var("z", o2.id, t - 1), -1) for o2 in ranked[:r - 1]]
+            unsorted += coeffs != sorted(coeffs)
+            expected.append(reference.add_row(f"col_link_o{o.id}_t{t}", "col_link",
+                                              coeffs, "<=", 0))
+    # 3 fixing rows and 7 linking rows, 6 of them unsorted as built
+    assert list(rows) == expected and (len(expected), unsorted) == (10, 6)
+    assert m.constraints == reference.constraints
+
+
 def test_symmetry_allows_canonical_batchings():
     # every partition, relabeled with batches sorted by smallest order id,
     # satisfies the fixing and linking rows

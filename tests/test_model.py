@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -145,6 +146,16 @@ def test_assignment_integrality():
     assert a.is_integral()
     a.set("z", Fraction(1, 2))
     assert not a.is_integral()
+    # a value is stored exact: an int when integral, else a Fraction
+    for value, stored in ((1, 1), (1.0, 1), (Fraction(4, 2), 2), ("3", 3), (True, 1),
+                          (0.5, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))):
+        a.set("v", value)
+        assert type(a.get("v")) is type(stored) and a.get("v") == stored, value
+    assert a.get("missing") == 0 and type(a.get("missing")) is int
+    for bad, error in ((None, TypeError), ("x", ValueError), (float("nan"), ValueError),
+                       (float("inf"), OverflowError)):
+        with pytest.raises(error):
+            a.set("v", bad)
 
 
 def test_lp_deterministic_and_parseable():
@@ -300,6 +311,15 @@ def _exports(m):
     return write_lp(m), write_mps(m), write_model_json(m)
 
 
+def _canonical(terms):
+    """The terms sorted by position, the coefficients of a repeated position
+    summed in the order given: the row ``add_row`` stores."""
+    merged = {}
+    for pos, coef in terms:
+        merged[pos] = merged.get(pos, 0) + coef
+    return sorted(merged.items()) if len(merged) < len(terms) else sorted(terms)
+
+
 def test_add_rows_equals_add_row_one_at_a_time():
     rng = random.Random(23)
     for n_rows in (0, 1, 5, 60):
@@ -307,8 +327,10 @@ def test_add_rows_equals_add_row_one_at_a_time():
         bulk, single = LinearModel("m", kind="k"), LinearModel("m", kind="k")
         for m in (bulk, single):
             _variables(m, 12)
+        # add_rows takes canonical rows only; add_row takes the raw ones
         ends, positions, coefs = [], [], []
-        for _, _, terms, _, _ in rows:
+        for _, _, raw, _, _ in rows:
+            terms = _canonical(raw)
             positions += [pos for pos, _ in terms]
             coefs += [coef for _, coef in terms]
             ends.append(len(positions))
@@ -326,6 +348,15 @@ def test_add_rows_equals_add_row_one_at_a_time():
     # the last batch has empty rows and kept terms whose coefficients cancel
     assert any(not row.coeffs for row in bulk.constraints)
     assert any(coef == 0 for row in bulk.constraints for _, coef in row.coeffs)
+    # its raw rows, unsorted and with repeats, are rejected in bulk
+    raw = LinearModel("raw")
+    _variables(raw, 12)
+    terms = [term for row in rows for term in row[2]]
+    with pytest.raises(ValidationError, match="strictly increase"):
+        raw.add_rows([r[0] for r in rows], [r[1] for r in rows], [r[3] for r in rows],
+                     [r[4] for r in rows], list(accumulate(len(r[2]) for r in rows)),
+                     [pos for pos, _ in terms], [coef for _, coef in terms])
+    assert raw.constraints == []
 
 
 def _rejections():
@@ -340,12 +371,18 @@ def _rejections():
         "negative position": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
                                                   [1, 2], [0, -1], [1, 1]),
         "undeclared position": lambda m: m.add_row("n", "g", [(0, 1), (3, 1)], GE, 0),
+        "positions out of order": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE],
+                                                       [0, 0], [2, 4], [0, 2, 2, 1], [1] * 4),
+        "position repeated": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
+                                                  [2, 4], [0, 2, 1, 1], [1] * 4),
         "ends past the terms": lambda m: m.add_rows(["n"], ["g"], [GE], [0], [3], [0, 1], [1, 1]),
         "infinite coefficient": lambda m: m.add_row("n", "g", [(0, inf)], GE, 0),
         "NaN coefficient": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
                                                 [1, 2], [0, 1], [1, nan]),
         "infinite right-hand side": lambda m: m.add_row("n", "g", [(0, 1)], LE, inf),
         "text coefficient": lambda m: m.add_row("n", "g", [(0, "1")], LE, 1),
+        "text coefficient to merge": lambda m: m.add_row("n", "g", [(1, 1), (0, "1"), (1, 1)],
+                                                         LE, 1),
         "infinite objective": lambda m: m.set_objective_coeff(0, -inf),
         "NaN objective": lambda m: m.set_objective_coeffs([0, 1], [1, nan]),
         "infinite bound": lambda m: m.add_variables(CONTINUOUS, [("u", 0)], ub=inf),
