@@ -1,8 +1,8 @@
 """Joint order batching and picker routing toolkit.
 
 Warehouse graphs, integer programming formulations with lazy connectivity
-families, integral separation, exact desk-scale oracles, serpentine route
-evaluation and batching heuristics.
+families, integral separation, exact desk-scale oracles, walk encoders and
+batching heuristics with a closed-form serpentine estimate.
 """
 
 from .errors import (EncodingError, OracleSizeError, PickoptError,
@@ -10,7 +10,7 @@ from .errors import (EncodingError, OracleSizeError, PickoptError,
                      VariantMismatchError)
 from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxEdge, AuxiliaryGraph,
                      PickingGraph, Subaisle, WarehouseLayout,
-                     build_auxiliary_graph, build_graph, shortest_distance)
+                     build_auxiliary_graph, build_graph)
 from .instance import (Instance, Order, Pick, generate_instance,
                        instance_graph, load_instance, save_instance)
 from .model import (BINARY, CONTINUOUS, INTEGER, Constraint, FeasibilityReport,
@@ -27,11 +27,9 @@ from .separation import (CutRequest, OrderComponents, cut_to_row,
 from .exact import (MAX_EXACT_ORDERS, MAX_ORACLE_EDGES, Solution, Walk,
                     WalkSpace, batching_to_solution, bin_pack_exact,
                     capacity_feasible_partitions, first_fit_decreasing,
-                    load_solution, route_oracle, save_solution, solve_exact,
+                    load_solution, save_solution, solve_exact,
                     solve_no_reversal_exact, validate_solution, walk_space)
-from .sshape import R_S1, R_S2, SShapeRoute, evaluate_s_shape, s_shape_candidates
-from .encoding import (encode_route_PU2, encode_walk_PF, encode_walk_PG,
-                       eq75_value, orient_walk)
+from .encoding import encode_walk_PF, encode_walk_PG, orient_walk
 from .heuristics import (Batching, cw2_batching, make_oracle_estimator,
                          make_s_shape_estimator, s_shape_estimate,
                          seed_batching, validate_batching)

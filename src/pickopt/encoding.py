@@ -1,4 +1,4 @@
-"""Encode walks and routes into formulation variable space.
+"""Encode walks into formulation variable space.
 
 Arc-space encodings orient each walk deterministically: multiplicity-2
 edges contribute both directed arcs, and the multiplicity-1 subgraph
@@ -14,14 +14,12 @@ every visited artificial vertex to the origin inside the gamma support.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
 
-from .errors import EncodingError
-from .exact import Solution, Walk
+from .errors import EncodingError, ValidationError
+from .exact import Solution, Walk, validate_solution
 from .instance import Instance
-from .layout import TWO_BLOCK, AuxiliaryGraph, PickingGraph
+from .layout import PickingGraph
 from .model import LinearModel, VariableAssignment
-from .sshape import BOTTOM_BAND, SShapeRoute, TOP_BAND
 
 
 def orient_walk(graph: PickingGraph, walk: Walk) -> frozenset[tuple[int, int]]:
@@ -100,28 +98,21 @@ def _gamma_arcs(graph: PickingGraph, arcs: frozenset,
     return gamma
 
 
-def _validate_solution_for_encoding(instance: Instance, graph: PickingGraph,
-                                    solution: Solution) -> None:
-    if len(solution.batching) != instance.pickers:
-        raise EncodingError("solution picker count does not match the instance")
-    for t, orders in enumerate(solution.batching):
-        required = frozenset().union(
-            frozenset(), *(instance.pick_vertices(graph, instance.order_by_id(o))
-                           for o in orders))
-        try:
-            solution.walks[t].validate(graph, required)
-        except Exception as exc:
-            raise EncodingError(f"picker {t}: {exc}") from exc
-
-
 def encode_walk_PG(model: LinearModel, instance: Instance, graph: PickingGraph,
                    solution: Solution) -> VariableAssignment:
     """Encode a solution into any arc-space model (P_basic, P_A, P_G, P_U).
 
     Fills exactly the variables the model declares; the objective value of
-    the result equals the summed walk length.
+    the result equals the summed walk length.  A solution that
+    :func:`pickopt.exact.validate_solution` rejects, or whose picker count
+    differs from the instance's, raises :class:`EncodingError`.
     """
-    _validate_solution_for_encoding(instance, graph, solution)
+    if len(solution.batching) != instance.pickers:
+        raise EncodingError("solution picker count does not match the instance")
+    try:
+        validate_solution(instance, graph, solution)
+    except ValidationError as exc:
+        raise EncodingError(str(exc)) from exc
     assignment = VariableAssignment()
     has_alpha = model.has_var("a", 0, graph.subaisles[0].locs[0])
     has_gamma = model.has_var("g", 0, graph.reduced_edges[0][0], graph.reduced_edges[0][1])
@@ -191,244 +182,3 @@ def encode_walk_PF(model: LinearModel, instance: Instance, graph: PickingGraph,
                 assignment.set(model.var_name(model.var("s", t, v0, u, v)), 1)
                 v = u
     return assignment
-
-
-# -- S-shape routes into the two-block TSP model ------------------------------
-
-_TOPROW, _MIDROW, _MID2ROW, _BOTROW = "T", "M", "M2", "B"
-
-
-class _AuxResolver:
-    """Resolve route steps to auxiliary edges by depth-first search.
-
-    Every pass through the middle cross aisle occupies either the original
-    row or the copy row; verticals come in a primary and a copy variant
-    that start or end on different rows.  Which lane each pass takes is a
-    small combinatorial choice, searched deterministically (primary and
-    lane-keeping options first).  Subaisles with picks that the route
-    traverses only once are pinned to their primary edge so the cover rows
-    hold.
-    """
-
-    def __init__(self, aux: AuxiliaryGraph, required_primary: frozenset[int]):
-        if aux.variant != TWO_BLOCK:
-            raise EncodingError("route encoding needs a two_block auxiliary graph")
-        self.aux = aux
-        graph = aux.graph
-        n = graph.layout.n_aisles
-        self.n = n
-        self.rows = {
-            _TOPROW: [graph.artificial_vertex(0, a) for a in range(n)],
-            _MIDROW: [graph.artificial_vertex(1, a) for a in range(n)],
-            _BOTROW: [graph.artificial_vertex(2, a) for a in range(n)],
-        }
-        copy_back = {orig: cp for cp, orig in aux.copy_of.items()}
-        self.rows[_MID2ROW] = [copy_back[self.rows[_MIDROW][a]] for a in range(n)]
-        self.move_edge: dict[frozenset, int] = {}
-        self.star_edge: dict[int, int] = {}
-        for e in aux.edges:
-            if e.in_e3:
-                other = e.v if e.u == graph.origin else e.u
-                self.star_edge[other] = e.id
-            else:
-                self.move_edge[frozenset((e.u, e.v))] = e.id
-        self.required_primary = required_primary
-
-    def vertex(self, row: str, a: int) -> int:
-        return self.rows[row][a]
-
-    def _edge(self, row_a: str, a: int, row_b: str, b: int) -> int:
-        return self.move_edge[frozenset((self.vertex(row_a, a), self.vertex(row_b, b)))]
-
-    def solve(self, steps, traversal_totals: dict[int, int]) -> set[int]:
-        """Assign lanes and variants; returns the used edge set."""
-        units: list = []
-        for step in steps:
-            if step[0] == "move":
-                _, band, src, dst = step
-                direction = 1 if dst > src else -1
-                for a in range(src, dst, direction):
-                    units.append(("hop", band, a, a + direction))
-            elif step[0] == "vert":
-                units.append(("vert", step[1], step[2]))
-            else:
-                units.append(("star",))
-
-        used: set[int] = set()
-        degree: dict[int, int] = {}
-        out: Optional[set[int]] = None
-
-        def take(eid: int) -> bool:
-            # a tour visits every auxiliary vertex at most once: degree cap 2
-            if eid in used:
-                return False
-            edge = self.aux.edges[eid]
-            if degree.get(edge.u, 0) >= 2 or degree.get(edge.v, 0) >= 2:
-                return False
-            used.add(eid)
-            degree[edge.u] = degree.get(edge.u, 0) + 1
-            degree[edge.v] = degree.get(edge.v, 0) + 1
-            return True
-
-        def untake(eid: int) -> None:
-            used.discard(eid)
-            edge = self.aux.edges[eid]
-            degree[edge.u] -= 1
-            degree[edge.v] -= 1
-
-        def attempt(edges: list[int], k: int, row: str, aisle: int) -> bool:
-            """Take the edges and search on from unit k; undo them on failure."""
-            taken = []
-            for eid in edges:
-                if not take(eid):
-                    break
-                taken.append(eid)
-            else:
-                if rec(k, row, aisle):
-                    return True
-            for eid in taken:
-                untake(eid)
-            return False
-
-        def connector_options(row: str, a: int):
-            """(edges_to_take, resulting_row) alternatives from a middle row."""
-            yield [], row
-            other = _MID2ROW if row == _MIDROW else _MIDROW
-            yield [self._edge(row, a, other, a)], other
-
-        def rec(k: int, row: str, aisle: int) -> bool:
-            nonlocal out
-            if k == len(units):
-                if row == _TOPROW and aisle == 0:
-                    out = set(used)
-                    return True
-                return False
-            unit = units[k]
-            if unit[0] == "hop":
-                _, band, a, b = unit
-                if band in (TOP_BAND, BOTTOM_BAND):
-                    need = _TOPROW if band == TOP_BAND else _BOTROW
-                    return row == need and attempt([self._edge(need, a, need, b)], k + 1, need, b)
-                if row not in (_MIDROW, _MID2ROW):
-                    return False
-                return any(attempt(pre + [self._edge(lane, a, lane, b)], k + 1, lane, b)
-                           for pre, lane in connector_options(row, a))
-            if unit[0] == "vert":
-                _, sub, direction = unit
-                a = sub % self.n
-                block1 = sub < self.n
-                variants = ["primary", "copy"]
-                if sub in self.required_primary and traversal_totals[sub] == 1:
-                    variants = ["primary"]
-                for variant in variants:
-                    if block1:
-                        lane = _MIDROW if variant == "primary" else _MID2ROW
-                        eid = self._edge(_TOPROW, a, lane, a)
-                        ends = (_TOPROW, lane) if direction == "down" else (lane, _TOPROW)
-                    else:
-                        lane = _MID2ROW if variant == "primary" else _MIDROW
-                        eid = self._edge(lane, a, _BOTROW, a)
-                        ends = (lane, _BOTROW) if direction == "down" else (_BOTROW, lane)
-                    start_row, end_row = ends
-                    if row == start_row:
-                        pre = []
-                    elif row in (_MIDROW, _MID2ROW) and start_row in (_MIDROW, _MID2ROW):
-                        pre = [self._edge(row, aisle, start_row, aisle)]
-                    else:
-                        continue
-                    if attempt(pre + [eid], k + 1, end_row, a):
-                        return True
-                return False
-            # star: one return edge home, optionally switching middle lane first
-            star_options = (connector_options(row, aisle)
-                            if row in (_MIDROW, _MID2ROW) else [([], row)])
-            for pre, lane in star_options:
-                eid = self.star_edge.get(self.vertex(lane, aisle))
-                if eid is not None and attempt(pre + [eid], k + 1, _TOPROW, 0):
-                    return True
-            return False
-
-        if not rec(0, _TOPROW, 0):
-            raise EncodingError("route admits no conflict-free lane assignment")
-        return out
-
-
-def encode_route_PU2(model: LinearModel, aux: AuxiliaryGraph, instance: Instance,
-                     route: SShapeRoute, picker: int,
-                     order_ids: Iterable[int]) -> VariableAssignment:
-    """Encode one picker's S-shape route into the two-block TSP model."""
-    graph = aux.graph
-    order_ids = sorted(order_ids)
-    picked_subs: set[int] = set()
-    for o in order_ids:
-        for v in instance.pick_vertices(graph, instance.order_by_id(o)):
-            picked_subs.add(graph.subaisle_of(v))
-    totals: dict[int, int] = {}
-    for step in route.steps:
-        if step[0] == "vert":
-            totals[step[1]] = totals.get(step[1], 0) + 1
-    resolver = _AuxResolver(aux, frozenset(picked_subs))
-    used = resolver.solve(route.steps, totals)
-
-    assignment = VariableAssignment()
-    degree: dict[int, int] = {}
-    for eid in sorted(used):
-        e = aux.edges[eid]
-        assignment.set(model.var_name(model.var(*e.var_index(picker))), 1)
-        degree[e.u] = degree.get(e.u, 0) + 1
-        degree[e.v] = degree.get(e.v, 0) + 1
-    for v in aux.vertices:
-        if v != graph.origin and degree.get(v, 0):
-            assignment.set(model.var_name(model.var("y", picker, v)), 1)
-    for o in order_ids:
-        assignment.set(model.var_name(model.var("z", o, picker)), 1)
-    return assignment
-
-
-def encode_best_s_shape(model: LinearModel, aux: AuxiliaryGraph, instance: Instance,
-                        picker: int, order_ids: Iterable[int],
-                        kind: Optional[str] = None):
-    """Cheapest serpentine route for one batch, encoded into the TSP model.
-
-    Equal-length route variants are tried in order; the construction
-    guarantees an optimal serpentine exists but not that every variant has
-    a conflict-free lane assignment.  With ``kind`` the search is limited
-    to one route kind.  Returns ``(route, assignment)``.
-    """
-    from .sshape import s_shape_candidates
-
-    graph = aux.graph
-    order_ids = sorted(order_ids)
-    subs = set()
-    for o in order_ids:
-        for v in instance.pick_vertices(graph, instance.order_by_id(o)):
-            subs.add(graph.subaisle_of(v))
-    n = graph.layout.n_aisles
-    K1 = sorted(i for i in subs if i < n)
-    K2 = sorted(i for i in subs if i >= n)
-    candidates = [r for r in s_shape_candidates(graph, K1, K2)
-                  if kind is None or r.kind == kind]
-    if not candidates:
-        raise EncodingError(f"no serpentine route of kind {kind!r} covers this batch")
-    candidates.sort(key=lambda r: (r.total_length, r.kind,
-                                   r.i0 if r.i0 is not None else -1))
-    best_length = candidates[0].total_length
-    last_error = None
-    for route in candidates:
-        if route.total_length > best_length:
-            break
-        try:
-            return route, encode_route_PU2(model, aux, instance, route, picker, order_ids)
-        except EncodingError as exc:
-            last_error = exc
-    raise EncodingError(
-        f"no minimum-length serpentine route is representable: {last_error}")
-
-
-def eq75_value(model: LinearModel, aux: AuxiliaryGraph, assignment: VariableAssignment,
-               picker: int):
-    """Value of the second-cross-aisle crossing sum for one picker."""
-    total = 0
-    for e in aux.delta(aux.south_set):
-        total += assignment.get(model.var_name(model.var(*e.var_index(picker))))
-    return total

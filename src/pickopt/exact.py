@@ -42,10 +42,6 @@ class Walk:
     picker: int
     edge_mult: tuple[tuple[int, int], ...]
 
-    @property
-    def mult(self) -> dict[int, int]:
-        return dict(self.edge_mult)
-
     def length(self, graph: PickingGraph):
         return sum(graph.edge_length[e] * m for e, m in self.edge_mult)
 
@@ -217,7 +213,6 @@ class WalkSpace:
         # weakly keyed by their graph, and a strong reference would pin it
         self.n_vertices = graph.n_vertices
         self.subaisles = graph.subaisles
-        self.adjacency = graph.adjacency
         self.n_edges = m
 
         lengths = np.array(graph.edge_length, dtype=np.float64)
@@ -284,7 +279,7 @@ class WalkSpace:
         value = self.lengths[index]
         return int(value) if self._integral else float(value)
 
-    # -- restriction masks ---------------------------------------------------
+    # -- restriction mask ----------------------------------------------------
 
     def mask_no_reversal(self) -> np.ndarray:
         """Walks where every entered subaisle is traversed completely."""
@@ -294,33 +289,6 @@ class WalkSpace:
             block = self.mult[:, cols]
             ok &= (block == block[:, :1]).all(axis=1)
         return ok
-
-    def mask_single_traversal(self, exempt: frozenset[int] = frozenset()) -> np.ndarray:
-        """No subaisle (outside ``exempt``) is fully traversed twice."""
-        bad = np.zeros(len(self.mult), dtype=bool)
-        for sub in self.subaisles:
-            if sub.index in exempt:
-                continue
-            cols = list(sub.edge_ids)
-            bad |= (self.mult[:, cols] == 2).all(axis=1)
-        return ~bad
-
-    def mask_no_artificial_uturn(self) -> np.ndarray:
-        """No walk turns around at an artificial vertex it uses for nothing else."""
-        bad = np.zeros(len(self.mult), dtype=bool)
-
-        def corner(vertex: int, chain_edge: int):
-            others = [eid for _, eid in self.adjacency[vertex] if eid != chain_edge]
-            here = self.mult[:, chain_edge] == 2
-            if others:
-                here = here & (self.mult[:, others] == 0).all(axis=1)
-            return here
-
-        for sub in self.subaisles:
-            bad |= corner(sub.tail, sub.edge_ids[-1])
-            if sub.block >= 1:
-                bad |= corner(sub.head, sub.edge_ids[0])
-        return ~bad
 
 
 _space_cache: "weakref.WeakKeyDictionary[PickingGraph, WalkSpace]" = weakref.WeakKeyDictionary()
@@ -332,21 +300,6 @@ def walk_space(graph: PickingGraph) -> WalkSpace:
         space = WalkSpace(graph)
         _space_cache[graph] = space
     return space
-
-
-def route_oracle(graph: PickingGraph, required: Iterable[int],
-                 mask: Optional[np.ndarray] = None, picker: int = 0) -> Walk:
-    """Minimum-length closed walk from the origin covering ``required``.
-
-    ``required`` may be empty; the result is then the minimal departure
-    walk (cheapest out-and-back from the origin).
-    """
-    required = frozenset(required)
-    for v in required:
-        if v >= graph.n_vertices or graph.is_artificial(v):
-            raise ValidationError(f"required vertex {v} is not a picking location")
-    space = walk_space(graph)
-    return space.walk(space.query(required, mask), picker)
 
 
 # -- batching enumeration ----------------------------------------------------
@@ -538,7 +491,7 @@ def batching_to_solution(instance: Instance, graph: PickingGraph,
 
 __all__ = [
     "MAX_ORACLE_EDGES", "MAX_EXACT_ORDERS", "Walk", "Solution",
-    "WalkSpace", "walk_space", "route_oracle", "solve_exact",
+    "WalkSpace", "walk_space", "solve_exact",
     "solve_no_reversal_exact", "bin_pack_exact", "first_fit_decreasing",
     "capacity_feasible_partitions",
     "validate_solution", "solution_to_dict", "save_solution", "load_solution",

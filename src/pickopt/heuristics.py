@@ -8,8 +8,11 @@ oracle (for apples-to-apples comparisons on tiny instances).
 The serpentine estimate is a closed form on one and two blocks alike: it
 counts the subaisle traversals ``V`` and aisle steps ``H`` of the cheapest
 S-shape route from the picked subaisles, and prices them with
-:func:`pickopt.sshape.route_length`, the rule the constructed routes of
-:mod:`pickopt.sshape` use too.  It builds no route.
+:func:`route_length`.  On two blocks a route is ``r_S1``, which sweeps
+block 1 except an anchor subaisle, then block 2, and ascends the anchor
+last, or ``r_S2``, which sweeps block 1 and then block 2.  The estimate
+builds no route; the tests check it against constructed routes measured
+by the same rule.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import UnsupportedFamilyError, ValidationError
+from .exact import walk_space
 from .instance import Instance
-from .layout import PickingGraph, build_graph
-from .sshape import route_length
+from .layout import PickingGraph, WarehouseLayout, build_graph
 
 Estimator = Callable[[frozenset], float]
 
@@ -31,9 +34,6 @@ class Batching:
     """A capacity-feasible partition of the orders."""
 
     batches: tuple[frozenset[int], ...]
-
-    def as_lists(self) -> list[list[int]]:
-        return [sorted(b) for b in self.batches]
 
 
 def validate_batching(instance: Instance, batching: Batching) -> None:
@@ -59,6 +59,11 @@ def _canonical(batches: Iterable[frozenset]) -> tuple[frozenset, ...]:
     return tuple(sorted((frozenset(b) for b in batches), key=min))
 
 
+def route_length(layout: WarehouseLayout, vertical: int, horizontal: int):
+    """Length of ``vertical`` subaisle traversals and ``horizontal`` aisle steps."""
+    return vertical * layout.subaisle_length + horizontal * layout.aisle_spacing
+
+
 def s_shape_estimate(graph: PickingGraph, picks: Iterable[int]):
     """Serpentine route length estimate for one batch of picks.
 
@@ -66,8 +71,8 @@ def s_shape_estimate(graph: PickingGraph, picks: Iterable[int]):
     mode).  Single-block layouts: one vertical traversal per picked
     subaisle, one more if their number is odd, plus twice the distance to
     the rightmost picked aisle.  Two-block layouts: the length of the
-    cheapest route among ``s_shape_candidates``, counted without building
-    one (see :func:`_two_block_units`).
+    cheapest ``r_S1`` or ``r_S2`` route, counted without building one (see
+    :func:`_two_block_units`).
     """
     picks = frozenset(picks)
     if not picks:
@@ -139,8 +144,7 @@ def make_s_shape_estimator(graph: PickingGraph) -> Estimator:
 
 
 def make_oracle_estimator(graph: PickingGraph) -> Estimator:
-    from .exact import route_oracle
-
+    """Exact minimum walk length of each pick set, from the walk space."""
     cache: dict[frozenset, float] = {}
 
     def estimate(picks: frozenset):
@@ -148,8 +152,11 @@ def make_oracle_estimator(graph: PickingGraph) -> Estimator:
             return 0
         value = cache.get(picks)
         if value is None:
-            value = route_oracle(graph, picks).length(graph)
-            cache[picks] = value
+            for v in picks:
+                if v >= graph.n_vertices or graph.is_artificial(v):
+                    raise ValidationError(f"required vertex {v} is not a picking location")
+            space = walk_space(graph)
+            value = cache[picks] = space.length(space.query(picks))
         return value
 
     return estimate

@@ -47,10 +47,6 @@ class WarehouseLayout:
                 raise ValidationError(f"layout.{name} must be > 0")
 
     @property
-    def n_subaisles(self) -> int:
-        return self.n_aisles * self.n_blocks
-
-    @property
     def subaisle_length(self):
         return (self.locs_per_subaisle + 1) * self.loc_spacing
 
@@ -66,10 +62,6 @@ class Subaisle:
     tail: int
     locs: tuple[int, ...]
     edge_ids: tuple[int, ...]  # chain edges, north to south
-
-    @property
-    def chain(self) -> tuple[int, ...]:
-        return (self.head,) + self.locs + (self.tail,)
 
 
 class PickingGraph:
@@ -88,15 +80,9 @@ class PickingGraph:
         self.n_vertices = self.n_artificial + self.n_picking
         self.origin = 0
 
-        coords = []
-        for c in range(q + 1):
-            for a in range(n):
-                coords.append((a * layout.aisle_spacing, c * layout.subaisle_length))
-
         subaisles = []
         edges: list[tuple[int, int]] = []
         edge_length: list = []
-        edge_subaisle: list[Optional[int]] = []
         north: dict[int, int] = {}
         south: dict[int, int] = {}
         vertex_subaisle: dict[int, int] = {}
@@ -108,10 +94,7 @@ class PickingGraph:
                 head = b * n + a
                 tail = (b + 1) * n + a
                 locs = tuple(pick_base + i * m + k for k in range(m))
-                for k, v in enumerate(locs):
-                    x = a * layout.aisle_spacing
-                    y = b * layout.subaisle_length + (k + 1) * layout.loc_spacing
-                    coords.append((x, y))
+                for v in locs:
                     vertex_subaisle[v] = i
                 chain = (head,) + locs + (tail,)
                 eids = []
@@ -119,25 +102,18 @@ class PickingGraph:
                     eids.append(len(edges))
                     edges.append((u, v))
                     edge_length.append(layout.loc_spacing)
-                    edge_subaisle.append(i)
                     south[u] = v
                     north[v] = u
                 subaisles.append(Subaisle(i, b, a, head, tail, locs, tuple(eids)))
 
-        horizontal_ids = []
         for c in range(q + 1):
             for a in range(n - 1):
-                horizontal_ids.append(len(edges))
                 edges.append((c * n + a, c * n + a + 1))
                 edge_length.append(layout.aisle_spacing)
-                edge_subaisle.append(None)
 
-        self.coords = tuple(coords)
         self.edges = tuple(edges)
         self.edge_length = tuple(edge_length)
-        self.edge_subaisle = tuple(edge_subaisle)
         self.subaisles = tuple(subaisles)
-        self.horizontal_edge_ids = tuple(horizontal_ids)
         self._north = north
         self._south = south
         self._vertex_subaisle = vertex_subaisle
@@ -191,14 +167,6 @@ class PickingGraph:
     def south_of(self, v: int) -> int:
         return self._south[v]
 
-    def q_north(self, v: int) -> Optional[int]:
-        c, a = divmod(v, self.layout.n_aisles)
-        return self.artificial_vertex(c - 1, a) if c >= 1 else None
-
-    def q_south(self, v: int) -> Optional[int]:
-        c, a = divmod(v, self.layout.n_aisles)
-        return self.artificial_vertex(c + 1, a) if c < self.layout.n_blocks else None
-
     def q_west(self, v: int) -> Optional[int]:
         c, a = divmod(v, self.layout.n_aisles)
         return self.artificial_vertex(c, a - 1) if a >= 1 else None
@@ -231,10 +199,6 @@ class PickingGraph:
         """Directed arcs: each edge replaced by its two orientations."""
         return self._arcs
 
-    def arc_length(self, u: int, v: int):
-        eid = self.edge_id(u, v)
-        return self.edge_length[eid]
-
     def edge_id(self, u: int, v: int) -> int:
         for w, eid in self.adjacency[u]:
             if w == v:
@@ -249,9 +213,6 @@ class PickingGraph:
             if (u in inside) != (v in inside):
                 out.append((u, v) if u in inside else (v, u))
         return out
-
-    def delta_minus(self, s_set: Iterable[int]) -> list[tuple[int, int]]:
-        return [(v, u) for u, v in self.delta_plus(s_set)]
 
     def reduced_arcs(self) -> tuple[tuple[int, int], ...]:
         return self._reduced_arcs
@@ -327,13 +288,6 @@ def connected_components(edges: Iterable[tuple[int, int]],
     return comps
 
 
-def shortest_distance(graph: PickingGraph, u: int, v: int):
-    """Exact shortest-path length between two vertices."""
-    if not (0 <= u < graph.n_vertices and 0 <= v < graph.n_vertices):
-        raise ValidationError(f"vertex out of range: {u if u >= graph.n_vertices else v}")
-    return graph.shortest_distances_from(u)[v]
-
-
 SINGLE_BLOCK = "single_block"
 TWO_BLOCK = "two_block"
 
@@ -396,13 +350,6 @@ class AuxiliaryGraph:
             incident[e.v].append(e)
         object.__setattr__(self, "_incident",
                            {v: tuple(edges) for v, edges in incident.items()})
-
-    @property
-    def copies(self) -> tuple[int, ...]:
-        return tuple(sorted(self.copy_of))
-
-    def base_vertex(self, v: int) -> int:
-        return self.copy_of.get(v, v)
 
     def incident(self, w: int) -> tuple[AuxEdge, ...]:
         return self._incident.get(w, ())

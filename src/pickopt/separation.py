@@ -92,9 +92,6 @@ class OrderComponents:
 
     components: tuple[tuple[frozenset[int], bool], ...]  # (vertex set, contains_origin)
 
-    def non_origin_sets(self) -> list[frozenset[int]]:
-        return [S for S, has_origin in self.components if not has_origin]
-
 
 def order_components(graph: PickingGraph, picks: Iterable[int]) -> OrderComponents:
     """Components of the artificial subgraph spanned by an order's subaisles.

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pickopt import WarehouseLayout, build_graph, generate_instance
+from pickopt import Instance, Order, Pick, WarehouseLayout, build_graph, generate_instance
 
 # layout shapes whose sparse graph stays within the oracle bound |E| <= 14
 ORACLE_SHAPES = [
@@ -23,6 +23,14 @@ def shared_graph(layout: WarehouseLayout):
     if key not in _GRAPH_CACHE:
         _GRAPH_CACHE[key] = build_graph(layout)
     return _GRAPH_CACHE[key]
+
+
+def single_batch(layout: WarehouseLayout, graph, chosen) -> Instance:
+    """One picker and one order that picks every vertex in ``chosen``."""
+    subs = [graph.subaisles[graph.subaisle_of(v)] for v in sorted(chosen)]
+    picks = tuple(Pick(sub.aisle, sub.block, sub.locs.index(v), 0)
+                  for sub, v in zip(subs, sorted(chosen)))
+    return Instance(layout, (Order(0, 1, picks),), 8, 1)
 
 
 def make_suite(count: int, shapes=None, master_seed: int = 2024,

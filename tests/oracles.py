@@ -4,7 +4,9 @@ These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
 packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
 distances, a small parser for our LP output, and a row-by-row evaluator of
-model rows in ``Fraction`` arithmetic.
+model rows in ``Fraction`` arithmetic.  The route oracle and the two
+restriction masks below read the package's walk space, which the full
+scan checks row for row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,49 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pickopt import walk_space
+from pickopt import ValidationError, walk_space
+
+
+def route_oracle(graph, required, mask=None, picker=0):
+    """Minimum-length closed walk from the origin covering ``required``.
+
+    ``required`` may be empty; the result is then the minimal departure
+    walk (cheapest out-and-back from the origin).
+    """
+    required = frozenset(required)
+    for v in required:
+        if v >= graph.n_vertices or graph.is_artificial(v):
+            raise ValidationError(f"required vertex {v} is not a picking location")
+    space = walk_space(graph)
+    return space.walk(space.query(required, mask), picker)
+
+
+def mask_single_traversal(space, graph, exempt=frozenset()):
+    """Walks in which no subaisle outside ``exempt`` is fully traversed twice."""
+    bad = np.zeros(len(space.mult), dtype=bool)
+    for sub in graph.subaisles:
+        if sub.index not in exempt:
+            bad |= (space.mult[:, list(sub.edge_ids)] == 2).all(axis=1)
+    return ~bad
+
+
+def mask_no_artificial_uturn(space, graph):
+    """Walks that never turn around at an artificial vertex they use for
+    nothing else."""
+    bad = np.zeros(len(space.mult), dtype=bool)
+
+    def corner(vertex, chain_edge):
+        others = [eid for _, eid in graph.adjacency[vertex] if eid != chain_edge]
+        here = space.mult[:, chain_edge] == 2
+        if others:
+            here = here & (space.mult[:, others] == 0).all(axis=1)
+        return here
+
+    for sub in graph.subaisles:
+        bad |= corner(sub.tail, sub.edge_ids[-1])
+        if sub.block >= 1:
+            bad |= corner(sub.head, sub.edge_ids[0])
+    return ~bad
 
 
 def blind_solve(instance, graph, mask=None):
@@ -68,13 +112,27 @@ def depart_loop(t, graph):
 def subaisle_cycle(t, graph, sub):
     """Full down-and-up traversal of one subaisle, arcs both ways."""
     values = {}
-    chain = sub.chain
+    chain = (sub.head, *sub.locs, sub.tail)
     for u, v in zip(chain, chain[1:]):
         values[f"x_{t}_{u}_{v}"] = 1
         values[f"x_{t}_{v}_{u}"] = 1
     for v in chain:
         values[f"y_{t}_{v}"] = 1
     return values
+
+
+def every_gamma_cut_holds(graph, instance, assignment):
+    """Every reduced-graph connectivity row holds, all vertex sets enumerated."""
+    others = [v for v in graph.artificial_vertices if v != graph.origin]
+    for t in range(instance.pickers):
+        for r in range(2, len(others) + 1):
+            for S in itertools.combinations(others, r):
+                boundary = graph.eta_plus(set(S))
+                lhs = sum(assignment.get(f"g_{t}_{u}_{v}") for u, v in boundary)
+                for u0 in S:
+                    if assignment.get(f"y_{t}_{u0}") == 1 and lhs < 1:
+                        return False
+    return True
 
 
 def disconnected_candidate(instance, graph, solution):

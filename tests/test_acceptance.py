@@ -8,23 +8,22 @@ desk-scale layouts (at most 3 aisles, 2 blocks, 2 locations per subaisle,
 
 import random
 import time
-from itertools import combinations
 
 import pytest
 
-from conftest import make_suite, shared_graph
-from oracles import (blind_solve, disconnected_candidate,
+from conftest import make_suite, shared_graph, single_batch
+from oracles import (blind_solve, disconnected_candidate, every_gamma_cut_holds,
+                     mask_no_artificial_uturn, mask_single_traversal,
                      support_connected_to_origin)
-from pickopt import (Instance, Order, Pick, R_S1, R_S2, VariableAssignment,
-                     WarehouseLayout, build_auxiliary_graph, build_basic,
-                     build_PF, build_PG, build_PU2, build_single_traversing,
-                     build_strengthened_cuts, build_subaisle_cuts,
-                     check_feasible, cut_to_row, encode_walk_PF,
-                     encode_walk_PG, eq75_value, evaluate_s_shape,
-                     s_shape_candidates, separate_connectivity,
+from pickopt import (VariableAssignment, WarehouseLayout, build_auxiliary_graph,
+                     build_basic, build_PF, build_PG, build_PU2,
+                     build_single_traversing, build_strengthened_cuts,
+                     build_subaisle_cuts, check_feasible, cut_to_row,
+                     encode_walk_PF, encode_walk_PG, separate_connectivity,
                      solve_no_reversal_exact, walk_space)
-from pickopt.encoding import encode_best_s_shape
 from pickopt.layout import TWO_BLOCK
+from routes import (R_S1, R_S2, encode_best_s_shape, eq75_value,
+                    evaluate_s_shape, s_shape_candidates)
 
 
 def _ok(n, text):
@@ -45,20 +44,6 @@ def test_acceptance_1_oracle_equivalence(acceptance_suite):
            f"{len(acceptance_suite)} instances ({elapsed:.1f}s)")
 
 
-def _every_gamma_cut_holds(graph, instance, assignment):
-    s = graph.origin
-    others = [v for v in graph.artificial_vertices if v != s]
-    for t in range(instance.pickers):
-        for r in range(2, len(others) + 1):
-            for S in combinations(others, r):
-                boundary = graph.eta_plus(set(S))
-                lhs = sum(assignment.get(f"g_{t}_{u}_{v}") for u, v in boundary)
-                for u0 in S:
-                    if assignment.get(f"y_{t}_{u0}") == 1 and lhs < 1:
-                        return False
-    return True
-
-
 def test_acceptance_2_feasibility_direction(acceptance_suite, suite_solutions):
     for (instance, graph), solution in zip(acceptance_suite, suite_solutions):
         assert graph.n_artificial <= 8
@@ -67,7 +52,7 @@ def test_acceptance_2_feasibility_direction(acceptance_suite, suite_solutions):
         report = check_feasible(pg, a_pg)
         assert report.satisfied, report.violations[:4]
         assert pg.objective_value(a_pg.values) == solution.total
-        assert _every_gamma_cut_holds(graph, instance, a_pg)
+        assert every_gamma_cut_holds(graph, instance, a_pg)
 
         pf = build_PF(instance, graph)
         a_pf = encode_walk_PF(pf, instance, graph, solution)
@@ -98,10 +83,10 @@ def test_acceptance_3_cut_validity(acceptance_suite, suite_solutions):
         space = walk_space(graph)
         # single traversing: restricting the walk space keeps the optimum
         exempt = frozenset([0]) if instance.layout.n_blocks == 2 else frozenset()
-        restricted = blind_solve(instance, graph, space.mask_single_traversal(exempt))
+        restricted = blind_solve(instance, graph, mask_single_traversal(space, graph, exempt))
         assert restricted == solution.total
         # artificial vertex reversal: same restriction argument
-        restricted = blind_solve(instance, graph, space.mask_no_artificial_uturn())
+        restricted = blind_solve(instance, graph, mask_no_artificial_uturn(space, graph))
         assert restricted == solution.total
         # column inequalities: the canonical-representative enumeration of
         # solve_exact equals the symmetry-blind optimum
@@ -118,12 +103,12 @@ def test_acceptance_4_single_traversal_restriction():
                            master_seed=42)
     for instance, graph in one_block:
         space = walk_space(graph)
-        restricted = blind_solve(instance, graph, space.mask_single_traversal())
+        restricted = blind_solve(instance, graph, mask_single_traversal(space, graph))
         assert restricted == blind_solve(instance, graph)
     for instance, graph in two_block:
         space = walk_space(graph)
         restricted = blind_solve(instance, graph,
-                                 space.mask_single_traversal(frozenset([0])))
+                                 mask_single_traversal(space, graph, frozenset([0])))
         assert restricted == blind_solve(instance, graph)
     _ok(4, "single-traversal restriction preserves the optimum on 50 "
            "single-block and 50 two-block instances (first subaisle exempt)")
@@ -142,12 +127,7 @@ def test_acceptance_5_s_shape_optimality():
                   if rng.random() < 0.5]
         if not chosen:
             continue
-        picks = tuple(
-            Pick(graph.subaisles[graph.subaisle_of(v)].aisle,
-                 graph.subaisles[graph.subaisle_of(v)].block,
-                 graph.subaisles[graph.subaisle_of(v)].locs.index(v), 0)
-            for v in sorted(chosen))
-        instance = Instance(layout, (Order(0, 1, picks),), 8, 1)
+        instance = single_batch(layout, graph, chosen)
         exact = solve_no_reversal_exact(instance, graph).total
         n = layout.n_aisles
         subs = sorted({graph.subaisle_of(v) for v in chosen})
@@ -207,11 +187,7 @@ def test_acceptance_7_parity_and_crossing_bound():
         route = evaluate_s_shape(graph, K1, K2, R_S1)
         assert route.vertical_length - (len(K1) + len(K2)) * d == excess
 
-        picks = []
-        for i in K1 + K2:
-            sub = graph.subaisles[i]
-            picks.append(Pick(sub.aisle, sub.block, 0, 0))
-        instance = Instance(layout, (Order(0, 1, tuple(picks)),), 8, 1)
+        instance = single_batch(layout, graph, [graph.subaisles[i].locs[0] for i in K1 + K2])
         model = build_PU2(instance, aux, with_cross_aisle_bound=True)
         # the cheapest serpentine and the canonical r_S2 both encode
         # feasibly and cross the second cross aisle exactly twice

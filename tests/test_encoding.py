@@ -1,35 +1,20 @@
 import random
-from itertools import combinations
+from dataclasses import replace
 
 import pytest
 
-from conftest import make_suite, shared_graph
+from conftest import make_suite, shared_graph, single_batch
+from oracles import every_gamma_cut_holds, route_oracle
 from pickopt import (EncodingError, Instance, Order, Pick, Solution, Walk,
                      WarehouseLayout, build_auxiliary_graph, build_basic,
                      build_model, build_PF, build_PG, build_PU2, check_feasible,
-                     encode_walk_PF, encode_walk_PG,
-                     eq75_value, generate_instance, orient_walk, solve_exact,
-                     solve_no_reversal_exact)
-from pickopt.encoding import encode_best_s_shape
+                     encode_walk_PF, encode_walk_PG, generate_instance,
+                     orient_walk, solve_exact, solve_no_reversal_exact)
 from pickopt.layout import TWO_BLOCK
+from routes import (MIDDLE_BAND, R_S1, R_S2, arrivals, encode_best_s_shape,
+                    eq75_value, s_shape_candidates)
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
-
-
-def all_gamma_cuts_satisfied(graph, instance, assignment):
-    """Exhaustive enumeration of the reduced-graph connectivity family."""
-    s = graph.origin
-    others = [v for v in graph.artificial_vertices if v != s]
-    for t in range(instance.pickers):
-        for r in range(2, len(others) + 1):
-            for S in combinations(others, r):
-                sset = set(S)
-                boundary = graph.eta_plus(sset)
-                lhs = sum(assignment.get(f"g_{t}_{u}_{v}") for u, v in boundary)
-                for u0 in S:
-                    if assignment.get(f"y_{t}_{u0}") == 1 and lhs < 1:
-                        return False
-    return True
 
 
 def test_orientation_is_balanced():
@@ -66,7 +51,7 @@ def test_encode_pg_satisfies_every_gamma_cut():
         sol = solve_exact(inst, g)
         model = build_PG(inst, g)
         a = encode_walk_PG(model, inst, g, sol)
-        assert all_gamma_cuts_satisfied(g, inst, a)
+        assert every_gamma_cut_holds(g, inst, a)
 
 
 def test_full_downward_traversal_sets_gamma():
@@ -129,7 +114,7 @@ def test_projection_between_pg_and_pf():
     projected = VariableAssignment(
         {k: v for k, v in af.values.items() if not k.startswith("s_")})
     assert check_feasible(mg, projected).satisfied
-    assert all_gamma_cuts_satisfied(g, inst, projected)
+    assert every_gamma_cut_holds(g, inst, projected)
 
 
 def test_encode_no_reversal_into_PU_kind():
@@ -155,14 +140,17 @@ def test_encode_rejects_broken_walks():
     sol2 = Solution(((0,),), (far,), far.length(g))
     with pytest.raises(EncodingError):
         encode_walk_PG(model, inst, g, sol2)
-
-
-def _single_batch_instance(layout, g, chosen):
-    picks = tuple(
-        Pick(g.subaisles[g.subaisle_of(v)].aisle, g.subaisles[g.subaisle_of(v)].block,
-             g.subaisles[g.subaisle_of(v)].locs.index(v), 0)
-        for v in sorted(chosen))
-    return Instance(layout, (Order(0, 1, picks),), 8, 1)
+    # a total that is not the walk length sum
+    with pytest.raises(EncodingError, match="total"):
+        encode_walk_PG(model, inst, g, replace(solve_exact(inst, g), total=1000))
+    # two orders on one trolley that holds only the larger of them
+    pair = generate_instance(LAYOUT, 2, 5, seed=0)
+    small = Instance(LAYOUT, pair.orders, max(o.size for o in pair.orders), pickers=2)
+    both = route_oracle(g, frozenset().union(*small.all_pick_vertices(g).values()))
+    idle = route_oracle(g, (), picker=1)
+    sol3 = Solution(((0, 1), ()), (both, idle), both.length(g) + idle.length(g))
+    with pytest.raises(EncodingError, match="capacity"):
+        encode_walk_PG(build_basic(small, g), small, g, sol3)
 
 
 def test_pu2_route_encodings():
@@ -176,7 +164,7 @@ def test_pu2_route_encodings():
             chosen = [v for sub in g.subaisles for v in sub.locs if rng.random() < 0.5]
             if not chosen:
                 continue
-            inst = _single_batch_instance(layout, g, chosen)
+            inst = single_batch(layout, g, chosen)
             model = build_PU2(inst, aux, with_cross_aisle_bound=True)
             subs = {g.subaisle_of(v) for v in chosen}
             K2 = [i for i in subs if i >= n]
@@ -198,3 +186,25 @@ def test_best_s_shape_of_an_absent_kind_is_an_encoding_error():
     model = build_PU2(inst, aux)
     with pytest.raises(EncodingError, match="r_S1"):
         encode_best_s_shape(model, aux, inst, 0, [0], kind="r_S1")
+
+
+def test_r_s1_routes_that_enter_a_middle_location_three_times_do_not_encode():
+    # the auxiliary graph has two vertices at each middle cross-aisle
+    # location, the original and its copy, each of tour degree 2
+    layout = WarehouseLayout(3, 2, 1, 1, 2)
+    g = shared_graph(layout)
+    aux = build_auxiliary_graph(g, TWO_BLOCK)
+    inst = generate_instance(layout, 3, 10, seed=5)
+    subs = sorted({g.subaisle_of(v) for v in inst.pick_vertices(g, inst.order_by_id(0))})
+    assert subs == [0, 1, 2, 4]
+    routes = s_shape_candidates(g, [0, 1, 2], [4])
+    assert {(r.kind, r.total_length, arrivals(r, 3, MIDDLE_BAND, 1)) for r in routes} == {
+        (R_S1, 20, 3), (R_S2, 20, 2)}
+    assert sum(r.kind == R_S1 for r in routes) == 5
+    single = Instance(layout, (inst.order_by_id(0),), inst.capacity, 1)
+    model = build_PU2(single, aux)
+    with pytest.raises(EncodingError, match="no conflict-free lane assignment"):
+        encode_best_s_shape(model, aux, single, 0, [0], kind=R_S1)
+    route, a = encode_best_s_shape(model, aux, single, 0, [0], kind=R_S2)
+    assert check_feasible(model, a).satisfied
+    assert model.objective_value(a.values) == route.total_length == 20

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import ORACLE_SHAPES, make_suite, shared_graph
-from oracles import blind_solve, brute_force_bin_pack, scanned_walk_space
+from oracles import (blind_solve, brute_force_bin_pack, mask_no_artificial_uturn,
+                     mask_single_traversal, route_oracle, scanned_walk_space)
 from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick,
                      ValidationError, WalkSpace, WarehouseLayout, bin_pack_exact,
                      build_graph, capacity_feasible_partitions,
                      first_fit_decreasing, generate_instance, load_solution,
-                     route_oracle, save_solution, solve_exact,
-                     solve_no_reversal_exact, validate_solution, walk_space)
+                     save_solution, solve_exact, solve_no_reversal_exact,
+                     validate_solution, walk_space)
 from pickopt.exact import _space_cache
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
@@ -53,8 +54,8 @@ def test_walk_space_matches_full_scan():
             assert got.dtype == want.dtype, (shape, name)
             assert np.array_equal(got, want), (shape, name)
         assert np.array_equal(space.mask_no_reversal(), ref.no_reversal), shape
-        assert np.array_equal(space.mask_single_traversal(), ref.single_traversal), shape
-        assert np.array_equal(space.mask_no_artificial_uturn(),
+        assert np.array_equal(mask_single_traversal(space, g), ref.single_traversal), shape
+        assert np.array_equal(mask_no_artificial_uturn(space, g),
                               ref.no_artificial_uturn), shape
 
 
@@ -162,7 +163,7 @@ def test_no_reversal_walks_fully_traverse():
     for instance, graph in suite:
         sol = solve_no_reversal_exact(instance, graph)
         for walk in sol.walks:
-            mult = walk.mult
+            mult = dict(walk.edge_mult)
             for sub in graph.subaisles:
                 values = {mult.get(e, 0) for e in sub.edge_ids}
                 assert len(values) == 1, "subaisle entered but not fully traversed"
@@ -182,8 +183,8 @@ def test_no_reversal_empty_picker_departure():
     g = shared_graph(LAYOUT)
     sol = solve_no_reversal_exact(inst, g)
     assert sol.walks[1].length(g) == 2 * LAYOUT.aisle_spacing
-    mult = sol.walks[1].mult
-    assert all(g.edge_subaisle[e] is None for e in mult)
+    chain_edges = {e for sub in g.subaisles for e in sub.edge_ids}
+    assert not chain_edges & {e for e, _ in sol.walks[1].edge_mult}
 
 
 def test_export_model_writes_files(tmp_path):

@@ -272,9 +272,9 @@ def test_PU2_rows_and_cross_aisle_bound():
     m = build_PU2(inst, aux, with_cross_aisle_bound=True)
     assert m.group_counts()["less2con"] == inst.pickers
     # degree rows for every auxiliary vertex besides the origin, copies included
-    assert m.group_counts()["tspt3"] == g.n_artificial + len(aux.copies) - 1
+    assert m.group_counts()["tspt3"] == g.n_artificial + len(aux.copy_of) - 1
     assert "tspt4" in m.lazy_groups
-    for cp in aux.copies:
+    for cp in aux.copy_of:
         assert m.has_var("y", 0, cp)
 
 

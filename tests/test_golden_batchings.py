@@ -87,7 +87,7 @@ def batching_digest(label: str) -> str:
     layout = WarehouseLayout(*shape)
     graph = shared_graph(layout)
     instance = generate_instance(layout, n_orders, delta, seed=seed, capacity=capacity)
-    batches = [algo(instance, factory(graph), graph).as_lists()
+    batches = [[sorted(b) for b in algo(instance, factory(graph), graph).batches]
                for algo in (seed_batching, cw2_batching)]
     return hashlib.sha256(json.dumps(batches).encode()).hexdigest()
 

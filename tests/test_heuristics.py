@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from conftest import make_suite, shared_graph
+from conftest import ORACLE_SHAPES, make_suite, shared_graph
+from oracles import route_oracle
 from pickopt import (Batching, Instance, Order, Pick, UnsupportedFamilyError,
-                     WarehouseLayout, batching_to_solution, cw2_batching,
-                     generate_instance, make_oracle_estimator,
-                     make_s_shape_estimator, s_shape_candidates,
-                     s_shape_estimate, seed_batching, solve_exact,
-                     validate_batching)
-from pickopt.heuristics import _two_block_units
-from pickopt.sshape import R_S1, R_S2, route_length
+                     ValidationError, WarehouseLayout, batching_to_solution,
+                     cw2_batching, generate_instance, make_oracle_estimator,
+                     make_s_shape_estimator, s_shape_estimate, seed_batching,
+                     solve_exact, validate_batching)
+from pickopt.heuristics import _two_block_units, route_length
+from routes import R_S1, R_S2, s_shape_candidates
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 
@@ -158,3 +158,17 @@ def test_seed_rule_prefers_most_subaisles():
     inst = Instance(LAYOUT, orders, 8, 2)
     batching = seed_batching(inst, graph=g)
     assert Batching((frozenset({0}), frozenset({1}))) == batching
+
+
+def test_oracle_estimator_prices_pick_sets_as_the_route_oracle():
+    rng = random.Random(17)
+    for shape in ORACLE_SHAPES:
+        g = shared_graph(WarehouseLayout(*shape, 1, 2))
+        estimate = make_oracle_estimator(g)
+        assert estimate(frozenset()) == 0
+        locs = list(g.picking_vertices)
+        for _ in range(8):
+            picks = frozenset(rng.sample(locs, rng.randint(1, len(locs))))
+            assert estimate(picks) == route_oracle(g, picks).length(g), (shape, picks)
+        with pytest.raises(ValidationError, match="not a picking location"):
+            estimate(frozenset({locs[0], g.origin}))

@@ -6,7 +6,7 @@ from conftest import ORACLE_SHAPES
 from oracles import bellman_ford
 from pickopt import (SINGLE_BLOCK, TWO_BLOCK, ValidationError,
                      VariantMismatchError, WarehouseLayout,
-                     build_auxiliary_graph, build_graph, shortest_distance)
+                     build_auxiliary_graph, build_graph)
 
 
 def test_counts_one_block_two_aisles():
@@ -26,9 +26,9 @@ def test_counts_two_blocks_one_aisle():
 def test_counts_two_blocks_three_aisles():
     layout = WarehouseLayout(3, 2, 4, 1, 2)
     g = build_graph(layout)
-    assert layout.n_subaisles == 6
+    assert len(g.subaisles) == 6
     assert g.n_picking == 24
-    assert len(g.horizontal_edge_ids) == 3 * 2
+    assert len(g.edges) - sum(len(sub.edge_ids) for sub in g.subaisles) == 3 * 2
 
 
 @given(na=st.integers(1, 4), nb=st.integers(1, 3), m=st.integers(1, 3))
@@ -65,7 +65,6 @@ def test_rejects_degenerate_layouts():
 def test_origin_is_top_left():
     g = build_graph(WarehouseLayout(3, 2, 2, 1, 2))
     assert g.origin == 0
-    assert g.coords[0] == (0, 0)
     assert g.subaisles[0].head == g.origin
 
 
@@ -73,22 +72,20 @@ def test_chain_spacing_and_neighbors():
     layout = WarehouseLayout(2, 1, 3, 2, 5)
     g = build_graph(layout)
     sub = g.subaisles[1]
-    chain = sub.chain
+    chain = (sub.head, *sub.locs, sub.tail)
     for u, v in zip(chain, chain[1:]):
-        assert g.arc_length(u, v) == 2
+        assert g.edge_length[g.edge_id(u, v)] == 2
     assert g.q_west(g.artificial_vertex(0, 1)) == g.origin
     assert g.q_east(g.origin) == g.artificial_vertex(0, 1)
-    assert g.q_north(sub.tail) == sub.head
-    assert g.q_south(sub.head) == sub.tail
-    assert g.q_north(g.origin) is None
+    assert (sub.head, sub.tail) == (g.artificial_vertex(0, 1), g.artificial_vertex(1, 1))
 
 
 def test_shortest_distance_examples():
     g = build_graph(WarehouseLayout(2, 1, 2, 1, 2))
     v11 = g.subaisles[0].locs[0]
-    assert shortest_distance(g, 5, 5) == 0
-    assert shortest_distance(g, g.origin, v11) == 1
-    assert shortest_distance(g, g.origin, g.artificial_vertex(0, 1)) == 2
+    assert g.shortest_distances_from(5)[5] == 0
+    assert g.shortest_distances_from(g.origin)[v11] == 1
+    assert g.shortest_distances_from(g.origin)[g.artificial_vertex(0, 1)] == 2
 
 
 @given(na=st.integers(1, 3), nb=st.integers(1, 2), m=st.integers(1, 3))
@@ -100,7 +97,7 @@ def test_shortest_distance_matches_bellman_ford(na, nb, m):
     assert list(mine) == independent
     # symmetry on a sample pair
     u, v = 0, g.n_vertices - 1
-    assert shortest_distance(g, u, v) == shortest_distance(g, v, u)
+    assert g.shortest_distances_from(u)[v] == g.shortest_distances_from(v)[u]
 
 
 def test_delta_queries_consistent():
@@ -108,7 +105,8 @@ def test_delta_queries_consistent():
     S = {g.origin, g.subaisles[0].locs[0]}
     for u, v in g.delta_plus(S):
         assert u in S and v not in S
-    assert len(g.delta_plus(S)) == len(g.delta_minus(S))
+    outside = set(range(g.n_vertices)) - S
+    assert sorted((v, u) for u, v in g.delta_plus(S)) == sorted(g.delta_plus(outside))
     inside = set(g.artificial_vertices)
     for u, v in g.eta_plus(inside):
         raise AssertionError("no reduced arc leaves the full artificial set")
@@ -134,7 +132,7 @@ def test_two_block_auxiliary_structure():
     layout = WarehouseLayout(2, 2, 1, 1, 2)
     g = build_graph(layout)
     aux = build_auxiliary_graph(g, TWO_BLOCK)
-    assert len(aux.copies) == 2
+    assert len(aux.copy_of) == 2
     e2 = [e for e in aux.edges if e.in_e2]
     assert len(e2) == 4
     for e in e2:
@@ -148,7 +146,7 @@ def test_two_block_auxiliary_structure():
     assert e3_targets == set(aux.vertices) - {g.origin}
     # south set: copies plus the bottom cross aisle
     bottoms = {g.artificial_vertex(2, a) for a in range(2)}
-    assert aux.south_set == frozenset(aux.copies) | bottoms
+    assert aux.south_set == frozenset(aux.copy_of) | bottoms
 
 
 def test_auxiliary_lengths_are_shortest_paths():
@@ -157,8 +155,8 @@ def test_auxiliary_lengths_are_shortest_paths():
     aux = build_auxiliary_graph(g, TWO_BLOCK)
     dist_from = {}
     for e in aux.edges:
-        u = aux.base_vertex(e.u)
-        v = aux.base_vertex(e.v)
+        u = aux.copy_of.get(e.u, e.u)
+        v = aux.copy_of.get(e.v, e.v)
         if u not in dist_from:
             dist_from[u] = bellman_ford(g, u)
         assert e.length == dist_from[u][v]

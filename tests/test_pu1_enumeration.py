@@ -5,20 +5,11 @@ import shutil
 
 import pytest
 
-from conftest import shared_graph
+from conftest import shared_graph, single_batch
 from oracles import enumerate_PU1_minimum, parse_lp
-from pickopt import (Instance, Order, Pick, WarehouseLayout, build_PG,
-                     build_auxiliary_graph, generate_instance,
-                     solve_no_reversal_exact, write_lp)
+from pickopt import (WarehouseLayout, build_PG, build_auxiliary_graph,
+                     generate_instance, solve_no_reversal_exact, write_lp)
 from pickopt.layout import SINGLE_BLOCK
-
-
-def _single_batch(layout, graph, chosen):
-    picks = tuple(
-        Pick(graph.subaisles[graph.subaisle_of(v)].aisle, 0,
-             graph.subaisles[graph.subaisle_of(v)].locs.index(v), 0)
-        for v in sorted(chosen))
-    return Instance(layout, (Order(0, 1, picks),), 8, 1)
 
 
 def test_pu1_feasible_minimum_equals_no_reversal_oracle():
@@ -32,7 +23,7 @@ def test_pu1_feasible_minimum_equals_no_reversal_oracle():
                       if rng.random() < 0.5]
             if not chosen:
                 continue
-            instance = _single_batch(layout, graph, chosen)
+            instance = single_batch(layout, graph, chosen)
             exact = solve_no_reversal_exact(instance, graph).total
             enumerated = enumerate_PU1_minimum(instance, aux)
             assert enumerated == exact, (layout, sorted(chosen), enumerated, exact)
@@ -44,7 +35,7 @@ def test_pu1_parallel_edge_for_first_subaisle_only():
     layout = WarehouseLayout(2, 1, 1, 1, 5)
     graph = shared_graph(layout)
     aux = build_auxiliary_graph(graph, SINGLE_BLOCK)
-    instance = _single_batch(layout, graph, {graph.subaisles[0].locs[0]})
+    instance = single_batch(layout, graph, {graph.subaisles[0].locs[0]})
     assert enumerate_PU1_minimum(instance, aux) == 2 * layout.subaisle_length
     assert solve_no_reversal_exact(instance, graph).total == 2 * layout.subaisle_length
 

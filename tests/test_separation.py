@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import shared_graph
+from oracles import depart_loop, subaisle_cycle
 from pickopt import (CutRequest, Instance, Order, Pick, SeparationError,
                      ValidationError, VariableAssignment, WarehouseLayout,
                      build_auxiliary_graph, build_basic, build_PG, build_PU1,
@@ -21,19 +22,23 @@ def lhs_value(model, row, assignment):
 # -- order components --------------------------------------------------------
 
 
+def non_origin_sets(comps):
+    return [S for S, has_origin in comps.components if not has_origin]
+
+
 def test_components_origin_adjacent():
     g = shared_graph(LAYOUT)
     comps = order_components(g, {g.subaisles[0].locs[0]})
     assert len(comps.components) == 1
     assert comps.components[0][1] is True  # contains the origin
-    assert comps.non_origin_sets() == []
+    assert non_origin_sets(comps) == []
 
 
 def test_components_far_subaisle():
     g = shared_graph(WarehouseLayout(1, 2, 1, 1, 2))
     pick = g.subaisles[1].locs[0]
     comps = order_components(g, {pick})
-    sets = comps.non_origin_sets()
+    sets = non_origin_sets(comps)
     assert len(sets) == 1
     sub = g.subaisles[1]
     assert sets[0] == frozenset({sub.head, sub.tail, *sub.locs})
@@ -52,28 +57,10 @@ def test_components_two_separate():
     picks = {g.subaisles[0].locs[0], g.subaisles[2].locs[0]}
     comps = order_components(g, picks)
     assert len(comps.components) == 2
-    assert len(comps.non_origin_sets()) == 1  # only the far aisle
+    assert len(non_origin_sets(comps)) == 1  # only the far aisle
 
 
 # -- separation on candidate assignments -------------------------------------
-
-
-def _depart_loop(t, g):
-    # out-and-back along the origin's own chain, away from the cross aisle
-    v = g.south_of(g.origin)
-    return {f"x_{t}_{g.origin}_{v}": 1, f"x_{t}_{v}_{g.origin}": 1, f"y_{t}_{v}": 1}
-
-
-def _subaisle_cycle(t, g, sub):
-    """Full down-and-up traversal of one subaisle, x arcs both ways."""
-    values = {}
-    chain = sub.chain
-    for u, v in zip(chain, chain[1:]):
-        values[f"x_{t}_{u}_{v}"] = 1
-        values[f"x_{t}_{v}_{u}"] = 1
-    for v in chain:
-        values[f"y_{t}_{v}"] = 1
-    return values
 
 
 def test_connected_support_yields_no_cuts():
@@ -90,7 +77,7 @@ def test_disconnected_component_yields_one_violated_cut():
     inst = Instance(LAYOUT, (order,), 8, 1)
     g = shared_graph(LAYOUT)
     model = build_basic(inst, g)
-    values = _depart_loop(0, g) | _subaisle_cycle(0, g, g.subaisles[1])
+    values = depart_loop(0, g) | subaisle_cycle(0, g, g.subaisles[1])
     values["z_0_0"] = 1
     a = VariableAssignment(values)
     cuts = separate_connectivity(g, "P_basic", a, inst)
@@ -107,9 +94,9 @@ def test_two_components_two_cuts():
     order = Order(0, 1, (Pick(1, 0, 0, 0), Pick(2, 0, 0, 0)))
     inst = Instance(layout, (order,), 8, 1)
     g = shared_graph(layout)
-    values = _depart_loop(0, g)
-    values |= _subaisle_cycle(0, g, g.subaisles[1])
-    values |= _subaisle_cycle(0, g, g.subaisles[2])
+    values = depart_loop(0, g)
+    values |= subaisle_cycle(0, g, g.subaisles[1])
+    values |= subaisle_cycle(0, g, g.subaisles[2])
     values["z_0_0"] = 1
     cuts = separate_connectivity(g, "P_basic", VariableAssignment(values), inst)
     assert len(cuts) == 2
@@ -131,7 +118,7 @@ def test_impf8_support_uses_gamma():
     g = shared_graph(LAYOUT)
     model = build_PG(inst, g)
     sub = g.subaisles[1]
-    values = _depart_loop(0, g) | _subaisle_cycle(0, g, sub)
+    values = depart_loop(0, g) | subaisle_cycle(0, g, sub)
     values[f"g_0_{sub.head}_{sub.tail}"] = 1
     values[f"g_0_{sub.tail}_{sub.head}"] = 1
     values["z_0_0"] = 1
@@ -152,7 +139,7 @@ def test_isolated_anchored_vertex_is_its_own_component():
     g = shared_graph(LAYOUT)
     model = build_PG(inst, g)
     sub = g.subaisles[1]
-    values = _depart_loop(0, g) | _subaisle_cycle(0, g, sub)
+    values = depart_loop(0, g) | subaisle_cycle(0, g, sub)
     values["z_0_0"] = 1
     a = VariableAssignment(values)
     cuts = separate_connectivity(g, "P_G", a, inst)
@@ -234,11 +221,11 @@ def test_iterate_until_no_cuts_terminates():
     values = {}
     picks = inst.all_pick_vertices(g)
     for t, orders in enumerate(sol.batching):
-        values |= _depart_loop(t, g)
+        values |= depart_loop(t, g)
         subs = {g.subaisle_of(v) for oid in orders for v in picks[oid]}
         for i in sorted(subs):
             sub = g.subaisles[i]
-            values |= _subaisle_cycle(t, g, sub)
+            values |= subaisle_cycle(t, g, sub)
             values[f"g_{t}_{sub.head}_{sub.tail}"] = 1
             values[f"g_{t}_{sub.tail}_{sub.head}"] = 1
             for v in sub.locs:

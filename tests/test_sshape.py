@@ -3,10 +3,10 @@ import random
 import pytest
 
 from conftest import shared_graph
-from pickopt import (R_S1, R_S2, UnsupportedFamilyError, ValidationError,
-                     WarehouseLayout, evaluate_s_shape, s_shape_candidates,
+from pickopt import (UnsupportedFamilyError, ValidationError, WarehouseLayout,
                      walk_space)
-from pickopt.sshape import s_shape_variants
+from routes import (R_S1, R_S2, evaluate_s_shape, s_shape_candidates,
+                    s_shape_variants)
 
 LAYOUT2 = WarehouseLayout(2, 2, 1, 1, 2)
 LAYOUT3 = WarehouseLayout(3, 2, 1, 1, 2)
