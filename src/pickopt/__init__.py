@@ -11,22 +11,16 @@ from .errors import (EncodingError, OracleSizeError, PickoptError,
 from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxEdge, AuxiliaryGraph,
                      PickingGraph, Subaisle, WarehouseLayout,
                      build_auxiliary_graph, build_graph)
-from .instance import (Instance, Order, Pick, generate_instance,
-                       instance_graph, load_instance, save_instance)
+from .instance import (Instance, Order, Pick, bin_pack_exact, first_fit_decreasing,
+                       generate_instance, instance_graph, load_instance, save_instance)
 from .model import (BINARY, CONTINUOUS, INTEGER, Constraint, FeasibilityReport,
                     LinearModel, Variable, VariableAssignment, check_feasible,
                     export_model, write_lp, write_model_json, write_mps)
-from .formulations import (ALL_KINDS, ModelOptions, build_basic, build_model,
-                           build_no_reversal, build_PA, build_PF, build_PG,
-                           build_PU1, build_PU2, build_single_traversing,
-                           build_strengthened_cuts, build_subaisle_cuts,
-                           build_symmetry_breaking,
-                           build_artificial_vertex_reversal, validate_options)
+from .formulations import ALL_KINDS, ModelOptions, build_model, validate_options
 from .separation import (CutRequest, OrderComponents, cut_to_row,
                          order_components, separate_connectivity)
 from .exact import (MAX_EXACT_ORDERS, MAX_ORACLE_EDGES, Solution, Walk,
-                    WalkSpace, batching_to_solution, bin_pack_exact,
-                    capacity_feasible_partitions, first_fit_decreasing,
+                    WalkSpace, batching_to_solution, capacity_feasible_partitions,
                     load_solution, save_solution, solve_exact,
                     solve_no_reversal_exact, validate_solution, walk_space)
 from .encoding import encode_walk_PF, encode_walk_PG, orient_walk

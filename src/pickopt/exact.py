@@ -17,10 +17,10 @@ vector so results are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -43,7 +43,17 @@ class Walk:
     edge_mult: tuple[tuple[int, int], ...]
 
     def length(self, graph: PickingGraph):
-        return sum(graph.edge_length[e] * m for e, m in self.edge_mult)
+        """``loc_spacing`` times the multiplicity on chain edges plus
+        ``aisle_spacing`` times the rest: the rule :class:`WalkSpace` prices
+        walks by, so both agree to the last bit."""
+        n_chain = graph.n_chain_edges
+        vertical = horizontal = 0
+        for e, m in self.edge_mult:
+            if e < n_chain:
+                vertical += m
+            else:
+                horizontal += m
+        return graph.layout.loc_spacing * vertical + graph.layout.aisle_spacing * horizontal
 
     def visited(self, graph: PickingGraph) -> frozenset[int]:
         out = set()
@@ -78,7 +88,7 @@ class Walk:
 
 @dataclass(frozen=True)
 class Solution:
-    """Batching plus one walk per picker; total is the summed walk length."""
+    """Batching plus one walk per batch; total is the summed walk length."""
 
     batching: tuple[tuple[int, ...], ...]
     walks: tuple[Walk, ...]
@@ -86,8 +96,15 @@ class Solution:
 
 
 def validate_solution(instance: Instance, graph: PickingGraph, solution: Solution) -> None:
+    """One walk per batch and at least one per picker, since every picker
+    departs (a heuristic may add batches); each batch fits the trolley and
+    its walk covers its picks; every order is batched once; the total is
+    the walk length sum."""
     if len(solution.batching) != len(solution.walks):
-        raise ValidationError("solution needs one walk per picker")
+        raise ValidationError("solution needs one walk per batch")
+    if len(solution.walks) < instance.pickers:
+        raise ValidationError(f"solution has {len(solution.walks)} walks for "
+                              f"{instance.pickers} pickers, each of whom departs")
     seen: set[int] = set()
     for t, orders in enumerate(solution.batching):
         load = 0
@@ -215,11 +232,6 @@ class WalkSpace:
         self.subaisles = graph.subaisles
         self.n_edges = m
 
-        lengths = np.array(graph.edge_length, dtype=np.float64)
-        self._integral = all(float(x).is_integer() for x in graph.edge_length)
-        if self._integral:
-            lengths = lengths.astype(np.int64)
-
         rows = []
         for pattern in _cycle_space(graph):
             # edges of the parity pattern carry 1, every other edge
@@ -235,7 +247,12 @@ class WalkSpace:
         mult = np.concatenate(rows)
         powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self.mult = mult[np.argsort(mult @ powers)]
-        self.lengths = self.mult.astype(lengths.dtype) @ lengths
+        n_chain = graph.n_chain_edges
+        vertical = self.mult[:, :n_chain].sum(axis=1, dtype=np.int64)
+        horizontal = self.mult[:, n_chain:].sum(axis=1, dtype=np.int64)
+        # Walk.length's rule, an int array at int spacings
+        self.lengths = (graph.layout.loc_spacing * vertical
+                        + graph.layout.aisle_spacing * horizontal)
 
         # support flags by bitmask closure from the origin: ``reach`` grows
         # by the ends of every used edge that touches it until it is stable
@@ -276,8 +293,7 @@ class WalkSpace:
         return Walk(picker, pairs)
 
     def length(self, index: int):
-        value = self.lengths[index]
-        return int(value) if self._integral else float(value)
+        return self.lengths[index].item()
 
     # -- restriction mask ----------------------------------------------------
 
@@ -356,12 +372,12 @@ def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
     sizes = {o.id: o.size for o in instance.orders}
     T = instance.pickers
     route = _router(instance, graph, space, mask)
-    departure_len = space.length(route(()))
+    idle = space.length(route(()))
 
     def evaluate(partition):
-        cost = sum(space.length(route(batch)) for batch in partition)
-        cost += (T - len(partition)) * departure_len
-        return cost, partition
+        # the sum _route_batches reports: the batches, then idle departures
+        lengths = map(space.length, map(route, partition))
+        return sum(chain(lengths, repeat(idle, T - len(partition)))), partition
 
     partitions = list(capacity_feasible_partitions(
         list(instance.order_ids), sizes, instance.capacity, T))
@@ -412,71 +428,6 @@ def solve_no_reversal_exact(instance: Instance,
     return _solve_by_enumeration(instance, graph, WalkSpace.mask_no_reversal)
 
 
-# -- bin packing --------------------------------------------------------------
-
-
-MAX_EXACT_BINPACK = 20
-
-
-def first_fit_decreasing(sizes: Sequence[int], capacity: int) -> int:
-    bins: list[int] = []
-    for s in sorted(sizes, reverse=True):
-        for i, load in enumerate(bins):
-            if load + s <= capacity:
-                bins[i] += s
-                break
-        else:
-            bins.append(s)
-    return len(bins)
-
-
-def bin_pack_exact(sizes: Sequence[int], capacity: int) -> int:
-    """Optimal bin count by branch and bound (FFD upper, sum lower bound)."""
-    sizes = list(sizes)
-    for s in sizes:
-        if s > capacity:
-            raise ValidationError(f"order of size {s} exceeds capacity {capacity}, infeasible")
-        if s < 1:
-            raise ValidationError("order sizes must be >= 1")
-    if not sizes:
-        return 0
-    lower = math.ceil(sum(sizes) / capacity)
-    upper = first_fit_decreasing(sizes, capacity)
-    if upper == lower:
-        return upper
-    if len(sizes) > MAX_EXACT_BINPACK:
-        raise OracleSizeError(
-            f"{len(sizes)} sizes exceed the exact bin-packing bound {MAX_EXACT_BINPACK}")
-
-    items = sorted(sizes, reverse=True)
-    best = upper
-
-    def dfs(k: int, bins: list[int]) -> None:
-        nonlocal best
-        if best == lower:
-            return
-        if k == len(items):
-            best = min(best, len(bins))
-            return
-        if len(bins) >= best:
-            return
-        item = items[k]
-        tried = set()
-        for i in range(len(bins)):
-            if bins[i] + item <= capacity and bins[i] not in tried:
-                tried.add(bins[i])
-                bins[i] += item
-                dfs(k + 1, bins)
-                bins[i] -= item
-        if len(bins) + 1 < best:
-            bins.append(item)
-            dfs(k + 1, bins)
-            bins.pop()
-
-    dfs(0, [])
-    return best
-
-
 def batching_to_solution(instance: Instance, graph: PickingGraph,
                          batches: Sequence[Iterable[int]]) -> Solution:
     """Route every batch of a (possibly heuristic) batching with the oracle.
@@ -492,8 +443,7 @@ def batching_to_solution(instance: Instance, graph: PickingGraph,
 __all__ = [
     "MAX_ORACLE_EDGES", "MAX_EXACT_ORDERS", "Walk", "Solution",
     "WalkSpace", "walk_space", "solve_exact",
-    "solve_no_reversal_exact", "bin_pack_exact", "first_fit_decreasing",
-    "capacity_feasible_partitions",
+    "solve_no_reversal_exact", "capacity_feasible_partitions",
     "validate_solution", "solution_to_dict", "save_solution", "load_solution",
     "batching_to_solution",
 ]

@@ -1,4 +1,4 @@
-"""Builders for every integer programming formulation of the problem.
+"""The integer programming formulations of the problem, built by :func:`build_model`.
 
 Model kinds
 -----------
@@ -14,10 +14,14 @@ P_U1      undirected TSP model on the single-block auxiliary graph
 P_U2      undirected TSP model on the two-block auxiliary graph
 ========  ==================================================================
 
-Constraint groups carry short stable labels (``bs4``, ``sub5``, ``impf8``,
-``tspo5`` and so on) so tests and the CLI can count rows per family; lazy
-exponential families are declared with zero initial rows and filled by
-separation.
+:func:`build_model` is the only builder: it checks a kind and a
+:class:`ModelOptions` against the instance with :func:`validate_options`,
+builds the kind, then appends the row families the options ask for (the
+cutting planes and restrictions of the paper).  Constraint groups carry
+short stable labels (``bs4``, ``sub5``, ``impf8``, ``tspo5`` and so on) so
+tests and the CLI can count rows per family; lazy exponential families are
+declared with zero initial rows, described in ``separation.FAMILIES``, and
+filled by separation.
 
 Nearly every variable and row belongs to a per-picker family.  Variables
 are declared in bulk so that picker t's copy of a variable sits
@@ -37,9 +41,8 @@ from typing import Optional
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
-from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxEdge, AuxiliaryGraph, PickingGraph,
-                     build_auxiliary_graph)
-from .model import BINARY, CONTINUOUS, EQ, GE, LE, ConstraintView, LinearModel
+from .layout import AuxiliaryGraph, PickingGraph, build_auxiliary_graph
+from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
 from .separation import FAMILIES, FAMILY_OF_KIND, order_components
 
 _POSITION = itemgetter(0)
@@ -55,63 +58,6 @@ P_U2 = "P_U2"
 ARC_KINDS = (P_BASIC, P_A, P_G, P_F, P_U)
 TSP_KINDS = (P_U1, P_U2)
 ALL_KINDS = ARC_KINDS + TSP_KINDS
-
-GROUP_DESCRIPTIONS = {
-    "bs1": "every picker departs from the origin",
-    "bs2": "assigned picks are left by an arc",
-    "bs3": "arc use marks the vertex visited",
-    "bs4": "connectivity (lazy, exponential)",
-    "bs5": "arc flow conservation",
-    "bs6": "each order assigned to exactly one picker",
-    "bs7": "trolley capacity",
-    "sub1": "alpha chain monotone from the north",
-    "sub2": "alpha forces the downward arc",
-    "sub3": "beta chain monotone from the south",
-    "sub4": "beta forces the upward arc",
-    "sub5": "cover: alpha or beta at every assigned pick",
-    "impf1": "every picker departs from the origin",
-    "impf2": "assigned picks are left by an arc",
-    "impf3": "arc use marks the artificial vertex visited",
-    "impf4": "gamma equals x on westbound cross-aisle arcs",
-    "impf5": "gamma equals x on eastbound cross-aisle arcs",
-    "impf6_5": "downward gamma forces alpha at the last location",
-    "impf6": "downward gamma forces the last downward arc",
-    "impf7_5": "upward gamma forces beta at the first location",
-    "impf7": "upward gamma forces the first upward arc",
-    "impf8": "reduced-graph connectivity (lazy, exponential)",
-    "impf9": "arc flow conservation",
-    "impf10": "each order assigned to exactly one picker",
-    "impf11": "trolley capacity",
-    "impcf1": "commodity leaves its source artificial vertex",
-    "impcf2": "commodity flow conservation",
-    "impcf3": "commodity arrives at the origin",
-    "impcf4": "flow only on traversed reduced arcs",
-    "aisle_cut": "strengthened connectivity on single subaisles",
-    "basic_cut": "strengthened connectivity on order components",
-    "sitr": "single traversing restriction",
-    "norev1": "no-reversal ties on downward arcs",
-    "norev2": "no-reversal ties on upward arcs",
-    "avr": "no U-turn at an artificial vertex without onward arcs",
-    "col_fix": "symmetry: order can only seed its own or earlier picker",
-    "col_link": "symmetry: picker used only after its predecessor",
-    "tspo0": "departure uses a graph edge",
-    "tspo1": "origin degree is exactly two",
-    "tspo2": "picked subaisles are traversed",
-    "tspo3": "degree with the parallel edge at the first subaisle tail",
-    "tspo4": "tour degree equalities",
-    "tspo5": "two-connectivity (lazy, exponential)",
-    "tspo6": "each order assigned to exactly one picker",
-    "tspo7": "trolley capacity",
-    "tspt0": "departure uses a movement edge",
-    "tspt1": "origin degree is exactly two",
-    "tspt2": "picked subaisles are traversed",
-    "tspt3": "tour degree equalities",
-    "tspt4": "two-connectivity (lazy, exponential)",
-    "tspt5": "each order assigned to exactly one picker",
-    "tspt6": "trolley capacity",
-    "less2con": "second cross aisle passed at most twice",
-}
-
 
 @dataclass(frozen=True)
 class ModelOptions:
@@ -130,7 +76,8 @@ class ModelOptions:
 
 
 def validate_options(kind: str, options: ModelOptions, instance: Instance) -> None:
-    """Enforce the option compatibility matrix."""
+    """Enforce the option compatibility matrix: the one check that a kind,
+    an option set and the instance's layout fit together."""
     if kind not in ALL_KINDS:
         raise ValidationError(f"unknown formulation kind {kind!r}")
     blocks = instance.layout.n_blocks
@@ -169,7 +116,7 @@ def _new_model(kind: str) -> LinearModel:
     model = LinearModel(f"pickopt_{kind}", kind=kind)
     family = FAMILY_OF_KIND.get(kind)
     if family is not None:
-        model.declare_lazy_group(family, GROUP_DESCRIPTIONS[family])
+        model.declare_lazy_group(family, FAMILIES[family].description)
     return model
 
 
@@ -188,12 +135,11 @@ def _family(model: LinearModel, index: tuple, keys, step: int = 1) -> dict:
     return dict(zip(keys, range(first, first + step * len(keys), step)))
 
 
-def _emit(model: LinearModel, pickers: int, *blocks: list) -> int:
+def _emit(model: LinearModel, pickers: int, *blocks: list) -> None:
     """Append each block's rows for pickers 0 to ``pickers - 1``, block by
-    block and picker by picker, through one ``add_rows``; returns the index
-    of the first row appended.  Each row's terms are sorted once, for picker
-    0: families hold disjoint ranges of positions, so every shifted copy
-    stays sorted."""
+    block and picker by picker, through one ``add_rows``.  Each row's terms
+    are sorted once, for picker 0: families hold disjoint ranges of
+    positions, so every shifted copy stays sorted."""
     names, groups, senses, rhs, ends, positions, coefs = [], [], [], [], [], [], []
     for block in blocks:
         if not block:
@@ -213,7 +159,7 @@ def _emit(model: LinearModel, pickers: int, *blocks: list) -> int:
         senses += b_senses * pickers
         rhs += b_rhs * pickers
         coefs += b_coefs * pickers
-    return model.add_rows(names, groups, senses, rhs, ends, positions, coefs)
+    model.add_rows(names, groups, senses, rhs, ends, positions, coefs)
 
 
 def _assignment_indices(instance: Instance) -> list[tuple]:
@@ -313,6 +259,7 @@ def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
 
 
 def _basic_model(kind: str, instance: Instance, graph: PickingGraph) -> LinearModel:
+    """Arc-space model: routing, batching and a lazy connectivity family."""
     model = _new_model(kind)
     _declare_arc_core(model, instance, graph)
     labels = {"depart": "bs1", "cover": "bs2", "ydef": "bs3", "flow": "bs5",
@@ -321,13 +268,7 @@ def _basic_model(kind: str, instance: Instance, graph: PickingGraph) -> LinearMo
     return model
 
 
-def build_basic(instance: Instance, graph: PickingGraph) -> LinearModel:
-    """Arc-space model: routing, batching and a lazy connectivity family."""
-    return _basic_model(P_BASIC, instance, graph)
-
-
-def build_subaisle_cuts(model: LinearModel, instance: Instance,
-                        graph: PickingGraph) -> ConstraintView:
+def _subaisle_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
     """Append the subaisle cut rows, declaring alpha/beta when missing."""
     if not model.has_var("a", 0, graph.picking_vertices[0]):
         model.add_variables(BINARY, _alpha_beta_indices(instance, graph))
@@ -349,13 +290,7 @@ def build_subaisle_cuts(model: LinearModel, instance: Instance,
     covers = [(f"sub5_t%d_o{o.id}_v{v}", "sub5",
                [(a[v], 1, AB), (b[v], 1, AB), (z[o.id], -1, 1)], GE, 0)
               for o in instance.orders for v in sorted(picks[o.id])]
-    return model.constraints_from(_emit(model, instance.pickers, chains, covers))
-
-
-def build_PA(instance: Instance, graph: PickingGraph) -> LinearModel:
-    model = _basic_model(P_A, instance, graph)
-    build_subaisle_cuts(model, instance, graph)
-    return model
+    _emit(model, instance.pickers, chains, covers)
 
 
 def _gamma_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
@@ -391,7 +326,7 @@ def _improved_model(kind: str, instance: Instance, graph: PickingGraph) -> Linea
     model = _new_model(kind)
     gammas = [("g", t, u, v) for t in range(instance.pickers) for u, v in graph.reduced_arcs()]
     _declare_arc_core(model, instance, graph, _alpha_beta_indices(instance, graph) + gammas)
-    build_subaisle_cuts(model, instance, graph)
+    _subaisle_rows(model, instance, graph)
     labels = {"depart": "impf1", "cover": "impf2", "ydef": "impf3", "flow": "impf9",
               "assign": "impf10", "capacity": "impf11"}
     _arc_core_rows(model, instance, graph, labels, graph.artificial_vertices)
@@ -399,15 +334,8 @@ def _improved_model(kind: str, instance: Instance, graph: PickingGraph) -> Linea
     return model
 
 
-def build_PG(instance: Instance, graph: PickingGraph) -> LinearModel:
-    """Improved formulation: subaisle cuts plus reduced-graph connectivity."""
-    return _improved_model(P_G, instance, graph)
-
-
-def build_PF(instance: Instance, graph: PickingGraph) -> LinearModel:
-    """Compact formulation: connectivity by one flow per artificial vertex."""
-    model = _improved_model(P_F, instance, graph)
-
+def _flow_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
+    """P_F's connectivity: one flow per artificial vertex to the origin."""
     T = instance.pickers
     reduced_arcs = graph.reduced_arcs()
     s = graph.origin
@@ -434,52 +362,44 @@ def build_PF(instance: Instance, graph: PickingGraph) -> LinearModel:
         rows += [(f"impcf4_t%d_c{v0}_{u}_{v}", "impcf4", [(f[u, v], 1, S), (g[u, v], -1, G)],
                   LE, 0) for u, v in reduced_arcs]
     _emit(model, T, rows)
-    return model
 
 
-def build_strengthened_cuts(model: LinearModel, instance: Instance, graph: PickingGraph,
-                            family: str) -> ConstraintView:
-    """Aisle cuts (one subaisle per set) or basic cuts (order components)."""
-    if family == "aisle":
-        cuts = [(f"aisle_cut_t%d_o{o}_i{sub.index}", "aisle_cut", graph.delta_plus(sub.locs), o)
+def _strengthened_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
+                       group: str) -> None:
+    """Aisle cuts (one subaisle per set), else basic cuts (order components)."""
+    if group == "aisle_cut":
+        cuts = [(f"aisle_cut_t%d_o{o}_i{sub.index}", graph.delta_plus(sub.locs), o)
                 for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(instance, graph))
                 for o in order_ids]
-    elif family == "basic":
-        cuts = [(f"basic_cut_t%d_o{o.id}_k{k}", "basic_cut", graph.delta_plus(vertex_set), o.id)
+    else:
+        cuts = [(f"basic_cut_t%d_o{o.id}_k{k}", graph.delta_plus(vertex_set), o.id)
                 for o in instance.orders
                 for k, (vertex_set, contains_origin) in enumerate(
                     order_components(graph, instance.pick_vertices(graph, o)).components)
                 if not contains_origin]
-    else:
-        raise ValidationError(f"unknown strengthened-cut family {family!r}")
     x, X = _arcs(model, graph)
     z = _orders(model, instance)
     # one block per cut, so that the pickers of a cut are consecutive rows
     blocks = [[(name, group, [(x[arc], 1, X) for arc in arcs] + [(z[o], -1, 1)], GE, 0)]
-              for name, group, arcs, o in cuts]
-    return model.constraints_from(_emit(model, instance.pickers, *blocks))
+              for name, arcs, o in cuts]
+    _emit(model, instance.pickers, *blocks)
 
 
-def build_single_traversing(model: LinearModel, instance: Instance,
-                            graph: PickingGraph) -> ConstraintView:
+def _single_traversing_rows(model: LinearModel, instance: Instance,
+                            graph: PickingGraph) -> None:
     """No subaisle is fully traversed both ways; block-2 layouts exempt
     the first subaisle."""
-    blocks = instance.layout.n_blocks
-    if blocks > 2:
-        raise UnsupportedFamilyError(
-            "single traversing constraints are only valid for 1- or 2-block layouts")
     exempt: frozenset[int] = frozenset()
-    if blocks == 2:
+    if instance.layout.n_blocks == 2:
         exempt = frozenset(graph.subaisles[0].locs)
     a, b, AB = _alpha_beta(model, graph)
     picks = instance.all_pick_vertices(graph)
     rows = [(f"sitr_t%d_o{o.id}_v{v}", "sitr", [(a[v], 1, AB), (b[v], 1, AB)], LE, 1)
             for o in instance.orders for v in sorted(picks[o.id]) if v not in exempt]
-    return model.constraints_from(_emit(model, instance.pickers, rows))
+    _emit(model, instance.pickers, rows)
 
 
-def build_no_reversal(model: LinearModel, instance: Instance,
-                      graph: PickingGraph) -> ConstraintView:
+def _no_reversal_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
     """Tie every vertical arc of a subaisle to one traversal variable per
     direction, so a picker entering a subaisle crosses it completely."""
     traversals = [(sub.index, direction) for sub in graph.subaisles for direction in ("dn", "up")]
@@ -496,11 +416,10 @@ def build_no_reversal(model: LinearModel, instance: Instance,
         rows += [(f"norev2_t%d_i{i}_v{v}", "norev2",
                   [(x[graph.south_of(v), v], 1, X), (w[i, "up"], -1, W)], EQ, 0)
                  for v in (sub.head,) + sub.locs]
-    return model.constraints_from(_emit(model, instance.pickers, rows))
+    _emit(model, instance.pickers, rows)
 
 
-def build_artificial_vertex_reversal(model: LinearModel, instance: Instance,
-                                     graph: PickingGraph) -> ConstraintView:
+def _reversal_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
     """Forbid touching an artificial vertex only to turn around there.
 
     At the tail of each subaisle (and at interior-cross-aisle heads) the
@@ -521,10 +440,10 @@ def build_artificial_vertex_reversal(model: LinearModel, instance: Instance,
         rows.append(corner_row(sub.index, sub.tail, graph.north_of(sub.tail), "l"))
         if sub.block >= 1:  # head sits on an interior cross aisle
             rows.append(corner_row(sub.index, sub.head, graph.south_of(sub.head), "f"))
-    return model.constraints_from(_emit(model, instance.pickers, rows))
+    _emit(model, instance.pickers, rows)
 
 
-def build_symmetry_breaking(model: LinearModel, instance: Instance) -> ConstraintView:
+def _symmetry_rows(model: LinearModel, instance: Instance) -> None:
     """Column inequalities over the order-to-picker assignment matrix.
 
     With orders ranked by id and pickers ordered, order of rank r may only
@@ -549,28 +468,36 @@ def build_symmetry_breaking(model: LinearModel, instance: Instance) -> Constrain
             row += [(model.var("z", o2.id, t - 1), -1) for o2 in ranked[:r - 1]]
             terms.append(sorted(row, key=_POSITION))
     flat = list(chain.from_iterable(terms))
-    first = model.add_rows(names, groups, senses, [0] * len(names),
-                           list(accumulate(map(len, terms))),
-                           [pos for pos, _ in flat], [coef for _, coef in flat])
-    return model.constraints_from(first)
+    model.add_rows(names, groups, senses, [0] * len(names), list(accumulate(map(len, terms))),
+                   [pos for pos, _ in flat], [coef for _, coef in flat])
 
 
 # -- TSP-style no-reversal models -------------------------------------------
 
 
-def _build_tour(instance: Instance, aux: AuxiliaryGraph, kind: str, labels: dict[str, str],
-                departure: list[AuxEdge], lead: Optional[int] = None,
-                crossing: Optional[list[AuxEdge]] = None) -> LinearModel:
-    """Undirected TSP model on an auxiliary graph, shared by P_U1 and P_U2.
+def _tour_model(kind: str, instance: Instance, aux: AuxiliaryGraph,
+                cross_aisle_bound: bool) -> LinearModel:
+    """Undirected TSP model on an auxiliary graph: P_U1 on the single-block
+    graph, P_U2 on the two-block one.
 
-    Per picker: a departure row over ``departure``, the origin degree, the
-    cover rows, the degree rows (``lead`` first, under its own group) and,
-    given ``crossing`` edges, the second-cross-aisle bound.
+    Per picker: a departure row, the origin degree, the cover rows, the
+    degree rows (P_U1's first subaisle tail first, under its own group)
+    and, for P_U2 with ``cross_aisle_bound``, the second-cross-aisle bound.
     """
     graph = aux.graph
     model = _new_model(kind)
     T = instance.pickers
     s = graph.origin
+    if kind == P_U1:
+        labels = {"depart": "tspo0", "origin": "tspo1", "cover": "tspo2", "lead": "tspo3",
+                  "degree": "tspo4", "assign": "tspo6", "capacity": "tspo7"}
+        departure = [e for e in aux.incident(s) if e.in_e1]
+        lead = graph.subaisles[0].tail
+    else:
+        labels = {"depart": "tspt0", "origin": "tspt1", "cover": "tspt2", "degree": "tspt3",
+                  "assign": "tspt5", "capacity": "tspt6"}
+        departure = [e for e in aux.incident(s) if not e.in_e3]
+        lead = None
 
     first = model.add_variables(BINARY, [e.var_index(t) for t in range(T) for e in aux.edges]
                                 + [("y", t, v) for t in range(T) for v in aux.vertices]
@@ -581,99 +508,65 @@ def _build_tour(instance: Instance, aux: AuxiliaryGraph, kind: str, labels: dict
     y, Y = _family(model, ("y", 0, aux.vertices[0]), aux.vertices), len(aux.vertices)
     z = _orders(model, instance)
 
-    orders_by_sub = _orders_by_subaisle(instance, graph)
-    degree_vertices = [u for u in aux.vertices if u not in (s, lead)]
-    if lead is not None:
-        degree_vertices.insert(0, lead)
-
     def edge_sum(edges):
         return [(first + e.id, 1, E) for e in edges]
 
+    def degree(u):
+        return edge_sum(aux.incident(u)) + [(y[u], -2, Y)]
+
     rows = [(f"{labels['depart']}_t%d", labels["depart"], edge_sum(departure), GE, 1),
             (f"{labels['origin']}_t%d", labels["origin"], edge_sum(aux.incident(s)), EQ, 2)]
-    for sub, order_ids in zip(graph.subaisles, orders_by_sub):
+    for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(instance, graph)):
         traversal = (first + aux.e_of_subaisle[sub.index], 1, E)
         rows += [(f"{labels['cover']}_t%d_i{sub.index}_o{o}", labels["cover"],
                   [traversal, (z[o], -1, 1)], GE, 0) for o in order_ids]
-    for u in degree_vertices:
-        if u == lead:
-            group, name = labels["lead"], f"{labels['lead']}_t%d"
-        else:
-            group, name = labels["degree"], f"{labels['degree']}_t%d_u{u}"
-        rows.append((name, group, edge_sum(aux.incident(u)) + [(y[u], -2, Y)], EQ, 0))
-    if crossing is not None:
-        rows.append(("less2con_t%d", "less2con", edge_sum(crossing), LE, 2))
+    if lead is not None:
+        rows.append((f"{labels['lead']}_t%d", labels["lead"], degree(lead), EQ, 0))
+    rows += [(f"{labels['degree']}_t%d_u{u}", labels["degree"], degree(u), EQ, 0)
+             for u in aux.vertices if u not in (s, lead)]
+    if cross_aisle_bound:
+        rows.append(("less2con_t%d", "less2con", edge_sum(aux.delta(aux.south_set)), LE, 2))
     _emit(model, T, rows)
 
     _assignment_rows(model, instance, labels["assign"], labels["capacity"])
     return model
 
 
-def build_PU1(instance: Instance, aux: AuxiliaryGraph) -> LinearModel:
-    """Undirected TSP model for single-block no-reversal routing."""
-    if aux.variant != SINGLE_BLOCK:
-        raise VariantMismatchError("build_PU1 needs a single_block auxiliary graph")
-    labels = {"depart": "tspo0", "origin": "tspo1", "cover": "tspo2", "lead": "tspo3",
-              "degree": "tspo4", "assign": "tspo6", "capacity": "tspo7"}
-    departure = [e for e in aux.incident(aux.graph.origin) if e.in_e1]
-    return _build_tour(instance, aux, P_U1, labels, departure,
-                       lead=aux.graph.subaisles[0].tail)
-
-
-def build_PU2(instance: Instance, aux: AuxiliaryGraph,
-              with_cross_aisle_bound: bool = False) -> LinearModel:
-    """Undirected TSP model for two-block no-reversal routing."""
-    if aux.variant != TWO_BLOCK:
-        raise VariantMismatchError("build_PU2 needs a two_block auxiliary graph")
-    labels = {"depart": "tspt0", "origin": "tspt1", "cover": "tspt2", "degree": "tspt3",
-              "assign": "tspt5", "capacity": "tspt6"}
-    departure = [e for e in aux.incident(aux.graph.origin) if not e.in_e3]
-    crossing = aux.delta(aux.south_set) if with_cross_aisle_bound else None
-    return _build_tour(instance, aux, P_U2, labels, departure, crossing=crossing)
-
-
-# -- top-level dispatcher ----------------------------------------------------
+# -- the builder -------------------------------------------------------------
 
 
 def build_model(instance: Instance, graph: PickingGraph, kind: str,
                 options: Optional[ModelOptions] = None) -> LinearModel:
-    """Build a formulation with optional row families, validating flags."""
+    """Build a formulation with the optional row families ``options`` asks
+    for, after :func:`validate_options` accepts them."""
     options = options or ModelOptions()
     validate_options(kind, options, instance)
 
     if kind in TSP_KINDS:
         aux = build_auxiliary_graph(graph, FAMILIES[FAMILY_OF_KIND[kind]].aux_variant)
-    if kind == P_U1:
-        model = build_PU1(instance, aux)
-    elif kind == P_U2:
-        model = build_PU2(instance, aux, with_cross_aisle_bound=options.cross_aisle_bound)
-    elif kind == P_BASIC:
-        model = build_basic(instance, graph)
-        if options.subaisle_cuts:
-            build_subaisle_cuts(model, instance, graph)
-    elif kind == P_A:
-        model = build_PA(instance, graph)
-    elif kind == P_G:
-        model = build_PG(instance, graph)
-    elif kind == P_F:
-        model = build_PF(instance, graph)
-    elif kind == P_U:
-        model = _improved_model(P_U, instance, graph)
-        build_no_reversal(model, instance, graph)
-    else:  # pragma: no cover - validate_options already rejected it
-        raise ValidationError(f"unknown formulation kind {kind!r}")
+        model = _tour_model(kind, instance, aux, options.cross_aisle_bound)
+    elif kind in (P_BASIC, P_A):
+        model = _basic_model(kind, instance, graph)
+        if kind == P_A or options.subaisle_cuts:
+            _subaisle_rows(model, instance, graph)
+    else:
+        model = _improved_model(kind, instance, graph)
+        if kind == P_F:
+            _flow_rows(model, instance, graph)
+        elif kind == P_U:
+            _no_reversal_rows(model, instance, graph)
 
-    if kind in ARC_KINDS:
-        if options.aisle_cuts:
-            build_strengthened_cuts(model, instance, graph, "aisle")
-        if options.basic_cuts:
-            build_strengthened_cuts(model, instance, graph, "basic")
-        if options.single_traversing:
-            build_single_traversing(model, instance, graph)
-        if options.artificial_vertex_reversal:
-            build_artificial_vertex_reversal(model, instance, graph)
+    # validate_options refuses every arc-space family for the TSP kinds
+    if options.aisle_cuts:
+        _strengthened_rows(model, instance, graph, "aisle_cut")
+    if options.basic_cuts:
+        _strengthened_rows(model, instance, graph, "basic_cut")
+    if options.single_traversing:
+        _single_traversing_rows(model, instance, graph)
+    if options.artificial_vertex_reversal:
+        _reversal_rows(model, instance, graph)
     if options.column_inequalities:
-        build_symmetry_breaking(model, instance)
+        _symmetry_rows(model, instance)
     model.meta["kind"] = kind
     model.meta["options"] = sorted(options.enabled())
     return model

@@ -28,10 +28,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import OracleSizeError, ValidationError
 from .layout import PickingGraph, WarehouseLayout, build_graph
 
 FORMAT_INSTANCE = "pickopt-instance-v1"
@@ -126,10 +127,91 @@ def generate_instance(layout: WarehouseLayout, n_orders: int, delta: int, seed: 
         size = min(capacity, max(1, math.ceil(n_picks / PICKS_PER_BASKET)))
         orders.append(Order(oid, size, tuple(picks)))
 
-    from .exact import bin_pack_exact
-
     pickers = bin_pack_exact([o.size for o in orders], capacity)
     return Instance(layout=layout, orders=tuple(orders), capacity=capacity, pickers=pickers)
+
+
+# -- bin packing --------------------------------------------------------------
+
+
+MAX_EXACT_BINPACK = 20
+
+
+def first_fit_decreasing(sizes: Sequence[int], capacity: int) -> int:
+    bins: list[int] = []
+    for s in sorted(sizes, reverse=True):
+        for i, load in enumerate(bins):
+            if load + s <= capacity:
+                bins[i] += s
+                break
+        else:
+            bins.append(s)
+    return len(bins)
+
+
+def _lower_bound(sizes: list[int], capacity: int) -> int:
+    """Martello and Toth's bound L2, never below ``ceil(sum / capacity)``.
+
+    For each k from 0 to ``capacity / 2``: every item above ``capacity - k``
+    needs a bin of its own, so does every item above ``capacity / 2``, and
+    the items from k to ``capacity / 2`` open more bins once they overflow
+    the room left in the second kind of bin.
+    """
+    best = 0
+    for k in {0} | {s for s in sizes if 2 * s <= capacity}:
+        alone = sum(s > capacity - k for s in sizes)
+        big = [s for s in sizes if 2 * s > capacity >= s + k]
+        small = sum(s for s in sizes if k <= s and 2 * s <= capacity)
+        spill = small - (len(big) * capacity - sum(big))
+        best = max(best, alone + len(big) + max(0, -(-spill // capacity)))
+    return best
+
+
+def bin_pack_exact(sizes: Sequence[int], capacity: int) -> int:
+    """Optimal bin count by branch and bound (FFD upper, L2 lower bound)."""
+    sizes = list(sizes)
+    for s in sizes:
+        if s > capacity:
+            raise ValidationError(f"order of size {s} exceeds capacity {capacity}, infeasible")
+        if s < 1:
+            raise ValidationError("order sizes must be >= 1")
+    if not sizes:
+        return 0
+    lower = _lower_bound(sizes, capacity)
+    upper = first_fit_decreasing(sizes, capacity)
+    if upper == lower:
+        return upper
+    if len(sizes) > MAX_EXACT_BINPACK:
+        raise OracleSizeError(
+            f"{len(sizes)} sizes exceed the exact bin-packing bound {MAX_EXACT_BINPACK}")
+
+    items = sorted(sizes, reverse=True)
+    best = upper
+
+    def dfs(k: int, bins: list[int]) -> None:
+        nonlocal best
+        if best == lower:
+            return
+        if k == len(items):
+            best = min(best, len(bins))
+            return
+        if len(bins) >= best:
+            return
+        item = items[k]
+        tried = set()
+        for i in range(len(bins)):
+            if bins[i] + item <= capacity and bins[i] not in tried:
+                tried.add(bins[i])
+                bins[i] += item
+                dfs(k + 1, bins)
+                bins[i] -= item
+        if len(bins) + 1 < best:
+            bins.append(item)
+            dfs(k + 1, bins)
+            bins.pop()
+
+    dfs(0, [])
+    return best
 
 
 # -- JSON persistence ----------------------------------------------------
@@ -225,8 +307,6 @@ def instance_from_dict(doc: dict) -> Instance:
     if "pickers" in doc:
         pickers = _expect(doc, "pickers", int, "instance")
     else:
-        from .exact import bin_pack_exact
-
         pickers = bin_pack_exact([o.size for o in orders], capacity)
     return Instance(layout=layout, orders=tuple(orders), capacity=capacity, pickers=pickers)
 

@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -43,8 +44,9 @@ class WarehouseLayout:
             if not isinstance(value, int) or value < 1:
                 raise ValidationError(f"layout.{name} must be an integer >= 1, got {value!r}")
         for name in ("loc_spacing", "aisle_spacing"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"layout.{name} must be > 0")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails every comparison
+                raise ValidationError(f"layout.{name} must be a finite number > 0, got {value!r}")
 
     @property
     def subaisle_length(self):
@@ -113,6 +115,7 @@ class PickingGraph:
 
         self.edges = tuple(edges)
         self.edge_length = tuple(edge_length)
+        self.n_chain_edges = n * q * (m + 1)  # ids below it: chain edges, loc_spacing long
         self.subaisles = tuple(subaisles)
         self._north = north
         self._south = south

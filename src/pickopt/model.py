@@ -139,30 +139,25 @@ class Constraint(NamedTuple):
 
 
 class _View(Sequence):
-    """A read-only sequence over a model's columns; items are built on access.
-    A view with ``span`` covers those items only, else every item, however
-    many there are when it is read."""
+    """A read-only sequence over a model's columns, however many there are
+    when it is read; items are built on access."""
 
-    __slots__ = ("_model", "_span")
+    __slots__ = ("_model",)
     __hash__ = None
 
-    def __init__(self, model: "LinearModel", span: Optional[range] = None):
+    def __init__(self, model: "LinearModel"):
         self._model = model
-        self._span = span
-
-    def _items(self) -> range:
-        return range(self._count()) if self._span is None else self._span
 
     def __len__(self) -> int:
-        return len(self._items())
+        return self._count()
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return [self._item(i) for i in self._items()[key]]
-        return self._item(self._items()[key])
+            return [self._item(i) for i in range(self._count())[key]]
+        return self._item(range(self._count())[key])
 
     def __iter__(self):
-        return map(self._item, self._items())
+        return map(self._item, range(self._count()))
 
     def __eq__(self, other):
         if isinstance(other, _View):
@@ -230,10 +225,6 @@ class LinearModel:
     @property
     def constraints(self) -> ConstraintView:
         return ConstraintView(self)
-
-    def constraints_from(self, first: int) -> ConstraintView:
-        """A view of the rows from index ``first`` to the last row now."""
-        return ConstraintView(self, range(first, len(self._row_names)))
 
     # -- construction ----------------------------------------------------
 

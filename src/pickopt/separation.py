@@ -2,9 +2,9 @@
 
 ``FAMILY_OF_KIND`` maps each formulation to its family, and ``FAMILIES``
 describes each family once: its anchor vertices, the edges its cuts count
-(with the picker's variable for leaving either end), its anchor coefficient
-and the auxiliary graph it lives on.  Separation, cut rows and the model
-builders all read that table.
+(with the picker's variable for leaving either end), its anchor coefficient,
+the description a model export carries and the auxiliary graph it lives on.
+Separation, cut rows and the model builder all read that table.
 
 Candidate assignments must be integral (the branch-and-cut procedure this
 feeds separates at integral nodes only).  For each picker, the support
@@ -44,6 +44,7 @@ class Family:
     anchors: Callable  # (graph, aux) -> anchor vertices
     edges: Callable  # (graph, aux, picker) -> [(u, v, index leaving u, index leaving v)]
     anchor_coeff: int
+    description: str  # the model's ``lazy_groups`` entry
     aux_variant: Optional[str] = None  # the auxiliary graph the family lives on
 
     def aux_graph(self, graph: PickingGraph) -> Optional[AuxiliaryGraph]:
@@ -68,10 +69,14 @@ def _tour_edges(graph: PickingGraph, aux: AuxiliaryGraph, t: int) -> list:
 
 # picking locations only anchor the full arc-space family
 FAMILIES = {
-    "bs4": Family(lambda graph, aux: range(graph.n_vertices), _graph_arcs, -1),
-    "impf8": Family(lambda graph, aux: graph.artificial_vertices, _reduced_arcs, -1),
-    "tspo5": Family(lambda graph, aux: aux.vertices, _tour_edges, -2, SINGLE_BLOCK),
-    "tspt4": Family(lambda graph, aux: aux.vertices, _tour_edges, -2, TWO_BLOCK),
+    "bs4": Family(lambda graph, aux: range(graph.n_vertices), _graph_arcs, -1,
+                  "connectivity (lazy, exponential)"),
+    "impf8": Family(lambda graph, aux: graph.artificial_vertices, _reduced_arcs, -1,
+                    "reduced-graph connectivity (lazy, exponential)"),
+    "tspo5": Family(lambda graph, aux: aux.vertices, _tour_edges, -2,
+                    "two-connectivity (lazy, exponential)", SINGLE_BLOCK),
+    "tspt4": Family(lambda graph, aux: aux.vertices, _tour_edges, -2,
+                    "two-connectivity (lazy, exponential)", TWO_BLOCK),
 }
 
 

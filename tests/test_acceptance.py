@@ -15,10 +15,8 @@ from conftest import make_suite, shared_graph, single_batch
 from oracles import (blind_solve, disconnected_candidate, every_gamma_cut_holds,
                      mask_no_artificial_uturn, mask_single_traversal,
                      support_connected_to_origin)
-from pickopt import (VariableAssignment, WarehouseLayout, build_auxiliary_graph,
-                     build_basic, build_PF, build_PG, build_PU2,
-                     build_single_traversing, build_strengthened_cuts,
-                     build_subaisle_cuts, check_feasible, cut_to_row,
+from pickopt import (ModelOptions, VariableAssignment, WarehouseLayout,
+                     build_auxiliary_graph, build_model, check_feasible, cut_to_row,
                      encode_walk_PF, encode_walk_PG, separate_connectivity,
                      solve_no_reversal_exact, walk_space)
 from pickopt.layout import TWO_BLOCK
@@ -47,14 +45,14 @@ def test_acceptance_1_oracle_equivalence(acceptance_suite):
 def test_acceptance_2_feasibility_direction(acceptance_suite, suite_solutions):
     for (instance, graph), solution in zip(acceptance_suite, suite_solutions):
         assert graph.n_artificial <= 8
-        pg = build_PG(instance, graph)
+        pg = build_model(instance, graph, "P_G")
         a_pg = encode_walk_PG(pg, instance, graph, solution)
         report = check_feasible(pg, a_pg)
         assert report.satisfied, report.violations[:4]
         assert pg.objective_value(a_pg.values) == solution.total
         assert every_gamma_cut_holds(graph, instance, a_pg)
 
-        pf = build_PF(instance, graph)
+        pf = build_model(instance, graph, "P_F")
         a_pf = encode_walk_PF(pf, instance, graph, solution)
         report = check_feasible(pf, a_pf)
         assert report.satisfied, report.violations[:4]
@@ -67,12 +65,9 @@ def test_acceptance_3_cut_validity(acceptance_suite, suite_solutions):
     for (instance, graph), solution in zip(acceptance_suite, suite_solutions):
         # valid families: the optimal encoding satisfies every added row,
         # so layering the family cannot move the optimum
-        model = build_basic(instance, graph)
-        build_subaisle_cuts(model, instance, graph)
-        build_strengthened_cuts(model, instance, graph, "aisle")
-        build_strengthened_cuts(model, instance, graph, "basic")
-        if instance.layout.n_blocks <= 2:
-            build_single_traversing(model, instance, graph)
+        options = ModelOptions(subaisle_cuts=True, aisle_cuts=True, basic_cuts=True,
+                               single_traversing=instance.layout.n_blocks <= 2)
+        model = build_model(instance, graph, "P_basic", options)
         assignment = encode_walk_PG(model, instance, graph, solution)
         report = check_feasible(model, assignment, max_report=10_000)
         # the single-traversing family is only optimality-preserving, so an
@@ -147,7 +142,7 @@ def test_acceptance_5_s_shape_optimality():
 def test_acceptance_6_separation_soundness_completeness(acceptance_suite,
                                                         suite_solutions):
     for (instance, graph), solution in zip(acceptance_suite, suite_solutions):
-        model = build_PG(instance, graph)
+        model = build_model(instance, graph, "P_G")
         final = encode_walk_PG(model, instance, graph, solution)
         bad = VariableAssignment(disconnected_candidate(instance, graph, solution))
         candidates = [bad, final]
@@ -188,7 +183,7 @@ def test_acceptance_7_parity_and_crossing_bound():
         assert route.vertical_length - (len(K1) + len(K2)) * d == excess
 
         instance = single_batch(layout, graph, [graph.subaisles[i].locs[0] for i in K1 + K2])
-        model = build_PU2(instance, aux, with_cross_aisle_bound=True)
+        model = build_model(instance, graph, "P_U2", ModelOptions(cross_aisle_bound=True))
         # the cheapest serpentine and the canonical r_S2 both encode
         # feasibly and cross the second cross aisle exactly twice
         for kind in (None, R_S2):

@@ -35,6 +35,21 @@ def test_generate_zero_orders_exit_2(tmp_path):
                    "-o", str(tmp_path / "x.json")) == 2
 
 
+def test_generate_non_finite_spacing_exit_2(tmp_path):
+    for flag, value in (("--loc-spacing", "nan"), ("--aisle-spacing", "inf")):
+        out = tmp_path / f"{value}.json"
+        assert run_cli("generate", "--aisles", "2", "--blocks", "1", "--orders", "2",
+                       flag, value, "-o", str(out)) == 2
+        assert not out.exists()
+
+
+def test_generate_packs_many_large_orders(tmp_path, capsys):
+    # first-fit decreasing misses ceil(sum / 8) here; the L2 bound proves it optimal
+    assert run_cli("generate", "--aisles", "10", "--blocks", "2", "--locs", "15",
+                   "--orders", "21", "--delta", "40", "-o", str(tmp_path / "i.json")) == 0
+    assert "pickers 15" in capsys.readouterr().out
+
+
 def test_build_all_formats(tmp_path, instance_file, capsys):
     for fmt in ("lp", "mps", "json"):
         out = tmp_path / f"m.{fmt}"

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import make_suite, shared_graph, single_batch
 from oracles import every_gamma_cut_holds, route_oracle
-from pickopt import (EncodingError, Instance, Order, Pick, Solution, Walk,
-                     WarehouseLayout, build_auxiliary_graph, build_basic,
-                     build_model, build_PF, build_PG, build_PU2, check_feasible,
-                     encode_walk_PF, encode_walk_PG, generate_instance,
-                     orient_walk, solve_exact, solve_no_reversal_exact)
+from pickopt import (EncodingError, Instance, ModelOptions, Order, Pick, Solution,
+                     Walk, WarehouseLayout, build_auxiliary_graph, build_model,
+                     check_feasible, encode_walk_PF, encode_walk_PG,
+                     generate_instance, orient_walk, solve_exact,
+                     solve_no_reversal_exact)
 from pickopt.layout import TWO_BLOCK
 from routes import (MIDDLE_BAND, R_S1, R_S2, arrivals, encode_best_s_shape,
                     eq75_value, s_shape_candidates)
@@ -37,11 +37,11 @@ def test_encode_basic_and_pg_feasible_with_objective():
     suite = make_suite(8, master_seed=301)
     for inst, g in suite:
         sol = solve_exact(inst, g)
-        for build in (build_basic, build_PG):
-            model = build(inst, g)
+        for kind in ("P_basic", "P_G"):
+            model = build_model(inst, g, kind)
             a = encode_walk_PG(model, inst, g, sol)
             report = check_feasible(model, a)
-            assert report.satisfied, (build.__name__, report.violations[:3])
+            assert report.satisfied, (kind, report.violations[:3])
             assert model.objective_value(a.values) == sol.total
 
 
@@ -49,7 +49,7 @@ def test_encode_pg_satisfies_every_gamma_cut():
     suite = make_suite(8, master_seed=302)
     for inst, g in suite:
         sol = solve_exact(inst, g)
-        model = build_PG(inst, g)
+        model = build_model(inst, g, "P_G")
         a = encode_walk_PG(model, inst, g, sol)
         assert every_gamma_cut_holds(g, inst, a)
 
@@ -64,7 +64,7 @@ def test_full_downward_traversal_sets_gamma():
     mult = {eid: 1 for eid in range(len(g.edges))}
     walk = Walk(0, tuple(sorted(mult.items())))
     sol = Solution(((0,),), (walk,), walk.length(g))
-    model = build_PG(inst, g)
+    model = build_model(inst, g, "P_G")
     a = encode_walk_PG(model, inst, g, sol)
     assert check_feasible(model, a).satisfied
     down = a.get(f"g_0_{sub.head}_{sub.tail}")
@@ -77,7 +77,7 @@ def test_empty_batch_picker_encoding():
     inst = Instance(inst.layout, inst.orders, inst.capacity, pickers=2)
     g = shared_graph(LAYOUT)
     sol = solve_exact(inst, g)
-    model = build_PG(inst, g)
+    model = build_model(inst, g, "P_G")
     a = encode_walk_PG(model, inst, g, sol)
     assert check_feasible(model, a).satisfied
     assert a.get("z_0_1") == 0
@@ -87,7 +87,7 @@ def test_encode_pf_flow_balances():
     suite = make_suite(6, master_seed=303)
     for inst, g in suite:
         sol = solve_exact(inst, g)
-        model = build_PF(inst, g)
+        model = build_model(inst, g, "P_F")
         a = encode_walk_PF(model, inst, g, sol)
         assert check_feasible(model, a).satisfied
         assert model.objective_value(a.values) == sol.total
@@ -106,9 +106,9 @@ def test_projection_between_pg_and_pf():
     inst = generate_instance(LAYOUT, 2, 10, seed=44)
     g = shared_graph(LAYOUT)
     sol = solve_exact(inst, g)
-    mf = build_PF(inst, g)
+    mf = build_model(inst, g, "P_F")
     af = encode_walk_PF(mf, inst, g, sol)
-    mg = build_PG(inst, g)
+    mg = build_model(inst, g, "P_G")
     from pickopt import VariableAssignment
 
     projected = VariableAssignment(
@@ -129,7 +129,7 @@ def test_encode_no_reversal_into_PU_kind():
 def test_encode_rejects_broken_walks():
     g = shared_graph(LAYOUT)
     inst = generate_instance(LAYOUT, 1, 5, seed=0)
-    model = build_basic(inst, g)
+    model = build_model(inst, g, "P_basic")
     # odd-degree support: single edge once
     walk = Walk(0, ((0, 1),))
     sol = Solution(((0,),), (walk,), walk.length(g))
@@ -150,7 +150,7 @@ def test_encode_rejects_broken_walks():
     idle = route_oracle(g, (), picker=1)
     sol3 = Solution(((0, 1), ()), (both, idle), both.length(g) + idle.length(g))
     with pytest.raises(EncodingError, match="capacity"):
-        encode_walk_PG(build_basic(small, g), small, g, sol3)
+        encode_walk_PG(build_model(small, g, "P_basic"), small, g, sol3)
 
 
 def test_pu2_route_encodings():
@@ -165,7 +165,7 @@ def test_pu2_route_encodings():
             if not chosen:
                 continue
             inst = single_batch(layout, g, chosen)
-            model = build_PU2(inst, aux, with_cross_aisle_bound=True)
+            model = build_model(inst, g, "P_U2", ModelOptions(cross_aisle_bound=True))
             subs = {g.subaisle_of(v) for v in chosen}
             K2 = [i for i in subs if i >= n]
             route, a = encode_best_s_shape(model, aux, inst, 0, [0])
@@ -183,7 +183,7 @@ def test_best_s_shape_of_an_absent_kind_is_an_encoding_error():
     inst = generate_instance(layout, 3, 10, seed=9)
     assert all(g.subaisle_of(v) >= layout.n_aisles
                for v in inst.pick_vertices(g, inst.order_by_id(0)))
-    model = build_PU2(inst, aux)
+    model = build_model(inst, g, "P_U2")
     with pytest.raises(EncodingError, match="r_S1"):
         encode_best_s_shape(model, aux, inst, 0, [0], kind="r_S1")
 
@@ -202,7 +202,7 @@ def test_r_s1_routes_that_enter_a_middle_location_three_times_do_not_encode():
         (R_S1, 20, 3), (R_S2, 20, 2)}
     assert sum(r.kind == R_S1 for r in routes) == 5
     single = Instance(layout, (inst.order_by_id(0),), inst.capacity, 1)
-    model = build_PU2(single, aux)
+    model = build_model(single, g, "P_U2")
     with pytest.raises(EncodingError, match="no conflict-free lane assignment"):
         encode_best_s_shape(model, aux, single, 0, [0], kind=R_S1)
     route, a = encode_best_s_shape(model, aux, single, 0, [0], kind=R_S2)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import ORACLE_SHAPES, make_suite, shared_graph
-from oracles import (blind_solve, brute_force_bin_pack, mask_no_artificial_uturn,
-                     mask_single_traversal, route_oracle, scanned_walk_space)
+from oracles import (blind_solve, mask_no_artificial_uturn, mask_single_traversal,
+                     route_oracle, scanned_walk_space)
 from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick,
-                     ValidationError, WalkSpace, WarehouseLayout, bin_pack_exact,
-                     build_graph, capacity_feasible_partitions,
-                     first_fit_decreasing, generate_instance, load_solution,
-                     save_solution, solve_exact, solve_no_reversal_exact,
+                     ValidationError, WalkSpace, WarehouseLayout, batching_to_solution,
+                     build_graph, capacity_feasible_partitions, generate_instance,
+                     load_solution, save_solution, solve_exact, solve_no_reversal_exact,
                      validate_solution, walk_space)
 from pickopt.exact import _space_cache
 
@@ -188,11 +187,11 @@ def test_no_reversal_empty_picker_departure():
 
 
 def test_export_model_writes_files(tmp_path):
-    from pickopt import build_basic, export_model
+    from pickopt import build_model, export_model
 
     inst = generate_instance(LAYOUT, 2, 5, seed=1)
     g = shared_graph(LAYOUT)
-    model = build_basic(inst, g)
+    model = build_model(inst, g, "P_basic")
     for fmt in ("lp", "mps", "json"):
         path = tmp_path / f"m.{fmt}"
         export_model(model, fmt, path)
@@ -201,26 +200,33 @@ def test_export_model_writes_files(tmp_path):
         assert path.read_bytes() == again.read_bytes()
 
 
-def test_bin_pack_examples():
-    assert bin_pack_exact([3, 3, 3], 8) == 2
-    assert bin_pack_exact([5, 4, 3], 8) == 2
-    assert bin_pack_exact([8, 8, 8], 8) == 3
-    with pytest.raises(ValidationError, match="infeasible"):
-        bin_pack_exact([9], 8)
+def test_walk_space_and_walks_price_alike_at_fractional_spacings():
+    # loc_spacing * V + aisle_spacing * H everywhere: a matrix product of
+    # edge lengths and a Python sum of them differ in the last bit here
+    rng = random.Random(23)
+    for spacings in [(0.1, 0.7), (0.3, 1.7), (0.7, 0.3)]:
+        for shape in [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2)]:
+            layout = WarehouseLayout(*shape, *spacings)
+            g = build_graph(layout)
+            space = walk_space(g)
+            assert space.lengths.tolist() == [space.walk(j).length(g)
+                                              for j in range(len(space.mult))]
+            base = generate_instance(layout, 3, 10, seed=rng.randrange(1000))
+            inst = Instance(layout, base.orders, base.capacity, base.pickers + 1)
+            best = solve_exact(inst, g).total
+            sizes = {o.id: o.size for o in inst.orders}
+            for partition in capacity_feasible_partitions(inst.order_ids, sizes,
+                                                          inst.capacity, inst.pickers):
+                assert best <= batching_to_solution(inst, g, partition).total
 
 
-def test_bin_pack_matches_brute_force():
-    rng = random.Random(17)
-    for _ in range(25):
-        sizes = [1 + rng.randrange(8) for _ in range(1 + rng.randrange(12))]
-        assert bin_pack_exact(sizes, 8) == brute_force_bin_pack(sizes, 8)
-
-
-def test_bin_pack_ffd_is_upper_bound():
-    rng = random.Random(18)
-    for _ in range(20):
-        sizes = [1 + rng.randrange(8) for _ in range(10)]
-        assert bin_pack_exact(sizes, 8) <= first_fit_decreasing(sizes, 8)
+def test_validate_solution_requires_a_walk_for_every_picker():
+    g = shared_graph(LAYOUT)
+    orders = (Order(0, 1, (Pick(0, 0, 0, 0),)), Order(1, 1, (Pick(1, 0, 1, 0),)))
+    one = solve_exact(Instance(LAYOUT, orders, 8, 1), g)
+    assert len(one.walks) == 1
+    with pytest.raises(ValidationError, match="1 walks for 2 pickers"):
+        validate_solution(Instance(LAYOUT, orders, 8, 2), g, one)
 
 
 def test_solution_round_trip(tmp_path):

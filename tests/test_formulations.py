@@ -1,16 +1,14 @@
+from dataclasses import fields
+from itertools import product
+
 import pytest
 
 from conftest import shared_graph
-from pickopt import (Instance, ModelOptions, Order, Pick, UnsupportedFamilyError,
-                     ValidationError, VariantMismatchError, WarehouseLayout,
-                     build_auxiliary_graph, build_basic, build_model,
-                     build_no_reversal, build_PF, build_PG, build_PU1,
-                     build_PU2, build_single_traversing,
-                     build_strengthened_cuts, build_subaisle_cuts,
-                     build_symmetry_breaking, build_artificial_vertex_reversal,
-                     check_feasible, generate_instance, validate_options,
-                     VariableAssignment)
-from pickopt.layout import SINGLE_BLOCK, TWO_BLOCK
+from pickopt import (ALL_KINDS, Instance, ModelOptions, Order, Pick, PickoptError,
+                     UnsupportedFamilyError, ValidationError, VariantMismatchError,
+                     WarehouseLayout, build_auxiliary_graph, build_model, check_feasible,
+                     generate_instance, validate_options, VariableAssignment)
+from pickopt.layout import TWO_BLOCK
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 
@@ -23,7 +21,7 @@ def one_order_instance(layout=LAYOUT, picks=((0, 0, 0, 0),), size=1, pickers=1):
 def test_basic_variable_and_row_counts():
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
+    m = build_model(inst, g, "P_basic")
     counts = m.variable_counts()
     assert counts == {"x": 16, "y": 8, "z": 1}
     groups = m.group_counts()
@@ -37,7 +35,7 @@ def test_basic_variable_and_row_counts():
 def test_basic_row_counts_scale_with_orders_and_pickers():
     inst = generate_instance(LAYOUT, 4, 5, seed=11)
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
+    m = build_model(inst, g, "P_basic")
     groups = m.group_counts()
     assert groups["bs6"] == len(inst.orders)
     assert groups["bs7"] == inst.pickers
@@ -46,8 +44,7 @@ def test_basic_row_counts_scale_with_orders_and_pickers():
 def test_subaisle_cut_row_counts():
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
-    build_subaisle_cuts(m, inst, g)
+    m = build_model(inst, g, "P_basic", ModelOptions(subaisle_cuts=True))
     groups = m.group_counts()
     # per picker and subaisle with two locations: chain rows 1, links 2
     assert groups["sub1"] == 1 * 2  # (locs-1) per subaisle, two subaisles
@@ -62,7 +59,7 @@ def test_zero_assignment_violates_the_assignment_rows():
 
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
+    m = build_model(inst, g, "P_basic")
     report = check_feasible(m, VariableAssignment({}))
     assert "bs6" in report.groups()
 
@@ -72,12 +69,12 @@ def test_capacity_overrun_reports_bs7():
 
     inst = one_order_instance(size=8)
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
+    m = build_model(inst, g, "P_basic")
     # z doubled onto the single picker through a second phantom order is not
     # possible; instead overload via a fractional-free direct overrun
     inst2 = Instance(LAYOUT, (Order(0, 8, inst.orders[0].picks),
                               Order(1, 1, inst.orders[0].picks)), 8, 1)
-    m2 = build_basic(inst2, g)
+    m2 = build_model(inst2, g, "P_basic")
     a = VariableAssignment({"z_0_0": 1, "z_1_0": 1})
     report = check_feasible(m2, a)
     assert "bs7" in report.groups()
@@ -86,7 +83,7 @@ def test_capacity_overrun_reports_bs7():
 def test_gamma_count_and_equalities():
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    m = build_PG(inst, g)
+    m = build_model(inst, g, "P_G")
     assert m.variable_counts()["g"] == inst.pickers * 2 * len(g.reduced_edges)
     for row in m.rows_in_group("impf4") + m.rows_in_group("impf5"):
         assert row.sense == "="
@@ -97,7 +94,7 @@ def test_gamma_count_and_equalities():
 def test_PF_is_compact_with_flow_counts():
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    m = build_PF(inst, g)
+    m = build_model(inst, g, "P_F")
     assert not m.lazy_groups
     n_arcs = 2 * len(g.reduced_edges)
     assert m.variable_counts()["s"] == inst.pickers * g.n_artificial * n_arcs
@@ -110,8 +107,7 @@ def test_PF_is_compact_with_flow_counts():
 def test_aisle_cut_has_two_boundary_arcs():
     inst = one_order_instance(picks=((0, 0, 1, 0),))
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
-    rows = build_strengthened_cuts(m, inst, g, "aisle")
+    rows = build_model(inst, g, "P_basic", ModelOptions(aisle_cuts=True)).rows_in_group("aisle_cut")
     assert len(rows) == 1
     # two arc terms plus the z term
     assert len(rows[0].coeffs) == 3
@@ -121,48 +117,42 @@ def test_basic_cut_single_far_subaisle():
     layout = WarehouseLayout(1, 2, 1, 1, 2)
     inst = one_order_instance(layout, picks=((0, 1, 0, 0),))
     g = shared_graph(layout)
-    m = build_basic(inst, g)
-    rows = build_strengthened_cuts(m, inst, g, "basic")
+    rows = build_model(inst, g, "P_basic", ModelOptions(basic_cuts=True)).rows_in_group("basic_cut")
     assert len(rows) == 1  # one non-origin component, one picker
 
 
 def test_basic_cut_origin_component_dropped():
     inst = one_order_instance(picks=((0, 0, 0, 0),))  # subaisle at the origin
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
-    rows = build_strengthened_cuts(m, inst, g, "basic")
+    rows = build_model(inst, g, "P_basic", ModelOptions(basic_cuts=True)).rows_in_group("basic_cut")
     assert rows == []
 
 
 def test_single_traversing_counts_and_blocks():
     inst = one_order_instance(pickers=3)
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
-    build_subaisle_cuts(m, inst, g)
-    rows = build_single_traversing(m, inst, g)
+    options = ModelOptions(subaisle_cuts=True, single_traversing=True)
+    rows = build_model(inst, g, "P_basic", options).rows_in_group("sitr")
     assert len(rows) == 3  # one per picker for the single pick
 
     layout2 = WarehouseLayout(2, 2, 1, 1, 2)
     inst2 = one_order_instance(layout2, picks=((0, 0, 0, 0),))  # first subaisle
     g2 = shared_graph(layout2)
-    m2 = build_basic(inst2, g2)
-    build_subaisle_cuts(m2, inst2, g2)
-    assert build_single_traversing(m2, inst2, g2) == []  # first subaisle exempt
+    # first subaisle exempt
+    assert build_model(inst2, g2, "P_basic", options).rows_in_group("sitr") == []
 
     layout3 = WarehouseLayout(1, 3, 1, 1, 2)
     inst3 = one_order_instance(layout3, picks=((0, 2, 0, 0),))
     g3 = shared_graph(layout3)
-    m3 = build_basic(inst3, g3)
-    build_subaisle_cuts(m3, inst3, g3)
     with pytest.raises(UnsupportedFamilyError):
-        build_single_traversing(m3, inst3, g3)
+        build_model(inst3, g3, "P_basic", options)
 
 
 def test_no_reversal_ties():
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    m = build_PG(inst, g)
-    rows = build_no_reversal(m, inst, g)
+    m = build_model(inst, g, "P_U")
+    rows = m.rows_in_group("norev1") + m.rows_in_group("norev2")
     # per subaisle and direction: locs+1 tied arcs
     assert len(rows) == 2 * 2 * 3
     for row in rows:
@@ -172,15 +162,14 @@ def test_no_reversal_ties():
 def test_artificial_vertex_reversal_rows():
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
-    rows = build_artificial_vertex_reversal(m, inst, g)
+    options = ModelOptions(artificial_vertex_reversal=True)
+    rows = build_model(inst, g, "P_basic", options).rows_in_group("avr")
     assert len(rows) == 2  # tails only in a 1-block layout
 
     layout2 = WarehouseLayout(2, 2, 1, 1, 2)
     inst2 = one_order_instance(layout2)
     g2 = shared_graph(layout2)
-    m2 = build_basic(inst2, g2)
-    rows2 = build_artificial_vertex_reversal(m2, inst2, g2)
+    rows2 = build_model(inst2, g2, "P_basic", options).rows_in_group("avr")
     # four tails plus two interior heads (block-2 subaisles)
     assert len(rows2) == 4 + 2
 
@@ -189,9 +178,8 @@ def test_symmetry_breaking_fix_count():
     inst = generate_instance(LAYOUT, 3, 5, seed=2)
     inst = Instance(inst.layout, inst.orders, inst.capacity, 3)
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
-    rows = build_symmetry_breaking(m, inst)
-    fixes = [r for r in rows if r.group == "col_fix"]
+    fixes = build_model(inst, g, "P_basic",
+                        ModelOptions(column_inequalities=True)).rows_in_group("col_fix")
     assert len(fixes) == 3  # z_{1,2}, z_{1,3}, z_{2,3} in 1-based terms
 
 
@@ -200,8 +188,9 @@ def test_symmetry_rows_with_orders_out_of_id_order():
     base = generate_instance(LAYOUT, 5, 5, seed=4)
     inst = Instance(base.layout, tuple(reversed(base.orders)), base.capacity, 3)
     g = shared_graph(LAYOUT)
-    m, reference = build_basic(inst, g), build_basic(inst, g)
-    rows = build_symmetry_breaking(m, inst)
+    m = build_model(inst, g, "P_basic", ModelOptions(column_inequalities=True))
+    reference = build_model(inst, g, "P_basic")
+    rows = m.constraints[len(reference.constraints):]
     expected, unsorted = [], 0
     ranked = sorted(inst.orders, key=lambda o: o.id)
     for r, o in enumerate(ranked, start=1):
@@ -229,8 +218,8 @@ def test_symmetry_allows_canonical_batchings():
     inst = generate_instance(LAYOUT, 4, 5, seed=9)
     T = inst.pickers
     g = shared_graph(LAYOUT)
-    m = build_basic(inst, g)
-    rows = build_symmetry_breaking(m, inst)
+    m = build_model(inst, g, "P_basic", ModelOptions(column_inequalities=True))
+    rows = m.rows_in_group("col_fix") + m.rows_in_group("col_link")
     sizes = {o.id: o.size for o in inst.orders}
     for partition in capacity_feasible_partitions(inst.order_ids, sizes, inst.capacity, T):
         values = {}
@@ -249,8 +238,7 @@ def test_symmetry_allows_canonical_batchings():
 def test_PU1_degree_and_cover_rows():
     inst = one_order_instance(picks=((1, 0, 0, 0),))
     g = shared_graph(LAYOUT)
-    aux = build_auxiliary_graph(g, SINGLE_BLOCK)
-    m = build_PU1(inst, aux)
+    m = build_model(inst, g, "P_U1")
     assert "tspo5" in m.lazy_groups
     # degree rows: all artificial vertices except origin and first tail
     assert m.group_counts()["tspo4"] == g.n_artificial - 2
@@ -269,7 +257,7 @@ def test_PU2_rows_and_cross_aisle_bound():
     inst = one_order_instance(layout, picks=((0, 1, 0, 0),), pickers=1)
     g = shared_graph(layout)
     aux = build_auxiliary_graph(g, TWO_BLOCK)
-    m = build_PU2(inst, aux, with_cross_aisle_bound=True)
+    m = build_model(inst, g, "P_U2", ModelOptions(cross_aisle_bound=True))
     assert m.group_counts()["less2con"] == inst.pickers
     # degree rows for every auxiliary vertex besides the origin, copies included
     assert m.group_counts()["tspt3"] == g.n_artificial + len(aux.copy_of) - 1
@@ -285,7 +273,7 @@ def test_PU2_rejects_a_tour_ending_at_a_copy():
     layout = WarehouseLayout(2, 2, 1, 1, 2)
     inst = generate_instance(layout, 4, 10, seed=126)
     g = shared_graph(layout)
-    m = build_PU2(inst, build_auxiliary_graph(g, TWO_BLOCK))
+    m = build_model(inst, g, "P_U2")
     names = ("x_0_0_2 x_0_2_10 x_0_10_4 x_0_4_5 x_0_11_5 xt_0_0_10 "
              "y_0_2 y_0_4 y_0_5 z_0_0 z_1_0 z_2_0 z_3_0").split()
     candidate = VariableAssignment({name: 1 for name in names})
@@ -297,14 +285,11 @@ def test_PU2_rejects_a_tour_ending_at_a_copy():
 def test_variant_mismatch_errors():
     inst = one_order_instance()
     g = shared_graph(LAYOUT)
-    aux = build_auxiliary_graph(g, SINGLE_BLOCK)
     with pytest.raises(VariantMismatchError):
-        build_PU2(inst, aux)
+        build_model(inst, g, "P_U2")
     layout2 = WarehouseLayout(2, 2, 1, 1, 2)
-    g2 = shared_graph(layout2)
-    aux2 = build_auxiliary_graph(g2, TWO_BLOCK)
     with pytest.raises(VariantMismatchError):
-        build_PU1(inst, aux2)
+        build_model(one_order_instance(layout2), shared_graph(layout2), "P_U1")
 
 
 def test_option_compatibility_matrix():
@@ -321,6 +306,28 @@ def test_option_compatibility_matrix():
         validate_options("P_U2", ModelOptions(), inst)
     with pytest.raises(ValidationError):
         validate_options("P_X", ModelOptions(), inst)
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except PickoptError as exc:
+        return type(exc), str(exc)
+
+
+def test_build_model_builds_exactly_what_validate_options_accepts():
+    n = len(fields(ModelOptions))
+    refused = 0
+    for blocks in (1, 2, 3):
+        layout = WarehouseLayout(1, blocks, 1, 1, 2)
+        inst, g = one_order_instance(layout), shared_graph(layout)
+        for kind, mask in product(ALL_KINDS, range(1 << n)):
+            options = ModelOptions(*(bool(mask >> i & 1) for i in range(n)))
+            error = _error(validate_options, kind, options, inst)
+            refused += error is not None
+            # build_model raises what validate_options raises and builds the rest
+            assert _error(build_model, inst, g, kind, options) == error
+    assert refused == 1914  # of 3 * 7 * 128 combinations, so 774 build
 
 
 def test_build_model_dispatch_and_determinism():

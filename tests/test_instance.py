@@ -1,9 +1,14 @@
+import json
+import random
+
 import pytest
 
 from oracles import brute_force_bin_pack
-from pickopt import (ValidationError, WarehouseLayout, generate_instance,
-                     load_instance, save_instance)
-from pickopt.instance import canonical_json_bytes, instance_from_dict, instance_to_dict
+from pickopt import (ValidationError, WarehouseLayout, bin_pack_exact,
+                     first_fit_decreasing, generate_instance, load_instance,
+                     save_instance)
+from pickopt.instance import (_lower_bound, canonical_json_bytes, instance_from_dict,
+                              instance_to_dict)
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 
@@ -97,6 +102,13 @@ def test_zero_orders_rejected():
         instance_from_dict(doc)
 
 
+def test_non_finite_spacing_in_a_file_is_rejected(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(_doc()).replace('"loc_spacing": 1', '"loc_spacing": NaN'))
+    with pytest.raises(ValidationError, match="loc_spacing must be a finite number"):
+        load_instance(path)
+
+
 def test_malformed_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -111,3 +123,34 @@ def test_pick_vertices_map_to_chain(tmp_path):
     g = build_graph(inst.layout)
     verts = inst.pick_vertices(g, inst.orders[0])
     assert verts == {g.subaisles[0].locs[1]}
+
+
+def test_bin_pack_examples():
+    assert bin_pack_exact([3, 3, 3], 8) == 2
+    assert bin_pack_exact([5, 4, 3], 8) == 2
+    assert bin_pack_exact([8, 8, 8], 8) == 3
+    with pytest.raises(ValidationError, match="infeasible"):
+        bin_pack_exact([9], 8)
+
+
+def test_bin_pack_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(25):
+        sizes = [1 + rng.randrange(8) for _ in range(1 + rng.randrange(12))]
+        assert bin_pack_exact(sizes, 8) == brute_force_bin_pack(sizes, 8)
+    # items above half the capacity, where the L2 bound exceeds ceil(sum / 8)
+    assert bin_pack_exact([5, 5, 5, 4, 4, 4], 8) == 5 and _lower_bound([5, 5, 5, 4, 4, 4], 8) == 5
+    above_l1 = 0
+    for _ in range(40):
+        sizes = [3 + rng.randrange(6) for _ in range(1 + rng.randrange(10))]
+        lower, optimum = _lower_bound(sizes, 8), brute_force_bin_pack(sizes, 8)
+        assert -(-sum(sizes) // 8) <= lower <= optimum == bin_pack_exact(sizes, 8)
+        above_l1 += lower > -(-sum(sizes) // 8)
+    assert above_l1 >= 10
+
+
+def test_bin_pack_ffd_is_upper_bound():
+    rng = random.Random(18)
+    for _ in range(20):
+        sizes = [1 + rng.randrange(8) for _ in range(10)]
+        assert bin_pack_exact(sizes, 8) <= first_fit_decreasing(sizes, 8)

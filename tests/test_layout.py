@@ -60,6 +60,11 @@ def test_rejects_degenerate_layouts():
         WarehouseLayout(1, 0, 1)
     with pytest.raises(ValidationError):
         WarehouseLayout(1, 1, 1, loc_spacing=0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            WarehouseLayout(1, 1, 1, loc_spacing=bad)
+        with pytest.raises(ValidationError, match="finite"):
+            WarehouseLayout(1, 1, 1, aisle_spacing=bad)
 
 
 def test_origin_is_top_left():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import shared_graph, single_batch
 from oracles import enumerate_PU1_minimum, parse_lp
-from pickopt import (WarehouseLayout, build_PG, build_auxiliary_graph,
+from pickopt import (WarehouseLayout, build_auxiliary_graph, build_model,
                      generate_instance, solve_no_reversal_exact, write_lp)
 from pickopt.layout import SINGLE_BLOCK
 
@@ -44,7 +44,7 @@ def test_lp_round_trip_counts_on_real_model():
     layout = WarehouseLayout(2, 1, 2, 1, 2)
     instance = generate_instance(layout, 2, 5, seed=77)
     graph = shared_graph(layout)
-    model = build_PG(instance, graph)
+    model = build_model(instance, graph, "P_G")
     variables, rows = parse_lp(write_lp(model))
     assert {v.name for v in model.variables} <= variables
     assert rows == [c.name for c in model.constraints]
@@ -54,12 +54,12 @@ def test_lp_round_trip_counts_on_real_model():
     not any(shutil.which(s) for s in ("cbc", "glpsol", "scip", "highs")),
     reason="no external MILP solver available to consume the exported model")
 def test_exported_model_solves_to_oracle_optimum(tmp_path):  # pragma: no cover
-    from pickopt import build_basic, export_model, solve_exact
+    from pickopt import export_model, solve_exact
 
     layout = WarehouseLayout(2, 1, 1, 1, 2)
     instance = generate_instance(layout, 2, 5, seed=3)
     graph = shared_graph(layout)
-    model = build_basic(instance, graph)
+    model = build_model(instance, graph, "P_basic")
     path = tmp_path / "basic.lp"
     export_model(model, "lp", path)
     # solving is solver specific; presence of a solver would enable wiring

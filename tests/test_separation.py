@@ -4,7 +4,7 @@ from conftest import shared_graph
 from oracles import depart_loop, subaisle_cycle
 from pickopt import (CutRequest, Instance, Order, Pick, SeparationError,
                      ValidationError, VariableAssignment, WarehouseLayout,
-                     build_auxiliary_graph, build_basic, build_PG, build_PU1,
+                     build_auxiliary_graph, build_model,
                      check_feasible, cut_to_row, generate_instance,
                      order_components, separate_connectivity, solve_exact,
                      encode_walk_PG)
@@ -67,7 +67,7 @@ def test_connected_support_yields_no_cuts():
     inst = generate_instance(LAYOUT, 2, 5, seed=3)
     g = shared_graph(LAYOUT)
     sol = solve_exact(inst, g)
-    model = build_basic(inst, g)
+    model = build_model(inst, g, "P_basic")
     a = encode_walk_PG(model, inst, g, sol)
     assert separate_connectivity(g, "P_basic", a, inst) == []
 
@@ -76,7 +76,7 @@ def test_disconnected_component_yields_one_violated_cut():
     order = Order(0, 1, (Pick(1, 0, 0, 0),))
     inst = Instance(LAYOUT, (order,), 8, 1)
     g = shared_graph(LAYOUT)
-    model = build_basic(inst, g)
+    model = build_model(inst, g, "P_basic")
     values = depart_loop(0, g) | subaisle_cycle(0, g, g.subaisles[1])
     values["z_0_0"] = 1
     a = VariableAssignment(values)
@@ -116,7 +116,7 @@ def test_impf8_support_uses_gamma():
     order = Order(0, 1, (Pick(1, 0, 0, 0),))
     inst = Instance(LAYOUT, (order,), 8, 1)
     g = shared_graph(LAYOUT)
-    model = build_PG(inst, g)
+    model = build_model(inst, g, "P_G")
     sub = g.subaisles[1]
     values = depart_loop(0, g) | subaisle_cycle(0, g, sub)
     values[f"g_0_{sub.head}_{sub.tail}"] = 1
@@ -137,7 +137,7 @@ def test_isolated_anchored_vertex_is_its_own_component():
     order = Order(0, 1, (Pick(1, 0, 0, 0),))
     inst = Instance(LAYOUT, (order,), 8, 1)
     g = shared_graph(LAYOUT)
-    model = build_PG(inst, g)
+    model = build_model(inst, g, "P_G")
     sub = g.subaisles[1]
     values = depart_loop(0, g) | subaisle_cycle(0, g, sub)
     values["z_0_0"] = 1
@@ -155,7 +155,7 @@ def test_tspo5_cut_has_coefficient_two():
     inst = Instance(LAYOUT, (order,), 8, 1)
     g = shared_graph(LAYOUT)
     aux = build_auxiliary_graph(g, SINGLE_BLOCK)
-    model = build_PU1(inst, aux)
+    model = build_model(inst, g, "P_U1")
     sub = g.subaisles[1]
 
     def edge_name(u, v):
@@ -188,7 +188,7 @@ def test_PU1_cut_counts_the_parallel_edge():
     inst = Instance(layout, (Order(0, 1, (Pick(1, 0, 0, 0),)),), 8, 1)
     g = shared_graph(layout)
     aux = build_auxiliary_graph(g, SINGLE_BLOCK)
-    model = build_PU1(inst, aux)
+    model = build_model(inst, g, "P_U1")
     names = [v.name for v in model.variables]
 
     def cut_lines(values):
@@ -213,7 +213,7 @@ def test_iterate_until_no_cuts_terminates():
     optimal encoding; at most 20 iterations, finishing connected."""
     inst = generate_instance(LAYOUT, 2, 5, seed=8)
     g = shared_graph(LAYOUT)
-    model = build_PG(inst, g)
+    model = build_model(inst, g, "P_G")
     sol = solve_exact(inst, g)
     final = encode_walk_PG(model, inst, g, sol)
 
