@@ -8,17 +8,16 @@ batching heuristics with a closed-form serpentine estimate.
 from .errors import (EncodingError, OracleSizeError, PickoptError,
                      SeparationError, UnsupportedFamilyError, ValidationError,
                      VariantMismatchError)
-from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxEdge, AuxiliaryGraph,
-                     PickingGraph, Subaisle, WarehouseLayout,
-                     build_auxiliary_graph, build_graph)
+from .layout import (AuxEdge, AuxiliaryGraph, PickingGraph, Subaisle,
+                     WarehouseLayout, build_auxiliary_graph, build_graph)
 from .instance import (Instance, Order, Pick, bin_pack_exact, first_fit_decreasing,
                        generate_instance, instance_graph, load_instance, save_instance)
 from .model import (BINARY, CONTINUOUS, INTEGER, Constraint, FeasibilityReport,
                     LinearModel, Variable, VariableAssignment, check_feasible,
                     export_model, write_lp, write_model_json, write_mps)
 from .formulations import ALL_KINDS, ModelOptions, build_model, validate_options
-from .separation import (CutRequest, OrderComponents, cut_to_row,
-                         order_components, separate_connectivity)
+from .separation import (CutRequest, cut_to_row, order_components,
+                         separate_connectivity)
 from .exact import (MAX_EXACT_ORDERS, MAX_ORACLE_EDGES, Solution, Walk,
                     WalkSpace, batching_to_solution, capacity_feasible_partitions,
                     load_solution, save_solution, solve_exact,

@@ -24,7 +24,7 @@ from .instance import (WarehouseLayout, generate_instance, instance_from_dict,
                        instance_graph, instance_to_dict, load_instance,
                        read_json, save_instance)
 from .model import VariableAssignment, export_model, lp_terms
-from .separation import FAMILIES, FAMILY_OF_KIND, cut_to_row, separate_connectivity
+from .separation import cut_to_row, separate_connectivity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -165,11 +165,8 @@ def cmd_separate(args) -> int:
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"assignment value {value!r} of {name} is not a number") from None
 
-    # one auxiliary graph for the whole command, not one per tour cut
-    family = FAMILIES.get(FAMILY_OF_KIND.get(kind))
-    aux = family and family.aux_graph(graph)
-    for cut in separate_connectivity(graph, kind, assignment, instance, aux):
-        row = cut_to_row(cut, model, graph, aux)
+    for cut in separate_connectivity(graph, kind, assignment, instance):
+        row = cut_to_row(cut, model, graph)
         print(f"{row.name}: {' '.join(lp_terms(row.coeffs, names))} {row.sense} {row.rhs}")
     return EXIT_OK
 

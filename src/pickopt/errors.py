@@ -14,7 +14,7 @@ class ValidationError(PickoptError):
 
 
 class VariantMismatchError(ValidationError):
-    """Auxiliary graph or formulation variant does not fit the layout."""
+    """A layout's block count has no auxiliary graph, or does not fit a kind."""
 
 
 class UnsupportedFamilyError(ValidationError):

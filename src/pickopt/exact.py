@@ -16,7 +16,6 @@ vector so results are reproducible byte for byte.
 
 from __future__ import annotations
 
-import json
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -26,8 +25,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import OracleSizeError, UnsupportedFamilyError, ValidationError
-from .instance import Instance, _expect, read_json
+from .errors import OracleSizeError, ValidationError
+from .instance import Instance, _expect, canonical_json_bytes, read_json
 from .layout import PickingGraph, build_graph, connected_components
 
 MAX_ORACLE_EDGES = 14
@@ -146,8 +145,7 @@ def solution_to_dict(solution: Solution, graph: PickingGraph) -> dict:
 
 
 def save_solution(solution: Solution, graph: PickingGraph, path) -> None:
-    doc = solution_to_dict(solution, graph)
-    Path(path).write_bytes((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii"))
+    Path(path).write_bytes(canonical_json_bytes(solution_to_dict(solution, graph)))
 
 
 def load_solution(path, graph: PickingGraph) -> Solution:
@@ -422,9 +420,6 @@ def solve_exact(instance: Instance, graph: Optional[PickingGraph] = None) -> Sol
 def solve_no_reversal_exact(instance: Instance,
                             graph: Optional[PickingGraph] = None) -> Solution:
     """Exact optimum over walks that fully traverse every entered subaisle."""
-    if instance.layout.n_blocks > 2:
-        raise UnsupportedFamilyError(
-            "no-reversal routing is implemented for 1- and 2-block layouts")
     return _solve_by_enumeration(instance, graph, WalkSpace.mask_no_reversal)
 
 

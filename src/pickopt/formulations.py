@@ -41,7 +41,7 @@ from typing import Optional
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
-from .layout import AuxiliaryGraph, PickingGraph, build_auxiliary_graph
+from .layout import PickingGraph
 from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
 from .separation import FAMILIES, FAMILY_OF_KIND, order_components
 
@@ -258,20 +258,23 @@ def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
     _assignment_rows(model, instance, labels["assign"], labels["capacity"])
 
 
-def _basic_model(kind: str, instance: Instance, graph: PickingGraph) -> LinearModel:
-    """Arc-space model: routing, batching and a lazy connectivity family."""
+def _basic_model(kind: str, instance: Instance, graph: PickingGraph,
+                 subaisle_cuts: bool) -> LinearModel:
+    """Arc-space model: routing, batching and a lazy connectivity family,
+    then the subaisle cuts if asked for."""
     model = _new_model(kind)
-    _declare_arc_core(model, instance, graph)
+    _declare_arc_core(model, instance, graph,
+                      _alpha_beta_indices(instance, graph) if subaisle_cuts else ())
     labels = {"depart": "bs1", "cover": "bs2", "ydef": "bs3", "flow": "bs5",
               "assign": "bs6", "capacity": "bs7"}
     _arc_core_rows(model, instance, graph, labels, range(graph.n_vertices))
+    if subaisle_cuts:
+        _subaisle_rows(model, instance, graph)
     return model
 
 
 def _subaisle_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
-    """Append the subaisle cut rows, declaring alpha/beta when missing."""
-    if not model.has_var("a", 0, graph.picking_vertices[0]):
-        model.add_variables(BINARY, _alpha_beta_indices(instance, graph))
+    """Append the subaisle cut rows over the declared alpha and beta."""
     x, X = _arcs(model, graph)
     a, b, AB = _alpha_beta(model, graph)
     z = _orders(model, instance)
@@ -375,7 +378,7 @@ def _strengthened_rows(model: LinearModel, instance: Instance, graph: PickingGra
         cuts = [(f"basic_cut_t%d_o{o.id}_k{k}", graph.delta_plus(vertex_set), o.id)
                 for o in instance.orders
                 for k, (vertex_set, contains_origin) in enumerate(
-                    order_components(graph, instance.pick_vertices(graph, o)).components)
+                    order_components(graph, instance.pick_vertices(graph, o)))
                 if not contains_origin]
     x, X = _arcs(model, graph)
     z = _orders(model, instance)
@@ -475,16 +478,16 @@ def _symmetry_rows(model: LinearModel, instance: Instance) -> None:
 # -- TSP-style no-reversal models -------------------------------------------
 
 
-def _tour_model(kind: str, instance: Instance, aux: AuxiliaryGraph,
+def _tour_model(kind: str, instance: Instance, graph: PickingGraph,
                 cross_aisle_bound: bool) -> LinearModel:
-    """Undirected TSP model on an auxiliary graph: P_U1 on the single-block
-    graph, P_U2 on the two-block one.
+    """Undirected TSP model on the graph's auxiliary graph: P_U1 on the
+    single-block graph, P_U2 on the two-block one.
 
     Per picker: a departure row, the origin degree, the cover rows, the
     degree rows (P_U1's first subaisle tail first, under its own group)
     and, for P_U2 with ``cross_aisle_bound``, the second-cross-aisle bound.
     """
-    graph = aux.graph
+    aux = graph.auxiliary()
     model = _new_model(kind)
     T = instance.pickers
     s = graph.origin
@@ -543,12 +546,9 @@ def build_model(instance: Instance, graph: PickingGraph, kind: str,
     validate_options(kind, options, instance)
 
     if kind in TSP_KINDS:
-        aux = build_auxiliary_graph(graph, FAMILIES[FAMILY_OF_KIND[kind]].aux_variant)
-        model = _tour_model(kind, instance, aux, options.cross_aisle_bound)
+        model = _tour_model(kind, instance, graph, options.cross_aisle_bound)
     elif kind in (P_BASIC, P_A):
-        model = _basic_model(kind, instance, graph)
-        if kind == P_A or options.subaisle_cuts:
-            _subaisle_rows(model, instance, graph)
+        model = _basic_model(kind, instance, graph, kind == P_A or options.subaisle_cuts)
     else:
         model = _improved_model(kind, instance, graph)
         if kind == P_F:

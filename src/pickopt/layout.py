@@ -69,8 +69,8 @@ class Subaisle:
 class PickingGraph:
     """Sparse graph of a rectangular warehouse.
 
-    Immutable after construction; shortest-path results are cached
-    internally but the cache is invisible to callers.
+    Immutable after construction; shortest-path results and the auxiliary
+    graph are cached internally but the caches are invisible to callers.
     """
 
     def __init__(self, layout: WarehouseLayout):
@@ -140,6 +140,7 @@ class PickingGraph:
         self._reduced_arcs = tuple(arc for u, v, _, _ in reduced for arc in ((u, v), (v, u)))
 
         self._sp_cache: dict[int, tuple] = {}
+        self._auxiliary: Optional[AuxiliaryGraph] = None
 
     # -- vertex helpers -------------------------------------------------
 
@@ -203,9 +204,10 @@ class PickingGraph:
         return self._arcs
 
     def edge_id(self, u: int, v: int) -> int:
-        for w, eid in self.adjacency[u]:
-            if w == v:
-                return eid
+        if 0 <= u < self.n_vertices:  # a negative u would index from the end
+            for w, eid in self.adjacency[u]:
+                if w == v:
+                    return eid
         raise ValidationError(f"no edge between {u} and {v}")
 
     def delta_plus(self, s_set: Iterable[int]) -> list[tuple[int, int]]:
@@ -254,6 +256,12 @@ class PickingGraph:
         self._sp_cache[source] = result
         return result
 
+    def auxiliary(self) -> AuxiliaryGraph:
+        """The layout's auxiliary no-reversal graph, built on first use."""
+        if self._auxiliary is None:
+            self._auxiliary = build_auxiliary_graph(self)
+        return self._auxiliary
+
 
 def build_graph(layout: WarehouseLayout) -> PickingGraph:
     """Build the sparse picking graph for a layout.
@@ -291,15 +299,11 @@ def connected_components(edges: Iterable[tuple[int, int]],
     return comps
 
 
-SINGLE_BLOCK = "single_block"
-TWO_BLOCK = "two_block"
-
-
 @dataclass(frozen=True)
 class AuxEdge:
     """Edge of an auxiliary no-reversal graph.
 
-    ``in_e1``, ``in_e2`` and ``in_e3`` tell which of the variant's edge sets
+    ``in_e1``, ``in_e2`` and ``in_e3`` tell which of the graph's edge sets
     hold the edge, and ``parallel`` marks the single-block copy of the first
     subaisle edge.  ``AuxiliaryGraph.e_of_subaisle`` names the edge of each
     subaisle's first traversal.
@@ -327,18 +331,20 @@ class AuxEdge:
 class AuxiliaryGraph:
     """Auxiliary undirected graph for the no-reversal TSP formulations.
 
-    Single block: vertices are the artificial locations, edge set is the
-    reduced graph plus a star of return edges from the origin, and last a
-    parallel copy of the first subaisle edge (``AuxEdge.parallel``).
+    The block count decides its shape; :meth:`PickingGraph.auxiliary` holds
+    the one a picking graph has, and the auxiliary graph keeps no reference
+    back to it.
 
-    Two block: the second (middle) cross aisle is doubled.  Copies sit at
-    the same physical position as their originals, are joined to them by
-    zero-length edges and carry the second cross aisle's second pass and
-    the second traversal of each subaisle.
+    Single block (P_U1): vertices are the artificial locations, edge set is
+    the reduced graph plus a star of return edges from the origin, and last
+    a parallel copy of the first subaisle edge (``AuxEdge.parallel``).
+
+    Two block (P_U2): the second (middle) cross aisle is doubled.  Copies
+    sit at the same physical position as their originals, are joined to
+    them by zero-length edges and carry the second cross aisle's second
+    pass and the second traversal of each subaisle.
     """
 
-    variant: str
-    graph: PickingGraph
     vertices: tuple[int, ...]
     copy_of: dict[int, int]
     edges: tuple[AuxEdge, ...]
@@ -362,20 +368,17 @@ class AuxiliaryGraph:
         return [e for e in self.edges if (e.u in inside) != (e.v in inside)]
 
 
-def build_auxiliary_graph(graph: PickingGraph, variant: str) -> AuxiliaryGraph:
-    """Construct the auxiliary graph for the requested variant."""
-    layout = graph.layout
-    if variant == SINGLE_BLOCK:
-        if layout.n_blocks != 1:
-            raise VariantMismatchError(
-                f"single_block auxiliary graph needs 1 block, layout has {layout.n_blocks}")
+def build_auxiliary_graph(graph: PickingGraph) -> AuxiliaryGraph:
+    """Construct the auxiliary graph of a picking graph: the single-block
+    graph on one block, the two-block graph on two.  Prefer
+    :meth:`PickingGraph.auxiliary`, which builds it once per graph."""
+    blocks = graph.layout.n_blocks
+    if blocks == 1:
         return _build_single_block(graph)
-    if variant == TWO_BLOCK:
-        if layout.n_blocks != 2:
-            raise VariantMismatchError(
-                f"two_block auxiliary graph needs 2 blocks, layout has {layout.n_blocks}")
+    if blocks == 2:
         return _build_two_block(graph)
-    raise ValidationError(f"unknown auxiliary graph variant {variant!r}")
+    raise VariantMismatchError(
+        f"auxiliary graphs exist for 1- and 2-block layouts, layout has {blocks} blocks")
 
 
 def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
@@ -403,8 +406,6 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
                          parallel=True))
 
     return AuxiliaryGraph(
-        variant=SINGLE_BLOCK,
-        graph=graph,
         vertices=tuple(graph.artificial_vertices),
         copy_of={},
         edges=tuple(edges),
@@ -457,8 +458,6 @@ def _build_two_block(graph: PickingGraph) -> AuxiliaryGraph:
         add(s, copies[a], dist[mid[a]], in_e3=True)
 
     return AuxiliaryGraph(
-        variant=TWO_BLOCK,
-        graph=graph,
         vertices=tuple(top + mid + bot + copies),
         copy_of=copy_of,
         edges=tuple(edges),

@@ -2,9 +2,11 @@
 
 ``FAMILY_OF_KIND`` maps each formulation to its family, and ``FAMILIES``
 describes each family once: its anchor vertices, the edges its cuts count
-(with the picker's variable for leaving either end), its anchor coefficient,
-the description a model export carries and the auxiliary graph it lives on.
-Separation, cut rows and the model builder all read that table.
+(with the picker's variable for leaving either end), its anchor coefficient
+and the description a model export carries.  The two tour families live on
+the picking graph's auxiliary graph (:meth:`PickingGraph.auxiliary`), so they
+share one entry.  Separation, cut rows and the model builder all read that
+table.
 
 Candidate assignments must be integral (the branch-and-cut procedure this
 feeds separates at integral nodes only).  For each picker, the support
@@ -20,8 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import SeparationError, ValidationError
 from .instance import Instance
-from .layout import (SINGLE_BLOCK, TWO_BLOCK, AuxiliaryGraph, PickingGraph,
-                     build_auxiliary_graph, connected_components)
+from .layout import PickingGraph, connected_components
 from .model import GE, Constraint, LinearModel, VariableAssignment, var_name
 
 FAMILY_OF_KIND = {
@@ -41,42 +42,37 @@ class Family:
     ``edges`` sum to at least ``-anchor_coeff`` times the anchor's ``y``
     (once on arcs, twice on a tour)."""
 
-    anchors: Callable  # (graph, aux) -> anchor vertices
-    edges: Callable  # (graph, aux, picker) -> [(u, v, index leaving u, index leaving v)]
+    anchors: Callable  # graph -> anchor vertices
+    edges: Callable  # (graph, picker) -> [(u, v, index leaving u, index leaving v)]
     anchor_coeff: int
     description: str  # the model's ``lazy_groups`` entry
-    aux_variant: Optional[str] = None  # the auxiliary graph the family lives on
-
-    def aux_graph(self, graph: PickingGraph) -> Optional[AuxiliaryGraph]:
-        """The auxiliary graph the family lives on, or None for arc families."""
-        if self.aux_variant is None:
-            return None
-        return build_auxiliary_graph(graph, self.aux_variant)
 
 
-def _graph_arcs(graph: PickingGraph, aux, t: int) -> list:
+def _graph_arcs(graph: PickingGraph, t: int) -> list:
     return [(u, v, ("x", t, u, v), ("x", t, v, u)) for u, v in graph.edges]
 
 
-def _reduced_arcs(graph: PickingGraph, aux, t: int) -> list:
+def _reduced_arcs(graph: PickingGraph, t: int) -> list:
     return [(u, v, ("g", t, u, v), ("g", t, v, u)) for u, v, _, _ in graph.reduced_edges]
 
 
-def _tour_edges(graph: PickingGraph, aux: AuxiliaryGraph, t: int) -> list:
+def _tour_edges(graph: PickingGraph, t: int) -> list:
     # an undirected tour edge has one variable, whichever end is inside
-    return [(e.u, e.v, index, index) for e in aux.edges for index in (e.var_index(t),)]
+    return [(e.u, e.v, index, index)
+            for e in graph.auxiliary().edges for index in (e.var_index(t),)]
 
+
+_TOUR = Family(lambda graph: graph.auxiliary().vertices, _tour_edges, -2,
+               "two-connectivity (lazy, exponential)")
 
 # picking locations only anchor the full arc-space family
 FAMILIES = {
-    "bs4": Family(lambda graph, aux: range(graph.n_vertices), _graph_arcs, -1,
+    "bs4": Family(lambda graph: range(graph.n_vertices), _graph_arcs, -1,
                   "connectivity (lazy, exponential)"),
-    "impf8": Family(lambda graph, aux: graph.artificial_vertices, _reduced_arcs, -1,
+    "impf8": Family(lambda graph: graph.artificial_vertices, _reduced_arcs, -1,
                     "reduced-graph connectivity (lazy, exponential)"),
-    "tspo5": Family(lambda graph, aux: aux.vertices, _tour_edges, -2,
-                    "two-connectivity (lazy, exponential)", SINGLE_BLOCK),
-    "tspt4": Family(lambda graph, aux: aux.vertices, _tour_edges, -2,
-                    "two-connectivity (lazy, exponential)", TWO_BLOCK),
+    "tspo5": _TOUR,
+    "tspt4": _TOUR,
 }
 
 
@@ -91,15 +87,10 @@ class CutRequest:
         return (self.picker, min(self.vertex_set))
 
 
-@dataclass(frozen=True)
-class OrderComponents:
-    """Connected components of the reduced subgraph induced by one order."""
-
-    components: tuple[tuple[frozenset[int], bool], ...]  # (vertex set, contains_origin)
-
-
-def order_components(graph: PickingGraph, picks: Iterable[int]) -> OrderComponents:
-    """Components of the artificial subgraph spanned by an order's subaisles.
+def order_components(graph: PickingGraph,
+                     picks: Iterable[int]) -> tuple[tuple[frozenset[int], bool], ...]:
+    """Components of the artificial subgraph spanned by an order's subaisles,
+    each as ``(vertex set, contains_origin)``.
 
     Non-origin component sets are augmented with the interior picking
     locations of every subaisle whose both endpoints lie inside.
@@ -126,12 +117,11 @@ def order_components(graph: PickingGraph, picks: Iterable[int]) -> OrderComponen
                 if sub.head in comp and sub.tail in comp:
                     full.update(sub.locs)
         components.append((frozenset(full), contains_origin))
-    return OrderComponents(tuple(components))
+    return tuple(components)
 
 
 def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAssignment,
-                          instance: Instance,
-                          aux: Optional[AuxiliaryGraph] = None) -> list[CutRequest]:
+                          instance: Instance) -> list[CutRequest]:
     """Connectivity cuts violated by an integral candidate assignment."""
     if not assignment.is_integral():
         raise SeparationError(
@@ -140,14 +130,12 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
     if name is None:
         raise ValidationError(f"formulation {kind!r} has no lazy connectivity family")
     family = FAMILIES[name]
-    if aux is None:
-        aux = family.aux_graph(graph)
-    anchors = family.anchors(graph, aux)
+    anchors = family.anchors(graph)
     values = assignment.values
 
     cuts: list[CutRequest] = []
     for t in range(instance.pickers):
-        support = [(u, v) for u, v, out_u, out_v in family.edges(graph, aux, t)
+        support = [(u, v) for u, v, out_u, out_v in family.edges(graph, t)
                    if values.get(var_name(out_u)) or values.get(var_name(out_v))]
         anchored = {v for v in anchors if values.get(var_name(("y", t, v))) == 1}
         for comp in connected_components(support, anchored):
@@ -158,25 +146,19 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
     return sorted(cuts, key=CutRequest.sort_key)
 
 
-def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph,
-               aux: Optional[AuxiliaryGraph] = None,
-               name: Optional[str] = None) -> Constraint:
+def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph) -> Constraint:
     """Materialize a cut request as a constraint row on the model.
 
     The row counts every edge leaving ``cut.vertex_set`` by the variable for
-    leaving it from inside.  A family on an auxiliary graph builds that graph
-    when ``aux`` is not given.
+    leaving it from inside.
     """
     family = FAMILIES.get(cut.family)
     if family is None:
         raise ValidationError(f"unknown cut family {cut.family!r}")
-    if aux is None:
-        aux = family.aux_graph(graph)
     t = cut.picker
     S = cut.vertex_set
-    if name is None:
-        name = f"{cut.family}_t{t}_c{model.group_counts().get(cut.family, 0)}"
+    name = f"{cut.family}_t{t}_c{model.group_counts().get(cut.family, 0)}"
     coeffs = [(model.var(*(out_u if u in S else out_v)), 1)
-              for u, v, out_u, out_v in family.edges(graph, aux, t) if (u in S) != (v in S)]
+              for u, v, out_u, out_v in family.edges(graph, t) if (u in S) != (v in S)]
     coeffs.append((model.var("y", t, cut.anchor_vertex), family.anchor_coeff))
     return model.add_row(name, cut.family, coeffs, GE, 0)

@@ -368,7 +368,7 @@ def fraction_objective(model, values):
     return total
 
 
-def enumerate_PU1_minimum(instance, aux):
+def enumerate_PU1_minimum(instance, graph):
     """Minimum over integral P_U1-feasible points, one picker, enumerated.
 
     Every subset of the auxiliary edges, the parallel copy of the first
@@ -377,7 +377,7 @@ def enumerate_PU1_minimum(instance, aux):
     equivalent to the exponential cut family.
     """
     assert instance.pickers == 1
-    graph = aux.graph
+    aux = graph.auxiliary()
     s = graph.origin
     tail1 = graph.subaisles[0].tail
     f2 = graph.q_east(s)

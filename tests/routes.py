@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from pickopt import (TWO_BLOCK, AuxiliaryGraph, EncodingError, Instance,
-                     LinearModel, PickingGraph, UnsupportedFamilyError,
-                     ValidationError, VariableAssignment)
+from pickopt import (EncodingError, Instance, LinearModel, PickingGraph,
+                     UnsupportedFamilyError, ValidationError, VariableAssignment)
 from pickopt.heuristics import route_length
 
 R_S1 = "r_S1"
@@ -285,11 +284,10 @@ class _AuxResolver:
     hold.
     """
 
-    def __init__(self, aux: AuxiliaryGraph, required_primary: frozenset[int]):
-        if aux.variant != TWO_BLOCK:
-            raise EncodingError("route encoding needs a two_block auxiliary graph")
-        self.aux = aux
-        graph = aux.graph
+    def __init__(self, graph: PickingGraph, required_primary: frozenset[int]):
+        if graph.layout.n_blocks != 2:
+            raise EncodingError("route encoding needs a two-block layout")
+        self.aux = aux = graph.auxiliary()
         n = graph.layout.n_aisles
         self.n = n
         self.rows = {
@@ -428,11 +426,10 @@ class _AuxResolver:
         return out
 
 
-def encode_route_PU2(model: LinearModel, aux: AuxiliaryGraph, instance: Instance,
+def encode_route_PU2(model: LinearModel, graph: PickingGraph, instance: Instance,
                      route: SShapeRoute, picker: int,
                      order_ids: Iterable[int]) -> VariableAssignment:
     """Encode one picker's S-shape route into the two-block TSP model."""
-    graph = aux.graph
     order_ids = sorted(order_ids)
     picked_subs: set[int] = set()
     for o in order_ids:
@@ -442,8 +439,9 @@ def encode_route_PU2(model: LinearModel, aux: AuxiliaryGraph, instance: Instance
     for step in route.steps:
         if step[0] == "vert":
             totals[step[1]] = totals.get(step[1], 0) + 1
-    resolver = _AuxResolver(aux, frozenset(picked_subs))
+    resolver = _AuxResolver(graph, frozenset(picked_subs))
     used = resolver.solve(route.steps, totals)
+    aux = graph.auxiliary()
 
     assignment = VariableAssignment()
     degree: dict[int, int] = {}
@@ -460,7 +458,7 @@ def encode_route_PU2(model: LinearModel, aux: AuxiliaryGraph, instance: Instance
     return assignment
 
 
-def encode_best_s_shape(model: LinearModel, aux: AuxiliaryGraph, instance: Instance,
+def encode_best_s_shape(model: LinearModel, graph: PickingGraph, instance: Instance,
                         picker: int, order_ids: Iterable[int],
                         kind: Optional[str] = None):
     """Cheapest serpentine route for one batch, encoded into the TSP model.
@@ -473,7 +471,6 @@ def encode_best_s_shape(model: LinearModel, aux: AuxiliaryGraph, instance: Insta
     every minimum-length ``r_S1`` route does.  With ``kind`` the search is
     limited to one route kind.  Returns ``(route, assignment)``.
     """
-    graph = aux.graph
     order_ids = sorted(order_ids)
     subs = set()
     for o in order_ids:
@@ -494,16 +491,17 @@ def encode_best_s_shape(model: LinearModel, aux: AuxiliaryGraph, instance: Insta
         if route.total_length > best_length:
             break
         try:
-            return route, encode_route_PU2(model, aux, instance, route, picker, order_ids)
+            return route, encode_route_PU2(model, graph, instance, route, picker, order_ids)
         except EncodingError as exc:
             last_error = exc
     raise EncodingError(
         f"no minimum-length serpentine route is representable: {last_error}")
 
 
-def eq75_value(model: LinearModel, aux: AuxiliaryGraph, assignment: VariableAssignment,
+def eq75_value(model: LinearModel, graph: PickingGraph, assignment: VariableAssignment,
                picker: int):
     """Value of the second-cross-aisle crossing sum for one picker."""
+    aux = graph.auxiliary()
     total = 0
     for e in aux.delta(aux.south_set):
         total += assignment.get(model.var_name(model.var(*e.var_index(picker))))

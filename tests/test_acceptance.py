@@ -15,11 +15,9 @@ from conftest import make_suite, shared_graph, single_batch
 from oracles import (blind_solve, disconnected_candidate, every_gamma_cut_holds,
                      mask_no_artificial_uturn, mask_single_traversal,
                      support_connected_to_origin)
-from pickopt import (ModelOptions, VariableAssignment, WarehouseLayout,
-                     build_auxiliary_graph, build_model, check_feasible, cut_to_row,
-                     encode_walk_PF, encode_walk_PG, separate_connectivity,
-                     solve_no_reversal_exact, walk_space)
-from pickopt.layout import TWO_BLOCK
+from pickopt import (ModelOptions, VariableAssignment, WarehouseLayout, build_model,
+                     check_feasible, cut_to_row, encode_walk_PF, encode_walk_PG,
+                     separate_connectivity, solve_no_reversal_exact, walk_space)
 from routes import (R_S1, R_S2, encode_best_s_shape, eq75_value,
                     evaluate_s_shape, s_shape_candidates)
 
@@ -169,7 +167,6 @@ def test_acceptance_6_separation_soundness_completeness(acceptance_suite,
 def test_acceptance_7_parity_and_crossing_bound():
     layout = WarehouseLayout(3, 2, 1, 1, 2)
     graph = shared_graph(layout)
-    aux = build_auxiliary_graph(graph, TWO_BLOCK)
     d = layout.subaisle_length
     n = layout.n_aisles
     cases = [
@@ -187,11 +184,11 @@ def test_acceptance_7_parity_and_crossing_bound():
         # the cheapest serpentine and the canonical r_S2 both encode
         # feasibly and cross the second cross aisle exactly twice
         for kind in (None, R_S2):
-            _, assignment = encode_best_s_shape(model, aux, instance, 0, [0],
+            _, assignment = encode_best_s_shape(model, graph, instance, 0, [0],
                                                 kind=kind)
             report = check_feasible(model, assignment)
             assert report.satisfied, report.violations[:4]
-            assert eq75_value(model, aux, assignment, 0) == 2
+            assert eq75_value(model, graph, assignment, 0) == 2
     _ok(7, "all four vertical-excess parity cases reproduced; serpentine "
            "encodings satisfy the crossing bound with value exactly 2")
 

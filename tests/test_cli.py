@@ -186,8 +186,8 @@ def test_separate_builds_one_auxiliary_graph(tmp_path, instance_file, capsys, mo
     assign = tmp_path / "far.json"
     assign.write_text(json.dumps({"values": {"x_0_1_3": 1, "y_0_1": 1, "y_0_3": 1}}))
     builds = []
-    build = pickopt.separation.build_auxiliary_graph
-    monkeypatch.setattr(pickopt.separation, "build_auxiliary_graph",
+    build = pickopt.layout.build_auxiliary_graph
+    monkeypatch.setattr(pickopt.layout, "build_auxiliary_graph",
                         lambda *args: builds.append(args) or build(*args))
     capsys.readouterr()
     assert run_cli("separate", "--model", str(model_path), "--assignment", str(assign)) == 0

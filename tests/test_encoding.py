@@ -6,11 +6,9 @@ import pytest
 from conftest import make_suite, shared_graph, single_batch
 from oracles import every_gamma_cut_holds, route_oracle
 from pickopt import (EncodingError, Instance, ModelOptions, Order, Pick, Solution,
-                     Walk, WarehouseLayout, build_auxiliary_graph, build_model,
-                     check_feasible, encode_walk_PF, encode_walk_PG,
-                     generate_instance, orient_walk, solve_exact,
-                     solve_no_reversal_exact)
-from pickopt.layout import TWO_BLOCK
+                     Walk, WarehouseLayout, build_model, check_feasible,
+                     encode_walk_PF, encode_walk_PG, generate_instance, orient_walk,
+                     solve_exact, solve_no_reversal_exact)
 from routes import (MIDDLE_BAND, R_S1, R_S2, arrivals, encode_best_s_shape,
                     eq75_value, s_shape_candidates)
 
@@ -158,7 +156,6 @@ def test_pu2_route_encodings():
     for (na, locs) in [(2, 1), (1, 2), (3, 1), (2, 2)]:
         layout = WarehouseLayout(na, 2, locs, 1, 2)
         g = shared_graph(layout)
-        aux = build_auxiliary_graph(g, TWO_BLOCK)
         n = layout.n_aisles
         for _ in range(25):
             chosen = [v for sub in g.subaisles for v in sub.locs if rng.random() < 0.5]
@@ -168,24 +165,23 @@ def test_pu2_route_encodings():
             model = build_model(inst, g, "P_U2", ModelOptions(cross_aisle_bound=True))
             subs = {g.subaisle_of(v) for v in chosen}
             K2 = [i for i in subs if i >= n]
-            route, a = encode_best_s_shape(model, aux, inst, 0, [0])
+            route, a = encode_best_s_shape(model, g, inst, 0, [0])
             assert check_feasible(model, a).satisfied
             assert model.objective_value(a.values) == route.total_length
             if K2:
-                assert eq75_value(model, aux, a, 0) == 2
+                assert eq75_value(model, g, a, 0) == 2
 
 
 def test_best_s_shape_of_an_absent_kind_is_an_encoding_error():
     # order 0 has no block-1 subaisle, so no r_S1 route exists
     layout = WarehouseLayout(5, 2, 2, 1, 3)
     g = shared_graph(layout)
-    aux = build_auxiliary_graph(g, TWO_BLOCK)
     inst = generate_instance(layout, 3, 10, seed=9)
     assert all(g.subaisle_of(v) >= layout.n_aisles
                for v in inst.pick_vertices(g, inst.order_by_id(0)))
     model = build_model(inst, g, "P_U2")
     with pytest.raises(EncodingError, match="r_S1"):
-        encode_best_s_shape(model, aux, inst, 0, [0], kind="r_S1")
+        encode_best_s_shape(model, g, inst, 0, [0], kind="r_S1")
 
 
 def test_r_s1_routes_that_enter_a_middle_location_three_times_do_not_encode():
@@ -193,7 +189,6 @@ def test_r_s1_routes_that_enter_a_middle_location_three_times_do_not_encode():
     # location, the original and its copy, each of tour degree 2
     layout = WarehouseLayout(3, 2, 1, 1, 2)
     g = shared_graph(layout)
-    aux = build_auxiliary_graph(g, TWO_BLOCK)
     inst = generate_instance(layout, 3, 10, seed=5)
     subs = sorted({g.subaisle_of(v) for v in inst.pick_vertices(g, inst.order_by_id(0))})
     assert subs == [0, 1, 2, 4]
@@ -204,7 +199,7 @@ def test_r_s1_routes_that_enter_a_middle_location_three_times_do_not_encode():
     single = Instance(layout, (inst.order_by_id(0),), inst.capacity, 1)
     model = build_model(single, g, "P_U2")
     with pytest.raises(EncodingError, match="no conflict-free lane assignment"):
-        encode_best_s_shape(model, aux, single, 0, [0], kind=R_S1)
-    route, a = encode_best_s_shape(model, aux, single, 0, [0], kind=R_S2)
+        encode_best_s_shape(model, g, single, 0, [0], kind=R_S1)
+    route, a = encode_best_s_shape(model, g, single, 0, [0], kind=R_S2)
     assert check_feasible(model, a).satisfied
     assert model.objective_value(a.values) == route.total_length == 20

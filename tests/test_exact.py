@@ -10,12 +10,13 @@ from oracles import (blind_solve, mask_no_artificial_uturn, mask_single_traversa
                      route_oracle, scanned_walk_space)
 from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick,
                      ValidationError, WalkSpace, WarehouseLayout, batching_to_solution,
-                     build_graph, capacity_feasible_partitions, generate_instance,
-                     load_solution, save_solution, solve_exact, solve_no_reversal_exact,
-                     validate_solution, walk_space)
+                     build_graph, build_model, capacity_feasible_partitions, check_feasible,
+                     encode_walk_PG, generate_instance, load_solution, save_solution,
+                     solve_exact, solve_no_reversal_exact, validate_solution, walk_space)
 from pickopt.exact import _space_cache
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
+THREE_BLOCK_SHAPES = [(1, 3, 1), (1, 3, 2)]  # |E| = 6 and 9
 
 
 def test_route_oracle_spec_examples():
@@ -44,7 +45,7 @@ def test_route_oracle_deterministic_tie_break():
 
 def test_walk_space_matches_full_scan():
     # aisle spacing 2 makes edge lengths non-uniform
-    for shape in ORACLE_SHAPES:
+    for shape in ORACLE_SHAPES + THREE_BLOCK_SHAPES:
         g = build_graph(WarehouseLayout(*shape, 1, 2))
         space = WalkSpace(g)
         ref = scanned_walk_space(g)
@@ -174,6 +175,20 @@ def test_no_reversal_at_least_exact():
         assert solve_no_reversal_exact(instance, graph).total >= solve_exact(instance, graph).total
 
 
+def test_no_reversal_exact_on_three_blocks():
+    # the no-reversal mask assumes no block count: the full scan's rule is
+    # the reference, and the P_U arc model accepts every optimal walk
+    references = {}
+    for instance, graph in make_suite(24, shapes=THREE_BLOCK_SHAPES, master_seed=313):
+        if graph not in references:
+            references[graph] = scanned_walk_space(graph).no_reversal
+        sol = solve_no_reversal_exact(instance, graph)
+        assert sol.total == blind_solve(instance, graph, mask=references[graph])
+        model = build_model(instance, graph, "P_U")
+        report = check_feasible(model, encode_walk_PG(model, instance, graph, sol))
+        assert report.satisfied, report.violations[:4]
+
+
 def test_no_reversal_empty_picker_departure():
     # an idle picker may turn around inside a cross aisle, so the cheapest
     # no-reversal departure is the horizontal out-and-back here
@@ -267,6 +282,11 @@ def test_solution_round_trip(tmp_path):
      r"batches\[0\]\.walk\[0\]\.count: wrong type str"),
     ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
      ' "walk": [[0, 1, 2]]}], "total": 2}', r"batches\[0\]\.walk\[0\]: not a JSON object"),
+    # vertex -1 is not vertex 7, whose edge to 6 exists; the graph has 8 vertices
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
+     ' "walk": [{"u": -1, "v": 6, "count": 2}]}], "total": 2}', "no edge between -1 and 6"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
+     ' "walk": [{"u": 8, "v": 6, "count": 2}]}], "total": 2}', "no edge between 8 and 6"),
 ])
 def test_load_solution_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "sol.json"

@@ -6,9 +6,8 @@ import pytest
 from conftest import shared_graph
 from pickopt import (ALL_KINDS, Instance, ModelOptions, Order, Pick, PickoptError,
                      UnsupportedFamilyError, ValidationError, VariantMismatchError,
-                     WarehouseLayout, build_auxiliary_graph, build_model, check_feasible,
+                     WarehouseLayout, build_model, check_feasible,
                      generate_instance, validate_options, VariableAssignment)
-from pickopt.layout import TWO_BLOCK
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 
@@ -256,7 +255,7 @@ def test_PU2_rows_and_cross_aisle_bound():
     layout = WarehouseLayout(2, 2, 1, 1, 2)
     inst = one_order_instance(layout, picks=((0, 1, 0, 0),), pickers=1)
     g = shared_graph(layout)
-    aux = build_auxiliary_graph(g, TWO_BLOCK)
+    aux = g.auxiliary()
     m = build_model(inst, g, "P_U2", ModelOptions(cross_aisle_bound=True))
     assert m.group_counts()["less2con"] == inst.pickers
     # degree rows for every auxiliary vertex besides the origin, copies included

@@ -16,9 +16,8 @@ import random
 import pytest
 
 from conftest import shared_graph
-from pickopt import (SINGLE_BLOCK, TWO_BLOCK, VariableAssignment, WarehouseLayout,
-                     build_auxiliary_graph, build_model, cut_to_row, generate_instance,
-                     separate_connectivity)
+from pickopt import (VariableAssignment, WarehouseLayout, build_model, cut_to_row,
+                     generate_instance, separate_connectivity)
 
 # label -> (layout arguments, orders, delta, instance seed)
 SHAPES = {
@@ -86,11 +85,7 @@ def setup(kind, shape):
     layout = WarehouseLayout(*args)
     graph = shared_graph(layout)
     instance = generate_instance(layout, n_orders, delta, seed=seed)
-    model = build_model(instance, graph, kind)
-    aux = None
-    if kind in ("P_U1", "P_U2"):
-        aux = build_auxiliary_graph(graph, SINGLE_BLOCK if kind == "P_U1" else TWO_BLOCK)
-    return instance, graph, model, aux
+    return instance, graph, build_model(instance, graph, kind)
 
 
 def candidates(model, label):
@@ -108,11 +103,11 @@ def row_record(model, row):
 
 
 def separation_record(kind, shape):
-    instance, graph, model, aux = setup(kind, shape)
+    instance, graph, model = setup(kind, shape)
     record = []
     for assignment in candidates(model, f"{kind}:{shape}"):
-        cuts = separate_connectivity(graph, kind, assignment, instance, aux=aux)
-        rows = [cut_to_row(cut, model, graph, aux=aux) for cut in cuts]
+        cuts = separate_connectivity(graph, kind, assignment, instance)
+        rows = [cut_to_row(cut, model, graph) for cut in cuts]
         record.append([[[c.picker, sorted(c.vertex_set), c.family, c.anchor_vertex]
                         for c in cuts],
                        [row_record(model, row) for row in rows]])
@@ -126,15 +121,3 @@ def test_golden_cut_digest(kind, shape):
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     assert digest == GOLDEN[f"{kind}:{shape}"]
 
-
-@pytest.mark.parametrize("kind,shape", [(k, s) for k, s in CASES if k in ("P_U1", "P_U2")])
-def test_tour_cut_row_builds_its_auxiliary_graph(kind, shape):
-    instance, graph, model, aux = setup(kind, shape)
-    cuts = [cut for assignment in candidates(model, f"{kind}:{shape}")
-            for cut in separate_connectivity(graph, kind, assignment, instance, aux=aux)]
-    assert cuts
-    for k, cut in enumerate(cuts):
-        with_aux = cut_to_row(cut, model, graph, aux=aux, name=f"with_{k}")
-        without = cut_to_row(cut, model, graph, name=f"without_{k}")
-        assert (with_aux.coeffs, with_aux.sense, with_aux.rhs) == (
-            without.coeffs, without.sense, without.rhs)

@@ -1,11 +1,13 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORACLE_SHAPES
 from oracles import bellman_ford
-from pickopt import (SINGLE_BLOCK, TWO_BLOCK, ValidationError,
-                     VariantMismatchError, WarehouseLayout,
+from pickopt import (ValidationError, VariantMismatchError, WarehouseLayout,
                      build_auxiliary_graph, build_graph)
 
 
@@ -119,7 +121,7 @@ def test_delta_queries_consistent():
 
 def test_single_block_auxiliary_star():
     g = build_graph(WarehouseLayout(2, 1, 2, 1, 2))
-    aux = build_auxiliary_graph(g, SINGLE_BLOCK)
+    aux = build_auxiliary_graph(g)
     star = [e for e in aux.edges if e.in_e2]
     assert len(star) == 3  # one per artificial location besides the origin
     independent = bellman_ford(g, g.origin)
@@ -136,7 +138,7 @@ def test_single_block_auxiliary_star():
 def test_two_block_auxiliary_structure():
     layout = WarehouseLayout(2, 2, 1, 1, 2)
     g = build_graph(layout)
-    aux = build_auxiliary_graph(g, TWO_BLOCK)
+    aux = build_auxiliary_graph(g)
     assert len(aux.copy_of) == 2
     e2 = [e for e in aux.edges if e.in_e2]
     assert len(e2) == 4
@@ -157,7 +159,7 @@ def test_two_block_auxiliary_structure():
 def test_auxiliary_lengths_are_shortest_paths():
     layout = WarehouseLayout(3, 2, 2, 1, 2)
     g = build_graph(layout)
-    aux = build_auxiliary_graph(g, TWO_BLOCK)
+    aux = build_auxiliary_graph(g)
     dist_from = {}
     for e in aux.edges:
         u = aux.copy_of.get(e.u, e.u)
@@ -170,18 +172,29 @@ def test_auxiliary_lengths_are_shortest_paths():
 def test_incident_matches_a_full_edge_scan():
     for shape in ORACLE_SHAPES + [(10, 2, 15)]:
         g = build_graph(WarehouseLayout(*shape))
-        aux = build_auxiliary_graph(g, SINGLE_BLOCK if shape[1] == 1 else TWO_BLOCK)
+        aux = g.auxiliary()
         for w in aux.vertices:
             assert list(aux.incident(w)) == [e for e in aux.edges if w in (e.u, e.v)]
 
 
-def test_variant_mismatch():
-    g1 = build_graph(WarehouseLayout(2, 1, 1, 1, 2))
-    g2 = build_graph(WarehouseLayout(2, 2, 1, 1, 2))
+def test_three_blocks_have_no_auxiliary_graph():
+    g = build_graph(WarehouseLayout(2, 3, 1, 1, 2))
+    with pytest.raises(VariantMismatchError, match="3 blocks"):
+        build_auxiliary_graph(g)
     with pytest.raises(VariantMismatchError):
-        build_auxiliary_graph(g1, TWO_BLOCK)
-    with pytest.raises(VariantMismatchError):
-        build_auxiliary_graph(g2, SINGLE_BLOCK)
+        g.auxiliary()
+
+
+def test_cached_auxiliary_graph_makes_no_reference_cycle():
+    gc.disable()
+    try:
+        g = build_graph(WarehouseLayout(2, 2, 1, 1, 2))
+        g.auxiliary()
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_slot_vertex_bounds():

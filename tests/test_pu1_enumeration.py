@@ -7,9 +7,8 @@ import pytest
 
 from conftest import shared_graph, single_batch
 from oracles import enumerate_PU1_minimum, parse_lp
-from pickopt import (WarehouseLayout, build_auxiliary_graph, build_model,
-                     generate_instance, solve_no_reversal_exact, write_lp)
-from pickopt.layout import SINGLE_BLOCK
+from pickopt import (WarehouseLayout, build_model, generate_instance,
+                     solve_no_reversal_exact, write_lp)
 
 
 def test_pu1_feasible_minimum_equals_no_reversal_oracle():
@@ -17,7 +16,6 @@ def test_pu1_feasible_minimum_equals_no_reversal_oracle():
     for (na, locs) in [(1, 2), (2, 1), (2, 2), (3, 1)]:
         layout = WarehouseLayout(na, 1, locs, 1, 2)
         graph = shared_graph(layout)
-        aux = build_auxiliary_graph(graph, SINGLE_BLOCK)
         for _ in range(12):
             chosen = [v for sub in graph.subaisles for v in sub.locs
                       if rng.random() < 0.5]
@@ -25,7 +23,7 @@ def test_pu1_feasible_minimum_equals_no_reversal_oracle():
                 continue
             instance = single_batch(layout, graph, chosen)
             exact = solve_no_reversal_exact(instance, graph).total
-            enumerated = enumerate_PU1_minimum(instance, aux)
+            enumerated = enumerate_PU1_minimum(instance, graph)
             assert enumerated == exact, (layout, sorted(chosen), enumerated, exact)
 
 
@@ -34,9 +32,8 @@ def test_pu1_parallel_edge_for_first_subaisle_only():
     # up the parallel edge at cost twice the subaisle length
     layout = WarehouseLayout(2, 1, 1, 1, 5)
     graph = shared_graph(layout)
-    aux = build_auxiliary_graph(graph, SINGLE_BLOCK)
     instance = single_batch(layout, graph, {graph.subaisles[0].locs[0]})
-    assert enumerate_PU1_minimum(instance, aux) == 2 * layout.subaisle_length
+    assert enumerate_PU1_minimum(instance, graph) == 2 * layout.subaisle_length
     assert solve_no_reversal_exact(instance, graph).total == 2 * layout.subaisle_length
 
 

@@ -3,12 +3,10 @@ import pytest
 from conftest import shared_graph
 from oracles import depart_loop, subaisle_cycle
 from pickopt import (CutRequest, Instance, Order, Pick, SeparationError,
-                     ValidationError, VariableAssignment, WarehouseLayout,
-                     build_auxiliary_graph, build_model,
+                     ValidationError, VariableAssignment, WarehouseLayout, build_model,
                      check_feasible, cut_to_row, generate_instance,
                      order_components, separate_connectivity, solve_exact,
                      encode_walk_PG)
-from pickopt.layout import SINGLE_BLOCK
 from pickopt.model import lp_terms
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
@@ -23,14 +21,14 @@ def lhs_value(model, row, assignment):
 
 
 def non_origin_sets(comps):
-    return [S for S, has_origin in comps.components if not has_origin]
+    return [S for S, has_origin in comps if not has_origin]
 
 
 def test_components_origin_adjacent():
     g = shared_graph(LAYOUT)
     comps = order_components(g, {g.subaisles[0].locs[0]})
-    assert len(comps.components) == 1
-    assert comps.components[0][1] is True  # contains the origin
+    assert len(comps) == 1
+    assert comps[0][1] is True  # contains the origin
     assert non_origin_sets(comps) == []
 
 
@@ -49,14 +47,14 @@ def test_components_merge_through_shared_vertex():
     # picks in both blocks of aisle 1: subaisles share the middle vertex
     picks = {g.subaisles[1].locs[0], g.subaisles[3].locs[0]}
     comps = order_components(g, picks)
-    assert len(comps.components) == 1
+    assert len(comps) == 1
 
 
 def test_components_two_separate():
     g = shared_graph(WarehouseLayout(3, 1, 2, 1, 2))
     picks = {g.subaisles[0].locs[0], g.subaisles[2].locs[0]}
     comps = order_components(g, picks)
-    assert len(comps.components) == 2
+    assert len(comps) == 2
     assert len(non_origin_sets(comps)) == 1  # only the far aisle
 
 
@@ -154,7 +152,7 @@ def test_tspo5_cut_has_coefficient_two():
     order = Order(0, 1, (Pick(1, 0, 0, 0),))
     inst = Instance(LAYOUT, (order,), 8, 1)
     g = shared_graph(LAYOUT)
-    aux = build_auxiliary_graph(g, SINGLE_BLOCK)
+    aux = g.auxiliary()
     model = build_model(inst, g, "P_U1")
     sub = g.subaisles[1]
 
@@ -174,9 +172,9 @@ def test_tspo5_cut_has_coefficient_two():
     # close the far component with the star edges would touch the origin, so
     # instead mark only the far edge; the support component misses the origin
     a = VariableAssignment(values)
-    cuts = separate_connectivity(g, "P_U1", a, inst, aux=aux)
+    cuts = separate_connectivity(g, "P_U1", a, inst)
     assert len(cuts) == 1
-    row = cut_to_row(cuts[0], model, g, aux=aux)
+    row = cut_to_row(cuts[0], model, g)
     y_coef = [c for _, c in row.coeffs if c == -2]
     assert y_coef == [-2]
 
@@ -187,13 +185,12 @@ def test_PU1_cut_counts_the_parallel_edge():
     layout = WarehouseLayout(2, 1, 1, 1, 2)
     inst = Instance(layout, (Order(0, 1, (Pick(1, 0, 0, 0),)),), 8, 1)
     g = shared_graph(layout)
-    aux = build_auxiliary_graph(g, SINGLE_BLOCK)
     model = build_model(inst, g, "P_U1")
     names = [v.name for v in model.variables]
 
     def cut_lines(values):
-        cuts = separate_connectivity(g, "P_U1", VariableAssignment(values), inst, aux=aux)
-        rows = [cut_to_row(cut, model, g, aux=aux) for cut in cuts]
+        cuts = separate_connectivity(g, "P_U1", VariableAssignment(values), inst)
+        rows = [cut_to_row(cut, model, g) for cut in cuts]
         return [f"{' '.join(lp_terms(r.coeffs, names))} {r.sense} {r.rhs}" for r in rows]
 
     assert cut_lines({"x_0_2_3": 1, "y_0_2": 1, "y_0_3": 1}) == [
