@@ -149,6 +149,10 @@ def save_solution(solution: Solution, graph: PickingGraph, path) -> None:
 
 
 def load_solution(path, graph: PickingGraph) -> Solution:
+    """Read a solution file written by :func:`save_solution`.  Its batches
+    belong to pickers 0 to n-1, one each; every walk entry is an edge of
+    ``graph``, at most once per walk, with multiplicity 1 or 2; and the
+    total is the walks' length sum."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("solution: not a JSON object")
@@ -156,27 +160,38 @@ def load_solution(path, graph: PickingGraph) -> Solution:
         raise ValidationError(f"format: expected {FORMAT_SOLUTION!r}")
     batches = _expect(doc, "batches", list, "solution")
     total = _expect(doc, "total", (int, float), "solution")
+    loaded: dict[int, tuple] = {}  # picker -> (batch index, orders, walk)
     for k, bdoc in enumerate(batches):
         where = f"solution.batches[{k}]"
         if not isinstance(bdoc, dict):
             raise ValidationError(f"{where}: not a JSON object")
-        _expect(bdoc, "picker", int, where)
-        _expect(bdoc, "orders", list, where)
-        for j, entry in enumerate(_expect(bdoc, "walk", list, where)):
-            if not isinstance(entry, dict):
-                raise ValidationError(f"{where}.walk[{j}]: not a JSON object")
-            for key in ("u", "v", "count"):
-                _expect(entry, key, int, f"{where}.walk[{j}]")
-    walks = []
-    batching = []
-    for bdoc in sorted(batches, key=lambda b: b["picker"]):
+        picker = _expect(bdoc, "picker", int, where)
+        orders = _expect(bdoc, "orders", list, where)
         mult: dict[int, int] = {}
-        for entry in bdoc["walk"]:
-            eid = graph.edge_id(entry["u"], entry["v"])
-            mult[eid] = mult.get(eid, 0) + entry["count"]
-        walks.append(Walk(bdoc["picker"], tuple(sorted(mult.items()))))
-        batching.append(tuple(bdoc["orders"]))
-    return Solution(tuple(batching), tuple(walks), total)
+        for j, entry in enumerate(_expect(bdoc, "walk", list, where)):
+            at = f"{where}.walk[{j}]"
+            if not isinstance(entry, dict):
+                raise ValidationError(f"{at}: not a JSON object")
+            u, v, count = (_expect(entry, key, int, at) for key in ("u", "v", "count"))
+            if count not in (1, 2):
+                raise ValidationError(f"{at}.count: {count} is not 1 or 2")
+            eid = graph.edge_id(u, v)
+            if eid in mult:
+                raise ValidationError(f"{at}: edge ({u}, {v}) is already in the walk")
+            mult[eid] = count
+        if not 0 <= picker < len(batches):
+            raise ValidationError(f"{where}.picker: {picker} is not one of the "
+                                  f"pickers 0..{len(batches) - 1} of {len(batches)} batches")
+        if picker in loaded:
+            raise ValidationError(f"{where}.picker: picker {picker} already has "
+                                  f"solution.batches[{loaded[picker][0]}]")
+        loaded[picker] = (k, tuple(orders), Walk(picker, tuple(sorted(mult.items()))))
+    batching = tuple(loaded[t][1] for t in range(len(batches)))
+    walks = tuple(loaded[t][2] for t in range(len(batches)))
+    walk_sum = sum(walk.length(graph) for walk in walks)
+    if walk_sum != total:
+        raise ValidationError(f"solution.total: {total} is not the walks' length sum {walk_sum}")
+    return Solution(batching, walks, total)
 
 
 # -- the enumeration engine --------------------------------------------------

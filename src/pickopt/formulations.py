@@ -27,25 +27,33 @@ Nearly every variable and row belongs to a per-picker family.  Variables
 are declared in bulk so that picker t's copy of a variable sits
 ``t * stride`` positions after picker 0's: picker-major, with the family's
 size per picker as stride, except z, which is picker-minor with stride 1.
-Each per-picker row family is built once, for picker 0, as a block of rows
-whose terms carry their family's stride; :func:`_emit` shifts the block for
-every picker and appends all copies through one ``add_rows``.
+
+Rows come in blocks of picker 0's rows whose terms name a variable family
+and an offset in it.  The blocks that depend on the graph alone (routing,
+degree, subaisle, gamma, flow, no-reversal and corner rows) are compiled
+once per :class:`~pickopt.layout.PickingGraph` and kept with it
+(:meth:`~pickopt.layout.PickingGraph.derived`); the blocks that depend on
+the orders (covers, assignment and capacity, cuts, single-traversing rows
+and column inequalities) are made by each build.  A build maps offsets to
+positions with its own family bases, which depend on the picker and order
+counts, shifts each block by its families' strides for every picker, and
+stores all rows through one ``add_rows``.  On a graph that was built on
+before, a build therefore pays only for its variables and the instance's
+rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, mod
-from typing import Optional
+from operator import add, mod
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
 from .layout import PickingGraph
 from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
 from .separation import FAMILIES, FAMILY_OF_KIND, order_components
-
-_POSITION = itemgetter(0)
 
 P_BASIC = "P_basic"
 P_A = "P_A"
@@ -58,6 +66,14 @@ P_U2 = "P_U2"
 ARC_KINDS = (P_BASIC, P_A, P_G, P_F, P_U)
 TSP_KINDS = (P_U1, P_U2)
 ALL_KINDS = ARC_KINDS + TSP_KINDS
+
+# Variable families, numbered in the order a build declares them, so that
+# terms sorted by family and offset are sorted by position.  X is the edge
+# family (x over the arcs, or the auxiliary edges of P_U1 and P_U2) and Y
+# the vertex family; alpha and beta (AB) are declared in pairs; a model has
+# flows (S) or traversals (W), never both.
+X, Y, Z, AB, G, S, W = range(7)
+
 
 @dataclass(frozen=True)
 class ModelOptions:
@@ -102,12 +118,12 @@ def validate_options(kind: str, options: ModelOptions, instance: Instance) -> No
                 "single_traversing needs the alpha/beta variables of the subaisle cuts")
 
 
-def _orders_by_subaisle(instance: Instance, graph: PickingGraph) -> list[list[int]]:
+def _orders_by_subaisle(graph: PickingGraph, picks: dict) -> list[list[int]]:
     """Sorted ids of the orders with a pick in each subaisle, by subaisle index."""
     by_sub: list[set[int]] = [set() for _ in graph.subaisles]
-    for o in instance.orders:
-        for v in instance.pick_vertices(graph, o):
-            by_sub[graph.subaisle_of(v)].add(o.id)
+    for order_id, vertices in picks.items():
+        for v in vertices:
+            by_sub[graph.subaisle_of(v)].add(order_id)
     return [sorted(ids) for ids in by_sub]
 
 
@@ -120,45 +136,80 @@ def _new_model(kind: str) -> LinearModel:
     return model
 
 
-# -- per-picker blocks ---------------------------------------------------------
-#
-# A per-picker block is a list of picker 0's rows ``(name, group, terms,
-# sense, rhs)``: the name holds one ``%d`` for the picker and each term is
-# ``(position, coefficient, stride)``.
+# -- row blocks ----------------------------------------------------------------
 
 
-def _family(model: LinearModel, index: tuple, keys, step: int = 1) -> dict:
-    """Picker 0's position of each variable of a family, by key: ``index``
-    names picker 0's first variable, and ``keys`` name picker 0's variables
-    in declaration order, ``step`` positions apart."""
-    first = model.var(*index)
-    return dict(zip(keys, range(first, first + step * len(keys), step)))
+class _Rows:
+    """A block of rows as columns: names, groups, senses, right-hand sides,
+    each row's end offset, and for each term its family, its offset in the
+    family and its coefficient.  Within a row the terms are sorted by family
+    and offset.  A per-picker block holds picker 0's rows, and each of its
+    names has one ``%d`` for the picker."""
+
+    __slots__ = ("per_picker", "names", "groups", "senses", "rhs", "ends", "families",
+                 "offsets", "coefs", "__weakref__")
+
+    def __init__(self, per_picker: bool, names, groups, senses, rhs, ends, families, offsets,
+                 coefs):
+        self.per_picker = per_picker
+        self.names, self.groups, self.senses, self.rhs, self.ends = names, groups, senses, rhs, ends
+        self.families, self.offsets, self.coefs = families, offsets, coefs
 
 
-def _emit(model: LinearModel, pickers: int, *blocks: list) -> None:
-    """Append each block's rows for pickers 0 to ``pickers - 1``, block by
-    block and picker by picker, through one ``add_rows``.  Each row's terms
-    are sorted once, for picker 0: families hold disjoint ranges of
-    positions, so every shifted copy stays sorted."""
+def _compile(rows, per_picker: bool = True) -> _Rows:
+    """A block of rows ``(name, group, terms, sense, rhs)`` whose terms are
+    ``(family, offset, coefficient)`` in (family, offset) order, stored for
+    every picker or, when ``per_picker`` is false, once.  ``add_rows``
+    refuses a row whose terms come in any other order."""
+    rows = list(rows)
+    if not rows:
+        return _Rows(per_picker, (), (), (), (), (), (), (), ())
+    names, groups, terms, senses, rhs = zip(*rows)
+    ends = tuple(accumulate(map(len, terms)))
+    families, offsets, coefs = zip(*chain.from_iterable(terms)) if ends[-1] else ((), (), ())
+    return _Rows(per_picker, names, groups, senses, rhs, ends, families, offsets, coefs)
+
+
+def _join(blocks: Sequence[_Rows]) -> _Rows:
+    """The rows of ``blocks``, all per-picker or all once, as one block."""
+    names, groups, senses, rhs, ends, families, offsets, coefs = [], [], [], [], [], [], [], []
+    for block in blocks:
+        names += block.names
+        groups += block.groups
+        senses += block.senses
+        rhs += block.rhs
+        ends += map(add, block.ends, repeat(len(offsets)))
+        families += block.families
+        offsets += block.offsets
+        coefs += block.coefs
+    return _Rows(blocks[0].per_picker, names, groups, senses, rhs, ends, families, offsets, coefs)
+
+
+def _store(model: LinearModel, pickers: int, bases: Sequence[int], strides: Sequence[int],
+           blocks: list) -> None:
+    """Append every block's rows through one ``add_rows``, a per-picker
+    block for pickers 0 to ``pickers - 1`` and a once block as it is.
+
+    A term's position is its family's base plus its offset, plus ``t``
+    times its family's stride for picker t: families hold disjoint ranges
+    of positions in family order, so every placed row stays sorted.
+    """
     names, groups, senses, rhs, ends, positions, coefs = [], [], [], [], [], [], []
     for block in blocks:
-        if not block:
-            continue
-        b_names, b_groups, b_terms, b_senses, b_rhs = zip(*block)
-        b_terms = [sorted(terms, key=_POSITION) for terms in b_terms]
-        b_ends = list(accumulate(map(len, b_terms)))
-        b_positions, b_coefs, b_strides = zip(*chain.from_iterable(b_terms)) \
-            if b_ends[-1] else ((), (), ())
-        for t in range(pickers):
-            names += map(mod, b_names, repeat(t))
-            ends += map(add, b_ends, repeat(len(positions)))
+        copies = pickers if block.per_picker else 1
+        placed = list(map(add, map(bases.__getitem__, block.families), block.offsets))
+        if copies > 1:
+            shifts = list(map(strides.__getitem__, block.families))
+        for t in range(copies):
             if t:
-                b_positions = list(map(add, b_positions, b_strides))
-            positions += b_positions
-        groups += b_groups * pickers
-        senses += b_senses * pickers
-        rhs += b_rhs * pickers
-        coefs += b_coefs * pickers
+                placed = list(map(add, placed, shifts))
+            names += map(mod, block.names, repeat(t)) if block.per_picker else block.names
+            ends += map(add, block.ends, repeat(len(positions)))
+            positions += placed
+        groups += block.groups * copies
+        senses += block.senses * copies
+        rhs += block.rhs * copies
+        coefs += block.coefs * copies
     model.add_rows(names, groups, senses, rhs, ends, positions, coefs)
 
 
@@ -166,287 +217,302 @@ def _assignment_indices(instance: Instance) -> list[tuple]:
     return [("z", o.id, t) for o in instance.orders for t in range(instance.pickers)]
 
 
-def _orders(model: LinearModel, instance: Instance) -> dict:
-    """Picker 0's position of z by order id; picker t's is t after it."""
-    return {o.id: model.var("z", o.id, 0) for o in instance.orders}
-
-
-def _assignment_rows(model: LinearModel, instance: Instance, assign: str,
-                     capacity: str) -> None:
-    """Each order goes to one picker; each picker's load fits the trolley."""
+def _assignment_rows(instance: Instance, assign: str, capacity: str) -> _Rows:
+    """Each order goes to one picker; each picker's load fits the trolley.
+    Order k's z for picker t has offset ``k * T + t``."""
     T = instance.pickers
     orders = instance.orders
     O = len(orders)
-    z = _orders(model, instance)
     # O rows of T terms, one per order, then T rows of O terms, one per picker
-    model.add_rows([f"{assign}_o{o.id}" for o in orders] + [f"{capacity}_t{t}" for t in range(T)],
-                   [assign] * O + [capacity] * T, [EQ] * O + [LE] * T,
-                   [1] * O + [instance.capacity] * T,
-                   [T * k for k in range(1, O + 1)] + [O * (T + k) for k in range(1, T + 1)],
-                   [z[o.id] + t for o in orders for t in range(T)]
-                   + [z[o.id] + t for t in range(T) for o in orders],
-                   [1] * (O * T) + [o.size for o in orders] * T)
+    return _Rows(False, [f"{assign}_o{o.id}" for o in orders]
+                 + [f"{capacity}_t{t}" for t in range(T)],
+                 [assign] * O + [capacity] * T, [EQ] * O + [LE] * T,
+                 [1] * O + [instance.capacity] * T,
+                 [T * k for k in range(1, O + 1)] + [O * (T + k) for k in range(1, T + 1)],
+                 [Z] * (2 * O * T),
+                 list(range(O * T)) + [k * T + t for t in range(T) for k in range(O)],
+                 [1] * (O * T) + [o.size for o in orders] * T)
 
 
-# -- arc-space core --------------------------------------------------------
+# -- arc-space kinds -------------------------------------------------------
 
 
-def _alpha_beta_indices(instance: Instance, graph: PickingGraph) -> list[tuple]:
-    return [(family, t, v) for t in range(instance.pickers)
-            for v in graph.picking_vertices for family in ("a", "b")]
+class _ArcTables(NamedTuple):
+    """A picking graph's offsets of x by arc, the sorted offsets of the arcs
+    leaving each vertex, alpha's offset by picking vertex (beta's is one
+    more), the length of each arc, and each family's stride."""
+
+    x: dict
+    out: list
+    alpha: dict
+    lengths: list
+    strides: tuple
 
 
-def _declare_arc_core(model: LinearModel, instance: Instance, graph: PickingGraph,
-                      more: tuple = ()) -> None:
-    """Declare x, y and z, then the binaries indexed by ``more``, in one call."""
-    T = instance.pickers
+def _arc_tables(graph: PickingGraph) -> _ArcTables:
     arcs = graph.arcs()
-    first = model.add_variables(BINARY, [("x", t, u, v) for t in range(T) for u, v in arcs]
-                                + [("y", t, v) for t in range(T) for v in range(graph.n_vertices)]
-                                + _assignment_indices(instance) + list(more))
-    lengths = [length for length in graph.edge_length for _ in (0, 1)]  # by arc
-    model.set_objective_coeffs(range(first, first + T * len(arcs)), lengths * T)
+    out: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for offset, (u, _) in enumerate(arcs):
+        out[u].append(offset)
+    n_reduced = len(graph.reduced_arcs())
+    return _ArcTables(
+        dict(zip(arcs, range(len(arcs)))), out,
+        dict(zip(graph.picking_vertices, range(0, 2 * graph.n_picking, 2))),
+        [length for length in graph.edge_length for _ in (0, 1)],
+        (len(arcs), graph.n_vertices, 1, 2 * graph.n_picking, n_reduced,
+         graph.n_artificial * n_reduced, 2 * len(graph.subaisles)))
 
 
-def _arcs(model: LinearModel, graph: PickingGraph) -> tuple[dict, int]:
-    """Picker 0's position of x by arc, and the stride of x."""
-    arcs = graph.arcs()
-    return _family(model, ("x", 0, *arcs[0]), arcs), len(arcs)
-
-
-def _vertices(model: LinearModel, graph: PickingGraph) -> tuple[dict, int]:
-    """Picker 0's position of y by vertex, and the stride of y."""
-    return _family(model, ("y", 0, 0), range(graph.n_vertices)), graph.n_vertices
-
-
-def _gamma(model: LinearModel, graph: PickingGraph) -> tuple[dict, int]:
-    """Picker 0's position of gamma by reduced arc, and the stride of gamma."""
-    reduced_arcs = graph.reduced_arcs()
-    return _family(model, ("g", 0, *reduced_arcs[0]), reduced_arcs), len(reduced_arcs)
-
-
-def _alpha_beta(model: LinearModel, graph: PickingGraph) -> tuple[dict, dict, int]:
-    """Picker 0's positions of alpha and beta by picking vertex, declared in
-    pairs, and their stride."""
-    picking = graph.picking_vertices
-    return (_family(model, ("a", 0, picking[0]), picking, 2),
-            _family(model, ("b", 0, picking[0]), picking, 2), 2 * len(picking))
-
-
-def _arc_core_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
-                   labels: dict[str, str], ydef_vertices) -> None:
-    """Rows shared by P_basic and P_G, with per-kind group labels."""
+def _arc_core(graph: PickingGraph, depart: str, ydef: str, flow: str,
+              ydef_vertices) -> tuple[_Rows, _Rows, _Rows]:
+    """The departure, y-definition and flow-conservation rows shared by
+    P_basic and P_G, with per-kind group labels."""
+    x = graph.derived(_arc_tables).x
     s = graph.origin
-    picks = instance.all_pick_vertices(graph)
-    x, X = _arcs(model, graph)
-    y, Y = _vertices(model, graph)
-    z = _orders(model, instance)
     adjacency = graph.adjacency
-
-    depart, cover, ydef, flow = labels["depart"], labels["cover"], labels["ydef"], labels["flow"]
-    departs = [(f"{depart}_t%d", depart, [(x[s, v], 1, X) for v, _ in adjacency[s]], GE, 1)]
-    covers = [(f"{cover}_t%d_o{o.id}_v{u}", cover,
-               [(x[u, v], 1, X) for v, _ in adjacency[u]] + [(z[o.id], -1, 1)], GE, 0)
-              for o in instance.orders for u in sorted(picks[o.id])]
-    ydefs = [(f"{ydef}_t%d_v{u}_{v}", ydef, [(y[u], 1, Y), (x[u, v], -1, X)], GE, 0)
+    departs = [(f"{depart}_t%d", depart, sorted((X, x[s, v], 1) for v, _ in adjacency[s]),
+                GE, 1)]
+    ydefs = [(f"{ydef}_t%d_v{u}_{v}", ydef, [(X, x[u, v], -1), (Y, u, 1)], GE, 0)
              for u in ydef_vertices if u != s for v, _ in adjacency[u]]
-    flows = [(f"{flow}_t%d_v{v}", flow, [(x[v, u], 1, X) for u, _ in adjacency[v]]
-              + [(x[u, v], -1, X) for u, _ in adjacency[v]], EQ, 0)
-             for v in range(graph.n_vertices)]
-    _emit(model, instance.pickers, departs, covers, ydefs, flows)
-
-    _assignment_rows(model, instance, labels["assign"], labels["capacity"])
+    flows = [(f"{flow}_t%d_v{v}", flow, sorted([(X, x[v, u], 1) for u, _ in adjacency[v]]
+                                               + [(X, x[u, v], -1) for u, _ in adjacency[v]]),
+              EQ, 0) for v in range(graph.n_vertices)]
+    return _compile(departs), _compile(ydefs), _compile(flows)
 
 
-def _basic_model(kind: str, instance: Instance, graph: PickingGraph,
-                 subaisle_cuts: bool) -> LinearModel:
-    """Arc-space model: routing, batching and a lazy connectivity family,
-    then the subaisle cuts if asked for."""
-    model = _new_model(kind)
-    _declare_arc_core(model, instance, graph,
-                      _alpha_beta_indices(instance, graph) if subaisle_cuts else ())
-    labels = {"depart": "bs1", "cover": "bs2", "ydef": "bs3", "flow": "bs5",
-              "assign": "bs6", "capacity": "bs7"}
-    _arc_core_rows(model, instance, graph, labels, range(graph.n_vertices))
-    if subaisle_cuts:
-        _subaisle_rows(model, instance, graph)
-    return model
+def _basic_core(graph: PickingGraph) -> tuple[_Rows, _Rows, _Rows]:
+    return _arc_core(graph, "bs1", "bs3", "bs5", range(graph.n_vertices))
 
 
-def _subaisle_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
-    """Append the subaisle cut rows over the declared alpha and beta."""
-    x, X = _arcs(model, graph)
-    a, b, AB = _alpha_beta(model, graph)
-    z = _orders(model, instance)
+def _improved_core(graph: PickingGraph) -> tuple[_Rows, _Rows, _Rows]:
+    return _arc_core(graph, "impf1", "impf3", "impf9", graph.artificial_vertices)
+
+
+def _subaisle_chains(graph: PickingGraph) -> _Rows:
+    """The subaisle cuts' chain rows: alpha and beta propagate along each
+    subaisle and are bounded by its vertical arcs."""
+    x, _, a, _, _ = graph.derived(_arc_tables)
     north, south = graph.north_of, graph.south_of
-    chains = []
+    rows = []
     for sub in graph.subaisles:
-        chains += [(f"sub1_t%d_v{v}", "sub1", [(a[v], 1, AB), (a[south(v)], -1, AB)], GE, 0)
-                   for v in sub.locs[:-1]]
-        chains += [(f"sub2_t%d_v{v}", "sub2", [(x[north(v), v], 1, X), (a[v], -1, AB)], GE, 0)
-                   for v in sub.locs]
-        chains += [(f"sub3_t%d_v{v}", "sub3", [(b[v], 1, AB), (b[north(v)], -1, AB)], GE, 0)
-                   for v in sub.locs[1:]]
-        chains += [(f"sub4_t%d_v{v}", "sub4", [(x[south(v), v], 1, X), (b[v], -1, AB)], GE, 0)
-                   for v in sub.locs]
-    picks = instance.all_pick_vertices(graph)
-    covers = [(f"sub5_t%d_o{o.id}_v{v}", "sub5",
-               [(a[v], 1, AB), (b[v], 1, AB), (z[o.id], -1, 1)], GE, 0)
-              for o in instance.orders for v in sorted(picks[o.id])]
-    _emit(model, instance.pickers, chains, covers)
+        rows += [(f"sub1_t%d_v{v}", "sub1", [(AB, a[v], 1), (AB, a[south(v)], -1)], GE, 0)
+                 for v in sub.locs[:-1]]
+        rows += [(f"sub2_t%d_v{v}", "sub2", [(X, x[north(v), v], 1), (AB, a[v], -1)], GE, 0)
+                 for v in sub.locs]
+        rows += [(f"sub3_t%d_v{v}", "sub3", [(AB, a[north(v)] + 1, -1), (AB, a[v] + 1, 1)],
+                  GE, 0) for v in sub.locs[1:]]
+        rows += [(f"sub4_t%d_v{v}", "sub4", [(X, x[south(v), v], 1), (AB, a[v] + 1, -1)], GE, 0)
+                 for v in sub.locs]
+    return _compile(rows)
 
 
-def _gamma_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
+def _gamma_rows(graph: PickingGraph) -> _Rows:
     """Link gamma over the reduced arcs to x, alpha, beta."""
-    T = instance.pickers
-    g, G = _gamma(model, graph)
-    x, X = _arcs(model, graph)
-    a, b, AB = _alpha_beta(model, graph)
-
+    x, _, a, _, _ = graph.derived(_arc_tables)
+    reduced_arcs = graph.reduced_arcs()
+    g = dict(zip(reduced_arcs, range(len(reduced_arcs))))
     rows = []
     for v in graph.artificial_vertices:
         w = graph.q_west(v)
         if w is not None:
-            rows.append((f"impf4_t%d_v{v}", "impf4", [(x[v, w], 1, X), (g[v, w], -1, G)], EQ, 0))
+            rows.append((f"impf4_t%d_v{v}", "impf4", [(X, x[v, w], 1), (G, g[v, w], -1)], EQ, 0))
         e = graph.q_east(v)
         if e is not None:
-            rows.append((f"impf5_t%d_v{v}", "impf5", [(x[v, e], 1, X), (g[v, e], -1, G)], EQ, 0))
+            rows.append((f"impf5_t%d_v{v}", "impf5", [(X, x[v, e], 1), (G, g[v, e], -1)], EQ, 0))
     for sub in graph.subaisles:
         f, l, i = sub.head, sub.tail, sub.index
         n_l = graph.north_of(l)
         s_f = graph.south_of(f)
         rows += [
-            (f"impf6_5_t%d_i{i}", "impf6_5", [(a[n_l], 1, AB), (g[f, l], -1, G)], GE, 0),
-            (f"impf6_t%d_i{i}", "impf6", [(x[n_l, l], 1, X), (g[f, l], -1, G)], GE, 0),
-            (f"impf7_5_t%d_i{i}", "impf7_5", [(b[s_f], 1, AB), (g[l, f], -1, G)], GE, 0),
-            (f"impf7_t%d_i{i}", "impf7", [(x[s_f, f], 1, X), (g[l, f], -1, G)], GE, 0),
+            (f"impf6_5_t%d_i{i}", "impf6_5", [(AB, a[n_l], 1), (G, g[f, l], -1)], GE, 0),
+            (f"impf6_t%d_i{i}", "impf6", [(X, x[n_l, l], 1), (G, g[f, l], -1)], GE, 0),
+            (f"impf7_5_t%d_i{i}", "impf7_5", [(AB, a[s_f] + 1, 1), (G, g[l, f], -1)], GE, 0),
+            (f"impf7_t%d_i{i}", "impf7", [(X, x[s_f, f], 1), (G, g[l, f], -1)], GE, 0),
         ]
-    _emit(model, T, rows)
+    return _compile(rows)
 
 
-def _improved_model(kind: str, instance: Instance, graph: PickingGraph) -> LinearModel:
-    """The arc-space core with subaisle cuts and gamma, shared by P_G, P_F and P_U."""
-    model = _new_model(kind)
-    gammas = [("g", t, u, v) for t in range(instance.pickers) for u, v in graph.reduced_arcs()]
-    _declare_arc_core(model, instance, graph, _alpha_beta_indices(instance, graph) + gammas)
-    _subaisle_rows(model, instance, graph)
-    labels = {"depart": "impf1", "cover": "impf2", "ydef": "impf3", "flow": "impf9",
-              "assign": "impf10", "capacity": "impf11"}
-    _arc_core_rows(model, instance, graph, labels, graph.artificial_vertices)
-    _gamma_rows(model, instance, graph)
-    return model
-
-
-def _flow_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
+def _flow_rows(graph: PickingGraph) -> _Rows:
     """P_F's connectivity: one flow per artificial vertex to the origin."""
-    T = instance.pickers
     reduced_arcs = graph.reduced_arcs()
     s = graph.origin
-    first = model.add_variables(CONTINUOUS, [("s", t, v0, u, v) for t in range(T)
-                                             for v0 in graph.artificial_vertices
-                                             for u, v in reduced_arcs])
-    S = graph.n_artificial * len(reduced_arcs)  # commodities x reduced arcs
-    y, Y = _vertices(model, graph)
-    g, G = _gamma(model, graph)
-    # (arc, +1) for each reduced arc leaving a vertex, (arc, -1) for each entering it
-    net_arcs = {u: [(arc, 1) for arc in graph.eta_plus([u])]
-                + [(arc, -1) for arc in graph.eta_minus([u])]
+    g = dict(zip(reduced_arcs, range(len(reduced_arcs))))
+    # (offset, +1) for each reduced arc leaving a vertex, (offset, -1) for
+    # each entering it, by offset
+    net_arcs = {u: sorted([(g[arc], 1) for arc in graph.eta_plus([u])]
+                          + [(g[arc], -1) for arc in graph.eta_minus([u])])
                 for u in graph.artificial_vertices}
 
     rows = []
     for k, v0 in enumerate(graph.artificial_vertices):
-        # picker 0's flow of commodity v0, by reduced arc
-        f = dict(zip(reduced_arcs, range(first + k * len(reduced_arcs), first + S)))
-        net = {u: [(f[arc], c, S) for arc, c in net_arcs[u]] for u in graph.artificial_vertices}
-        rows.append((f"impcf1_t%d_c{v0}", "impcf1", net[v0] + [(y[v0], -1, Y)], EQ, 0))
+        # picker 0's flow of commodity v0 on the reduced arc at offset i is at k * R + i
+        first = k * len(reduced_arcs)
+        net = {u: [(S, first + i, c) for i, c in net_arcs[u]] for u in graph.artificial_vertices}
+        rows.append((f"impcf1_t%d_c{v0}", "impcf1", [(Y, v0, -1)] + net[v0], EQ, 0))
         rows += [(f"impcf2_t%d_c{v0}_u{u}", "impcf2", net[u], EQ, 0)
                  for u in graph.artificial_vertices if u not in (s, v0)]
-        rows.append((f"impcf3_t%d_c{v0}", "impcf3", net[s] + [(y[v0], 1, Y)], EQ, 0))
-        rows += [(f"impcf4_t%d_c{v0}_{u}_{v}", "impcf4", [(f[u, v], 1, S), (g[u, v], -1, G)],
-                  LE, 0) for u, v in reduced_arcs]
-    _emit(model, T, rows)
+        rows.append((f"impcf3_t%d_c{v0}", "impcf3", [(Y, v0, 1)] + net[s], EQ, 0))
+        rows += [(f"impcf4_t%d_c{v0}_{u}_{v}", "impcf4", [(G, i, -1), (S, first + i, 1)],
+                  LE, 0) for i, (u, v) in enumerate(reduced_arcs)]
+    return _compile(rows)
 
 
-def _strengthened_rows(model: LinearModel, instance: Instance, graph: PickingGraph,
-                       group: str) -> None:
-    """Aisle cuts (one subaisle per set), else basic cuts (order components)."""
-    if group == "aisle_cut":
-        cuts = [(f"aisle_cut_t%d_o{o}_i{sub.index}", graph.delta_plus(sub.locs), o)
-                for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(instance, graph))
-                for o in order_ids]
-    else:
-        cuts = [(f"basic_cut_t%d_o{o.id}_k{k}", graph.delta_plus(vertex_set), o.id)
-                for o in instance.orders
-                for k, (vertex_set, contains_origin) in enumerate(
-                    order_components(graph, instance.pick_vertices(graph, o)))
-                if not contains_origin]
-    x, X = _arcs(model, graph)
-    z = _orders(model, instance)
-    # one block per cut, so that the pickers of a cut are consecutive rows
-    blocks = [[(name, group, [(x[arc], 1, X) for arc in arcs] + [(z[o], -1, 1)], GE, 0)]
-              for name, arcs, o in cuts]
-    _emit(model, instance.pickers, *blocks)
+def _traversals(graph: PickingGraph) -> list[tuple]:
+    """P_U's traversal keys: subaisle index and direction, ``w``'s order."""
+    return [(sub.index, direction) for sub in graph.subaisles for direction in ("dn", "up")]
 
 
-def _single_traversing_rows(model: LinearModel, instance: Instance,
-                            graph: PickingGraph) -> None:
-    """No subaisle is fully traversed both ways; block-2 layouts exempt
-    the first subaisle."""
-    exempt: frozenset[int] = frozenset()
-    if instance.layout.n_blocks == 2:
-        exempt = frozenset(graph.subaisles[0].locs)
-    a, b, AB = _alpha_beta(model, graph)
-    picks = instance.all_pick_vertices(graph)
-    rows = [(f"sitr_t%d_o{o.id}_v{v}", "sitr", [(a[v], 1, AB), (b[v], 1, AB)], LE, 1)
-            for o in instance.orders for v in sorted(picks[o.id]) if v not in exempt]
-    _emit(model, instance.pickers, rows)
-
-
-def _no_reversal_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
+def _no_reversal_rows(graph: PickingGraph) -> _Rows:
     """Tie every vertical arc of a subaisle to one traversal variable per
     direction, so a picker entering a subaisle crosses it completely."""
-    traversals = [(sub.index, direction) for sub in graph.subaisles for direction in ("dn", "up")]
-    first = model.add_variables(BINARY, [("w", t, *key) for t in range(instance.pickers)
-                                         for key in traversals])
-    w, W = dict(zip(traversals, range(first, first + len(traversals)))), len(traversals)
-    x, X = _arcs(model, graph)
+    x = graph.derived(_arc_tables).x
+    w = dict(zip(_traversals(graph), range(2 * len(graph.subaisles))))
     rows = []
     for sub in graph.subaisles:
         i = sub.index
         rows += [(f"norev1_t%d_i{i}_v{v}", "norev1",
-                  [(x[graph.north_of(v), v], 1, X), (w[i, "dn"], -1, W)], EQ, 0)
+                  [(X, x[graph.north_of(v), v], 1), (W, w[i, "dn"], -1)], EQ, 0)
                  for v in sub.locs + (sub.tail,)]
         rows += [(f"norev2_t%d_i{i}_v{v}", "norev2",
-                  [(x[graph.south_of(v), v], 1, X), (w[i, "up"], -1, W)], EQ, 0)
+                  [(X, x[graph.south_of(v), v], 1), (W, w[i, "up"], -1)], EQ, 0)
                  for v in (sub.head,) + sub.locs]
-    _emit(model, instance.pickers, rows)
+    return _compile(rows)
 
 
-def _reversal_rows(model: LinearModel, instance: Instance, graph: PickingGraph) -> None:
+def _reversal_rows(graph: PickingGraph) -> _Rows:
     """Forbid touching an artificial vertex only to turn around there.
 
     At the tail of each subaisle (and at interior-cross-aisle heads) the
     walk may use both vertical arcs of the last chain edge only if it also
     uses some other arc at that vertex.
     """
-    x, X = _arcs(model, graph)
+    x = graph.derived(_arc_tables).x
 
     def corner_row(sub_index, corner, chain_nbr, tag):
-        terms = [(x[chain_nbr, corner], 1, X), (x[corner, chain_nbr], 1, X)]
+        terms = [(X, x[chain_nbr, corner], 1), (X, x[corner, chain_nbr], 1)]
         for u, _ in graph.adjacency[corner]:
             if u != chain_nbr:
-                terms += [(x[u, corner], -1, X), (x[corner, u], -1, X)]
-        return (f"avr_{tag}_t%d_i{sub_index}", "avr", terms, LE, 1)
+                terms += [(X, x[u, corner], -1), (X, x[corner, u], -1)]
+        return (f"avr_{tag}_t%d_i{sub_index}", "avr", sorted(terms), LE, 1)
 
     rows = []
     for sub in graph.subaisles:
         rows.append(corner_row(sub.index, sub.tail, graph.north_of(sub.tail), "l"))
         if sub.block >= 1:  # head sits on an interior cross aisle
             rows.append(corner_row(sub.index, sub.head, graph.south_of(sub.head), "f"))
-    _emit(model, instance.pickers, rows)
+    return _compile(rows)
 
 
-def _symmetry_rows(model: LinearModel, instance: Instance) -> None:
+def _aisle_cut_arcs(graph: PickingGraph) -> tuple[list[int], ...]:
+    """Sorted offsets of x on the arcs leaving each subaisle's locations."""
+    x = graph.derived(_arc_tables).x
+    return tuple(sorted(x[arc] for arc in graph.delta_plus(sub.locs)) for sub in graph.subaisles)
+
+
+def _cut_rows(group: str, cuts: list, pickers: int, n_arcs: int) -> _Rows:
+    """One row per cut ``(name, sorted x offsets, order rank)`` and picker,
+    the pickers of a cut consecutive: the cut's arcs cover the order if the
+    picker takes it."""
+    names, ends, families, offsets, coefs = [], [], [], [], []
+    for name, arcs, k in cuts:
+        for t in range(pickers):
+            names.append(name % t)
+            offsets += map(add, arcs, repeat(t * n_arcs))
+            offsets.append(k * pickers + t)
+            families += [X] * len(arcs)
+            families.append(Z)
+            coefs += [1] * len(arcs)
+            coefs.append(-1)
+            ends.append(len(offsets))
+    return _Rows(False, names, [group] * len(names), [GE] * len(names), [0] * len(names), ends,
+                 families, offsets, coefs)
+
+
+def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: dict,
+               options: ModelOptions) -> tuple[LinearModel, list[int], tuple, list]:
+    """An arc-space kind with its arc-space options: the model with its
+    variables declared, each family's base and stride, and the row blocks
+    to store."""
+    T = instance.pickers
+    orders = instance.orders
+    x, out, a, lengths, strides = graph.derived(_arc_tables)
+    n_x, n_y, _, n_ab, n_g, _, _ = strides
+    improved = kind in (P_G, P_F, P_U)
+    alpha_beta = improved or kind == P_A or options.subaisle_cuts
+
+    model = _new_model(kind)
+    indices = [("x", t, u, v) for t in range(T) for u, v in graph.arcs()] \
+        + [("y", t, v) for t in range(T) for v in range(n_y)] + _assignment_indices(instance)
+    if alpha_beta:
+        indices += [(family, t, v) for t in range(T)
+                    for v in graph.picking_vertices for family in ("a", "b")]
+    if improved:
+        indices += [("g", t, u, v) for t in range(T) for u, v in graph.reduced_arcs()]
+    if kind == P_U:
+        indices += [("w", t, *key) for t in range(T) for key in _traversals(graph)]
+    model.add_variables(BINARY, indices)
+    if kind == P_F:
+        model.add_variables(CONTINUOUS, [("s", t, v0, u, v) for t in range(T)
+                                         for v0 in graph.artificial_vertices
+                                         for u, v in graph.reduced_arcs()])
+    model.set_objective_coeffs(range(T * n_x), lengths * T)
+    z = T * (n_x + n_y)
+    g = z + len(orders) * T + T * n_ab
+    bases = [0, T * n_x, z, z + len(orders) * T, g, g + T * n_g, g + T * n_g]
+
+    if improved:
+        labels = ("impf2", "impf10", "impf11")
+        depart, ydef, flow = graph.derived(_improved_core)
+    else:
+        labels = ("bs2", "bs6", "bs7")
+        depart, ydef, flow = graph.derived(_basic_core)
+    covers = _compile(((f"{labels[0]}_t%d_o{o.id}_v{u}", labels[0],
+                        [(X, offset, 1) for offset in out[u]] + [(Z, k * T, -1)], GE, 0)
+                       for k, o in enumerate(orders) for u in sorted(picks[o.id])))
+    assignment = _assignment_rows(instance, labels[1], labels[2])
+    subaisle = []
+    if alpha_beta:
+        subaisle = [graph.derived(_subaisle_chains), _compile(
+            ((f"sub5_t%d_o{o.id}_v{v}", "sub5", [(Z, k * T, -1), (AB, a[v], 1),
+                                                  (AB, a[v] + 1, 1)],
+              GE, 0) for k, o in enumerate(orders) for v in sorted(picks[o.id])))]
+    if improved:
+        blocks = subaisle + [depart, covers, ydef, flow, assignment, graph.derived(_gamma_rows)]
+        if kind == P_F:
+            blocks.append(graph.derived(_flow_rows))
+        elif kind == P_U:
+            blocks.append(graph.derived(_no_reversal_rows))
+    else:
+        blocks = [depart, covers, ydef, flow, assignment] + subaisle
+
+    rank = {o.id: k for k, o in enumerate(orders)}
+    if options.aisle_cuts:
+        cuts = [(f"aisle_cut_t%d_o{o}_i{sub.index}", offsets, rank[o])
+                for sub, offsets, order_ids in zip(graph.subaisles, graph.derived(_aisle_cut_arcs),
+                                                   _orders_by_subaisle(graph, picks))
+                for o in order_ids]
+        blocks.append(_cut_rows("aisle_cut", cuts, T, n_x))
+    if options.basic_cuts:
+        cuts = [(f"basic_cut_t%d_o{o.id}_k{k}",
+                 sorted(x[arc] for arc in graph.delta_plus(vertex_set)), rank[o.id])
+                for o in orders
+                for k, (vertex_set, contains_origin) in enumerate(
+                    order_components(graph, picks[o.id]))
+                if not contains_origin]
+        blocks.append(_cut_rows("basic_cut", cuts, T, n_x))
+    if options.single_traversing:
+        # no subaisle is fully traversed both ways; block-2 layouts exempt
+        # the first subaisle
+        exempt = frozenset(graph.subaisles[0].locs) if instance.layout.n_blocks == 2 else ()
+        blocks.append(_compile(((f"sitr_t%d_o{o.id}_v{v}", "sitr",
+                                 [(AB, a[v], 1), (AB, a[v] + 1, 1)], LE, 1)
+                                for o in orders for v in sorted(picks[o.id]) if v not in exempt)))
+    if options.artificial_vertex_reversal:
+        blocks.append(graph.derived(_reversal_rows))
+    return model, bases, strides, blocks
+
+
+def _symmetry_rows(instance: Instance) -> _Rows:
     """Column inequalities over the order-to-picker assignment matrix.
 
     With orders ranked by id and pickers ordered, order of rank r may only
@@ -455,84 +521,97 @@ def _symmetry_rows(model: LinearModel, instance: Instance) -> None:
     always satisfy these rows, so at least one optimal batching survives.
     """
     T = instance.pickers
+    z = {o.id: k * T for k, o in enumerate(instance.orders)}  # picker 0's offset
     ranked = sorted(instance.orders, key=lambda o: o.id)
-    names, groups, senses, terms = [], [], [], []
+    rows = []
     for r, o in enumerate(ranked, start=1):
-        for t in range(r, T):
-            names.append(f"col_fix_o{o.id}_t{t}")
-            groups.append("col_fix")
-            senses.append(EQ)
-            terms.append([(model.var("z", o.id, t), 1)])
-        for t in range(1, min(r, T)):
-            names.append(f"col_link_o{o.id}_t{t}")
-            groups.append("col_link")
-            senses.append(LE)
-            row = [(model.var("z", o.id, t), 1)]
-            row += [(model.var("z", o2.id, t - 1), -1) for o2 in ranked[:r - 1]]
-            terms.append(sorted(row, key=_POSITION))
-    flat = list(chain.from_iterable(terms))
-    model.add_rows(names, groups, senses, [0] * len(names), list(accumulate(map(len, terms))),
-                   [pos for pos, _ in flat], [coef for _, coef in flat])
+        rows += [(f"col_fix_o{o.id}_t{t}", "col_fix", [(Z, z[o.id] + t, 1)], EQ, 0)
+                 for t in range(r, T)]
+        rows += [(f"col_link_o{o.id}_t{t}", "col_link", sorted([(Z, z[o.id] + t, 1)]
+                  + [(Z, z[o2.id] + t - 1, -1) for o2 in ranked[:r - 1]]), LE, 0)
+                 for t in range(1, min(r, T))]
+    return _compile(rows, per_picker=False)
 
 
 # -- TSP-style no-reversal models -------------------------------------------
 
 
-def _tour_model(kind: str, instance: Instance, graph: PickingGraph,
-                cross_aisle_bound: bool) -> LinearModel:
+def _tour_blocks(graph: PickingGraph, depart: str, origin: str, degree: str,
+                 departure, lead: Optional[int]) -> tuple[_Rows, _Rows]:
+    """A tour kind's departure and origin-degree rows, then its degree rows
+    (P_U1's first subaisle tail first, under its own group)."""
+    aux = graph.auxiliary()
+    s = graph.origin
+    y = dict(zip(aux.vertices, range(len(aux.vertices))))
+
+    def edge_sum(edges):
+        return [(X, e.id, 1) for e in edges]
+
+    def degree_terms(u):
+        return edge_sum(aux.incident(u)) + [(Y, y[u], -2)]
+
+    head = [(f"{depart}_t%d", depart, edge_sum(departure), GE, 1),
+            (f"{origin}_t%d", origin, edge_sum(aux.incident(s)), EQ, 2)]
+    degrees = [("tspo3_t%d", "tspo3", degree_terms(lead), EQ, 0)] if lead is not None else []
+    degrees += [(f"{degree}_t%d_u{u}", degree, degree_terms(u), EQ, 0)
+                for u in aux.vertices if u not in (s, lead)]
+    return _compile(head), _compile(degrees)
+
+
+def _tour_PU1(graph: PickingGraph) -> tuple[_Rows, _Rows]:
+    departure = [e for e in graph.auxiliary().incident(graph.origin) if e.in_e1]
+    return _tour_blocks(graph, "tspo0", "tspo1", "tspo4", departure, graph.subaisles[0].tail)
+
+
+def _tour_PU2(graph: PickingGraph) -> tuple[_Rows, _Rows]:
+    departure = [e for e in graph.auxiliary().incident(graph.origin) if not e.in_e3]
+    return _tour_blocks(graph, "tspt0", "tspt1", "tspt3", departure, None)
+
+
+def _cross_aisle_bound(graph: PickingGraph) -> _Rows:
+    """P_U2's bound on the edges leaving the south set."""
+    aux = graph.auxiliary()
+    return _compile([("less2con_t%d", "less2con",
+                      [(X, e.id, 1) for e in aux.delta(aux.south_set)], LE, 2)])
+
+
+def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: dict,
+                cross_aisle_bound: bool) -> tuple[LinearModel, list[int], tuple, list]:
     """Undirected TSP model on the graph's auxiliary graph: P_U1 on the
     single-block graph, P_U2 on the two-block one.
 
     Per picker: a departure row, the origin degree, the cover rows, the
-    degree rows (P_U1's first subaisle tail first, under its own group)
-    and, for P_U2 with ``cross_aisle_bound``, the second-cross-aisle bound.
+    degree rows and, for P_U2 with ``cross_aisle_bound``, the
+    second-cross-aisle bound.  Returns the model with its variables
+    declared, each family's base and stride, and the row blocks to store:
+    the tour's blocks joined into one, so that they repeat picker by picker.
     """
     aux = graph.auxiliary()
-    model = _new_model(kind)
     T = instance.pickers
-    s = graph.origin
     if kind == P_U1:
-        labels = {"depart": "tspo0", "origin": "tspo1", "cover": "tspo2", "lead": "tspo3",
-                  "degree": "tspo4", "assign": "tspo6", "capacity": "tspo7"}
-        departure = [e for e in aux.incident(s) if e.in_e1]
-        lead = graph.subaisles[0].tail
+        cover, assign, capacity = "tspo2", "tspo6", "tspo7"
+        head, degrees = graph.derived(_tour_PU1)
     else:
-        labels = {"depart": "tspt0", "origin": "tspt1", "cover": "tspt2", "degree": "tspt3",
-                  "assign": "tspt5", "capacity": "tspt6"}
-        departure = [e for e in aux.incident(s) if not e.in_e3]
-        lead = None
+        cover, assign, capacity = "tspt2", "tspt5", "tspt6"
+        head, degrees = graph.derived(_tour_PU2)
 
-    first = model.add_variables(BINARY, [e.var_index(t) for t in range(T) for e in aux.edges]
-                                + [("y", t, v) for t in range(T) for v in aux.vertices]
-                                + _assignment_indices(instance))
-    model.set_objective_coeffs(range(first, first + T * len(aux.edges)),
-                               [e.length for e in aux.edges] * T)
-    E = len(aux.edges)
-    y, Y = _family(model, ("y", 0, aux.vertices[0]), aux.vertices), len(aux.vertices)
-    z = _orders(model, instance)
+    model = _new_model(kind)
+    model.add_variables(BINARY, [e.var_index(t) for t in range(T) for e in aux.edges]
+                        + [("y", t, v) for t in range(T) for v in aux.vertices]
+                        + _assignment_indices(instance))
+    E, V = len(aux.edges), len(aux.vertices)
+    model.set_objective_coeffs(range(T * E), [e.length for e in aux.edges] * T)
 
-    def edge_sum(edges):
-        return [(first + e.id, 1, E) for e in edges]
-
-    def degree(u):
-        return edge_sum(aux.incident(u)) + [(y[u], -2, Y)]
-
-    rows = [(f"{labels['depart']}_t%d", labels["depart"], edge_sum(departure), GE, 1),
-            (f"{labels['origin']}_t%d", labels["origin"], edge_sum(aux.incident(s)), EQ, 2)]
-    for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(instance, graph)):
-        traversal = (first + aux.e_of_subaisle[sub.index], 1, E)
-        rows += [(f"{labels['cover']}_t%d_i{sub.index}_o{o}", labels["cover"],
-                  [traversal, (z[o], -1, 1)], GE, 0) for o in order_ids]
-    if lead is not None:
-        rows.append((f"{labels['lead']}_t%d", labels["lead"], degree(lead), EQ, 0))
-    rows += [(f"{labels['degree']}_t%d_u{u}", labels["degree"], degree(u), EQ, 0)
-             for u in aux.vertices if u not in (s, lead)]
+    rank = {o.id: k for k, o in enumerate(instance.orders)}
+    covers = _compile(((f"{cover}_t%d_i{sub.index}_o{o}", cover,
+                        [(X, aux.e_of_subaisle[sub.index], 1), (Z, rank[o] * T, -1)], GE, 0)
+                       for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(graph, picks))
+                       for o in order_ids))
+    tour = [head, covers, degrees]
     if cross_aisle_bound:
-        rows.append(("less2con_t%d", "less2con", edge_sum(aux.delta(aux.south_set)), LE, 2))
-    _emit(model, T, rows)
-
-    _assignment_rows(model, instance, labels["assign"], labels["capacity"])
-    return model
+        tour.append(graph.derived(_cross_aisle_bound))
+    return model, [0, T * E, T * (E + V)], (E, V, 1), [
+        _join(tour), _assignment_rows(instance, assign, capacity)]
 
 
 # -- the builder -------------------------------------------------------------
@@ -544,29 +623,17 @@ def build_model(instance: Instance, graph: PickingGraph, kind: str,
     for, after :func:`validate_options` accepts them."""
     options = options or ModelOptions()
     validate_options(kind, options, instance)
-
-    if kind in TSP_KINDS:
-        model = _tour_model(kind, instance, graph, options.cross_aisle_bound)
-    elif kind in (P_BASIC, P_A):
-        model = _basic_model(kind, instance, graph, kind == P_A or options.subaisle_cuts)
-    else:
-        model = _improved_model(kind, instance, graph)
-        if kind == P_F:
-            _flow_rows(model, instance, graph)
-        elif kind == P_U:
-            _no_reversal_rows(model, instance, graph)
+    picks = instance.all_pick_vertices(graph)
 
     # validate_options refuses every arc-space family for the TSP kinds
-    if options.aisle_cuts:
-        _strengthened_rows(model, instance, graph, "aisle_cut")
-    if options.basic_cuts:
-        _strengthened_rows(model, instance, graph, "basic_cut")
-    if options.single_traversing:
-        _single_traversing_rows(model, instance, graph)
-    if options.artificial_vertex_reversal:
-        _reversal_rows(model, instance, graph)
+    if kind in TSP_KINDS:
+        model, bases, strides, blocks = _tour_model(kind, instance, graph, picks,
+                                                    options.cross_aisle_bound)
+    else:
+        model, bases, strides, blocks = _arc_model(kind, instance, graph, picks, options)
     if options.column_inequalities:
-        _symmetry_rows(model, instance)
+        blocks.append(_symmetry_rows(instance))
+    _store(model, instance.pickers, bases, strides, blocks)
     model.meta["kind"] = kind
     model.meta["options"] = sorted(options.enabled())
     return model

@@ -25,9 +25,11 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .errors import ValidationError, VariantMismatchError
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,9 @@ class Subaisle:
 class PickingGraph:
     """Sparse graph of a rectangular warehouse.
 
-    Immutable after construction; shortest-path results and the auxiliary
-    graph are cached internally but the caches are invisible to callers.
+    Immutable after construction; shortest-path results and values derived
+    from the graph alone (:meth:`derived`) are cached internally but the
+    caches are invisible to callers.
     """
 
     def __init__(self, layout: WarehouseLayout):
@@ -140,7 +143,7 @@ class PickingGraph:
         self._reduced_arcs = tuple(arc for u, v, _, _ in reduced for arc in ((u, v), (v, u)))
 
         self._sp_cache: dict[int, tuple] = {}
-        self._auxiliary: Optional[AuxiliaryGraph] = None
+        self._derived: dict = {}
 
     # -- vertex helpers -------------------------------------------------
 
@@ -256,11 +259,20 @@ class PickingGraph:
         self._sp_cache[source] = result
         return result
 
+    def derived(self, build: Callable[[PickingGraph], _T]) -> _T:
+        """``build(self)``, made on the first call with ``build`` and kept
+        with the graph, which is immutable: the auxiliary graph, and the
+        row blocks :mod:`pickopt.formulations` compiles from the graph
+        alone.  A derived value must hold no reference to the graph, so
+        that dropping the graph frees it without the cycle collector."""
+        value = self._derived.get(build)
+        if value is None:
+            value = self._derived[build] = build(self)
+        return value
+
     def auxiliary(self) -> AuxiliaryGraph:
         """The layout's auxiliary no-reversal graph, built on first use."""
-        if self._auxiliary is None:
-            self._auxiliary = build_auxiliary_graph(self)
-        return self._auxiliary
+        return self.derived(build_auxiliary_graph)
 
 
 def build_graph(layout: WarehouseLayout) -> PickingGraph:

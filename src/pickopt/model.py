@@ -337,8 +337,8 @@ class LinearModel:
         self._positions += positions
         self._coefs += coefs
         counts = self._group_rows
-        for group in dict.fromkeys(groups):  # few groups, in order of first row
-            counts[group] = counts.get(group, 0) + groups.count(group)
+        for group, rows in Counter(groups).items():  # in order of first row
+            counts[group] = counts.get(group, 0) + rows
         return first
 
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 
@@ -256,6 +257,19 @@ def test_solution_round_trip(tmp_path):
     assert (tmp_path / "sol2.json").read_bytes() == path.read_bytes()
 
 
+def test_load_solution_takes_batches_in_any_order(tmp_path):
+    inst = generate_instance(LAYOUT, 4, 10, seed=0)
+    g = shared_graph(LAYOUT)
+    sol = solve_exact(inst, g)
+    assert len(sol.walks) == 2
+    path = tmp_path / "sol.json"
+    save_solution(sol, g, path)
+    doc = json.loads(path.read_text())
+    doc["batches"].reverse()
+    path.write_text(json.dumps(doc))
+    assert load_solution(path, g) == sol
+
+
 @pytest.mark.parametrize("text,match", [
     ("{oops", "invalid JSON"),
     ("[1]", "not a JSON object"),
@@ -287,6 +301,26 @@ def test_solution_round_trip(tmp_path):
      ' "walk": [{"u": -1, "v": 6, "count": 2}]}], "total": 2}', "no edge between -1 and 6"),
     ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
      ' "walk": [{"u": 8, "v": 6, "count": 2}]}], "total": 2}', "no edge between 8 and 6"),
+    # a walk uses an edge once or twice, each edge in one entry
+    *[('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
+       ' "walk": [{"u": 0, "v": 4, "count": %d}]}], "total": 2}' % count,
+       r"batches\[0\]\.walk\[0\]\.count: %d is not 1 or 2" % count) for count in (-2, 0, 7)],
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0], "walk":'
+     ' [{"u": 0, "v": 4, "count": 1}, {"u": 4, "v": 0, "count": 1}]}], "total": 2}',
+     r"batches\[0\]\.walk\[1\]: edge \(4, 0\) is already in the walk"),
+    # one batch per picker, the pickers numbered from 0
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0], "walk": []},'
+     ' {"picker": 0, "orders": [1], "walk": []}], "total": 0}',
+     r"batches\[1\]\.picker: picker 0 already has solution\.batches\[0\]"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0], "walk": []},'
+     ' {"picker": 2, "orders": [1], "walk": []}], "total": 0}',
+     r"batches\[1\]\.picker: 2 is not one of the pickers 0\.\.1 of 2 batches"),
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": -1, "orders": [0],'
+     ' "walk": []}], "total": 0}', r"batches\[0\]\.picker: -1 is not one of the pickers 0\.\.0"),
+    # the total is the walks' length sum
+    ('{"format": "pickopt-solution-v1", "batches": [{"picker": 0, "orders": [0],'
+     ' "walk": [{"u": 0, "v": 4, "count": 2}]}], "total": -999}',
+     "solution.total: -999 is not the walks' length sum 2"),
 ])
 def test_load_solution_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "sol.json"

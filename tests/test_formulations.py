@@ -1,13 +1,18 @@
+import gc
+import weakref
 from dataclasses import fields
 from itertools import product
 
 import pytest
 
 from conftest import shared_graph
-from pickopt import (ALL_KINDS, Instance, ModelOptions, Order, Pick, PickoptError,
+from pickopt import (ALL_KINDS, CutRequest, Instance, ModelOptions, Order, Pick, PickoptError,
                      UnsupportedFamilyError, ValidationError, VariantMismatchError,
-                     WarehouseLayout, build_model, check_feasible,
-                     generate_instance, validate_options, VariableAssignment)
+                     WarehouseLayout, build_graph, build_model, check_feasible, cut_to_row,
+                     generate_instance, validate_options, VariableAssignment, write_lp,
+                     write_model_json, write_mps)
+from pickopt.formulations import _Rows, _improved_core
+from pickopt.separation import FAMILIES, FAMILY_OF_KIND
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 
@@ -346,3 +351,71 @@ def test_build_model_dispatch_and_determinism():
     groups = m.group_counts()
     for g_name in ("aisle_cut", "sitr", "avr", "col_fix"):
         assert g_name in groups
+
+
+def _exports(model):
+    return write_lp(model), write_mps(model), write_model_json(model)
+
+
+def _cut(model, pickers, graph) -> CutRequest:
+    """A cut request of the model's lazy family for its last picker, around
+    its last anchor vertex."""
+    family = FAMILY_OF_KIND[model.kind]
+    anchor = max(FAMILIES[family].anchors(graph))
+    return CutRequest(picker=pickers - 1, vertex_set=frozenset({anchor}), family=family,
+                      anchor_vertex=anchor)
+
+
+def test_builds_on_a_shared_graph_match_builds_on_fresh_graphs():
+    # every accepted (kind, option set) on one graph per layout, picker and
+    # order counts interleaved, with cut rows added to earlier models between
+    # builds: the blocks the graph keeps must not depend on the build that
+    # compiled them
+    n = len(fields(ModelOptions))
+    built = 0
+    for shape in ((2, 1, 1, 1, 2), (2, 2, 1, 1, 2)):
+        layout = WarehouseLayout(*shape)
+        shared = build_graph(layout)
+        orders = [generate_instance(layout, k, 10, seed=k).orders for k in range(1, 9)]
+        earlier = []
+        for kind, mask in product(ALL_KINDS, range(1 << n)):
+            options = ModelOptions(*(bool(mask >> i & 1) for i in range(n)))
+            try:
+                validate_options(kind, options, one_order_instance(layout))
+            except PickoptError:
+                continue
+            instance = Instance(layout, orders[built % 8], 8, 1 + built % 3)
+            model = build_model(instance, shared, kind, options)
+            assert _exports(model) == _exports(
+                build_model(instance, build_graph(layout), kind, options)), (kind, options)
+            if earlier:
+                cut_to_row(_cut(*earlier[-1], shared), earlier[-1][0], shared)
+            if kind in FAMILY_OF_KIND:
+                earlier.append((model, instance.pickers))
+            built += 1
+    assert built == 614
+
+
+def test_dropping_a_graph_frees_its_compiled_blocks():
+    # with the cycle collector off, a reference cycle would keep them too
+    gc.disable()
+    try:
+        graph = build_graph(WarehouseLayout(2, 2, 1, 1, 2))
+        instance = one_order_instance(graph.layout)
+        for kind in ("P_basic", "P_A", "P_G", "P_F", "P_U"):
+            build_model(instance, graph, kind,
+                        ModelOptions(aisle_cuts=True, artificial_vertex_reversal=True))
+        build_model(instance, graph, "P_U2", ModelOptions(cross_aisle_bound=True))
+        core = graph.derived(_improved_core)
+        build_model(instance, graph, "P_G")
+        assert graph.derived(_improved_core) is core  # compiled once per graph
+        compiled = [block for value in graph._derived.values()
+                    for block in (value if isinstance(value, tuple) else (value,))
+                    if isinstance(block, _Rows)]
+        assert len(compiled) == 14
+        refs = [weakref.ref(graph), weakref.ref(graph.auxiliary())]
+        refs += map(weakref.ref, compiled)
+        del graph, core, compiled
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

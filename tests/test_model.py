@@ -196,6 +196,17 @@ def test_objective_value():
     assert val == 5
 
 
+def test_objective_coefficients_add_up():
+    m = LinearModel("sum")
+    m.add_variables(BINARY, [("x", k) for k in range(4)])
+    m.set_objective_coeffs([2, 0], [1, 0])  # a zero adds no term
+    assert m.objective == {2: 1}
+    m.set_objective_coeffs([1, 2, 1], [2, 3, 0.5])  # repeats within and across calls
+    assert m.objective == {2: 4, 1: 2.5}
+    m.set_objective_coeffs([3, 0], [-1, 7])
+    assert list(m.objective.items()) == [(2, 4), (1, 2.5), (3, -1), (0, 7)]
+
+
 def _random_assignment(rng, model, mode):
     """Values for about a third of the declared variables, plus one name the
     model does not declare."""
