@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: generate | build | solve | separate | report.  Exit codes
-are stable: 0 success, 2 validation problem (bad input, or a file that
-cannot be read or written), 3 desk-scale resource bound.
+Subcommands: generate | build | solve | separate | report.  ``main(argv)``
+returns the exit code, never raises ``SystemExit``: 0 success (and
+``--help``), 2 usage error or validation problem (bad input, or a file that
+cannot be read or written), 3 desk-scale resource bound.  Repeated calls in
+one process share one parser, built on the first call.
 Exact solves run serially in one thread.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 from dataclasses import fields
@@ -191,6 +194,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pickopt",
@@ -242,8 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error or --help; argparse has printed
+        return exc.code
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:

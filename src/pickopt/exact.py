@@ -238,7 +238,7 @@ class WalkSpace:
         if m > MAX_ORACLE_EDGES:
             raise OracleSizeError(
                 f"|E| = {m} exceeds the desk-scale oracle bound "
-                f"{MAX_ORACLE_EDGES} (3^|E| enumeration)")
+                f"|E| <= {MAX_ORACLE_EDGES}")
         # the graph itself is not kept: the walk-space cache holds spaces
         # weakly keyed by their graph, and a strong reference would pin it
         self.n_vertices = graph.n_vertices

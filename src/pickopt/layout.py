@@ -49,6 +49,10 @@ class WarehouseLayout:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails every comparison
                 raise ValidationError(f"layout.{name} must be a finite number > 0, got {value!r}")
+            if isinstance(value, float) and value.is_integer():
+                # 2.0 and 2 are one layout: store the int, so that files and
+                # reports print the same bytes for both spellings
+                object.__setattr__(self, name, int(value))
 
     @property
     def subaisle_length(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pickopt
-from pickopt.cli import main
+from pickopt.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -236,15 +237,19 @@ def test_report_merges_rows(tmp_path, instance_file, capsys):
     assert merged.exists()
 
 
+def _fresh_process(*args):
+    """Runs ``python *args`` in a new interpreter that imports the package
+    this process imported, installed or not."""
+    path = [str(Path(pickopt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+
+
 def test_console_module_entrypoint(tmp_path):
     out = tmp_path / "inst.json"
-    # the child imports the package this process imported, installed or not
-    path = [str(Path(pickopt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "pickopt.cli", "generate", "--aisles", "1",
-         "--blocks", "1", "--orders", "1", "-o", str(out)],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    proc = _fresh_process("-m", "pickopt.cli", "generate", "--aisles", "1",
+                          "--blocks", "1", "--orders", "1", "-o", str(out))
     assert proc.returncode == 0
     assert out.exists()
 
@@ -259,3 +264,128 @@ def test_formulation_name_aliases(tmp_path, instance_file):
                        "-o", str(tmp_path / f"{alias}.lp")) == 0
     assert run_cli("build", "-i", str(instance_file), "-f", "PX",
                    "-o", str(tmp_path / "px.lp")) == 2
+
+
+def _generate_args(out, *extra):
+    return ("generate", "--aisles", "2", "--blocks", "1", "--locs", "2",
+            "--orders", "3", "--seed", "4", *extra, "-o", str(out))
+
+
+def test_explicit_integral_spacings_write_the_same_bytes(tmp_path, capsys):
+    plain, spelled, decimal = (tmp_path / f"{name}.json"
+                               for name in ("plain", "spelled", "decimal"))
+    assert run_cli(*_generate_args(plain)) == 0
+    assert run_cli(*_generate_args(spelled, "--aisle-spacing", "2", "--loc-spacing", "1")) == 0
+    assert run_cli(*_generate_args(decimal, "--aisle-spacing", "2.0",
+                                   "--loc-spacing", "1.0")) == 0
+    assert spelled.read_bytes() == plain.read_bytes() == decimal.read_bytes()
+    assert json.loads(plain.read_text())["layout"]["aisle_spacing"] == 2
+    ubs = []
+    for inst in (plain, spelled):
+        out = tmp_path / f"{inst.stem}_sol.json"
+        capsys.readouterr()
+        assert run_cli("solve", "-i", str(inst), "--mode", "exact", "-o", str(out)) == 0
+        ubs.extend(w for w in capsys.readouterr().out.split() if w.startswith("ub="))
+    assert len(ubs) == 2 and ubs[0] == ubs[1] and "." not in ubs[0]
+    assert (tmp_path / "plain_sol.json").read_bytes() == (tmp_path / "spelled_sol.json").read_bytes()
+    # a fractional spacing is kept as given
+    assert run_cli(*_generate_args(decimal, "--aisle-spacing", "2.5")) == 0
+    assert json.loads(decimal.read_text())["layout"]["aisle_spacing"] == 2.5
+
+
+def test_usage_errors_return_2(capsys):
+    # help returns 0: test_help_matches_a_fresh_parser
+    assert run_cli("build") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pickopt build") and "required" in err
+    assert run_cli("solve", "-i", "x.json", "--mode", "bogus", "-o", "s.json") == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert run_cli() == 2
+    assert run_cli("frobnicate") == 2
+    captured = capsys.readouterr()
+    assert "invalid choice" in captured.err and captured.out == ""
+
+
+def test_repeated_calls_build_one_parser(tmp_path, instance_file, monkeypatch, capsys):
+    build_parser.cache_clear()
+    inits = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: inits.append(a) or init(self, *a, **k))
+    model_path = tmp_path / "pg.json"
+    assignment = tmp_path / "none.json"
+    assignment.write_text(json.dumps({"values": {}}))
+    calls = [
+        _generate_args(tmp_path / "g.json"),
+        ("build", "-i", str(instance_file), "-f", "PG", "--format", "json",
+         "-o", str(model_path)),
+        ("solve", "-i", str(instance_file), "--mode", "seed", "-o", str(tmp_path / "s.json"),
+         "--report", str(tmp_path / "r.csv")),
+        ("separate", "--model", str(model_path), "--assignment", str(assignment)),
+        ("report", str(tmp_path / "r.csv")),
+    ]
+    assert run_cli(*calls[0]) == 0
+    built = len(inits)  # the parser and one per subcommand
+    assert built == 1 + len(calls)
+    for argv in calls + calls:
+        assert run_cli(*argv) == 0, argv
+    assert len(inits) == built
+    assert build_parser.cache_info().misses == 1
+
+
+def test_no_state_carries_between_calls(tmp_path, instance_file, capsys):
+    with_cuts, without = tmp_path / "cuts.lp", tmp_path / "plain.lp"
+    assert run_cli("build", "-i", str(instance_file), "-f", "PG", "--basic-cuts",
+                   "-o", str(with_cuts)) == 0
+    assert run_cli("build", "-i", str(instance_file), "-f", "PG", "-o", str(without)) == 0
+    fresh = tmp_path / "fresh.lp"
+    proc = _fresh_process("-m", "pickopt.cli", "build", "-i", str(instance_file),
+                          "-f", "PG", "-o", str(fresh))
+    assert proc.returncode == 0, proc.stderr
+    assert without.read_bytes() == fresh.read_bytes() != with_cuts.read_bytes()
+
+    def pipeline(tag):
+        inst, sol = tmp_path / f"{tag}.json", tmp_path / f"{tag}_sol.json"
+        assert run_cli(*_generate_args(inst, "--aisle-spacing", "3")) == 0
+        assert run_cli("solve", "-i", str(inst), "-o", str(sol)) == 0
+        return inst.read_bytes(), sol.read_bytes()
+
+    before = pipeline("before")
+    assert run_cli("solve", "-i", str(instance_file), "--mode", "bogus", "-o", "x") == 2
+    assert run_cli("--help") == 0
+    assert run_cli("generate", "--help") == 0
+    # defaults come back: no --aisle-spacing 3 and no --mode carried over
+    assert run_cli(*_generate_args(tmp_path / "default.json")) == 0
+    assert json.loads((tmp_path / "default.json").read_text())["layout"]["aisle_spacing"] == 2
+    assert pipeline("after") == before
+
+
+HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in
+                             ("generate", "build", "solve", "separate", "report")]
+
+
+def test_help_matches_a_fresh_parser(instance_file, capsys):
+    # the shared parser has served other calls (the fixture) before this
+    for argv in HELP_ARGVS:
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        shared = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser.__wrapped__().parse_args(argv)
+        assert exit_info.value.code == 0
+        fresh = capsys.readouterr()
+        assert shared.out == fresh.out and shared.out.startswith("usage: pickopt")
+        assert shared.err == fresh.err == ""
+
+
+def test_import_builds_no_parser():
+    code = ("import argparse\n"
+            "inits = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: inits.append(a) or init(self, *a, **k)\n"
+            "import pickopt.cli\n"
+            "print(len(inits), pickopt.cli.build_parser.cache_info().misses)\n")
+    proc = _fresh_process("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

@@ -109,6 +109,23 @@ def test_non_finite_spacing_in_a_file_is_rejected(tmp_path):
         load_instance(path)
 
 
+def test_integral_spacing_is_stored_as_int(tmp_path):
+    layout = WarehouseLayout(2, 1, 2, 1.0, 2.0)
+    assert layout == LAYOUT
+    assert type(layout.loc_spacing) is int and type(layout.aisle_spacing) is int
+    half = WarehouseLayout(2, 1, 2, 0.5, 2.5)
+    assert (half.loc_spacing, half.aisle_spacing) == (0.5, 2.5)
+    # a file holding 2.0 re-saves as 2, the bytes of the int spelling
+    for name, text in (("int", json.dumps(_doc())),
+                       ("float", json.dumps(_doc()).replace('"aisle_spacing": 2',
+                                                            '"aisle_spacing": 2.0'))):
+        (tmp_path / f"{name}.json").write_text(text)
+        save_instance(load_instance(tmp_path / f"{name}.json"), tmp_path / f"{name}_again.json")
+    assert b'2.0' in (tmp_path / "float.json").read_bytes()
+    assert (tmp_path / "float_again.json").read_bytes() == (tmp_path / "int_again.json").read_bytes()
+    assert b'"aisle_spacing": 2,' in (tmp_path / "float_again.json").read_bytes()
+
+
 def test_malformed_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
