@@ -16,7 +16,6 @@ vector so results are reproducible byte for byte.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -27,11 +26,17 @@ import numpy as np
 
 from .errors import OracleSizeError, ValidationError
 from .instance import Instance, _expect, canonical_json_bytes, read_json
-from .layout import PickingGraph, build_graph, connected_components
+from .layout import PickingGraph, WarehouseLayout, build_graph, connected_components
 
 MAX_ORACLE_EDGES = 14
 
 FORMAT_SOLUTION = "pickopt-solution-v1"
+
+
+def _price(layout: WarehouseLayout, vertical, horizontal):
+    """Length of a walk with ``vertical`` chain-edge and ``horizontal``
+    cross-aisle traversals, on ints and numpy arrays alike."""
+    return layout.loc_spacing * vertical + layout.aisle_spacing * horizontal
 
 
 @dataclass(frozen=True)
@@ -42,9 +47,8 @@ class Walk:
     edge_mult: tuple[tuple[int, int], ...]
 
     def length(self, graph: PickingGraph):
-        """``loc_spacing`` times the multiplicity on chain edges plus
-        ``aisle_spacing`` times the rest: the rule :class:`WalkSpace` prices
-        walks by, so both agree to the last bit."""
+        """Priced as :class:`WalkSpace` prices its rows, so both agree to
+        the last bit."""
         n_chain = graph.n_chain_edges
         vertical = horizontal = 0
         for e, m in self.edge_mult:
@@ -52,7 +56,7 @@ class Walk:
                 vertical += m
             else:
                 horizontal += m
-        return graph.layout.loc_spacing * vertical + graph.layout.aisle_spacing * horizontal
+        return _price(graph.layout, vertical, horizontal)
 
     def visited(self, graph: PickingGraph) -> frozenset[int]:
         out = set()
@@ -104,21 +108,25 @@ def validate_solution(instance: Instance, graph: PickingGraph, solution: Solutio
     if len(solution.walks) < instance.pickers:
         raise ValidationError(f"solution has {len(solution.walks)} walks for "
                               f"{instance.pickers} pickers, each of whom departs")
+    sizes = {o.id: o.size for o in instance.orders}
+    picks = instance.all_pick_vertices(graph)
     seen: set[int] = set()
     for t, orders in enumerate(solution.batching):
         load = 0
         required = set()
         for oid in orders:
-            order = instance.order_by_id(oid)
+            # a bool or a float would pass the lookup as its equal int
+            if not isinstance(oid, int) or isinstance(oid, bool) or oid not in sizes:
+                raise ValidationError(f"unknown order id {oid!r}")
             if oid in seen:
                 raise ValidationError(f"order {oid} assigned twice")
             seen.add(oid)
-            load += order.size
-            required |= instance.pick_vertices(graph, order)
+            load += sizes[oid]
+            required |= picks[oid]
         if load > instance.capacity:
             raise ValidationError(f"picker {t} exceeds capacity")
         solution.walks[t].validate(graph, frozenset(required))
-    if seen != set(instance.order_ids):
+    if len(seen) != len(sizes):
         raise ValidationError("solution does not batch every order")
     total = sum(w.length(graph) for w in solution.walks)
     if total != solution.total:
@@ -167,6 +175,9 @@ def load_solution(path, graph: PickingGraph) -> Solution:
             raise ValidationError(f"{where}: not a JSON object")
         picker = _expect(bdoc, "picker", int, where)
         orders = _expect(bdoc, "orders", list, where)
+        for j, oid in enumerate(orders):
+            if not isinstance(oid, int) or isinstance(oid, bool):
+                raise ValidationError(f"{where}.orders[{j}]: wrong type {type(oid).__name__}")
         mult: dict[int, int] = {}
         for j, entry in enumerate(_expect(bdoc, "walk", list, where)):
             at = f"{where}.walk[{j}]"
@@ -239,8 +250,8 @@ class WalkSpace:
             raise OracleSizeError(
                 f"|E| = {m} exceeds the desk-scale oracle bound "
                 f"|E| <= {MAX_ORACLE_EDGES}")
-        # the graph itself is not kept: the walk-space cache holds spaces
-        # weakly keyed by their graph, and a strong reference would pin it
+        # the graph itself is not kept: the graph keeps its space, and a
+        # value it derives holds no reference back
         self.n_vertices = graph.n_vertices
         self.subaisles = graph.subaisles
         self.n_edges = m
@@ -263,9 +274,7 @@ class WalkSpace:
         n_chain = graph.n_chain_edges
         vertical = self.mult[:, :n_chain].sum(axis=1, dtype=np.int64)
         horizontal = self.mult[:, n_chain:].sum(axis=1, dtype=np.int64)
-        # Walk.length's rule, an int array at int spacings
-        self.lengths = (graph.layout.loc_spacing * vertical
-                        + graph.layout.aisle_spacing * horizontal)
+        self.lengths = _price(graph.layout, vertical, horizontal)  # ints at int spacings
 
         # support flags by bitmask closure from the origin: ``reach`` grows
         # by the ends of every used edge that touches it until it is stable
@@ -320,15 +329,15 @@ class WalkSpace:
         return ok
 
 
-_space_cache: "weakref.WeakKeyDictionary[PickingGraph, WalkSpace]" = weakref.WeakKeyDictionary()
+def _build_walk_space(graph: PickingGraph) -> WalkSpace:
+    # the derived-value key: ``WalkSpace`` is looked up per call, so a
+    # subclass installed in its place builds the spaces the graph keeps
+    return WalkSpace(graph)
 
 
 def walk_space(graph: PickingGraph) -> WalkSpace:
-    space = _space_cache.get(graph)
-    if space is None:
-        space = WalkSpace(graph)
-        _space_cache[graph] = space
-    return space
+    """The graph's walk space, built on first use and kept with the graph."""
+    return graph.derived(_build_walk_space)
 
 
 # -- batching enumeration ----------------------------------------------------

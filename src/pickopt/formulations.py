@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, repeat
 from operator import add, mod
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
@@ -118,7 +118,7 @@ def validate_options(kind: str, options: ModelOptions, instance: Instance) -> No
                 "single_traversing needs the alpha/beta variables of the subaisle cuts")
 
 
-def _orders_by_subaisle(graph: PickingGraph, picks: dict) -> list[list[int]]:
+def _orders_by_subaisle(graph: PickingGraph, picks: Mapping) -> list[list[int]]:
     """Sorted ids of the orders with a pick in each subaisle, by subaisle index."""
     by_sub: list[set[int]] = [set() for _ in graph.subaisles]
     for order_id, vertices in picks.items():
@@ -428,7 +428,7 @@ def _cut_rows(group: str, cuts: list, pickers: int, n_arcs: int) -> _Rows:
                  families, offsets, coefs)
 
 
-def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: dict,
+def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mapping,
                options: ModelOptions) -> tuple[LinearModel, list[int], tuple, list]:
     """An arc-space kind with its arc-space options: the model with its
     variables declared, each family's base and stride, and the row blocks
@@ -575,7 +575,7 @@ def _cross_aisle_bound(graph: PickingGraph) -> _Rows:
                       [(X, e.id, 1) for e in aux.delta(aux.south_set)], LE, 2)])
 
 
-def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: dict,
+def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mapping,
                 cross_aisle_bound: bool) -> tuple[LinearModel, list[int], tuple, list]:
     """Undirected TSP model on the graph's auxiliary graph: P_U1 on the
     single-block graph, P_U2 on the two-block one.

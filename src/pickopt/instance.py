@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,44 +62,57 @@ class Order:
 
 @dataclass(frozen=True)
 class Instance:
+    """Orders on a layout.  Making one checks every pick coordinate and
+    resolves each order's picks to their vertices, once."""
+
     layout: WarehouseLayout
     orders: tuple[Order, ...]
     capacity: int
     pickers: int
+    _picks: dict[int, frozenset[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValidationError("capacity must be >= 1")
         if self.pickers < 1:
             raise ValidationError("pickers must be >= 1")
-        seen = set()
-        for o in self.orders:
-            if o.id in seen:
+        lay = self.layout
+        bounds = (("aisle", lay.n_aisles), ("block", lay.n_blocks),
+                  ("slot", lay.locs_per_subaisle), ("side", 2))
+        picks: dict[int, frozenset[int]] = {}
+        for k, o in enumerate(self.orders):
+            if o.id in picks:
                 raise ValidationError(f"duplicate order id {o.id}")
-            seen.add(o.id)
             if o.size < 1:
                 raise ValidationError(f"orders[{o.id}]: size must be >= 1")
             if o.size > self.capacity:
                 raise ValidationError(f"orders[{o.id}]: order exceeds capacity")
             if not o.picks:
                 raise ValidationError(f"orders[{o.id}]: order has no picks")
+            for j, p in enumerate(o.picks):
+                for name, bound in bounds:
+                    value = getattr(p, name)
+                    if not isinstance(value, int) or isinstance(value, bool):
+                        raise ValidationError(
+                            f"orders[{k}].picks[{j}].{name}: wrong type {type(value).__name__}")
+                    if not 0 <= value < bound:
+                        raise ValidationError(
+                            f"orders[{k}].picks[{j}].{name}: coordinate out of range")
+            # both sides of an aisle share one chain vertex
+            picks[o.id] = frozenset(lay.location(p.aisle, p.block, p.slot) for p in o.picks)
+        object.__setattr__(self, "_picks", picks)
 
     @property
     def order_ids(self) -> tuple[int, ...]:
         return tuple(o.id for o in self.orders)
 
-    def order_by_id(self, oid: int) -> Order:
-        for o in self.orders:
-            if o.id == oid:
-                return o
-        raise ValidationError(f"unknown order id {oid}")
-
-    def pick_vertices(self, graph: PickingGraph, order: Order) -> frozenset[int]:
-        return frozenset(
-            graph.slot_vertex(p.aisle, p.block, p.slot, p.side) for p in order.picks)
-
-    def all_pick_vertices(self, graph: PickingGraph) -> dict[int, frozenset[int]]:
-        return {o.id: self.pick_vertices(graph, o) for o in self.orders}
+    def all_pick_vertices(self, graph: PickingGraph) -> Mapping[int, frozenset[int]]:
+        """Order id -> the vertices of its picks on ``graph``, a read-only
+        view; the graph must be one of the instance's layout."""
+        if graph.layout != self.layout:
+            raise ValidationError(
+                f"graph of layout {graph.layout} is not the instance's {self.layout}")
+        return MappingProxyType(self._picks)
 
 
 def generate_instance(layout: WarehouseLayout, n_orders: int, delta: int, seed: int,
@@ -108,6 +122,10 @@ def generate_instance(layout: WarehouseLayout, n_orders: int, delta: int, seed: 
         raise ValidationError("n_orders must be >= 1")
     if delta < 1:
         raise ValidationError("delta must be >= 1")
+    if capacity < 1:
+        raise ValidationError("capacity must be >= 1")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     n, q, m = layout.n_aisles, layout.n_blocks, layout.locs_per_subaisle
@@ -287,28 +305,17 @@ def instance_from_dict(doc: dict) -> Instance:
             pwhere = f"{where}.picks[{j}]"
             if not isinstance(pdoc, dict):
                 raise ValidationError(f"{pwhere}: not an object")
-            pick = Pick(
-                aisle=_expect(pdoc, "aisle", int, pwhere),
-                block=_expect(pdoc, "block", int, pwhere),
-                slot=_expect(pdoc, "slot", int, pwhere),
-                side=_expect(pdoc, "side", int, pwhere),
-            )
-            if not (0 <= pick.aisle < layout.n_aisles):
-                raise ValidationError(f"{pwhere}.aisle: coordinate out of range")
-            if not (0 <= pick.block < layout.n_blocks):
-                raise ValidationError(f"{pwhere}.block: coordinate out of range")
-            if not (0 <= pick.slot < layout.locs_per_subaisle):
-                raise ValidationError(f"{pwhere}.slot: coordinate out of range")
-            if pick.side not in (0, 1):
-                raise ValidationError(f"{pwhere}.side: coordinate out of range")
-            picks.append(pick)
+            picks.append(Pick(*(_expect(pdoc, key, int, pwhere)
+                                for key in ("aisle", "block", "slot", "side"))))
         orders.append(Order(oid, size, tuple(picks)))
 
     if "pickers" in doc:
         pickers = _expect(doc, "pickers", int, "instance")
-    else:
-        pickers = bin_pack_exact([o.size for o in orders], capacity)
-    return Instance(layout=layout, orders=tuple(orders), capacity=capacity, pickers=pickers)
+        return Instance(layout=layout, orders=tuple(orders), capacity=capacity, pickers=pickers)
+    # the instance checks its picks before bin packing, whose size bound
+    # (exit 3) must not mask a bad coordinate (exit 2)
+    instance = Instance(layout=layout, orders=tuple(orders), capacity=capacity, pickers=1)
+    return replace(instance, pickers=bin_pack_exact([o.size for o in orders], capacity))
 
 
 def read_json(path):

@@ -10,7 +10,8 @@ Conventions used throughout the package:
 * Artificial locations (subaisle endpoints) come first in the vertex
   numbering: vertex ``cross * n_aisles + aisle``.  The origin is vertex 0,
   the top left artificial location.  Picking locations follow, chain by
-  chain from north to south.
+  chain from north to south: :meth:`WarehouseLayout.location` numbers
+  them, ``n_aisles * (n_blocks + 1) + subaisle * locs_per_subaisle + slot``.
 * Every subaisle is modelled as a single chain of picking locations; picks
   on either side of the aisle map to the same chain vertex.
 * Distances: vertically adjacent locations (including the artificial
@@ -58,6 +59,12 @@ class WarehouseLayout:
     def subaisle_length(self):
         return (self.locs_per_subaisle + 1) * self.loc_spacing
 
+    def location(self, aisle: int, block: int, slot: int) -> int:
+        """Vertex of picking location ``slot`` of the subaisle at ``aisle``
+        in ``block``; the caller checks the coordinates."""
+        n = self.n_aisles
+        return n * (self.n_blocks + 1) + (block * n + aisle) * self.locs_per_subaisle + slot
+
 
 @dataclass(frozen=True)
 class Subaisle:
@@ -75,9 +82,8 @@ class Subaisle:
 class PickingGraph:
     """Sparse graph of a rectangular warehouse.
 
-    Immutable after construction; shortest-path results and values derived
-    from the graph alone (:meth:`derived`) are cached internally but the
-    caches are invisible to callers.
+    Immutable after construction; values derived from the graph alone
+    (:meth:`derived`) are cached internally, invisible to callers.
     """
 
     def __init__(self, layout: WarehouseLayout):
@@ -96,13 +102,12 @@ class PickingGraph:
         south: dict[int, int] = {}
         vertex_subaisle: dict[int, int] = {}
 
-        pick_base = self.n_artificial
         for b in range(q):
             for a in range(n):
                 i = b * n + a
                 head = b * n + a
                 tail = (b + 1) * n + a
-                locs = tuple(pick_base + i * m + k for k in range(m))
+                locs = tuple(layout.location(a, b, k) for k in range(m))
                 for v in locs:
                     vertex_subaisle[v] = i
                 chain = (head,) + locs + (tail,)
@@ -146,7 +151,6 @@ class PickingGraph:
         self._arcs = tuple(arc for u, v in self.edges for arc in ((u, v), (v, u)))
         self._reduced_arcs = tuple(arc for u, v, _, _ in reduced for arc in ((u, v), (v, u)))
 
-        self._sp_cache: dict[int, tuple] = {}
         self._derived: dict = {}
 
     # -- vertex helpers -------------------------------------------------
@@ -185,24 +189,6 @@ class PickingGraph:
     def q_east(self, v: int) -> Optional[int]:
         c, a = divmod(v, self.layout.n_aisles)
         return self.artificial_vertex(c, a + 1) if a < self.layout.n_aisles - 1 else None
-
-    def slot_vertex(self, aisle: int, block: int, slot: int, side: int) -> int:
-        """Map a pick coordinate to its chain vertex.
-
-        Both sides of an aisle share one chain, so ``side`` only gets
-        validated.
-        """
-        lay = self.layout
-        if not (0 <= aisle < lay.n_aisles):
-            raise ValidationError(f"coordinate out of range: aisle {aisle}")
-        if not (0 <= block < lay.n_blocks):
-            raise ValidationError(f"coordinate out of range: block {block}")
-        if not (0 <= slot < lay.locs_per_subaisle):
-            raise ValidationError(f"coordinate out of range: slot {slot}")
-        if side not in (0, 1):
-            raise ValidationError(f"coordinate out of range: side {side}")
-        sub = self.subaisles[block * lay.n_aisles + aisle]
-        return sub.locs[slot]
 
     # -- arc views -------------------------------------------------------
 
@@ -243,10 +229,7 @@ class PickingGraph:
 
     # -- metrics ---------------------------------------------------------
 
-    def shortest_distances_from(self, source: int):
-        cached = self._sp_cache.get(source)
-        if cached is not None:
-            return cached
+    def shortest_distances_from(self, source: int) -> tuple:
         dist = [None] * self.n_vertices
         dist[source] = 0
         heap = [(0, source)]
@@ -259,16 +242,15 @@ class PickingGraph:
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        result = tuple(dist)
-        self._sp_cache[source] = result
-        return result
+        return tuple(dist)
 
     def derived(self, build: Callable[[PickingGraph], _T]) -> _T:
         """``build(self)``, made on the first call with ``build`` and kept
-        with the graph, which is immutable: the auxiliary graph, and the
-        row blocks :mod:`pickopt.formulations` compiles from the graph
-        alone.  A derived value must hold no reference to the graph, so
-        that dropping the graph frees it without the cycle collector."""
+        with the graph, which is immutable: the auxiliary graph, the walk
+        space of :mod:`pickopt.exact`, and the row blocks
+        :mod:`pickopt.formulations` compiles from the graph alone.  A
+        derived value must hold no reference to the graph, so that dropping
+        the graph frees it without the cycle collector."""
         value = self._derived.get(build)
         if value is None:
             value = self._derived[build] = build(self)

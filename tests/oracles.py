@@ -4,13 +4,15 @@ These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
 packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
 distances, a small parser for our LP output, and a row-by-row evaluator of
-model rows in ``Fraction`` arithmetic.  The route oracle and the two
-restriction masks below read the package's walk space, which the full
-scan checks row for row.
+model rows in ``Fraction`` arithmetic.  The route oracle and the batching
+enumerator price walks through the full scan.  A restriction mask may be
+built on the package's walk space or on the scan: the scan checks that
+both hold the same rows in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -19,11 +21,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pickopt import ValidationError, walk_space
+from pickopt import ValidationError, Walk, WarehouseLayout, build_graph
+
+
+def _covering(space, required, mask=None):
+    """Flags of the scanned walks that cover ``required`` from the origin."""
+    req = sum(1 << v for v in required)
+    feasible = space.ok & ((space.visited & req) == req)
+    if mask is not None:
+        feasible &= mask
+    if not feasible.any():
+        raise ValidationError("no feasible walk covers the required locations")
+    return feasible
 
 
 def route_oracle(graph, required, mask=None, picker=0):
-    """Minimum-length closed walk from the origin covering ``required``.
+    """Minimum-length closed walk from the origin covering ``required``,
+    the lexicographically smallest among equals.
 
     ``required`` may be empty; the result is then the minimal departure
     walk (cheapest out-and-back from the origin).
@@ -32,8 +46,11 @@ def route_oracle(graph, required, mask=None, picker=0):
     for v in required:
         if v >= graph.n_vertices or graph.is_artificial(v):
             raise ValidationError(f"required vertex {v} is not a picking location")
-    space = walk_space(graph)
-    return space.walk(space.query(required, mask), picker)
+    space = scanned_walk_space(graph)
+    feasible = _covering(space, required, mask)
+    shortest = feasible & (space.lengths == space.lengths[feasible].min())
+    row = space.mult[np.flatnonzero(shortest)[0]]  # scan order is lexicographic
+    return Walk(picker, tuple((e, int(m)) for e, m in enumerate(row) if m))
 
 
 def mask_single_traversal(space, graph, exempt=frozenset()):
@@ -67,7 +84,7 @@ def mask_no_artificial_uturn(space, graph):
 def blind_solve(instance, graph, mask=None):
     """Minimum total over ALL order-to-picker assignments, no symmetry
     canonicalization anywhere."""
-    space = walk_space(graph)
+    space = scanned_walk_space(graph)
     picks = instance.all_pick_vertices(graph)
     T = instance.pickers
     cache: dict[frozenset, float] = {}
@@ -75,8 +92,7 @@ def blind_solve(instance, graph, mask=None):
     def length(req: frozenset):
         val = cache.get(req)
         if val is None:
-            val = space.length(space.query(req, mask))
-            cache[req] = val
+            val = cache[req] = space.lengths[_covering(space, req, mask)].min().item()
         return val
 
     best = None
@@ -184,12 +200,27 @@ def scanned_walk_space(graph):
 
     Keeps the even-degree vectors in scan order, flags each support by a
     depth-first search from the origin and computes the three restriction
-    masks row by row from their definitions.  Takes seconds at |E| = 14.
+    masks row by row from their definitions.  Takes seconds at |E| = 14,
+    so one scan serves every graph of a shape; the lengths alone depend on
+    the spacings.
     """
-    m = len(graph.edges)
+    return _scanned_space(graph.layout)
+
+
+@functools.cache
+def _scanned_space(layout):
+    graph = build_graph(layout)
     lengths = np.array(graph.edge_length, dtype=np.float64)
     if all(float(x).is_integer() for x in graph.edge_length):
         lengths = lengths.astype(np.int64)
+    scan = _scan(layout.n_aisles, layout.n_blocks, layout.locs_per_subaisle)
+    return SimpleNamespace(**vars(scan), lengths=scan.mult.astype(lengths.dtype) @ lengths)
+
+
+@functools.cache
+def _scan(n_aisles, n_blocks, locs_per_subaisle):
+    graph = build_graph(WarehouseLayout(n_aisles, n_blocks, locs_per_subaisle))
+    m = len(graph.edges)
     inc = np.zeros((m, graph.n_vertices), dtype=np.int16)
     for eid, (u, v) in enumerate(graph.edges):
         inc[eid, u] = 1
@@ -254,7 +285,7 @@ def scanned_walk_space(graph):
         return np.array([rule(row) for row in mult], dtype=bool)
 
     return SimpleNamespace(
-        mult=mult, lengths=mult.astype(lengths.dtype) @ lengths, ok=ok, visited=visited,
+        mult=mult, ok=ok, visited=visited,
         no_reversal=mask(no_reversal), single_traversal=mask(single_traversal),
         no_artificial_uturn=mask(no_artificial_uturn))
 
@@ -382,10 +413,8 @@ def enumerate_PU1_minimum(instance, graph):
     tail1 = graph.subaisles[0].tail
     f2 = graph.q_east(s)
     edges = aux.edges
-    picked_subs = set()
-    for o in instance.orders:
-        for v in instance.pick_vertices(graph, o):
-            picked_subs.add(graph.subaisle_of(v))
+    picked_subs = {graph.subaisle_of(v)
+                   for vs in instance.all_pick_vertices(graph).values() for v in vs}
 
     best = None
     for bits in range(2 ** len(edges)):

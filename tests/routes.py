@@ -431,10 +431,8 @@ def encode_route_PU2(model: LinearModel, graph: PickingGraph, instance: Instance
                      order_ids: Iterable[int]) -> VariableAssignment:
     """Encode one picker's S-shape route into the two-block TSP model."""
     order_ids = sorted(order_ids)
-    picked_subs: set[int] = set()
-    for o in order_ids:
-        for v in instance.pick_vertices(graph, instance.order_by_id(o)):
-            picked_subs.add(graph.subaisle_of(v))
+    picks = instance.all_pick_vertices(graph)
+    picked_subs = {graph.subaisle_of(v) for o in order_ids for v in picks[o]}
     totals: dict[int, int] = {}
     for step in route.steps:
         if step[0] == "vert":
@@ -472,10 +470,8 @@ def encode_best_s_shape(model: LinearModel, graph: PickingGraph, instance: Insta
     limited to one route kind.  Returns ``(route, assignment)``.
     """
     order_ids = sorted(order_ids)
-    subs = set()
-    for o in order_ids:
-        for v in instance.pick_vertices(graph, instance.order_by_id(o)):
-            subs.add(graph.subaisle_of(v))
+    picks = instance.all_pick_vertices(graph)
+    subs = {graph.subaisle_of(v) for o in order_ids for v in picks[o]}
     n = graph.layout.n_aisles
     K1 = sorted(i for i in subs if i < n)
     K2 = sorted(i for i in subs if i >= n)

@@ -51,6 +51,47 @@ def test_generate_packs_many_large_orders(tmp_path, capsys):
     assert "pickers 15" in capsys.readouterr().out
 
 
+def test_generate_bad_seed_or_capacity_exit_2(tmp_path, capsys):
+    for flag, value, message in (("--seed", "-1", "seed must be an integer >= 0"),
+                                 ("--capacity", "0", "capacity must be >= 1")):
+        out = tmp_path / "x.json"
+        assert run_cli("generate", "--aisles", "2", "--blocks", "1", "--orders", "2",
+                       flag, value, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+# 21 orders whose sizes first-fit decreasing packs in 15 bins against the
+# L2 bound's 14: without a pickers field, loading them exceeds the exact
+# bin-packing bound
+FFD_ABOVE_L2 = [4, 3, 5, 3, 6, 6, 6, 6, 4, 3, 6, 3, 6, 6, 3, 6, 5, 4, 3, 5, 3]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("aisle", 2), ("block", -1), ("slot", 2), ("side", 2)])
+def test_bad_pick_coordinates_exit_2(tmp_path, capsys, name, value):
+    picks = [{"aisle": 1, "block": 0, "slot": 1, "side": 0}]
+    doc = {"format": "pickopt-instance-v1",
+           "layout": {"aisles": 2, "blocks": 1, "locs_per_subaisle": 2,
+                      "loc_spacing": 1, "aisle_spacing": 2},
+           "capacity": 8,
+           "orders": [{"id": k, "size": size, "picks": picks}
+                      for k, size in enumerate(FFD_ABOVE_L2)]}
+    path = tmp_path / "inst.json"
+    out = str(tmp_path / "out.json")
+    path.write_text(json.dumps(doc))
+    assert run_cli("build", "-i", str(path), "-f", "PG", "-o", out) == 3
+    doc["orders"][20]["picks"] = picks + [dict(picks[0], **{name: value})]
+    for pickers in ({}, {"pickers": 14}):
+        path.write_text(json.dumps(doc | pickers))
+        for argv in (("build", "-i", str(path), "-f", "PG", "-o", out),
+                     ("solve", "-i", str(path), "--mode", "seed", "-o", out)):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, (argv, pickers)
+            assert f"orders[20].picks[1].{name}: coordinate out of range" in (
+                capsys.readouterr().err)
+
+
 def test_build_all_formats(tmp_path, instance_file, capsys):
     for fmt in ("lp", "mps", "json"):
         out = tmp_path / f"m.{fmt}"

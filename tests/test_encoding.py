@@ -178,7 +178,7 @@ def test_best_s_shape_of_an_absent_kind_is_an_encoding_error():
     g = shared_graph(layout)
     inst = generate_instance(layout, 3, 10, seed=9)
     assert all(g.subaisle_of(v) >= layout.n_aisles
-               for v in inst.pick_vertices(g, inst.order_by_id(0)))
+               for v in inst.all_pick_vertices(g)[0])
     model = build_model(inst, g, "P_U2")
     with pytest.raises(EncodingError, match="r_S1"):
         encode_best_s_shape(model, g, inst, 0, [0], kind="r_S1")
@@ -190,13 +190,13 @@ def test_r_s1_routes_that_enter_a_middle_location_three_times_do_not_encode():
     layout = WarehouseLayout(3, 2, 1, 1, 2)
     g = shared_graph(layout)
     inst = generate_instance(layout, 3, 10, seed=5)
-    subs = sorted({g.subaisle_of(v) for v in inst.pick_vertices(g, inst.order_by_id(0))})
+    subs = sorted({g.subaisle_of(v) for v in inst.all_pick_vertices(g)[0]})
     assert subs == [0, 1, 2, 4]
     routes = s_shape_candidates(g, [0, 1, 2], [4])
     assert {(r.kind, r.total_length, arrivals(r, 3, MIDDLE_BAND, 1)) for r in routes} == {
         (R_S1, 20, 3), (R_S2, 20, 2)}
     assert sum(r.kind == R_S1 for r in routes) == 5
-    single = Instance(layout, (inst.order_by_id(0),), inst.capacity, 1)
+    single = Instance(layout, inst.orders[:1], inst.capacity, 1)
     model = build_model(single, g, "P_U2")
     with pytest.raises(EncodingError, match="no conflict-free lane assignment"):
         encode_best_s_shape(model, g, single, 0, [0], kind=R_S1)

@@ -9,12 +9,11 @@ import pytest
 from conftest import ORACLE_SHAPES, make_suite, shared_graph
 from oracles import (blind_solve, mask_no_artificial_uturn, mask_single_traversal,
                      route_oracle, scanned_walk_space)
-from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick,
+from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick, Solution,
                      ValidationError, WalkSpace, WarehouseLayout, batching_to_solution,
                      build_graph, build_model, capacity_feasible_partitions, check_feasible,
                      encode_walk_PG, generate_instance, load_solution, save_solution,
                      solve_exact, solve_no_reversal_exact, validate_solution, walk_space)
-from pickopt.exact import _space_cache
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 THREE_BLOCK_SHAPES = [(1, 3, 1), (1, 3, 2)]  # |E| = 6 and 9
@@ -61,17 +60,14 @@ def test_walk_space_matches_full_scan():
 
 
 def test_walk_space_cache_releases_graphs():
-    gc.collect()
-    before = len(_space_cache)
     graphs = [build_graph(WarehouseLayout(1 + k % 3, 1, 1, 1, 1 + k)) for k in range(20)]
     refs = [weakref.ref(g) for g in graphs]
     for g in graphs:
-        walk_space(g)
-    assert len(_space_cache) == before + 20
+        assert walk_space(g) is walk_space(g)
+    assert walk_space(build_graph(g.layout)) is not walk_space(g)
     del graphs, g
     gc.collect()
     assert all(r() is None for r in refs)
-    assert len(_space_cache) == before
 
 
 def test_oracle_bound_enforced():
@@ -268,6 +264,27 @@ def test_load_solution_takes_batches_in_any_order(tmp_path):
     doc["batches"].reverse()
     path.write_text(json.dumps(doc))
     assert load_solution(path, g) == sol
+
+
+def test_order_ids_must_be_ints(tmp_path):
+    base = generate_instance(LAYOUT, 2, 5, seed=3)
+    inst = Instance(LAYOUT, base.orders, base.capacity, 1)
+    g = shared_graph(LAYOUT)
+    sol = solve_exact(inst, g)
+    assert sol.batching == ((0, 1),)
+    path = tmp_path / "sol.json"
+    save_solution(sol, g, path)
+    doc = json.loads(path.read_text())
+    for orders, wrong in (([False, True], r"orders\[0\]: wrong type bool"),
+                          ([0.0, 1], r"orders\[0\]: wrong type float"),
+                          ([0, [1]], r"orders\[1\]: wrong type list")):
+        doc["batches"][0]["orders"] = orders
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"^solution\.batches\[0\]\." + wrong):
+            load_solution(path, g)
+        hand_made = Solution((tuple(orders),), sol.walks, sol.total)
+        with pytest.raises(ValidationError, match="unknown order id"):
+            validate_solution(inst, g, hand_made)
 
 
 @pytest.mark.parametrize("text,match", [

@@ -10,7 +10,7 @@ from pickopt import (ALL_KINDS, CutRequest, Instance, ModelOptions, Order, Pick,
                      UnsupportedFamilyError, ValidationError, VariantMismatchError,
                      WarehouseLayout, build_graph, build_model, check_feasible, cut_to_row,
                      generate_instance, validate_options, VariableAssignment, write_lp,
-                     write_model_json, write_mps)
+                     walk_space, write_model_json, write_mps)
 from pickopt.formulations import _Rows, _improved_core
 from pickopt.separation import FAMILIES, FAMILY_OF_KIND
 
@@ -397,7 +397,8 @@ def test_builds_on_a_shared_graph_match_builds_on_fresh_graphs():
 
 
 def test_dropping_a_graph_frees_its_compiled_blocks():
-    # with the cycle collector off, a reference cycle would keep them too
+    # with the cycle collector off, a reference cycle would keep them too;
+    # the graph's walk space goes with it
     gc.disable()
     try:
         graph = build_graph(WarehouseLayout(2, 2, 1, 1, 2))
@@ -413,7 +414,8 @@ def test_dropping_a_graph_frees_its_compiled_blocks():
                     for block in (value if isinstance(value, tuple) else (value,))
                     if isinstance(block, _Rows)]
         assert len(compiled) == 14
-        refs = [weakref.ref(graph), weakref.ref(graph.auxiliary())]
+        refs = [weakref.ref(graph), weakref.ref(graph.auxiliary()),
+                weakref.ref(walk_space(graph))]
         refs += map(weakref.ref, compiled)
         del graph, core, compiled
         assert all(ref() is None for ref in refs)

@@ -1,12 +1,14 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from oracles import brute_force_bin_pack
-from pickopt import (ValidationError, WarehouseLayout, bin_pack_exact,
-                     first_fit_decreasing, generate_instance, load_instance,
-                     save_instance)
+from pickopt import (Instance, Order, Pick, ValidationError, WarehouseLayout, batching_to_solution,
+                     bin_pack_exact, build_graph, build_model, cw2_batching, first_fit_decreasing,
+                     generate_instance, load_instance, save_instance, seed_batching,
+                     solve_exact, solve_no_reversal_exact, validate_solution)
 from pickopt.instance import (_lower_bound, canonical_json_bytes, instance_from_dict,
                               instance_to_dict)
 
@@ -135,11 +137,56 @@ def test_malformed_json_file(tmp_path):
 
 def test_pick_vertices_map_to_chain(tmp_path):
     inst = instance_from_dict(_doc())
-    from pickopt import build_graph
-
     g = build_graph(inst.layout)
-    verts = inst.pick_vertices(g, inst.orders[0])
+    verts = inst.all_pick_vertices(g)[inst.orders[0].id]
     assert verts == {g.subaisles[0].locs[1]}
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("aisle", 2, "coordinate out of range"), ("block", -1, "coordinate out of range"),
+    ("slot", 2, "coordinate out of range"), ("side", 2, "coordinate out of range"),
+    ("aisle", True, "wrong type bool"), ("slot", 1.0, "wrong type float")])
+def test_pick_coordinates_are_checked_when_an_instance_is_made(name, value, message):
+    good = Pick(1, 0, 1, 0)
+    orders = (Order(7, 1, (good,)), Order(3, 1, (good, replace(good, **{name: value}))))
+    with pytest.raises(ValidationError,
+                       match=rf"^orders\[1\]\.picks\[1\]\.{name}: {message}$"):
+        Instance(LAYOUT, orders, 8, 2)
+    # both sides of an aisle share one chain vertex
+    inst = Instance(LAYOUT, (Order(0, 1, (good, replace(good, side=1))),), 8, 1)
+    assert len(inst.all_pick_vertices(build_graph(LAYOUT))[0]) == 1
+
+
+def test_resolved_picks_are_the_chain_vertices(acceptance_suite):
+    for inst, g in acceptance_suite:
+        n = inst.layout.n_aisles
+        picks = inst.all_pick_vertices(g)
+        assert list(picks) == list(inst.order_ids)
+        for o in inst.orders:
+            assert picks[o.id] == {g.subaisles[p.block * n + p.aisle].locs[p.slot]
+                                   for p in o.picks}
+        with pytest.raises(TypeError):
+            picks[o.id] = frozenset()
+    other = build_graph(replace(inst.layout, n_aisles=inst.layout.n_aisles + 1))
+    with pytest.raises(ValidationError, match="not the instance's"):
+        inst.all_pick_vertices(other)
+
+
+def test_picks_are_resolved_once(monkeypatch):
+    inst = generate_instance(LAYOUT, 4, 10, seed=3)
+    g = build_graph(LAYOUT)
+    calls = []
+    location = WarehouseLayout.location
+    monkeypatch.setattr(WarehouseLayout, "location",
+                        lambda *args: calls.append(args) or location(*args))
+    solve_exact(inst, g)
+    solve_no_reversal_exact(inst, g)
+    build_model(inst, g, "P_G")
+    for batching in (seed_batching(inst, graph=g), cw2_batching(inst, graph=g)):
+        validate_solution(inst, g, batching_to_solution(inst, g, batching.batches))
+    assert calls == []
+    Instance(LAYOUT, inst.orders, inst.capacity, inst.pickers)
+    assert len(calls) == sum(len(o.picks) for o in inst.orders)
 
 
 def test_bin_pack_examples():

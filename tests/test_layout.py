@@ -195,13 +195,3 @@ def test_cached_auxiliary_graph_makes_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_slot_vertex_bounds():
-    g = build_graph(WarehouseLayout(2, 1, 2, 1, 2))
-    with pytest.raises(ValidationError, match="out of range"):
-        g.slot_vertex(2, 0, 0, 0)
-    with pytest.raises(ValidationError, match="out of range"):
-        g.slot_vertex(0, 0, 2, 0)
-    # both sides share the chain vertex
-    assert g.slot_vertex(1, 0, 1, 0) == g.slot_vertex(1, 0, 1, 1)
