@@ -6,9 +6,12 @@ an optimal walk, so undirected multiplicity 2 suffices), and answers
 minimum-walk queries by masking those vectors.  It builds them without
 scanning all ``3^|E|``: a vector has even degrees exactly when the edges of
 multiplicity 1 form an even subgraph, so each member of the cycle space is
-combined with every choice of 0 or 2 on the remaining edges.  The tests
-check the result against the full scan.  The oracle is bounded at
-``|E| <= 14`` and the bound is enforced, never silently relaxed.
+combined with every choice of 0 or 2 on the remaining edges.  Whether a
+vector's support is connected is counted, not searched: the members of the
+cycle space inside a support S number ``2^(|S| - |V(S)| + c(S))``, which
+gives its component count c(S).  The tests check the result against the
+full scan.  The oracle is bounded at ``|E| <= 14`` and the bound is
+enforced, never silently relaxed.
 
 Ties are always broken by the lexicographically smallest multiplicity
 vector so results are reproducible byte for byte.
@@ -236,12 +239,46 @@ def _cycle_space(graph: PickingGraph) -> list[int]:
     return patterns
 
 
+def _subset_tables(graph: PickingGraph, patterns: np.ndarray):
+    """Tables over every edge subset S of ``graph``, edge e being bit e of
+    the index: the base-3 weight (the sum of ``3^(|E|-1-e)``), the mask of
+    the vertices S touches, the number of edges, and the number of
+    connected components of the subgraph (V(S), S).
+
+    The even subgraphs inside S are the cycle space of (V(S), S), of
+    dimension ``|S| - |V(S)| + c(S)``, so counting the ``patterns`` (the
+    cycle space of the graph) inside S gives c(S).  The tables double once
+    per edge, and the count is a subset-sum pass.
+    """
+    m = len(graph.edges)
+    tern = touch = size = n_touched = np.zeros(1, dtype=np.int64)
+    for e, (u, v) in enumerate(graph.edges):
+        new_ends = 2 - ((touch >> u) & 1) - ((touch >> v) & 1)
+        n_touched = np.concatenate((n_touched, n_touched + new_ends))
+        touch = np.concatenate((touch, touch | (1 << u) | (1 << v)))
+        tern = np.concatenate((tern, tern + 3 ** (m - 1 - e)))
+        size = np.concatenate((size, size + 1))
+    inside = np.zeros(1 << m, dtype=np.int64)
+    inside[patterns] = 1
+    for e in range(m):
+        halves = inside.reshape(-1, 2, 1 << e)
+        halves[:, 1] += halves[:, 0]
+    # a power of two, so the exponent is exact
+    dimension = np.frexp(inside.astype(np.float64))[1] - 1
+    return tern, touch, size, n_touched - size + dimension
+
+
 class WalkSpace:
     """All even-degree multiplicity vectors of a small picking graph.
 
-    Rows of ``mult`` are sorted by their base-3 code, the order in which a
-    scan of ``{0,1,2}^|E|`` would meet them, so the smallest feasible index
-    is the lexicographically smallest vector.
+    A row is even exactly when its edges of multiplicity 1 form a member
+    of the cycle space, so the rows are each such pattern with every
+    choice of 0 or 2 on the other edges.  A row is ``ok`` when its support
+    touches the origin and is connected, which the component count of
+    :func:`_subset_tables` decides.  Rows of ``mult`` are sorted by their
+    base-3 code, the order in which a scan of ``{0,1,2}^|E|`` would meet
+    them, so the smallest feasible index is the lexicographically smallest
+    vector.
     """
 
     def __init__(self, graph: PickingGraph):
@@ -256,41 +293,29 @@ class WalkSpace:
         self.subaisles = graph.subaisles
         self.n_edges = m
 
-        rows = []
-        for pattern in _cycle_space(graph):
-            # edges of the parity pattern carry 1, every other edge
-            # independently 0 or 2
-            odd = [(pattern >> e) & 1 == 1 for e in range(m)]
-            free = [e for e in range(m) if not odd[e]]
-            codes = np.arange(1 << len(free), dtype=np.int64)
-            block = np.zeros((len(codes), m), dtype=np.int8)
-            block[:, odd] = 1
-            for k, e in enumerate(free):
-                block[:, e] = 2 * ((codes >> k) & 1)
-            rows.append(block)
-        mult = np.concatenate(rows)
-        powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        self.mult = mult[np.argsort(mult @ powers)]
-        n_chain = graph.n_chain_edges
-        vertical = self.mult[:, :n_chain].sum(axis=1, dtype=np.int64)
-        horizontal = self.mult[:, n_chain:].sum(axis=1, dtype=np.int64)
+        patterns = np.array(_cycle_space(graph), dtype=np.int64)
+        tern, touch, size, components = _subset_tables(graph, patterns)
+        # each row as two edge masks: multiplicity 1 and multiplicity 2
+        odd, two = patterns, np.zeros_like(patterns)
+        for e in range(m):
+            free = (odd >> e) & 1 == 0
+            odd = np.concatenate((odd, odd[free]))
+            two = np.concatenate((two, two[free] | (1 << e)))
+        order = np.argsort(tern[odd] + 2 * tern[two])
+        odd, two = odd[order], two[order]
+        codes = (odd | (two << m)).astype("<i8")
+        bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        self.mult = (bits[:, :m] + 2 * bits[:, m:2 * m]).astype(np.int8)
+
+        chain = (1 << graph.n_chain_edges) - 1
+        vertical = size[odd & chain] + 2 * size[two & chain]
+        horizontal = size[odd & ~chain] + 2 * size[two & ~chain]
         self.lengths = _price(graph.layout, vertical, horizontal)  # ints at int spacings
 
-        # support flags by bitmask closure from the origin: ``reach`` grows
-        # by the ends of every used edge that touches it until it is stable
-        used = self.mult > 0
-        ends = np.array([(1 << u) | (1 << v) for u, v in graph.edges], dtype=np.int64)
-        support = np.bitwise_or.reduce(np.where(used, ends, 0), axis=1)
-        reach = np.full(len(self.mult), 1 << graph.origin, dtype=np.int64)
-        while True:
-            before = reach.copy()
-            for e in range(m):
-                reach[used[:, e] & ((reach & ends[e]) != 0)] |= ends[e]
-            if (reach == before).all():
-                break
-        touches_origin = (support >> graph.origin) & 1 == 1
-        self.ok = touches_origin & (reach == support)
-        self.visited = np.where(touches_origin, support, 0)
+        support = odd | two
+        touches_origin = (touch[support] >> graph.origin) & 1 == 1
+        self.ok = touches_origin & (components[support] == 1)
+        self.visited = np.where(touches_origin, touch[support], 0)
 
     # -- queries -----------------------------------------------------------
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -60,10 +61,17 @@ class Order:
     picks: tuple[Pick, ...]
 
 
+def _require_int(value, where: str) -> None:
+    # a bool is an int to Python but not an integer of the schema
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{where}: wrong type {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Instance:
-    """Orders on a layout.  Making one checks every pick coordinate and
-    resolves each order's picks to their vertices, once."""
+    """Orders on a layout.  Making one checks that the capacity, the picker
+    count and every order id, size and pick coordinate are integers in
+    range, and resolves each order's picks to their vertices, once."""
 
     layout: WarehouseLayout
     orders: tuple[Order, ...]
@@ -72,6 +80,8 @@ class Instance:
     _picks: dict[int, frozenset[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _require_int(self.capacity, "capacity")
+        _require_int(self.pickers, "pickers")
         if self.capacity < 1:
             raise ValidationError("capacity must be >= 1")
         if self.pickers < 1:
@@ -81,6 +91,8 @@ class Instance:
                   ("slot", lay.locs_per_subaisle), ("side", 2))
         picks: dict[int, frozenset[int]] = {}
         for k, o in enumerate(self.orders):
+            _require_int(o.id, f"orders[{k}].id")
+            _require_int(o.size, f"orders[{k}].size")
             if o.id in picks:
                 raise ValidationError(f"duplicate order id {o.id}")
             if o.size < 1:
@@ -92,6 +104,8 @@ class Instance:
             for j, p in enumerate(o.picks):
                 for name, bound in bounds:
                     value = getattr(p, name)
+                    # _require_int inlined: a call per coordinate is a
+                    # measurable share of making an instance
                     if not isinstance(value, int) or isinstance(value, bool):
                         raise ValidationError(
                             f"orders[{k}].picks[{j}].{name}: wrong type {type(value).__name__}")
@@ -256,7 +270,42 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def canonical_json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    With ``indent`` set, ``json`` encodes through a chain of Python
+    generators, one per nesting level.  This writer appends the same text
+    to one list, and formats ints and strings directly.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    if type(value) is int:
+        out.append(repr(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{"
+        for key in sorted(value):
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        sep = "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        # empty containers and the other scalars; json refuses anything else
+        out.append(json.dumps(value))
 
 
 def save_instance(instance: Instance, path) -> None:

@@ -14,6 +14,8 @@ from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick, S
                      build_graph, build_model, capacity_feasible_partitions, check_feasible,
                      encode_walk_PG, generate_instance, load_solution, save_solution,
                      solve_exact, solve_no_reversal_exact, validate_solution, walk_space)
+from pickopt.exact import _cycle_space, _subset_tables
+from pickopt.layout import connected_components
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
 THREE_BLOCK_SHAPES = [(1, 3, 1), (1, 3, 2)]  # |E| = 6 and 9
@@ -57,6 +59,22 @@ def test_walk_space_matches_full_scan():
         assert np.array_equal(mask_single_traversal(space, g), ref.single_traversal), shape
         assert np.array_equal(mask_no_artificial_uturn(space, g),
                               ref.no_artificial_uturn), shape
+
+
+def test_subset_tables_count_components():
+    # 2x3x1 and 3x2x1 have 16 and 18 edges, past the oracle bound
+    rng = random.Random(17)
+    for shape in ORACLE_SHAPES + THREE_BLOCK_SHAPES + [(2, 3, 1), (3, 2, 1)]:
+        g = build_graph(WarehouseLayout(*shape))
+        m = len(g.edges)
+        tern, touch, size, components = _subset_tables(g, np.array(_cycle_space(g)))
+        for subset in (rng.randrange(1 << m) for _ in range(300)):
+            edges = [g.edges[e] for e in range(m) if (subset >> e) & 1]
+            ends = {v for edge in edges for v in edge}
+            assert components[subset] == len(connected_components(edges)), (shape, subset)
+            assert touch[subset] == sum(1 << v for v in ends)
+            assert size[subset] == len(edges)
+            assert tern[subset] == sum(3 ** (m - 1 - e) for e in range(m) if (subset >> e) & 1)
 
 
 def test_walk_space_cache_releases_graphs():

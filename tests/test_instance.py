@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import ORACLE_SHAPES
 from oracles import brute_force_bin_pack
 from pickopt import (Instance, Order, Pick, ValidationError, WarehouseLayout, batching_to_solution,
                      bin_pack_exact, build_graph, build_model, cw2_batching, first_fit_decreasing,
                      generate_instance, load_instance, save_instance, seed_batching,
                      solve_exact, solve_no_reversal_exact, validate_solution)
+from pickopt.exact import solution_to_dict
 from pickopt.instance import (_lower_bound, canonical_json_bytes, instance_from_dict,
                               instance_to_dict)
 
@@ -155,6 +157,43 @@ def test_pick_coordinates_are_checked_when_an_instance_is_made(name, value, mess
     # both sides of an aisle share one chain vertex
     inst = Instance(LAYOUT, (Order(0, 1, (good, replace(good, side=1))),), 8, 1)
     assert len(inst.all_pick_vertices(build_graph(LAYOUT))[0]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    ((True, 1, 8, 1), r"orders\[0\]\.id: wrong type bool"),
+    (("x", 1, 8, 1), r"orders\[0\]\.id: wrong type str"),
+    (([0], 1, 8, 1), r"orders\[0\]\.id: wrong type list"),
+    ((0, 1.5, 8, 1), r"orders\[0\]\.size: wrong type float"),
+    ((0, False, 8, 1), r"orders\[0\]\.size: wrong type bool"),
+    ((0, 1, 8.5, 1), r"capacity: wrong type float"),
+    ((0, 1, True, 1), r"capacity: wrong type bool"),
+    ((0, 1, 8, 1.0), r"pickers: wrong type float"),
+    ((0, 1, 8, "2"), r"pickers: wrong type str")])
+def test_ids_sizes_capacity_and_pickers_must_be_ints(args, message):
+    oid, size, capacity, pickers = args
+    pick = (Pick(0, 0, 0, 0),)
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        Instance(LAYOUT, (Order(oid, size, pick),), capacity, pickers)
+
+
+def _stdlib_json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+def test_canonical_json_is_the_stdlib_indented_text():
+    docs = [{}, {"empty": [], "nested": [[], {}, [1, {"s": 'q"[{,\\'}]], "x": -0.5,
+                 "y": None, "z": True, "tuple": (1, ())}]
+    for k, shape in enumerate(ORACLE_SHAPES):
+        for spacing in (1, 2, 0.3):
+            layout = WarehouseLayout(*shape, 1, spacing)
+            inst = generate_instance(layout, 3, 10, seed=k)
+            # one picker more than bin packing needs leaves an empty batch
+            inst = replace(inst, pickers=inst.pickers + 1)
+            graph = build_graph(layout)
+            docs += [instance_to_dict(inst), solution_to_dict(solve_exact(inst, graph), graph)]
+    assert any(batch["orders"] == [] for doc in docs for batch in doc.get("batches", ()))
+    for doc in docs:
+        assert canonical_json_bytes(doc) == _stdlib_json_bytes(doc)
 
 
 def test_resolved_picks_are_the_chain_vertices(acceptance_suite):
