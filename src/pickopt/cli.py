@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import sys
 import time
 from dataclasses import fields
@@ -98,6 +99,8 @@ REPORT_FIELDS = ["instance", "method", "ub", "lb", "gap_percent", "wall_time_s"]
 
 
 def cmd_solve(args) -> int:
+    if args.report and Path(args.report).exists():
+        _read_report(args.report)  # append only to a report CSV; refuse it before solving
     instance = load_instance(args.instance)
     graph = instance_graph(instance)
     start = time.perf_counter()
@@ -122,7 +125,7 @@ def cmd_solve(args) -> int:
     print("  ".join(f"{k}={row[k]}" for k in REPORT_FIELDS))
     if args.report:
         new_file = not Path(args.report).exists()
-        with open(args.report, "a", newline="") as fh:
+        with open(args.report, "a", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
             if new_file:
                 writer.writeheader()
@@ -174,23 +177,44 @@ def cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def _read_report(path) -> list[list[str]]:
+    """The rows of a report CSV below its header, each with one value per
+    report field.  Any other file, or one that is not UTF-8 text, is
+    refused with its name and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if next(reader, None) != REPORT_FIELDS:
+        raise ValidationError(f"{path}:1: not a report CSV: its header must be "
+                              f"{','.join(REPORT_FIELDS)}")
     rows = []
-    for path in args.csv_files:
-        with open(path, newline="") as fh:
-            rows.extend(csv.DictReader(fh))
-    rows.sort(key=lambda r: (r.get("instance", ""), r.get("method", "")))
+    for row in reader:
+        if len(row) != len(REPORT_FIELDS):
+            raise ValidationError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                  f"expected {len(REPORT_FIELDS)}")
+        rows.append(row)
+    return rows
+
+
+def cmd_report(args) -> int:
+    # by instance, then method
+    rows = sorted((row for path in args.csv_files for row in _read_report(path)),
+                  key=lambda row: row[:2])
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
-            writer.writeheader()
-            writer.writerows({k: r.get(k, "") for k in REPORT_FIELDS} for r in rows)
-    widths = {k: max([len(k)] + [len(str(r.get(k, ""))) for r in rows]) for k in REPORT_FIELDS}
-    header = "  ".join(k.ljust(widths[k]) for k in REPORT_FIELDS)
+        with open(args.output, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(REPORT_FIELDS)
+            writer.writerows(rows)
+    widths = [max(map(len, column)) for column in zip(REPORT_FIELDS, *rows)]
+    header = "  ".join(map(str.ljust, REPORT_FIELDS, widths))
     print(header)
     print("-" * len(header))
-    for r in rows:
-        print("  ".join(str(r.get(k, "")).ljust(widths[k]) for k in REPORT_FIELDS))
+    for row in rows:
+        print("  ".join(map(str.ljust, row, widths)))
     return EXIT_OK
 
 

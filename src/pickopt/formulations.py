@@ -29,17 +29,21 @@ are declared in bulk so that picker t's copy of a variable sits
 size per picker as stride, except z, which is picker-minor with stride 1.
 
 Rows come in blocks of picker 0's rows whose terms name a variable family
-and an offset in it.  The blocks that depend on the graph alone (routing,
-degree, subaisle, gamma, flow, no-reversal and corner rows) are compiled
+and an offset in it.  The arc kinds' blocks that depend on the graph alone
+(routing, subaisle, gamma, flow, no-reversal and corner rows) are compiled
 once per :class:`~pickopt.layout.PickingGraph` and kept with it
 (:meth:`~pickopt.layout.PickingGraph.derived`); the blocks that depend on
 the orders (covers, assignment and capacity, cuts, single-traversing rows
-and column inequalities) are made by each build.  A build maps offsets to
-positions with its own family bases, which depend on the picker and order
-counts, shifts each block by its families' strides for every picker, and
-stores all rows through one ``add_rows``.  On a graph that was built on
-before, a build therefore pays only for its variables and the instance's
-rows.
+and column inequalities) are made by each build.  On a graph that was
+built on before, an arc kind's build therefore pays only for its variables
+and the instance's rows.  The tour kinds (P_U1, P_U2) compile all of
+picker 0's tour rows in each build, as one block: their graph-only rows
+are few, a tour kind is rarely built twice on one graph, and compiling
+them apart and joining them again cost a fresh build more than it saved a
+repeated one.  Only the auxiliary graph is kept per graph.  A build maps
+offsets to positions with its own family bases, which depend on the
+picker and order counts, shifts each block by its families' strides for
+every picker, and stores all rows through one ``add_rows``.
 """
 
 from __future__ import annotations
@@ -161,28 +165,14 @@ def _compile(rows, per_picker: bool = True) -> _Rows:
     ``(family, offset, coefficient)`` in (family, offset) order, stored for
     every picker or, when ``per_picker`` is false, once.  ``add_rows``
     refuses a row whose terms come in any other order."""
-    rows = list(rows)
-    if not rows:
-        return _Rows(per_picker, (), (), (), (), (), (), (), ())
-    names, groups, terms, senses, rhs = zip(*rows)
-    ends = tuple(accumulate(map(len, terms)))
-    families, offsets, coefs = zip(*chain.from_iterable(terms)) if ends[-1] else ((), (), ())
-    return _Rows(per_picker, names, groups, senses, rhs, ends, families, offsets, coefs)
-
-
-def _join(blocks: Sequence[_Rows]) -> _Rows:
-    """The rows of ``blocks``, all per-picker or all once, as one block."""
-    names, groups, senses, rhs, ends, families, offsets, coefs = [], [], [], [], [], [], [], []
-    for block in blocks:
-        names += block.names
-        groups += block.groups
-        senses += block.senses
-        rhs += block.rhs
-        ends += map(add, block.ends, repeat(len(offsets)))
-        families += block.families
-        offsets += block.offsets
-        coefs += block.coefs
-    return _Rows(blocks[0].per_picker, names, groups, senses, rhs, ends, families, offsets, coefs)
+    # transposed by slicing one flat list: ``zip(*rows)`` would make an
+    # iterator per row or term, and a collection of the young objects with it
+    flat = list(chain.from_iterable(rows))
+    terms = flat[2::5]
+    flat_terms = list(chain.from_iterable(chain.from_iterable(terms)))
+    return _Rows(per_picker, flat[0::5], flat[1::5], flat[3::5], flat[4::5],
+                 list(accumulate(map(len, terms))), flat_terms[0::3], flat_terms[1::3],
+                 flat_terms[2::3])
 
 
 def _store(model: LinearModel, pickers: int, bases: Sequence[int], strides: Sequence[int],
@@ -536,64 +526,31 @@ def _symmetry_rows(instance: Instance) -> _Rows:
 # -- TSP-style no-reversal models -------------------------------------------
 
 
-def _tour_blocks(graph: PickingGraph, depart: str, origin: str, degree: str,
-                 departure, lead: Optional[int]) -> tuple[_Rows, _Rows]:
-    """A tour kind's departure and origin-degree rows, then its degree rows
-    (P_U1's first subaisle tail first, under its own group)."""
-    aux = graph.auxiliary()
-    s = graph.origin
-    y = dict(zip(aux.vertices, range(len(aux.vertices))))
-
-    def edge_sum(edges):
-        return [(X, e.id, 1) for e in edges]
-
-    def degree_terms(u):
-        return edge_sum(aux.incident(u)) + [(Y, y[u], -2)]
-
-    head = [(f"{depart}_t%d", depart, edge_sum(departure), GE, 1),
-            (f"{origin}_t%d", origin, edge_sum(aux.incident(s)), EQ, 2)]
-    degrees = [("tspo3_t%d", "tspo3", degree_terms(lead), EQ, 0)] if lead is not None else []
-    degrees += [(f"{degree}_t%d_u{u}", degree, degree_terms(u), EQ, 0)
-                for u in aux.vertices if u not in (s, lead)]
-    return _compile(head), _compile(degrees)
-
-
-def _tour_PU1(graph: PickingGraph) -> tuple[_Rows, _Rows]:
-    departure = [e for e in graph.auxiliary().incident(graph.origin) if e.in_e1]
-    return _tour_blocks(graph, "tspo0", "tspo1", "tspo4", departure, graph.subaisles[0].tail)
-
-
-def _tour_PU2(graph: PickingGraph) -> tuple[_Rows, _Rows]:
-    departure = [e for e in graph.auxiliary().incident(graph.origin) if not e.in_e3]
-    return _tour_blocks(graph, "tspt0", "tspt1", "tspt3", departure, None)
-
-
-def _cross_aisle_bound(graph: PickingGraph) -> _Rows:
-    """P_U2's bound on the edges leaving the south set."""
-    aux = graph.auxiliary()
-    return _compile([("less2con_t%d", "less2con",
-                      [(X, e.id, 1) for e in aux.delta(aux.south_set)], LE, 2)])
-
-
 def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mapping,
                 cross_aisle_bound: bool) -> tuple[LinearModel, list[int], tuple, list]:
     """Undirected TSP model on the graph's auxiliary graph: P_U1 on the
     single-block graph, P_U2 on the two-block one.
 
     Per picker: a departure row, the origin degree, the cover rows, the
-    degree rows and, for P_U2 with ``cross_aisle_bound``, the
-    second-cross-aisle bound.  Returns the model with its variables
-    declared, each family's base and stride, and the row blocks to store:
-    the tour's blocks joined into one, so that they repeat picker by picker.
+    degree rows (P_U1's first subaisle tail first, under its own group)
+    and, for P_U2 with ``cross_aisle_bound``, the second-cross-aisle bound.
+    Returns the model with its variables declared, each family's base and
+    stride, and the row blocks to store: the tour's rows, compiled by this
+    build, and the assignment rows.
     """
     aux = graph.auxiliary()
     T = instance.pickers
+    s = graph.origin
     if kind == P_U1:
-        cover, assign, capacity = "tspo2", "tspo6", "tspo7"
-        head, degrees = graph.derived(_tour_PU1)
+        depart, origin, cover, degree, assign, capacity = (
+            "tspo0", "tspo1", "tspo2", "tspo4", "tspo6", "tspo7")
+        departure = [e for e in aux.incident(s) if e.in_e1]
+        lead = graph.subaisles[0].tail
     else:
-        cover, assign, capacity = "tspt2", "tspt5", "tspt6"
-        head, degrees = graph.derived(_tour_PU2)
+        depart, origin, cover, degree, assign, capacity = (
+            "tspt0", "tspt1", "tspt2", "tspt3", "tspt5", "tspt6")
+        departure = [e for e in aux.incident(s) if not e.in_e3]
+        lead = None
 
     model = _new_model(kind)
     model.add_variables(BINARY, [e.var_index(t) for t in range(T) for e in aux.edges]
@@ -602,16 +559,29 @@ def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappi
     E, V = len(aux.edges), len(aux.vertices)
     model.set_objective_coeffs(range(T * E), [e.length for e in aux.edges] * T)
 
+    y = dict(zip(aux.vertices, range(V)))
+
+    def edge_sum(edges):
+        return [(X, e.id, 1) for e in edges]
+
+    def degree_row(name, group, u):
+        return (name, group, edge_sum(aux.incident(u)) + [(Y, y[u], -2)], EQ, 0)
+
     rank = {o.id: k for k, o in enumerate(instance.orders)}
-    covers = _compile(((f"{cover}_t%d_i{sub.index}_o{o}", cover,
-                        [(X, aux.e_of_subaisle[sub.index], 1), (Z, rank[o] * T, -1)], GE, 0)
-                       for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(graph, picks))
-                       for o in order_ids))
-    tour = [head, covers, degrees]
+    rows = [(f"{depart}_t%d", depart, edge_sum(departure), GE, 1),
+            (f"{origin}_t%d", origin, edge_sum(aux.incident(s)), EQ, 2)]
+    rows += [(f"{cover}_t%d_i{sub.index}_o{o}", cover,
+              [(X, aux.e_of_subaisle[sub.index], 1), (Z, rank[o] * T, -1)], GE, 0)
+             for sub, order_ids in zip(graph.subaisles, _orders_by_subaisle(graph, picks))
+             for o in order_ids]
+    if lead is not None:
+        rows.append(degree_row("tspo3_t%d", "tspo3", lead))
+    rows += [degree_row(f"{degree}_t%d_u{u}", degree, u)
+             for u in aux.vertices if u not in (s, lead)]
     if cross_aisle_bound:
-        tour.append(graph.derived(_cross_aisle_bound))
+        rows.append(("less2con_t%d", "less2con", edge_sum(aux.delta(aux.south_set)), LE, 2))
     return model, [0, T * E, T * (E + V)], (E, V, 1), [
-        _join(tour), _assignment_rows(instance, assign, capacity)]
+        _compile(rows), _assignment_rows(instance, assign, capacity)]
 
 
 # -- the builder -------------------------------------------------------------

@@ -44,11 +44,13 @@ class WarehouseLayout:
     def __post_init__(self):
         for name in ("n_aisles", "n_blocks", "locs_per_subaisle"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValidationError(f"layout.{name} must be an integer >= 1, got {value!r}")
         for name in ("loc_spacing", "aisle_spacing"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails every comparison
+            # a bool is an int, but no file can hold it; NaN fails every comparison
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not 0 < value < math.inf):
                 raise ValidationError(f"layout.{name} must be a finite number > 0, got {value!r}")
             if isinstance(value, float) and value.is_integer():
                 # 2.0 and 2 are one layout: store the int, so that files and

@@ -440,9 +440,12 @@ class VariableAssignment:
             self.set(name, val)
 
     def set(self, name: str, value) -> None:
-        """Store ``value`` exactly; the one place a value is normalised.  A
-        value ``Fraction`` cannot take raises its ``TypeError`` or
-        ``ValueError``."""
+        """Store ``value`` exactly; the one place a value is normalised.
+        Text is not a number, though ``Fraction`` would parse it: a ``str``
+        or ``bytes`` value raises ``TypeError``, and a value ``Fraction``
+        cannot take raises its ``TypeError`` or ``ValueError``."""
+        if isinstance(value, (str, bytes)):
+            raise TypeError(f"{value!r} is text, not a number")
         self.values[name] = _exact(value)
 
     def get(self, name: str) -> int | Fraction:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pickopt
-from pickopt.cli import build_parser, main
+from pickopt.cli import REPORT_FIELDS, build_parser, main
 
 
 def run_cli(*args):
@@ -208,6 +208,18 @@ def test_separate_roundtrip(tmp_path, instance_file, capsys):
     assert run_cli("separate", "--model", str(model_path), "--assignment", str(broken)) == 2
 
 
+def test_separate_refuses_numbers_written_as_text(tmp_path, instance_file, capsys):
+    model_path = tmp_path / "pg.json"
+    assert run_cli("build", "-i", str(instance_file), "-f", "PG", "--format", "json",
+                   "-o", str(model_path)) == 0
+    assign = tmp_path / "text.json"
+    for value in ("1", " 1 ", "3/1", "1/2"):
+        assign.write_text(json.dumps({"values": {"y_0_2": value}}))
+        capsys.readouterr()
+        assert run_cli("separate", "--model", str(model_path), "--assignment", str(assign)) == 2
+        assert f"assignment value {value!r} of y_0_2 is not a number" in capsys.readouterr().err
+
+
 def test_separate_tour_model(tmp_path, instance_file, capsys):
     model_path = tmp_path / "pu1.json"
     assert run_cli("build", "-i", str(instance_file), "-f", "PU1", "--format", "json",
@@ -276,6 +288,52 @@ def test_report_merges_rows(tmp_path, instance_file, capsys):
     table = capsys.readouterr().out
     assert "exact" in table and "cwii" in table
     assert merged.exists()
+
+
+def _report_csv(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_report_refuses_files_that_are_not_report_csvs(tmp_path, capsys):
+    header = "instance,method,ub,lb,gap_percent,wall_time_s\r\n"
+    good = _report_csv(tmp_path / "good.csv", header + "i1,exact,12,12,0.0,0.001\r\n")
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(header.encode() + "i1,exact,12,12,0.0,0.001\r\n\u00e9,seed,1,,,0.1\r\n"
+                            .encode("latin-1"))
+    for path, message in (
+            (_report_csv(tmp_path / "other.csv", "name,ub\r\ni1,12\r\n"),
+             "other.csv:1: not a report CSV"),
+            (_report_csv(tmp_path / "empty.csv", ""), "empty.csv:1: not a report CSV"),
+            (_report_csv(tmp_path / "short.csv", header + "i1,exact,12,12,0.0,0.001\r\ni2,seed\r\n"),
+             "short.csv:3: 2 fields, expected 6"),
+            (_report_csv(tmp_path / "long.csv", header + "i1,exact,12,12,0.0,0.001,9\r\n"),
+             "long.csv:2: 7 fields, expected 6"),
+            (undecodable, "latin1.csv:3: not UTF-8 text")):
+        capsys.readouterr()
+        assert run_cli("report", str(good), str(path), "-o", str(tmp_path / "merged.csv")) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "None" not in captured.out, path
+        assert not (tmp_path / "merged.csv").exists()
+    assert run_cli("report", str(good)) == 0
+    assert capsys.readouterr().out.splitlines()[2].split() == [
+        "i1", "exact", "12", "12", "0.0", "0.001"]
+
+
+def test_solve_appends_only_to_a_report_csv(tmp_path, instance_file, capsys):
+    other = _report_csv(tmp_path / "notes.csv", "name,ub\r\ni1,12\r\n")
+    solution = tmp_path / "s.json"
+    capsys.readouterr()
+    assert run_cli("solve", "-i", str(instance_file), "--mode", "seed", "-o", str(solution),
+                   "--report", str(other)) == 2
+    assert "notes.csv:1: not a report CSV" in capsys.readouterr().err
+    assert other.read_bytes() == b"name,ub\r\ni1,12\r\n" and not solution.exists()
+    report = tmp_path / "r.csv"
+    for _ in range(2):
+        assert run_cli("solve", "-i", str(instance_file), "--mode", "seed", "-o", str(solution),
+                       "--report", str(report)) == 0
+    lines = report.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(REPORT_FIELDS) and len(lines) == 3
 
 
 def _fresh_process(*args):

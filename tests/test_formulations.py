@@ -406,18 +406,35 @@ def test_dropping_a_graph_frees_its_compiled_blocks():
         for kind in ("P_basic", "P_A", "P_G", "P_F", "P_U"):
             build_model(instance, graph, kind,
                         ModelOptions(aisle_cuts=True, artificial_vertex_reversal=True))
+        arc_builders = {"_arc_tables", "_basic_core", "_improved_core", "_subaisle_chains",
+                        "_gamma_rows", "_flow_rows", "_no_reversal_rows", "_reversal_rows",
+                        "_aisle_cut_arcs"}
+        assert {build.__name__ for build in graph._derived} == arc_builders
+        # a tour kind keeps only the auxiliary graph, built once per graph
         build_model(instance, graph, "P_U2", ModelOptions(cross_aisle_bound=True))
+        aux = graph.auxiliary()
+        build_model(instance, graph, "P_U2")
+        assert graph.auxiliary() is aux
         core = graph.derived(_improved_core)
         build_model(instance, graph, "P_G")
         assert graph.derived(_improved_core) is core  # compiled once per graph
+        refs = [weakref.ref(graph), weakref.ref(aux), weakref.ref(walk_space(graph))]
+        assert {build.__name__ for build in graph._derived} == arc_builders | {
+            "build_auxiliary_graph", "_build_walk_space"}
         compiled = [block for value in graph._derived.values()
                     for block in (value if isinstance(value, tuple) else (value,))
                     if isinstance(block, _Rows)]
-        assert len(compiled) == 14
-        refs = [weakref.ref(graph), weakref.ref(graph.auxiliary()),
-                weakref.ref(walk_space(graph))]
+        assert len(compiled) == 11  # two cores of three blocks, five single blocks
         refs += map(weakref.ref, compiled)
-        del graph, core, compiled
+        del graph, aux, core, compiled
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_tour_builds_keep_no_compiled_rows_on_the_graph():
+    for kind, shape in (("P_U1", (3, 1, 2, 1, 2)), ("P_U2", (2, 2, 1, 1, 2))):
+        graph = build_graph(WarehouseLayout(*shape))
+        options = ModelOptions(cross_aisle_bound=kind == "P_U2")
+        build_model(generate_instance(graph.layout, 3, 8, seed=1), graph, kind, options)
+        assert [build.__name__ for build in graph._derived] == ["build_auxiliary_graph"], kind

@@ -90,6 +90,29 @@ def test_rejects_bad_format_and_missing_fields():
         instance_from_dict(doc)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("aisles", True, "layout.aisles: wrong type bool"),
+    ("loc_spacing", True, "layout.loc_spacing: wrong type bool"),
+    ("aisle_spacing", "2", "layout.aisle_spacing: wrong type str"),
+    ("loc_spacing", None, "layout.loc_spacing: wrong type NoneType")])
+def test_layout_fields_are_typed_by_the_loader_first(key, value, message):
+    doc = _doc()
+    doc["layout"][key] = value
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        instance_from_dict(doc)
+
+
+def test_every_layout_that_can_be_made_can_be_saved_and_loaded(tmp_path):
+    # a boolean count or spacing is refused when the layout is made, so no
+    # file is written that the loader would refuse
+    with pytest.raises(ValidationError):
+        WarehouseLayout(True, 1, 2, True, 2)
+    for layout in (WarehouseLayout(1, 1, 1, 0.5, 2.0), WarehouseLayout(2, 2, 1, 3, 1.5)):
+        inst = generate_instance(layout, 2, 5, seed=1)
+        save_instance(inst, tmp_path / "i.json")
+        assert load_instance(tmp_path / "i.json") == inst
+
+
 def test_pickers_override_is_kept():
     doc = _doc()
     doc["pickers"] = 4

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,20 @@ def test_rejects_degenerate_layouts():
             WarehouseLayout(1, 1, 1, loc_spacing=bad)
         with pytest.raises(ValidationError, match="finite"):
             WarehouseLayout(1, 1, 1, aisle_spacing=bad)
+
+
+def test_rejects_booleans_and_spacings_that_are_not_numbers():
+    # a bool is an int, but a file holding one cannot be loaded
+    with pytest.raises(ValidationError, match="layout.n_aisles must be an integer"):
+        WarehouseLayout(True, 1, 2, True, 2)
+    for name in ("n_blocks", "locs_per_subaisle"):
+        with pytest.raises(ValidationError, match=f"layout.{name} must be an integer"):
+            WarehouseLayout(**{"n_aisles": 1, "n_blocks": 1, "locs_per_subaisle": 1,
+                               name: True})
+    for bad in (True, False, "1", None, b"1", Fraction(1, 2)):
+        for name in ("loc_spacing", "aisle_spacing"):
+            with pytest.raises(ValidationError, match=f"layout.{name} must be a finite number"):
+                WarehouseLayout(1, 1, 1, **{name: bad})
 
 
 def test_origin_is_top_left():

@@ -147,15 +147,26 @@ def test_assignment_integrality():
     a.set("z", Fraction(1, 2))
     assert not a.is_integral()
     # a value is stored exact: an int when integral, else a Fraction
-    for value, stored in ((1, 1), (1.0, 1), (Fraction(4, 2), 2), ("3", 3), (True, 1),
+    for value, stored in ((1, 1), (1.0, 1), (Fraction(4, 2), 2), (True, 1),
                           (0.5, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))):
         a.set("v", value)
         assert type(a.get("v")) is type(stored) and a.get("v") == stored, value
     assert a.get("missing") == 0 and type(a.get("missing")) is int
-    for bad, error in ((None, TypeError), ("x", ValueError), (float("nan"), ValueError),
+    for bad, error in ((None, TypeError), (float("nan"), ValueError),
                        (float("inf"), OverflowError)):
         with pytest.raises(error):
             a.set("v", bad)
+
+
+def test_assignment_refuses_text():
+    # Fraction would parse each of these; text is not a number
+    a = VariableAssignment({"x": 1})
+    for text in ("1", " 1 ", "3/1", "1/2", "x", b"1"):
+        with pytest.raises(TypeError, match="not a number"):
+            a.set("x", text)
+        with pytest.raises(TypeError):
+            VariableAssignment({"y": text})
+    assert dict(a.items()) == {"x": 1}
 
 
 def test_lp_deterministic_and_parseable():
