@@ -29,24 +29,17 @@ import numpy as np
 
 from .errors import OracleSizeError, ValidationError
 from .instance import Instance, _expect, canonical_json_bytes, read_json
-from .layout import PickingGraph, WarehouseLayout, build_graph, connected_components
+from .layout import PickingGraph, _price, build_graph, connected_components
 
 MAX_ORACLE_EDGES = 14
 
 FORMAT_SOLUTION = "pickopt-solution-v1"
 
 
-def _price(layout: WarehouseLayout, vertical, horizontal):
-    """Length of a walk with ``vertical`` chain-edge and ``horizontal``
-    cross-aisle traversals, on ints and numpy arrays alike."""
-    return layout.loc_spacing * vertical + layout.aisle_spacing * horizontal
-
-
 @dataclass(frozen=True)
 class Walk:
     """Closed-walk support of one picker: edge id -> multiplicity in {1,2}."""
 
-    picker: int
     edge_mult: tuple[tuple[int, int], ...]
 
     def length(self, graph: PickingGraph):
@@ -199,7 +192,7 @@ def load_solution(path, graph: PickingGraph) -> Solution:
         if picker in loaded:
             raise ValidationError(f"{where}.picker: picker {picker} already has "
                                   f"solution.batches[{loaded[picker][0]}]")
-        loaded[picker] = (k, tuple(orders), Walk(picker, tuple(sorted(mult.items()))))
+        loaded[picker] = (k, tuple(orders), Walk(tuple(sorted(mult.items()))))
     batching = tuple(loaded[t][1] for t in range(len(batches)))
     walks = tuple(loaded[t][2] for t in range(len(batches)))
     walk_sum = sum(walk.length(graph) for walk in walks)
@@ -334,10 +327,9 @@ class WalkSpace:
         j = idxs[int(np.argmin(self.lengths[idxs]))]
         return int(j)
 
-    def walk(self, index: int, picker: int = 0) -> Walk:
+    def walk(self, index: int) -> Walk:
         row = self.mult[index]
-        pairs = tuple((e, int(row[e])) for e in range(self.n_edges) if row[e])
-        return Walk(picker, pairs)
+        return Walk(tuple((e, int(row[e])) for e in range(self.n_edges) if row[e]))
 
     def length(self, index: int):
         return self.lengths[index].item()
@@ -455,7 +447,7 @@ def _route_batches(instance: Instance, graph: PickingGraph, space: WalkSpace,
     """Route batch t for picker t; pickers beyond the batches get the
     route of an empty batch, the minimal departure walk."""
     batching = tuple(batches) + ((),) * (instance.pickers - len(batches))
-    walks = tuple(space.walk(route(batch), picker=t) for t, batch in enumerate(batching))
+    walks = tuple(space.walk(route(batch)) for batch in batching)
     solution = Solution(batching, walks, sum(w.length(graph) for w in walks))
     validate_solution(instance, graph, solution)
     return solution

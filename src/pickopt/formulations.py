@@ -230,11 +230,13 @@ def _assignment_rows(instance: Instance, assign: str, capacity: str) -> _Rows:
 class _ArcTables(NamedTuple):
     """A picking graph's offsets of x by arc, the sorted offsets of the arcs
     leaving each vertex, alpha's offset by picking vertex (beta's is one
-    more), the length of each arc, and each family's stride."""
+    more), gamma's offset by reduced arc, the length of each arc, and each
+    family's stride."""
 
     x: dict
     out: list
     alpha: dict
+    gamma: dict
     lengths: list
     strides: tuple
 
@@ -244,10 +246,12 @@ def _arc_tables(graph: PickingGraph) -> _ArcTables:
     out: list[list[int]] = [[] for _ in range(graph.n_vertices)]
     for offset, (u, _) in enumerate(arcs):
         out[u].append(offset)
-    n_reduced = len(graph.reduced_arcs())
+    reduced_arcs = graph.reduced_arcs()
+    n_reduced = len(reduced_arcs)
     return _ArcTables(
         dict(zip(arcs, range(len(arcs)))), out,
         dict(zip(graph.picking_vertices, range(0, 2 * graph.n_picking, 2))),
+        dict(zip(reduced_arcs, range(n_reduced))),
         [length for length in graph.edge_length for _ in (0, 1)],
         (len(arcs), graph.n_vertices, 1, 2 * graph.n_picking, n_reduced,
          graph.n_artificial * n_reduced, 2 * len(graph.subaisles)))
@@ -281,7 +285,7 @@ def _improved_core(graph: PickingGraph) -> tuple[_Rows, _Rows, _Rows]:
 def _subaisle_chains(graph: PickingGraph) -> _Rows:
     """The subaisle cuts' chain rows: alpha and beta propagate along each
     subaisle and are bounded by its vertical arcs."""
-    x, _, a, _, _ = graph.derived(_arc_tables)
+    x, _, a, _, _, _ = graph.derived(_arc_tables)
     north, south = graph.north_of, graph.south_of
     rows = []
     for sub in graph.subaisles:
@@ -298,9 +302,7 @@ def _subaisle_chains(graph: PickingGraph) -> _Rows:
 
 def _gamma_rows(graph: PickingGraph) -> _Rows:
     """Link gamma over the reduced arcs to x, alpha, beta."""
-    x, _, a, _, _ = graph.derived(_arc_tables)
-    reduced_arcs = graph.reduced_arcs()
-    g = dict(zip(reduced_arcs, range(len(reduced_arcs))))
+    x, _, a, g, _, _ = graph.derived(_arc_tables)
     rows = []
     for v in graph.artificial_vertices:
         w = graph.q_west(v)
@@ -326,12 +328,12 @@ def _flow_rows(graph: PickingGraph) -> _Rows:
     """P_F's connectivity: one flow per artificial vertex to the origin."""
     reduced_arcs = graph.reduced_arcs()
     s = graph.origin
-    g = dict(zip(reduced_arcs, range(len(reduced_arcs))))
     # (offset, +1) for each reduced arc leaving a vertex, (offset, -1) for
-    # each entering it, by offset
-    net_arcs = {u: sorted([(g[arc], 1) for arc in graph.eta_plus([u])]
-                          + [(g[arc], -1) for arc in graph.eta_minus([u])])
-                for u in graph.artificial_vertices}
+    # each entering it, in offset order
+    net_arcs: list[list[tuple[int, int]]] = [[] for _ in graph.artificial_vertices]
+    for i, (u, v) in enumerate(reduced_arcs):
+        net_arcs[u].append((i, 1))
+        net_arcs[v].append((i, -1))
 
     rows = []
     for k, v0 in enumerate(graph.artificial_vertices):
@@ -425,7 +427,7 @@ def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappin
     to store."""
     T = instance.pickers
     orders = instance.orders
-    x, out, a, lengths, strides = graph.derived(_arc_tables)
+    x, out, a, _, lengths, strides = graph.derived(_arc_tables)
     n_x, n_y, _, n_ab, n_g, _, _ = strides
     improved = kind in (P_G, P_F, P_U)
     alpha_beta = improved or kind == P_A or options.subaisle_cuts
@@ -579,7 +581,9 @@ def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappi
     rows += [degree_row(f"{degree}_t%d_u{u}", degree, u)
              for u in aux.vertices if u not in (s, lead)]
     if cross_aisle_bound:
-        rows.append(("less2con_t%d", "less2con", edge_sum(aux.delta(aux.south_set)), LE, 2))
+        south = aux.south_set
+        crossing = [e for e in aux.edges if (e.u in south) != (e.v in south)]
+        rows.append(("less2con_t%d", "less2con", edge_sum(crossing), LE, 2))
     return model, [0, T * E, T * (E + V)], (E, V, 1), [
         _compile(rows), _assignment_rows(instance, assign, capacity)]
 

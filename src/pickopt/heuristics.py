@@ -17,7 +17,6 @@ by the same rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -50,9 +49,6 @@ def validate_batching(instance: Instance, batching: Batching) -> None:
         seen |= batch
     if seen != set(instance.order_ids):
         raise ValidationError("batching does not cover all orders")
-    lower = math.ceil(sum(sizes.values()) / instance.capacity)
-    if len(batching.batches) < lower:
-        raise ValidationError("batch count below the bin-packing lower bound")
 
 
 def _canonical(batches: Iterable[frozenset]) -> tuple[frozenset, ...]:

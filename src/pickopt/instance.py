@@ -69,9 +69,11 @@ def _require_int(value, where: str) -> None:
 
 @dataclass(frozen=True)
 class Instance:
-    """Orders on a layout.  Making one checks that the capacity, the picker
-    count and every order id, size and pick coordinate are integers in
-    range, and resolves each order's picks to their vertices, once."""
+    """Orders on a layout.  Making one checks that there is an order, that
+    the capacity, the picker count and every order id, size and pick
+    coordinate are integers in range, and that every order fits the trolley,
+    has a pick and an id of its own; it names an order ``orders[k]``, k its
+    position.  It resolves each order's picks to their vertices, once."""
 
     layout: WarehouseLayout
     orders: tuple[Order, ...]
@@ -86,6 +88,8 @@ class Instance:
             raise ValidationError("capacity must be >= 1")
         if self.pickers < 1:
             raise ValidationError("pickers must be >= 1")
+        if not self.orders:
+            raise ValidationError("orders: must not be empty")
         lay = self.layout
         bounds = (("aisle", lay.n_aisles), ("block", lay.n_blocks),
                   ("slot", lay.locs_per_subaisle), ("side", 2))
@@ -94,13 +98,13 @@ class Instance:
             _require_int(o.id, f"orders[{k}].id")
             _require_int(o.size, f"orders[{k}].size")
             if o.id in picks:
-                raise ValidationError(f"duplicate order id {o.id}")
+                raise ValidationError(f"orders[{k}].id: duplicate order id {o.id}")
             if o.size < 1:
-                raise ValidationError(f"orders[{o.id}]: size must be >= 1")
+                raise ValidationError(f"orders[{k}].size: must be >= 1")
             if o.size > self.capacity:
-                raise ValidationError(f"orders[{o.id}]: order exceeds capacity")
+                raise ValidationError(f"orders[{k}].size: order exceeds capacity")
             if not o.picks:
-                raise ValidationError(f"orders[{o.id}]: order has no picks")
+                raise ValidationError(f"orders[{k}].picks: order has no picks")
             for j, p in enumerate(o.picks):
                 for name, bound in bounds:
                     value = getattr(p, name)
@@ -336,9 +340,6 @@ def instance_from_dict(doc: dict) -> Instance:
     )
     capacity = _expect(doc, "capacity", int, "instance")
     orders_doc = _expect(doc, "orders", list, "instance")
-    if not orders_doc:
-        raise ValidationError("orders: must not be empty")
-
     orders = []
     for k, odoc in enumerate(orders_doc):
         where = f"orders[{k}]"
@@ -346,8 +347,6 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ValidationError(f"{where}: not an object")
         oid = _expect(odoc, "id", int, where)
         size = _expect(odoc, "size", int, where)
-        if size > capacity:
-            raise ValidationError(f"{where}.size: order exceeds capacity")
         picks_doc = _expect(odoc, "picks", list, where)
         picks = []
         for j, pdoc in enumerate(picks_doc):

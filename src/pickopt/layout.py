@@ -17,12 +17,13 @@ Conventions used throughout the package:
 * Distances: vertically adjacent locations (including the artificial
   endpoints) are ``loc_spacing`` apart, horizontally adjacent artificial
   locations are ``aisle_spacing`` apart.  A full subaisle therefore has
-  length ``(locs_per_subaisle + 1) * loc_spacing``.
+  length ``(locs_per_subaisle + 1) * loc_spacing``.  A walk is priced by
+  its counts of vertical and horizontal steps (:func:`_price`); so is each
+  auxiliary edge from the origin, as the shortest walk it stands for.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,12 @@ class WarehouseLayout:
         in ``block``; the caller checks the coordinates."""
         n = self.n_aisles
         return n * (self.n_blocks + 1) + (block * n + aisle) * self.locs_per_subaisle + slot
+
+
+def _price(layout: WarehouseLayout, vertical, horizontal):
+    """Length of a walk with ``vertical`` chain-edge and ``horizontal``
+    cross-aisle traversals, on ints and numpy arrays alike."""
+    return layout.loc_spacing * vertical + layout.aisle_spacing * horizontal
 
 
 @dataclass(frozen=True)
@@ -217,34 +224,7 @@ class PickingGraph:
     def reduced_arcs(self) -> tuple[tuple[int, int], ...]:
         return self._reduced_arcs
 
-    def eta_plus(self, s_set: Iterable[int]) -> list[tuple[int, int]]:
-        """Reduced-graph arcs leaving the vertex set."""
-        inside = set(s_set)
-        out = []
-        for u, v, _, _ in self.reduced_edges:
-            if (u in inside) != (v in inside):
-                out.append((u, v) if u in inside else (v, u))
-        return out
-
-    def eta_minus(self, s_set: Iterable[int]) -> list[tuple[int, int]]:
-        return [(v, u) for u, v in self.eta_plus(s_set)]
-
-    # -- metrics ---------------------------------------------------------
-
-    def shortest_distances_from(self, source: int) -> tuple:
-        dist = [None] * self.n_vertices
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, eid in self.adjacency[u]:
-                nd = d + self.edge_length[eid]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return tuple(dist)
+    # -- derived values --------------------------------------------------
 
     def derived(self, build: Callable[[PickingGraph], _T]) -> _T:
         """``build(self)``, made on the first call with ``build`` and kept
@@ -343,6 +323,10 @@ class AuxiliaryGraph:
     sit at the same physical position as their originals, are joined to
     them by zero-length edges and carry the second cross aisle's second
     pass and the second traversal of each subaisle.
+
+    An edge from the origin stands for the shortest walk to its other end
+    and is priced by the walk rule, :func:`_price`, so that a tour and the
+    walk it encodes have one length.
     """
 
     vertices: tuple[int, ...]
@@ -363,10 +347,6 @@ class AuxiliaryGraph:
     def incident(self, w: int) -> tuple[AuxEdge, ...]:
         return self._incident.get(w, ())
 
-    def delta(self, s_set: Iterable[int]) -> list[AuxEdge]:
-        inside = set(s_set)
-        return [e for e in self.edges if (e.u in inside) != (e.v in inside)]
-
 
 def build_auxiliary_graph(graph: PickingGraph) -> AuxiliaryGraph:
     """Construct the auxiliary graph of a picking graph: the single-block
@@ -381,9 +361,16 @@ def build_auxiliary_graph(graph: PickingGraph) -> AuxiliaryGraph:
         f"auxiliary graphs exist for 1- and 2-block layouts, layout has {blocks} blocks")
 
 
+def _from_origin(layout: WarehouseLayout, v: int):
+    """Length of the shortest walk from the origin to artificial location
+    ``v`` on cross aisle c and aisle a: c subaisles south, a steps east."""
+    c, a = divmod(v, layout.n_aisles)
+    return _price(layout, c * (layout.locs_per_subaisle + 1), a)
+
+
 def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
+    layout = graph.layout
     s = graph.origin
-    dist = graph.shortest_distances_from(s)
     edges: list[AuxEdge] = []
     index: dict[frozenset, int] = {}
     e_of_subaisle: dict[int, int] = {}
@@ -398,11 +385,11 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
         if v != s:
             eid = index.get(frozenset((s, v)))
             if eid is None:
-                edges.append(AuxEdge(len(edges), s, v, dist[v], in_e2=True))
+                edges.append(AuxEdge(len(edges), s, v, _from_origin(layout, v), in_e2=True))
             else:
                 edges[eid] = replace(edges[eid], in_e2=True)
     # last, so the tour variables keep their order
-    edges.append(AuxEdge(len(edges), s, graph.subaisles[0].tail, graph.layout.subaisle_length,
+    edges.append(AuxEdge(len(edges), s, graph.subaisles[0].tail, layout.subaisle_length,
                          parallel=True))
 
     return AuxiliaryGraph(
@@ -419,7 +406,6 @@ def _build_two_block(graph: PickingGraph) -> AuxiliaryGraph:
     n = layout.n_aisles
     s = graph.origin
     d_sub = layout.subaisle_length
-    dist = graph.shortest_distances_from(s)
 
     top = [graph.artificial_vertex(0, a) for a in range(n)]
     mid = [graph.artificial_vertex(1, a) for a in range(n)]
@@ -453,9 +439,9 @@ def _build_two_block(graph: PickingGraph) -> AuxiliaryGraph:
     # E3: return edges from the origin to everything else, copies included.
     for v in top + mid + bot:
         if v != s:
-            add(s, v, dist[v], in_e3=True)
+            add(s, v, _from_origin(layout, v), in_e3=True)
     for a in range(n):
-        add(s, copies[a], dist[mid[a]], in_e3=True)
+        add(s, copies[a], _from_origin(layout, mid[a]), in_e3=True)
 
     return AuxiliaryGraph(
         vertices=tuple(top + mid + bot + copies),

@@ -668,12 +668,14 @@ FORMAT_MODEL = "pickopt-model-v1"
 
 
 def _json_num(x) -> str:
-    """A number, or ``None``, as ``json.dumps`` writes it."""
+    """A number, or ``None``, as ``json.dumps`` writes it; any other exact
+    number, such as a ``Fraction``, as ``_num`` writes it.  Every number a
+    model holds is finite."""
     if type(x) is int:
         return int.__repr__(x)
-    if type(x) is float and x - x == 0:
+    if type(x) is float:
         return float.__repr__(x)
-    return json.dumps(x)
+    return "null" if x is None else _num(x)
 
 
 def _json_texts(values: list):

@@ -83,9 +83,6 @@ class CutRequest:
     family: str
     anchor_vertex: Optional[int] = None
 
-    def sort_key(self):
-        return (self.picker, min(self.vertex_set))
-
 
 def order_components(graph: PickingGraph,
                      picks: Iterable[int]) -> tuple[tuple[frozenset[int], bool], ...]:
@@ -122,7 +119,9 @@ def order_components(graph: PickingGraph,
 
 def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAssignment,
                           instance: Instance) -> list[CutRequest]:
-    """Connectivity cuts violated by an integral candidate assignment."""
+    """Connectivity cuts violated by an integral candidate assignment, by
+    picker and then by smallest vertex, the order in which
+    :func:`connected_components` yields the components."""
     if not assignment.is_integral():
         raise SeparationError(
             "fractional assignment rejected: separation runs on integral candidates only")
@@ -143,7 +142,7 @@ def separate_connectivity(graph: PickingGraph, kind: str, assignment: VariableAs
             if hits and graph.origin not in comp:
                 cuts.append(CutRequest(picker=t, vertex_set=frozenset(comp),
                                        family=name, anchor_vertex=min(hits)))
-    return sorted(cuts, key=CutRequest.sort_key)
+    return cuts
 
 
 def cut_to_row(cut: CutRequest, model: LinearModel, graph: PickingGraph) -> Constraint:

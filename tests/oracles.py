@@ -35,7 +35,7 @@ def _covering(space, required, mask=None):
     return feasible
 
 
-def route_oracle(graph, required, mask=None, picker=0):
+def route_oracle(graph, required, mask=None):
     """Minimum-length closed walk from the origin covering ``required``,
     the lexicographically smallest among equals.
 
@@ -50,7 +50,7 @@ def route_oracle(graph, required, mask=None, picker=0):
     feasible = _covering(space, required, mask)
     shortest = feasible & (space.lengths == space.lengths[feasible].min())
     row = space.mult[np.flatnonzero(shortest)[0]]  # scan order is lexicographic
-    return Walk(picker, tuple((e, int(m)) for e, m in enumerate(row) if m))
+    return Walk(tuple((e, int(m)) for e, m in enumerate(row) if m))
 
 
 def mask_single_traversal(space, graph, exempt=frozenset()):
@@ -143,7 +143,8 @@ def every_gamma_cut_holds(graph, instance, assignment):
     for t in range(instance.pickers):
         for r in range(2, len(others) + 1):
             for S in itertools.combinations(others, r):
-                boundary = graph.eta_plus(set(S))
+                boundary = [(u, v) if u in S else (v, u) for u, v, _, _ in graph.reduced_edges
+                            if (u in S) != (v in S)]
                 lhs = sum(assignment.get(f"g_{t}_{u}_{v}") for u, v in boundary)
                 for u0 in S:
                     if assignment.get(f"y_{t}_{u0}") == 1 and lhs < 1:

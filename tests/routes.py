@@ -498,7 +498,6 @@ def eq75_value(model: LinearModel, graph: PickingGraph, assignment: VariableAssi
                picker: int):
     """Value of the second-cross-aisle crossing sum for one picker."""
     aux = graph.auxiliary()
-    total = 0
-    for e in aux.delta(aux.south_set):
-        total += assignment.get(model.var_name(model.var(*e.var_index(picker))))
-    return total
+    south = aux.south_set
+    return sum(assignment.get(model.var_name(model.var(*e.var_index(picker))))
+               for e in aux.edges if (e.u in south) != (e.v in south))

@@ -60,7 +60,7 @@ def test_full_downward_traversal_sets_gamma():
     inst = Instance(layout, (order,), 8, 1)
     # walk around the whole block: every subaisle fully traversed once
     mult = {eid: 1 for eid in range(len(g.edges))}
-    walk = Walk(0, tuple(sorted(mult.items())))
+    walk = Walk(tuple(sorted(mult.items())))
     sol = Solution(((0,),), (walk,), walk.length(g))
     model = build_model(inst, g, "P_G")
     a = encode_walk_PG(model, inst, g, sol)
@@ -92,8 +92,9 @@ def test_encode_pf_flow_balances():
         # commodity flow out of its source equals the visit flag
         for t in range(inst.pickers):
             for v0 in g.artificial_vertices:
-                out = sum(a.get(f"s_{t}_{v0}_{u}_{v}") for u, v in g.eta_plus([v0]))
-                into = sum(a.get(f"s_{t}_{v0}_{u}_{v}") for u, v in g.eta_minus([v0]))
+                nbrs = [v if u == v0 else u for u, v, _, _ in g.reduced_edges if v0 in (u, v)]
+                out = sum(a.get(f"s_{t}_{v0}_{v0}_{w}") for w in nbrs)
+                into = sum(a.get(f"s_{t}_{v0}_{w}_{v0}") for w in nbrs)
                 assert out - into == a.get(f"y_{t}_{v0}")
 
 
@@ -129,12 +130,12 @@ def test_encode_rejects_broken_walks():
     inst = generate_instance(LAYOUT, 1, 5, seed=0)
     model = build_model(inst, g, "P_basic")
     # odd-degree support: single edge once
-    walk = Walk(0, ((0, 1),))
+    walk = Walk(((0, 1),))
     sol = Solution(((0,),), (walk,), walk.length(g))
     with pytest.raises(EncodingError):
         encode_walk_PG(model, inst, g, sol)
     # does not cover the picks
-    far = Walk(0, ((len(g.edges) - 1, 2),))
+    far = Walk(((len(g.edges) - 1, 2),))
     sol2 = Solution(((0,),), (far,), far.length(g))
     with pytest.raises(EncodingError):
         encode_walk_PG(model, inst, g, sol2)
@@ -145,7 +146,7 @@ def test_encode_rejects_broken_walks():
     pair = generate_instance(LAYOUT, 2, 5, seed=0)
     small = Instance(LAYOUT, pair.orders, max(o.size for o in pair.orders), pickers=2)
     both = route_oracle(g, frozenset().union(*small.all_pick_vertices(g).values()))
-    idle = route_oracle(g, (), picker=1)
+    idle = route_oracle(g, ())
     sol3 = Solution(((0, 1), ()), (both, idle), both.length(g) + idle.length(g))
     with pytest.raises(EncodingError, match="capacity"):
         encode_walk_PG(build_model(small, g, "P_basic"), small, g, sol3)

@@ -129,6 +129,36 @@ def test_zero_orders_rejected():
         instance_from_dict(doc)
 
 
+def test_an_instance_without_orders_cannot_be_made():
+    # so no file is written that the loader would refuse
+    with pytest.raises(ValidationError, match=r"^orders: must not be empty$"):
+        Instance(LAYOUT, (), 8, 1)
+    doc = _doc()
+    doc["orders"] = []
+    for pickers in ({}, {"pickers": 1}):
+        with pytest.raises(ValidationError, match=r"^orders: must not be empty$"):
+            instance_from_dict(doc | pickers)
+
+
+@pytest.mark.parametrize("oid, size, picks, message", [
+    (9, 9, True, r"orders\[1\]\.size: order exceeds capacity"),
+    (9, 0, True, r"orders\[1\]\.size: must be >= 1"),
+    (9, 1, False, r"orders\[1\]\.picks: order has no picks"),
+    (0, 1, True, r"orders\[1\]\.id: duplicate order id 0")],
+    ids=["too-large", "too-small", "no-picks", "duplicate-id"])
+def test_an_order_is_named_by_its_position(oid, size, picks, message):
+    # order 1 of two, made in Python and read from a file
+    pick = Pick(0, 0, 1, 0)
+    orders = (Order(0, 3, (pick,)), Order(oid, size, (pick,) if picks else ()))
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        Instance(LAYOUT, orders, 8, 2)
+    doc = _doc()
+    doc["orders"].append({"id": oid, "size": size,
+                          "picks": doc["orders"][0]["picks"] * picks})
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        instance_from_dict(doc)
+
+
 def test_non_finite_spacing_in_a_file_is_rejected(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(_doc()).replace('"loc_spacing": 1', '"loc_spacing": NaN'))

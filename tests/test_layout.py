@@ -10,6 +10,7 @@ from conftest import ORACLE_SHAPES
 from oracles import bellman_ford
 from pickopt import (ValidationError, VariantMismatchError, WarehouseLayout,
                      build_auxiliary_graph, build_graph)
+from pickopt.layout import _price
 
 
 def test_counts_one_block_two_aisles():
@@ -102,24 +103,31 @@ def test_chain_spacing_and_neighbors():
     assert (sub.head, sub.tail) == (g.artificial_vertex(0, 1), g.artificial_vertex(1, 1))
 
 
-def test_shortest_distance_examples():
+@pytest.mark.parametrize("spacings", [(1, 2), (0.5, 1.5), (0.3, 0.7)])
+def test_origin_edges_are_priced_as_their_walks(spacings):
+    # an edge from the origin stands for the shortest walk to its other end:
+    # c subaisles south and a steps east to cross aisle c, aisle a
+    # and the path sums agree to the last bit only at integer spacings
+    integral = all(type(x) is int for x in spacings)
+    checked = 0
+    for shape in ORACLE_SHAPES + [(4, 1, 3), (5, 2, 4)]:
+        layout = WarehouseLayout(*shape, *spacings)
+        g = build_graph(layout)
+        aux = g.auxiliary()
+        independent = bellman_ford(g, g.origin)
+        for e in aux.incident(g.origin):
+            end = e.v if e.u == g.origin else e.u
+            where = aux.copy_of.get(end, end)  # a copy sits at its original
+            c, a = divmod(where, layout.n_aisles)
+            assert e.length == _price(layout, c * (layout.locs_per_subaisle + 1), a), (shape, e)
+            if integral:
+                assert e.length == independent[where], (shape, e)
+            checked += 1
+    assert checked == 74
+    # 2 aisles, 1 block, 2 slots: a step east costs 2, a subaisle 3
     g = build_graph(WarehouseLayout(2, 1, 2, 1, 2))
-    v11 = g.subaisles[0].locs[0]
-    assert g.shortest_distances_from(5)[5] == 0
-    assert g.shortest_distances_from(g.origin)[v11] == 1
-    assert g.shortest_distances_from(g.origin)[g.artificial_vertex(0, 1)] == 2
-
-
-@given(na=st.integers(1, 3), nb=st.integers(1, 2), m=st.integers(1, 3))
-@settings(max_examples=20, deadline=None)
-def test_shortest_distance_matches_bellman_ford(na, nb, m):
-    g = build_graph(WarehouseLayout(na, nb, m, 1, 2))
-    independent = bellman_ford(g, g.origin)
-    mine = g.shortest_distances_from(g.origin)
-    assert list(mine) == independent
-    # symmetry on a sample pair
-    u, v = 0, g.n_vertices - 1
-    assert g.shortest_distances_from(u)[v] == g.shortest_distances_from(v)[u]
+    lengths = {e.v: e.length for e in g.auxiliary().incident(g.origin) if not e.parallel}
+    assert lengths == {1: 2, 2: 3, 3: 5}
 
 
 def test_delta_queries_consistent():
@@ -129,9 +137,8 @@ def test_delta_queries_consistent():
         assert u in S and v not in S
     outside = set(range(g.n_vertices)) - S
     assert sorted((v, u) for u, v in g.delta_plus(S)) == sorted(g.delta_plus(outside))
-    inside = set(g.artificial_vertices)
-    for u, v in g.eta_plus(inside):
-        raise AssertionError("no reduced arc leaves the full artificial set")
+    # the reduced graph lives on the artificial locations
+    assert all(g.is_artificial(u) and g.is_artificial(v) for u, v, _, _ in g.reduced_edges)
 
 
 def test_single_block_auxiliary_star():

@@ -201,6 +201,25 @@ def test_model_json_round_trip_counts():
     assert [c["name"] for c in doc["constraints"]] == ["r1", "r2", "r3"]
 
 
+def test_exact_fractions_export_as_their_floats():
+    # a Fraction prints as the float nearest to it, and one that is whole
+    # as an int, in LP, MPS and JSON alike
+    def model(third, half, two):
+        m = LinearModel("exact", kind="test")
+        s = m.add_variable(CONTINUOUS, ("s", 0), lb=third, ub=half)
+        x = m.add_variable(BINARY, ("x", 0))
+        m.set_objective_coeff(s, third)
+        m.set_objective_coeff(x, two)
+        m.add_row("r", "g", [(s, third), (x, two)], GE, half)
+        return m
+
+    exact = model(Fraction(1, 3), Fraction(5, 2), Fraction(6, 3))
+    plain = model(1 / 3, 2.5, 2)
+    for write in (write_lp, write_mps, write_model_json):
+        assert write(exact) == write(plain), write.__name__
+    assert "0.3333333333333333" in write_model_json(exact)
+
+
 def test_objective_value():
     m = tiny_model()
     val = m.objective_value({"x_0": Fraction(1), "s_0": Fraction(3)})

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import shared_graph
 from oracles import depart_loop, subaisle_cycle
-from pickopt import (CutRequest, Instance, Order, Pick, SeparationError,
+from pickopt import (Instance, Order, Pick, SeparationError,
                      ValidationError, VariableAssignment, WarehouseLayout, build_model,
                      check_feasible, cut_to_row, generate_instance,
                      order_components, separate_connectivity, solve_exact,
@@ -99,7 +99,7 @@ def test_two_components_two_cuts():
     cuts = separate_connectivity(g, "P_basic", VariableAssignment(values), inst)
     assert len(cuts) == 2
     assert [c.picker for c in cuts] == [0, 0]
-    assert cuts == sorted(cuts, key=CutRequest.sort_key)
+    assert cuts == sorted(cuts, key=lambda c: (c.picker, min(c.vertex_set)))
 
 
 def test_fractional_assignment_rejected():
