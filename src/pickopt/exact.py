@@ -470,9 +470,15 @@ def batching_to_solution(instance: Instance, graph: PickingGraph,
 
     A heuristic may use more pickers than the bin-packing minimum; any
     spare pickers up to the instance count get the minimal departure walk.
+    An empty batch or an unknown order id raises ``ValidationError``.
     """
+    ordered = [tuple(sorted(b)) for b in batches]
+    ids = set(instance.order_ids)
+    for i, batch in enumerate(ordered):
+        if not batch or not ids.issuperset(batch):
+            raise ValidationError(f"batch {i} {list(batch)} is empty or holds an unknown order id")
+    ordered.sort(key=lambda b: b[0])
     space = walk_space(graph)
-    ordered = sorted((tuple(sorted(b)) for b in batches), key=lambda b: b[0])
     return _route_batches(instance, graph, space, ordered, _router(instance, graph, space))
 
 

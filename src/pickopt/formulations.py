@@ -252,7 +252,8 @@ def _arc_tables(graph: PickingGraph) -> _ArcTables:
         dict(zip(arcs, range(len(arcs)))), out,
         dict(zip(graph.picking_vertices, range(0, 2 * graph.n_picking, 2))),
         dict(zip(reduced_arcs, range(n_reduced))),
-        [length for length in graph.edge_length for _ in (0, 1)],
+        [graph.layout.loc_spacing] * (2 * graph.n_chain_edges)
+        + [graph.layout.aisle_spacing] * (len(arcs) - 2 * graph.n_chain_edges),
         (len(arcs), graph.n_vertices, 1, 2 * graph.n_picking, n_reduced,
          graph.n_artificial * n_reduced, 2 * len(graph.subaisles)))
 

@@ -7,12 +7,12 @@ oracle (for apples-to-apples comparisons on tiny instances).
 
 The serpentine estimate is a closed form on one and two blocks alike: it
 counts the subaisle traversals ``V`` and aisle steps ``H`` of the cheapest
-S-shape route from the picked subaisles, and prices them with
-:func:`route_length`.  On two blocks a route is ``r_S1``, which sweeps
-block 1 except an anchor subaisle, then block 2, and ascends the anchor
-last, or ``r_S2``, which sweeps block 1 and then block 2.  The estimate
-builds no route; the tests check it against constructed routes measured
-by the same rule.
+S-shape route and prices ``V * (locs_per_subaisle + 1)`` chain steps and
+``H`` aisle steps as a walk is priced (:mod:`pickopt.layout`).  On two
+blocks a route is ``r_S1``, which sweeps block 1 except an anchor subaisle,
+then block 2, and ascends the anchor last, or ``r_S2``, which sweeps block
+1 and then block 2.  The estimate builds no route; the tests check it
+against constructed routes priced step by step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from .errors import UnsupportedFamilyError, ValidationError
 from .exact import walk_space
 from .instance import Instance
-from .layout import PickingGraph, WarehouseLayout, build_graph
+from .layout import PickingGraph, _price, build_graph
 
 Estimator = Callable[[frozenset], float]
 
@@ -38,9 +38,10 @@ class Batching:
 def validate_batching(instance: Instance, batching: Batching) -> None:
     seen: set[int] = set()
     sizes = {o.id: o.size for o in instance.orders}
-    for batch in batching.batches:
-        if not batch:
-            raise ValidationError("empty batch")
+    for i, batch in enumerate(batching.batches):
+        if not isinstance(batch, frozenset) or not batch or not batch <= sizes.keys():
+            raise ValidationError(f"batch {i} {batch!r} is not a nonempty frozenset "
+                                  "of the instance's order ids")
         load = sum(sizes[o] for o in batch)
         if load > instance.capacity:
             raise ValidationError("batch exceeds capacity")
@@ -53,11 +54,6 @@ def validate_batching(instance: Instance, batching: Batching) -> None:
 
 def _canonical(batches: Iterable[frozenset]) -> tuple[frozenset, ...]:
     return tuple(sorted((frozenset(b) for b in batches), key=min))
-
-
-def route_length(layout: WarehouseLayout, vertical: int, horizontal: int):
-    """Length of ``vertical`` subaisle traversals and ``horizontal`` aisle steps."""
-    return vertical * layout.subaisle_length + horizontal * layout.aisle_spacing
 
 
 def s_shape_estimate(graph: PickingGraph, picks: Iterable[int]):
@@ -74,17 +70,18 @@ def s_shape_estimate(graph: PickingGraph, picks: Iterable[int]):
     if not picks:
         return 0
     layout = graph.layout
+    chain = layout.locs_per_subaisle + 1  # chain steps of one traversal
     subs = sorted({graph.subaisle_of(v) for v in picks})
     if None in subs:
         raise ValidationError("picks must be picking locations")
     if layout.n_blocks == 1:
         rightmost = max(graph.subaisles[i].aisle for i in subs)
-        return route_length(layout, len(subs) + len(subs) % 2, 2 * rightmost)
+        return _price(layout, (len(subs) + len(subs) % 2) * chain, 2 * rightmost)
     if layout.n_blocks == 2:
         n = layout.n_aisles
         k1 = [i for i in subs if i < n]
         k2 = [i - n for i in subs if i >= n]
-        return min(route_length(layout, v, h) for v, h in _two_block_units(k1, k2))
+        return min(_price(layout, v * chain, h) for v, h in _two_block_units(k1, k2))
     raise UnsupportedFamilyError("serpentine estimation supports 1- and 2-block layouts")
 
 

@@ -14,12 +14,13 @@ Conventions used throughout the package:
   them, ``n_aisles * (n_blocks + 1) + subaisle * locs_per_subaisle + slot``.
 * Every subaisle is modelled as a single chain of picking locations; picks
   on either side of the aisle map to the same chain vertex.
-* Distances: vertically adjacent locations (including the artificial
-  endpoints) are ``loc_spacing`` apart, horizontally adjacent artificial
-  locations are ``aisle_spacing`` apart.  A full subaisle therefore has
-  length ``(locs_per_subaisle + 1) * loc_spacing``.  A walk is priced by
-  its counts of vertical and horizontal steps (:func:`_price`); so is each
-  auxiliary edge from the origin, as the shortest walk it stands for.
+* One length rule: a single step costs its spacing as it stands,
+  ``loc_spacing`` vertically (endpoints included), ``aisle_spacing``
+  between neighbouring artificial locations; every longer length is
+  :func:`_price` of its vertical and horizontal step counts.  So are a
+  subaisle (``locs_per_subaisle + 1`` vertical steps), a walk, an auxiliary
+  edge from the origin (the shortest walk it stands for) and the S-shape
+  estimate of :mod:`pickopt.heuristics`.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class WarehouseLayout:
                 # reports print the same bytes for both spellings
                 object.__setattr__(self, name, int(value))
 
-    @property
-    def subaisle_length(self):
-        return (self.locs_per_subaisle + 1) * self.loc_spacing
-
     def location(self, aisle: int, block: int, slot: int) -> int:
         """Vertex of picking location ``slot`` of the subaisle at ``aisle``
         in ``block``; the caller checks the coordinates."""
@@ -71,7 +68,8 @@ class WarehouseLayout:
 
 def _price(layout: WarehouseLayout, vertical, horizontal):
     """Length of a walk with ``vertical`` chain-edge and ``horizontal``
-    cross-aisle traversals, on ints and numpy arrays alike."""
+    cross-aisle traversals, on ints and numpy arrays alike: the one place a
+    spacing is multiplied by a step count."""
     return layout.loc_spacing * vertical + layout.aisle_spacing * horizontal
 
 
@@ -106,7 +104,6 @@ class PickingGraph:
 
         subaisles = []
         edges: list[tuple[int, int]] = []
-        edge_length: list = []
         north: dict[int, int] = {}
         south: dict[int, int] = {}
         vertex_subaisle: dict[int, int] = {}
@@ -124,7 +121,6 @@ class PickingGraph:
                 for u, v in zip(chain, chain[1:]):
                     eids.append(len(edges))
                     edges.append((u, v))
-                    edge_length.append(layout.loc_spacing)
                     south[u] = v
                     north[v] = u
                 subaisles.append(Subaisle(i, b, a, head, tail, locs, tuple(eids)))
@@ -132,10 +128,8 @@ class PickingGraph:
         for c in range(q + 1):
             for a in range(n - 1):
                 edges.append((c * n + a, c * n + a + 1))
-                edge_length.append(layout.aisle_spacing)
 
         self.edges = tuple(edges)
-        self.edge_length = tuple(edge_length)
         self.n_chain_edges = n * q * (m + 1)  # ids below it: chain edges, loc_spacing long
         self.subaisles = tuple(subaisles)
         self._north = north
@@ -150,12 +144,9 @@ class PickingGraph:
 
         # Reduced graph: artificial locations only, one edge per subaisle plus
         # the cross-aisle edges.  Hosts the gamma connectivity variables.
-        reduced = []
-        for sub in self.subaisles:
-            reduced.append((sub.head, sub.tail, layout.subaisle_length, sub.index))
-        for c in range(q + 1):
-            for a in range(n - 1):
-                reduced.append((c * n + a, c * n + a + 1, layout.aisle_spacing, None))
+        d_sub = _price(layout, m + 1, 0)
+        reduced = [(sub.head, sub.tail, d_sub, sub.index) for sub in self.subaisles]
+        reduced += [(u, v, layout.aisle_spacing, None) for u, v in edges[self.n_chain_edges:]]
         self.reduced_edges = tuple(reduced)
         self._arcs = tuple(arc for u, v in self.edges for arc in ((u, v), (v, u)))
         self._reduced_arcs = tuple(arc for u, v, _, _ in reduced for arc in ((u, v), (v, u)))
@@ -389,8 +380,8 @@ def _build_single_block(graph: PickingGraph) -> AuxiliaryGraph:
             else:
                 edges[eid] = replace(edges[eid], in_e2=True)
     # last, so the tour variables keep their order
-    edges.append(AuxEdge(len(edges), s, graph.subaisles[0].tail, layout.subaisle_length,
-                         parallel=True))
+    edges.append(AuxEdge(len(edges), s, graph.subaisles[0].tail,
+                         edges[e_of_subaisle[0]].length, parallel=True))
 
     return AuxiliaryGraph(
         vertices=tuple(graph.artificial_vertices),
@@ -405,7 +396,7 @@ def _build_two_block(graph: PickingGraph) -> AuxiliaryGraph:
     layout = graph.layout
     n = layout.n_aisles
     s = graph.origin
-    d_sub = layout.subaisle_length
+    d_sub = _price(layout, layout.locs_per_subaisle + 1, 0)
 
     top = [graph.artificial_vertex(0, a) for a in range(n)]
     mid = [graph.artificial_vertex(1, a) for a in range(n)]

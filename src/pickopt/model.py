@@ -70,12 +70,12 @@ JSON_FORMAT = "json"
 
 def _exact(c):
     """``c`` itself when it is an ``int``, else ``c`` as a ``Fraction``, which
-    is exact for every float; an integral value becomes an ``int``."""
+    is exact for every float; an integral value, numpy's too, becomes an ``int``."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
         c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    return int(c.numerator) if c.denominator == 1 else c
 
 
 def _is_finite(value) -> bool:

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
 packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
-distances, a small parser for our LP output, and a row-by-row evaluator of
+distances (both over edge lengths this module reads off the layout), a
+small parser for our LP output, and a row-by-row evaluator of
 model rows in ``Fraction`` arithmetic.  The route oracle and the batching
 enumerator price walks through the full scan.  A restriction mask may be
 built on the package's walk space or on the scan: the scan checks that
@@ -208,11 +209,21 @@ def scanned_walk_space(graph):
     return _scanned_space(graph.layout)
 
 
+def step_lengths(graph):
+    """Each edge's length, read off the layout: an edge between two
+    artificial locations (numbered first, ``n_aisles`` per cross aisle) is
+    a cross-aisle step, every other edge a step along a subaisle."""
+    layout = graph.layout
+    n_artificial = layout.n_aisles * (layout.n_blocks + 1)
+    return [layout.aisle_spacing if max(u, v) < n_artificial else layout.loc_spacing
+            for u, v in graph.edges]
+
+
 @functools.cache
 def _scanned_space(layout):
-    graph = build_graph(layout)
-    lengths = np.array(graph.edge_length, dtype=np.float64)
-    if all(float(x).is_integer() for x in graph.edge_length):
+    steps = step_lengths(build_graph(layout))
+    lengths = np.array(steps, dtype=np.float64)
+    if all(float(x).is_integer() for x in steps):
         lengths = lengths.astype(np.int64)
     scan = _scan(layout.n_aisles, layout.n_blocks, layout.locs_per_subaisle)
     return SimpleNamespace(**vars(scan), lengths=scan.mult.astype(lengths.dtype) @ lengths)
@@ -323,10 +334,10 @@ def bellman_ford(graph, source):
     inf = float("inf")
     dist = [inf] * graph.n_vertices
     dist[source] = 0
+    weighted = list(zip(graph.edges, step_lengths(graph)))
     for _ in range(graph.n_vertices):
         changed = False
-        for eid, (u, v) in enumerate(graph.edges):
-            w = graph.edge_length[eid]
+        for (u, v), w in weighted:
             if dist[u] + w < dist[v]:
                 dist[v] = dist[u] + w
                 changed = True

@@ -21,8 +21,9 @@ sweep sizes are even, d when exactly one is odd, and 2d when both are
 odd, matching the no-reversal optimum when the first subaisle is swept.
 
 A route is measured in whole units: ``V`` subaisle traversals and ``H``
-aisle steps.  Its length is ``route_length(layout, V, H)``, the rule the
-closed-form estimate applies too, so both give the same float for the
+aisle steps.  It is priced step by step, ``V * (locs_per_subaisle + 1)``
+steps along subaisles at ``loc_spacing`` and ``H`` at ``aisle_spacing``,
+as a walk is; the closed-form estimate must give the same float for the
 same route.
 """
 
@@ -33,7 +34,6 @@ from typing import Iterable, Optional
 
 from pickopt import (EncodingError, Instance, LinearModel, PickingGraph,
                      UnsupportedFamilyError, ValidationError, VariableAssignment)
-from pickopt.heuristics import route_length
 
 R_S1 = "r_S1"
 R_S2 = "r_S2"
@@ -119,9 +119,9 @@ class _Builder:
 
     def route(self, kind: str, i0: Optional[int]) -> SShapeRoute:
         layout = self.graph.layout
-        return SShapeRoute(kind, tuple(self.visits), i0,
-                           self.vertical * layout.subaisle_length,
-                           route_length(layout, self.vertical, self.horizontal),
+        vertical = layout.loc_spacing * (self.vertical * (layout.locs_per_subaisle + 1))
+        return SShapeRoute(kind, tuple(self.visits), i0, vertical,
+                           vertical + layout.aisle_spacing * self.horizontal,
                            tuple(self.steps))
 
 

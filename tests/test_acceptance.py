@@ -167,7 +167,7 @@ def test_acceptance_6_separation_soundness_completeness(acceptance_suite,
 def test_acceptance_7_parity_and_crossing_bound():
     layout = WarehouseLayout(3, 2, 1, 1, 2)
     graph = shared_graph(layout)
-    d = layout.subaisle_length
+    d = (layout.locs_per_subaisle + 1) * layout.loc_spacing
     n = layout.n_aisles
     cases = [
         ([0, 1], [3, 4], 0),

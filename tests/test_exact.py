@@ -170,7 +170,8 @@ def test_no_reversal_subaisle_one_only():
     inst = Instance(layout, (order,), 8, 1)
     g = shared_graph(layout)
     sol = solve_no_reversal_exact(inst, g)
-    assert sol.total == 2 * layout.subaisle_length  # down and back up
+    d = (layout.locs_per_subaisle + 1) * layout.loc_spacing
+    assert sol.total == 2 * d  # down and back up
 
 
 def test_no_reversal_walks_fully_traverse():

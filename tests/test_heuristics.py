@@ -10,7 +10,7 @@ from pickopt import (Batching, Instance, Order, Pick, UnsupportedFamilyError,
                      cw2_batching, generate_instance, make_oracle_estimator,
                      make_s_shape_estimator, s_shape_estimate, seed_batching,
                      solve_exact, validate_batching)
-from pickopt.heuristics import _two_block_units, route_length
+from pickopt.heuristics import _two_block_units
 from routes import R_S1, R_S2, s_shape_candidates
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
@@ -24,17 +24,17 @@ def test_estimate_empty_is_zero():
 def test_estimate_single_block_even():
     g = shared_graph(LAYOUT)
     picks = {g.subaisles[0].locs[0], g.subaisles[1].locs[0]}
-    d = LAYOUT.subaisle_length
+    d = (LAYOUT.locs_per_subaisle + 1) * LAYOUT.loc_spacing
     assert s_shape_estimate(g, picks) == 2 * d + 2 * LAYOUT.aisle_spacing
 
 
 def test_estimate_single_block_odd_adds_one_traversal():
     g = shared_graph(LAYOUT)
     picks = {g.subaisles[0].locs[0]}
-    assert s_shape_estimate(g, picks) == 2 * LAYOUT.subaisle_length
+    assert s_shape_estimate(g, picks) == 2 * (LAYOUT.locs_per_subaisle + 1) * LAYOUT.loc_spacing
 
 
-SPACINGS = [(1, 2), (0.5, 1.5), (0.3, 1.7)]
+SPACINGS = [(1, 2), (0.5, 1.5), (0.3, 1.7), (0.1, 0.3)]
 
 
 def assert_estimate_matches_candidates(g, subaisles):
@@ -48,15 +48,18 @@ def assert_estimate_matches_candidates(g, subaisles):
     expected = min(r.total_length for r in routes)
     assert s_shape_estimate(g, picks) == expected, (g.layout, subaisles)
     kinds = ([R_S1] if K1 else []) + [R_S2]
+    layout = g.layout
     for kind, (v, h) in zip(kinds, _two_block_units(K1, [i - n for i in K2])):
         shortest = min(r.total_length for r in routes if r.kind == kind)
-        assert route_length(g.layout, v, h) == shortest, (g.layout, subaisles, kind)
+        priced = (layout.loc_spacing * (v * (layout.locs_per_subaisle + 1))
+                  + layout.aisle_spacing * h)
+        assert priced == shortest, (layout, subaisles, kind)
 
 
 def test_estimate_two_block_matches_candidates():
     for spacing in SPACINGS:
-        for n_aisles in (2, 3, 4):
-            g = shared_graph(WarehouseLayout(n_aisles, 2, 1, *spacing))
+        for n_aisles, locs in itertools.product((2, 3, 4), (1, 2)):
+            g = shared_graph(WarehouseLayout(n_aisles, 2, locs, *spacing))
             subaisles = range(2 * n_aisles)
             for size in range(1, 2 * n_aisles + 1):
                 for chosen in itertools.combinations(subaisles, size):
@@ -123,6 +126,31 @@ def test_batchings_valid_and_deterministic():
             b2 = algo(inst, graph=g)
             assert b1 == b2
             validate_batching(inst, b1)
+
+
+TWO_ORDERS = Instance(LAYOUT, (Order(0, 1, (Pick(0, 0, 0, 0),)),
+                               Order(1, 1, (Pick(1, 0, 1, 0),))), 8, 1)
+
+
+def test_validate_batching_refuses_an_unknown_order_id():
+    batching = Batching((frozenset({0, 1}), frozenset({99})))
+    with pytest.raises(ValidationError, match=r"^batch 1 frozenset\(\{99\}\)"):
+        validate_batching(TWO_ORDERS, batching)
+
+
+def test_validate_batching_refuses_a_batch_that_is_no_frozenset():
+    with pytest.raises(ValidationError, match=r"^batch 0 \(0, 1\)"):
+        validate_batching(TWO_ORDERS, Batching(((0, 1),)))
+
+
+def test_batching_to_solution_refuses_an_empty_batch():
+    with pytest.raises(ValidationError, match=r"^batch 1 \[\] is empty"):
+        batching_to_solution(TWO_ORDERS, shared_graph(LAYOUT), [(0, 1), ()])
+
+
+def test_batching_to_solution_refuses_an_unknown_order_id():
+    with pytest.raises(ValidationError, match=r"^batch 0 \[1, 99\]"):
+        batching_to_solution(TWO_ORDERS, shared_graph(LAYOUT), [(99, 1), (0,)])
 
 
 def test_heuristic_never_beats_exact():

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORACLE_SHAPES
-from oracles import bellman_ford
+from oracles import bellman_ford, step_lengths
 from pickopt import (ValidationError, VariantMismatchError, WarehouseLayout,
                      build_auxiliary_graph, build_graph)
-from pickopt.layout import _price
+
+AUX_SPACINGS = [(1, 2), (0.3, 0.7)]
 
 
 def test_counts_one_block_two_aisles():
@@ -96,8 +97,9 @@ def test_chain_spacing_and_neighbors():
     g = build_graph(layout)
     sub = g.subaisles[1]
     chain = (sub.head, *sub.locs, sub.tail)
+    lengths = step_lengths(g)
     for u, v in zip(chain, chain[1:]):
-        assert g.edge_length[g.edge_id(u, v)] == 2
+        assert lengths[g.edge_id(u, v)] == 2
     assert g.q_west(g.artificial_vertex(0, 1)) == g.origin
     assert g.q_east(g.origin) == g.artificial_vertex(0, 1)
     assert (sub.head, sub.tail) == (g.artificial_vertex(0, 1), g.artificial_vertex(1, 1))
@@ -119,7 +121,9 @@ def test_origin_edges_are_priced_as_their_walks(spacings):
             end = e.v if e.u == g.origin else e.u
             where = aux.copy_of.get(end, end)  # a copy sits at its original
             c, a = divmod(where, layout.n_aisles)
-            assert e.length == _price(layout, c * (layout.locs_per_subaisle + 1), a), (shape, e)
+            walk = (layout.loc_spacing * (c * (layout.locs_per_subaisle + 1))
+                    + layout.aisle_spacing * a)
+            assert e.length == walk, (shape, e)
             if integral:
                 assert e.length == independent[where], (shape, e)
             checked += 1
@@ -141,8 +145,9 @@ def test_delta_queries_consistent():
     assert all(g.is_artificial(u) and g.is_artificial(v) for u, v, _, _ in g.reduced_edges)
 
 
-def test_single_block_auxiliary_star():
-    g = build_graph(WarehouseLayout(2, 1, 2, 1, 2))
+@pytest.mark.parametrize("spacings", AUX_SPACINGS)
+def test_single_block_auxiliary_star(spacings):
+    g = build_graph(WarehouseLayout(2, 1, 2, *spacings))
     aux = build_auxiliary_graph(g)
     star = [e for e in aux.edges if e.in_e2]
     assert len(star) == 3  # one per artificial location besides the origin
@@ -154,18 +159,19 @@ def test_single_block_auxiliary_star():
     assert [e for e in aux.edges if e.parallel] == [aux.edges[-1]]
     parallel = aux.edges[-1]
     assert (parallel.u, parallel.v) == (g.origin, g.subaisles[0].tail)
-    assert parallel.length == g.layout.subaisle_length
+    assert parallel.length == 3 * g.layout.loc_spacing
 
 
-def test_two_block_auxiliary_structure():
-    layout = WarehouseLayout(2, 2, 1, 1, 2)
+@pytest.mark.parametrize("spacings", AUX_SPACINGS)
+def test_two_block_auxiliary_structure(spacings):
+    layout = WarehouseLayout(2, 2, 1, *spacings)
     g = build_graph(layout)
     aux = build_auxiliary_graph(g)
     assert len(aux.copy_of) == 2
     e2 = [e for e in aux.edges if e.in_e2]
     assert len(e2) == 4
     for e in e2:
-        assert e.length == layout.subaisle_length
+        assert e.length == 2 * layout.loc_spacing
     # copies join their originals at distance zero
     for cp, orig in aux.copy_of.items():
         connector = [e for e in aux.edges if {e.u, e.v} == {cp, orig}]
@@ -178,8 +184,10 @@ def test_two_block_auxiliary_structure():
     assert aux.south_set == frozenset(aux.copy_of) | bottoms
 
 
-def test_auxiliary_lengths_are_shortest_paths():
-    layout = WarehouseLayout(3, 2, 2, 1, 2)
+@pytest.mark.parametrize("spacings", AUX_SPACINGS)
+def test_auxiliary_lengths_are_shortest_paths(spacings):
+    layout = WarehouseLayout(3, 2, 2, *spacings)
+    integral = all(type(x) is int for x in spacings)
     g = build_graph(layout)
     aux = build_auxiliary_graph(g)
     dist_from = {}
@@ -188,7 +196,9 @@ def test_auxiliary_lengths_are_shortest_paths():
         v = aux.copy_of.get(e.v, e.v)
         if u not in dist_from:
             dist_from[u] = bellman_ford(g, u)
-        assert e.length == dist_from[u][v]
+        # a path sum rounds unlike the walk rule at fractional spacings
+        shortest = dist_from[u][v] if integral else pytest.approx(dist_from[u][v], rel=1e-12)
+        assert e.length == shortest, e
 
 
 def test_incident_matches_a_full_edge_scan():

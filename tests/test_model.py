@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from conftest import shared_graph
@@ -156,6 +157,18 @@ def test_assignment_integrality():
                        (float("inf"), OverflowError)):
         with pytest.raises(error):
             a.set("v", bad)
+
+
+def test_numpy_values_are_stored_as_python_ints():
+    # a solver's vector arrives as numpy scalars; an integral one must not
+    # read as fractional to the domain check
+    m = LinearModel("one-row")
+    x = m.add_variable(BINARY, ("x", 0))
+    m.add_row("r", "g", [(x, 1)], GE, 1)
+    for value in (np.int64(1), np.int32(1), np.uint8(1), np.float64(1.0)):
+        a = VariableAssignment({"x_0": value})
+        assert type(a.get("x_0")) is int, value
+        assert check_feasible(m, a).satisfied, value
 
 
 def test_assignment_refuses_text():

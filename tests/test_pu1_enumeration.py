@@ -33,8 +33,9 @@ def test_pu1_parallel_edge_for_first_subaisle_only():
     layout = WarehouseLayout(2, 1, 1, 1, 5)
     graph = shared_graph(layout)
     instance = single_batch(layout, graph, {graph.subaisles[0].locs[0]})
-    assert enumerate_PU1_minimum(instance, graph) == 2 * layout.subaisle_length
-    assert solve_no_reversal_exact(instance, graph).total == 2 * layout.subaisle_length
+    d = (layout.locs_per_subaisle + 1) * layout.loc_spacing
+    assert enumerate_PU1_minimum(instance, graph) == 2 * d
+    assert solve_no_reversal_exact(instance, graph).total == 2 * d
 
 
 def test_lp_round_trip_counts_on_real_model():

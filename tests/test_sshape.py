@@ -15,7 +15,7 @@ LAYOUT3 = WarehouseLayout(3, 2, 1, 1, 2)
 def test_parity_table_with_first_subaisle():
     layout = WarehouseLayout(4, 2, 1, 1, 2)
     g = shared_graph(layout)
-    d = layout.subaisle_length
+    d = (layout.locs_per_subaisle + 1) * layout.loc_spacing
     cases = [
         ([0, 1], [4, 5], 0),
         ([0, 1, 2], [4, 5], d),
