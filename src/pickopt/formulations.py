@@ -28,8 +28,12 @@ are declared in bulk so that picker t's copy of a variable sits
 ``t * stride`` positions after picker 0's: picker-major, with the family's
 size per picker as stride, except z, which is picker-minor with stride 1.
 
-Rows come in blocks of picker 0's rows whose terms name a variable family
-and an offset in it.  The arc kinds' blocks that depend on the graph alone
+Every name is joined from parts, with no per-picker formatting.  A
+variable's name is its family, ``_``, the picker and a tail (z's ends with
+the picker); the tails of the arc kinds' families are made once per graph,
+with the graph's other tables.  Rows come in blocks of picker 0's rows whose terms name a
+variable family and an offset in it, and whose names are kept split where
+the picker goes.  The arc kinds' blocks that depend on the graph alone
 (routing, subaisle, gamma, flow, no-reversal and corner rows) are compiled
 once per :class:`~pickopt.layout.PickingGraph` and kept with it
 (:meth:`~pickopt.layout.PickingGraph.derived`); the blocks that depend on
@@ -50,13 +54,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, repeat
-from operator import add, mod
+from operator import add
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
 from .layout import PickingGraph
-from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
+from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel, var_name
 from .separation import FAMILIES, FAMILY_OF_KIND, order_components
 
 P_BASIC = "P_basic"
@@ -147,30 +151,36 @@ class _Rows:
     """A block of rows as columns: names, groups, senses, right-hand sides,
     each row's end offset, and for each term its family, its offset in the
     family and its coefficient.  Within a row the terms are sorted by family
-    and offset.  A per-picker block holds picker 0's rows, and each of its
-    names has one ``%d`` for the picker."""
+    and offset.  A per-picker block holds picker 0's rows with each name
+    split where the picker goes: picker t's row i is named ``heads[i]``,
+    ``str(t)`` and ``tails[i]``.  A block stored once has its names as
+    heads, and None as tails."""
 
-    __slots__ = ("per_picker", "names", "groups", "senses", "rhs", "ends", "families",
-                 "offsets", "coefs", "__weakref__")
+    __slots__ = ("heads", "tails", "groups", "senses", "rhs", "ends", "families", "offsets",
+                 "coefs", "__weakref__")
 
-    def __init__(self, per_picker: bool, names, groups, senses, rhs, ends, families, offsets,
-                 coefs):
-        self.per_picker = per_picker
-        self.names, self.groups, self.senses, self.rhs, self.ends = names, groups, senses, rhs, ends
+    def __init__(self, heads, tails, groups, senses, rhs, ends, families, offsets, coefs):
+        self.heads, self.tails = heads, tails
+        self.groups, self.senses, self.rhs, self.ends = groups, senses, rhs, ends
         self.families, self.offsets, self.coefs = families, offsets, coefs
 
 
 def _compile(rows, per_picker: bool = True) -> _Rows:
     """A block of rows ``(name, group, terms, sense, rhs)`` whose terms are
     ``(family, offset, coefficient)`` in (family, offset) order, stored for
-    every picker or, when ``per_picker`` is false, once.  ``add_rows``
-    refuses a row whose terms come in any other order."""
+    every picker, each name with one ``%d`` where the picker goes, or, when
+    ``per_picker`` is false, once.  ``add_rows`` refuses a row whose terms
+    come in any other order."""
     # transposed by slicing one flat list: ``zip(*rows)`` would make an
     # iterator per row or term, and a collection of the young objects with it
     flat = list(chain.from_iterable(rows))
     terms = flat[2::5]
     flat_terms = list(chain.from_iterable(chain.from_iterable(terms)))
-    return _Rows(per_picker, flat[0::5], flat[1::5], flat[3::5], flat[4::5],
+    heads, tails = flat[0::5], None
+    if per_picker:
+        parts = list(chain.from_iterable(map(str.partition, heads, repeat("%d"))))
+        heads, tails = parts[0::3], parts[2::3]
+    return _Rows(heads, tails, flat[1::5], flat[3::5], flat[4::5],
                  list(accumulate(map(len, terms))), flat_terms[0::3], flat_terms[1::3],
                  flat_terms[2::3])
 
@@ -186,14 +196,18 @@ def _store(model: LinearModel, pickers: int, bases: Sequence[int], strides: Sequ
     """
     names, groups, senses, rhs, ends, positions, coefs = [], [], [], [], [], [], []
     for block in blocks:
-        copies = pickers if block.per_picker else 1
+        per_picker = block.tails is not None
+        copies = pickers if per_picker else 1
         placed = list(map(add, map(bases.__getitem__, block.families), block.offsets))
         if copies > 1:
             shifts = list(map(strides.__getitem__, block.families))
         for t in range(copies):
             if t:
                 placed = list(map(add, placed, shifts))
-            names += map(mod, block.names, repeat(t)) if block.per_picker else block.names
+            if per_picker:
+                names += map(add, map(add, block.heads, repeat(str(t))), block.tails)
+            else:
+                names += block.heads
             ends += map(add, block.ends, repeat(len(positions)))
             positions += placed
         groups += block.groups * copies
@@ -203,8 +217,25 @@ def _store(model: LinearModel, pickers: int, bases: Sequence[int], strides: Sequ
     model.add_rows(names, groups, senses, rhs, ends, positions, coefs)
 
 
-def _assignment_indices(instance: Instance) -> list[tuple]:
-    return [("z", o.id, t) for o in instance.orders for t in range(instance.pickers)]
+def _picker_names(pickers: int, family, tails: Sequence[str]) -> list[str]:
+    """The names of a variable family for pickers 0 to ``pickers - 1``,
+    picker-major: picker t's variable of ``tails[k]`` is named by its
+    family, ``_``, t and the tail.  ``family`` is one family for every
+    tail, or a list of each tail's family."""
+    names: list[str] = []
+    for t in range(pickers):
+        if isinstance(family, str):
+            names += map(f"{family}_{t}".__add__, tails)
+        else:
+            heads = {f: f"{f}_{t}" for f in set(family)}
+            names += map(add, map(heads.__getitem__, family), tails)
+    return names
+
+
+def _assignment_names(instance: Instance) -> list[str]:
+    """z's names, picker-minor: ``z_<order id>_<picker>``."""
+    pickers = [str(t) for t in range(instance.pickers)]
+    return [head + t for head in [f"z_{o.id}_" for o in instance.orders] for t in pickers]
 
 
 def _assignment_rows(instance: Instance, assign: str, capacity: str) -> _Rows:
@@ -214,8 +245,8 @@ def _assignment_rows(instance: Instance, assign: str, capacity: str) -> _Rows:
     orders = instance.orders
     O = len(orders)
     # O rows of T terms, one per order, then T rows of O terms, one per picker
-    return _Rows(False, [f"{assign}_o{o.id}" for o in orders]
-                 + [f"{capacity}_t{t}" for t in range(T)],
+    return _Rows([f"{assign}_o{o.id}" for o in orders]
+                 + [f"{capacity}_t{t}" for t in range(T)], None,
                  [assign] * O + [capacity] * T, [EQ] * O + [LE] * T,
                  [1] * O + [instance.capacity] * T,
                  [T * k for k in range(1, O + 1)] + [O * (T + k) for k in range(1, T + 1)],
@@ -230,8 +261,9 @@ def _assignment_rows(instance: Instance, assign: str, capacity: str) -> _Rows:
 class _ArcTables(NamedTuple):
     """A picking graph's offsets of x by arc, the sorted offsets of the arcs
     leaving each vertex, alpha's offset by picking vertex (beta's is one
-    more), gamma's offset by reduced arc, the length of each arc, and each
-    family's stride."""
+    more), gamma's offset by reduced arc, the length of each arc, each
+    family's stride, and by family the ``(family, tails)`` that
+    :func:`_picker_names` names it by (None for z and the flows)."""
 
     x: dict
     out: list
@@ -239,6 +271,7 @@ class _ArcTables(NamedTuple):
     gamma: dict
     lengths: list
     strides: tuple
+    names: tuple
 
 
 def _arc_tables(graph: PickingGraph) -> _ArcTables:
@@ -248,6 +281,13 @@ def _arc_tables(graph: PickingGraph) -> _ArcTables:
         out[u].append(offset)
     reduced_arcs = graph.reduced_arcs()
     n_reduced = len(reduced_arcs)
+    # name tails: a vertex's is _v, an arc's _u_v, a traversal's _i_dn or _i_up
+    vertex = [f"_{v}" for v in range(graph.n_vertices)]
+    picking = [vertex[v] for v in graph.picking_vertices]
+    names = (("x", [vertex[u] + vertex[v] for u, v in arcs]), ("y", vertex), None,
+             (["a", "b"] * len(picking), list(chain.from_iterable(zip(picking, picking)))),
+             ("g", [vertex[u] + vertex[v] for u, v in reduced_arcs]), None,
+             ("w", [f"_{i}_{direction}" for i, direction in _traversals(graph)]))
     return _ArcTables(
         dict(zip(arcs, range(len(arcs)))), out,
         dict(zip(graph.picking_vertices, range(0, 2 * graph.n_picking, 2))),
@@ -255,7 +295,15 @@ def _arc_tables(graph: PickingGraph) -> _ArcTables:
         [graph.layout.loc_spacing] * (2 * graph.n_chain_edges)
         + [graph.layout.aisle_spacing] * (len(arcs) - 2 * graph.n_chain_edges),
         (len(arcs), graph.n_vertices, 1, 2 * graph.n_picking, n_reduced,
-         graph.n_artificial * n_reduced, 2 * len(graph.subaisles)))
+         graph.n_artificial * n_reduced, 2 * len(graph.subaisles)), names)
+
+
+def _flow_tails(graph: PickingGraph) -> list[str]:
+    """The flows' name tails ``_v0_u_v``: commodity v0 on reduced arc (u, v),
+    commodity-major."""
+    names = graph.derived(_arc_tables).names
+    vertex, gamma = names[Y][1], names[G][1]
+    return [vertex[v0] + tail for v0 in graph.artificial_vertices for tail in gamma]
 
 
 def _arc_core(graph: PickingGraph, depart: str, ydef: str, flow: str,
@@ -286,7 +334,8 @@ def _improved_core(graph: PickingGraph) -> tuple[_Rows, _Rows, _Rows]:
 def _subaisle_chains(graph: PickingGraph) -> _Rows:
     """The subaisle cuts' chain rows: alpha and beta propagate along each
     subaisle and are bounded by its vertical arcs."""
-    x, _, a, _, _, _ = graph.derived(_arc_tables)
+    tables = graph.derived(_arc_tables)
+    x, a = tables.x, tables.alpha
     north, south = graph.north_of, graph.south_of
     rows = []
     for sub in graph.subaisles:
@@ -303,7 +352,8 @@ def _subaisle_chains(graph: PickingGraph) -> _Rows:
 
 def _gamma_rows(graph: PickingGraph) -> _Rows:
     """Link gamma over the reduced arcs to x, alpha, beta."""
-    x, _, a, g, _, _ = graph.derived(_arc_tables)
+    tables = graph.derived(_arc_tables)
+    x, a, g = tables.x, tables.alpha, tables.gamma
     rows = []
     for v in graph.artificial_vertices:
         w = graph.q_west(v)
@@ -403,13 +453,14 @@ def _aisle_cut_arcs(graph: PickingGraph) -> tuple[list[int], ...]:
 
 
 def _cut_rows(group: str, cuts: list, pickers: int, n_arcs: int) -> _Rows:
-    """One row per cut ``(name, sorted x offsets, order rank)`` and picker,
-    the pickers of a cut consecutive: the cut's arcs cover the order if the
-    picker takes it."""
+    """One row per cut and picker, the pickers of a cut consecutive: the
+    cut's arcs cover the order if the picker takes it.  A cut is ``(name,
+    sorted x offsets, order rank)``, its name with a ``%d`` for the picker."""
     names, ends, families, offsets, coefs = [], [], [], [], []
     for name, arcs, k in cuts:
+        head, _, tail = name.partition("%d")
         for t in range(pickers):
-            names.append(name % t)
+            names.append(head + str(t) + tail)
             offsets += map(add, arcs, repeat(t * n_arcs))
             offsets.append(k * pickers + t)
             families += [X] * len(arcs)
@@ -417,8 +468,8 @@ def _cut_rows(group: str, cuts: list, pickers: int, n_arcs: int) -> _Rows:
             coefs += [1] * len(arcs)
             coefs.append(-1)
             ends.append(len(offsets))
-    return _Rows(False, names, [group] * len(names), [GE] * len(names), [0] * len(names), ends,
-                 families, offsets, coefs)
+    return _Rows(names, None, [group] * len(names), [GE] * len(names), [0] * len(names),
+                 ends, families, offsets, coefs)
 
 
 def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mapping,
@@ -428,27 +479,25 @@ def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappin
     to store."""
     T = instance.pickers
     orders = instance.orders
-    x, out, a, _, lengths, strides = graph.derived(_arc_tables)
+    tables = graph.derived(_arc_tables)
+    x, out, a, strides, tails = tables.x, tables.out, tables.alpha, tables.strides, tables.names
     n_x, n_y, _, n_ab, n_g, _, _ = strides
     improved = kind in (P_G, P_F, P_U)
     alpha_beta = improved or kind == P_A or options.subaisle_cuts
 
     model = _new_model(kind)
-    indices = [("x", t, u, v) for t in range(T) for u, v in graph.arcs()] \
-        + [("y", t, v) for t in range(T) for v in range(n_y)] + _assignment_indices(instance)
+    names = _picker_names(T, *tails[X]) + _picker_names(T, *tails[Y]) \
+        + _assignment_names(instance)
     if alpha_beta:
-        indices += [(family, t, v) for t in range(T)
-                    for v in graph.picking_vertices for family in ("a", "b")]
+        names += _picker_names(T, *tails[AB])
     if improved:
-        indices += [("g", t, u, v) for t in range(T) for u, v in graph.reduced_arcs()]
+        names += _picker_names(T, *tails[G])
     if kind == P_U:
-        indices += [("w", t, *key) for t in range(T) for key in _traversals(graph)]
-    model.add_variables(BINARY, indices)
+        names += _picker_names(T, *tails[W])
+    model.add_variables(BINARY, names)
     if kind == P_F:
-        model.add_variables(CONTINUOUS, [("s", t, v0, u, v) for t in range(T)
-                                         for v0 in graph.artificial_vertices
-                                         for u, v in graph.reduced_arcs()])
-    model.set_objective_coeffs(range(T * n_x), lengths * T)
+        model.add_variables(CONTINUOUS, _picker_names(T, "s", graph.derived(_flow_tails)))
+    model.set_objective_coeffs(range(T * n_x), tables.lengths * T)
     z = T * (n_x + n_y)
     g = z + len(orders) * T + T * n_ab
     bases = [0, T * n_x, z, z + len(orders) * T, g, g + T * n_g, g + T * n_g]
@@ -556,9 +605,14 @@ def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappi
         lead = None
 
     model = _new_model(kind)
-    model.add_variables(BINARY, [e.var_index(t) for t in range(T) for e in aux.edges]
-                        + [("y", t, v) for t in range(T) for v in aux.vertices]
-                        + _assignment_indices(instance))
+    # an edge's family is its index's first part, and its name tail the
+    # parts after the picker: var_name(("", u, v)) is "_u_v"
+    indices = [e.var_index(0) for e in aux.edges]
+    families = [index[0] for index in indices]
+    tails = [var_name(("",) + index[2:]) for index in indices]
+    model.add_variables(BINARY, _picker_names(T, families, tails)
+                        + _picker_names(T, "y", [f"_{v}" for v in aux.vertices])
+                        + _assignment_names(instance))
     E, V = len(aux.edges), len(aux.vertices)
     model.set_objective_coeffs(range(T * E), [e.length for e in aux.edges] * T)
 

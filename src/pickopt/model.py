@@ -2,26 +2,26 @@
 
 A :class:`LinearModel` is an ordered collection of typed variables, named
 constraint rows grouped into stable families, and a sparse minimization
-objective.  A variable is addressed by its index tuple, and its name is
-derived from that tuple by :func:`var_name`, the only naming rule.  Models
-are exported to CPLEX-LP, free MPS or a JSON sidecar; no LP relaxations
-are solved here.
+objective.  Variables are keyed by name: ``model.var(*index)`` finds the
+variable named :func:`var_name` of its index, the only naming rule, so
+``var("x", 0, 3, 4)`` finds ``x_0_3_4``.  Models are exported to CPLEX-LP,
+free MPS or a JSON sidecar; no LP relaxations are solved here.
 
-A model stores columns, not objects.  Variables are five parallel lists
-(names, kinds, index tuples, lower and upper bounds).  Rows are in
-compressed sparse row form: names, groups, senses and right-hand sides per
-row, each row's end offset, and one flat list each of term positions and
-coefficients.  :meth:`LinearModel.add_variables` declares a whole family
-and :meth:`LinearModel.add_rows` appends many rows at once;
-``add_variable`` and ``add_row`` are their one-item cases.  The rows are
-canonical CSR: within each row the positions strictly increase.
-``add_rows`` takes only such rows and rejects any other; ``add_row`` is the
-one place a row is sorted by position and a repeated position merged.
-Every check runs before anything is stored, so a rejected call leaves the
-model as it was.  ``model.variables`` and ``model.constraints`` are
-read-only views that build :class:`Variable` and :class:`Constraint` named
-tuples on access; the writers and the feasibility check read the columns
-directly.
+A model stores columns, not objects.  Variables are four parallel lists
+(names, kinds, lower and upper bounds) and a table of positions by name;
+no index tuple is kept.  Rows are in compressed sparse row form: names,
+groups, senses and right-hand sides per row, each row's end offset, and
+one flat list each of term positions and coefficients.
+:meth:`LinearModel.add_variables` declares a whole family by name and
+:meth:`LinearModel.add_rows` appends many rows at once; ``add_variable``
+and ``add_row`` are their one-item cases.  The rows are canonical CSR:
+within each row the positions strictly increase.  ``add_rows`` takes only
+such rows and rejects any other; ``add_row`` is the one place a row is
+sorted by position and a repeated position merged.  Every check runs
+before anything is stored, so a rejected call leaves the model as it was.
+``model.variables`` and ``model.constraints`` are read-only views that
+build :class:`Variable` and :class:`Constraint` named tuples on access;
+the writers and the feasibility check read the columns directly.
 
 The writers format each distinct number once per call.  The JSON writer
 lays the document out field by field and sends only its small head through
@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import add, is_not, itemgetter, lt, mod, mul
+from operator import add, is_not, itemgetter, lt, mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -62,6 +62,8 @@ LE, EQ, GE = "<=", "=", ">="
 _SENSES = frozenset((LE, EQ, GE))
 _PLAIN = frozenset((int, float))
 _INT_OR_NONE = frozenset((int, type(None)))
+_INT = frozenset((int,))
+_STR = frozenset((str,))
 
 LP_FORMAT = "lp"
 MPS_FORMAT = "mps"
@@ -73,6 +75,8 @@ def _exact(c):
     is exact for every float; an integral value, numpy's too, becomes an ``int``."""
     if type(c) is int:
         return c
+    if isinstance(c, float) and c.is_integer():  # numpy's float64 too; int() is exact
+        return int(c)
     if type(c) is not Fraction:
         c = Fraction(c)
     return int(c.numerator) if c.denominator == 1 else c
@@ -122,10 +126,20 @@ def var_name(index: tuple) -> str:
     return _NAME_FORMATS[len(index)] % index
 
 
+def _indexed_name(index: tuple) -> str:
+    """``var_name(index)``, refused when a text part holds ``_``: then the
+    name would not split back into the index, and ``("x", "0_1")`` would
+    name ``("x", 0, 1)``'s variable."""
+    name = var_name(index)
+    # joining adds len(index) - 1 underscores, so any more come from a part
+    if name.count("_") != len(index) - 1:
+        raise ValidationError(f"variable index {index} has a part containing '_'")
+    return name
+
+
 class Variable(NamedTuple):
     name: str
     kind: str
-    index: tuple
     lb: float = 0
     ub: Optional[float] = None  # None = +inf (binary gets 1 implicitly)
 
@@ -175,7 +189,7 @@ class VariableView(_View):
 
     def _item(self, pos: int) -> Variable:
         m = self._model
-        return Variable(m._names[pos], m._kinds[pos], m._indices[pos], m._lbs[pos], m._ubs[pos])
+        return Variable(m._names[pos], m._kinds[pos], m._lbs[pos], m._ubs[pos])
 
 
 class ConstraintView(_View):
@@ -200,10 +214,9 @@ class LinearModel:
         # variable columns, by position
         self._names: list[str] = []
         self._kinds: list[str] = []
-        self._indices: list[tuple] = []
         self._lbs: list = []
         self._ubs: list = []
-        self._by_index: dict[tuple, int] = {}
+        self._by_name: dict[str, int] = {}
         # row columns; row i's terms are _positions and _coefs over
         # [_row_ends[i - 1], _row_ends[i]), from 0 for the first row
         self._row_names: list[str] = []
@@ -228,51 +241,47 @@ class LinearModel:
 
     # -- construction ----------------------------------------------------
 
-    def add_variables(self, kind: str, indices: Iterable[tuple], lb=0, ub=None) -> int:
-        """Declare one variable per index, all of one kind and with the same
-        bounds, and return the position of the first.  A variable's name is
-        ``var_name(index)``; text parts of an index may not contain ``_``,
-        so distinct indices always get distinct names."""
-        indices = list(indices)
+    def add_variables(self, kind: str, names: Iterable[str], lb=0, ub=None) -> int:
+        """Declare one variable per name, all of one kind and with the same
+        bounds, and return the position of the first.  Names are unique
+        within a model; :meth:`var` finds a variable named by
+        :func:`var_name`."""
+        names = list(names)
         _require_finite(lb, "variable lower bound")
         if ub is not None:
             _require_finite(ub, "variable upper bound")
-        names = list(map(mod, map(_NAME_FORMATS.__getitem__, map(len, indices)), indices))
-        # joining adds len(index) - 1 underscores to each name, so any more
-        # come from a text part
-        if "".join(names).count("_") != sum(map(len, indices)) - len(indices):
-            bad = next(index for name, index in zip(names, indices)
-                       if name.count("_") != len(index) - 1)
-            raise ValidationError(f"variable index {bad} has a part containing '_'")
+        if not _STR.issuperset(map(type, names)):
+            bad = next(name for name in names if type(name) is not str)
+            raise ValidationError(f"variable name {bad!r} is not a str")
         first = len(self._names)
-        positions = dict(zip(indices, range(first, first + len(indices))))
-        if len(positions) < len(indices) or not self._by_index.keys().isdisjoint(positions):
-            seen = set(self._by_index)
-            bad = next(index for index in indices if index in seen or seen.add(index))
-            raise ValidationError(f"duplicate variable index {bad}")
+        positions = dict(zip(names, range(first, first + len(names))))
+        if len(positions) < len(names) or not self._by_name.keys().isdisjoint(positions):
+            seen = set(self._by_name)
+            bad = next(name for name in names if name in seen or seen.add(name))
+            raise ValidationError(f"duplicate variable name {bad}")
         if kind == BINARY:
             ub = 1
-        self._by_index.update(positions)
+        self._by_name.update(positions)
         self._names += names
-        self._kinds += [kind] * len(indices)
-        self._indices += indices
-        self._lbs += [lb] * len(indices)
-        self._ubs += [ub] * len(indices)
+        self._kinds += [kind] * len(names)
+        self._lbs += [lb] * len(names)
+        self._ubs += [ub] * len(names)
         return first
 
     def add_variable(self, kind: str, index: tuple, lb=0, ub=None) -> int:
-        """Declare a variable; its name is ``var_name(index)``."""
-        return self.add_variables(kind, [index], lb, ub)
+        """Declare a variable; its name is ``var_name(index)``, and a text
+        part of ``index`` may not contain ``_``."""
+        return self.add_variables(kind, [_indexed_name(index)], lb, ub)
 
     def var(self, *index) -> int:
-        """Position of the variable with the given index tuple."""
+        """Position of the variable named ``var_name(index)``."""
         try:
-            return self._by_index[tuple(index)]
+            return self._by_name[_indexed_name(index)]
         except KeyError:
             raise ValidationError(f"undeclared variable index {index}") from None
 
     def has_var(self, *index) -> bool:
-        return tuple(index) in self._by_index
+        return _indexed_name(index) in self._by_name
 
     def var_name(self, pos: int) -> str:
         return self._names[pos]
@@ -371,8 +380,13 @@ class LinearModel:
 
     def set_objective_coeffs(self, positions: Iterable[int], coefs: Iterable) -> None:
         """Add each coefficient to its position's objective coefficient; a
-        zero adds no term."""
+        zero adds no term.  A position is an ``int`` of a declared variable."""
         positions, coefs = list(positions), list(coefs)
+        declared = len(self._names)
+        if positions and (not _INT.issuperset(map(type, positions))
+                          or min(positions) < 0 or max(positions) >= declared):
+            bad = next(pos for pos in positions if type(pos) is not int or not 0 <= pos < declared)
+            raise ValidationError(f"objective position {bad!r} is not a declared variable position")
         k = _nonfinite_at(coefs)
         if k is not None:
             raise ValidationError(f"objective coefficient at position {positions[k]} "
@@ -398,7 +412,8 @@ class LinearModel:
         return [self._row(i) for i, g in enumerate(self._groups) if g == group]
 
     def variable_counts(self) -> dict[str, int]:
-        return dict(Counter(map(_POSITION, self._indices)))
+        """Variables per family, the part of a name before its first ``_``."""
+        return dict(Counter(name.partition("_")[0] for name in self._names))
 
     def objective_value(self, values: dict) -> Fraction:
         """The objective at exact values by name, such as a
@@ -576,17 +591,24 @@ def write_lp(model: LinearModel) -> str:
     obj = sorted(model.objective.items())
     out.extend(_wrap(" obj:", _lp_terms(obj, names, signs)))
     out.append("Subject To")
-    # every term's text, leading "+ " included, in one pass over the columns
+    # every term's text in one pass over the columns, then each row's first
+    # term without its "+ "
     terms = list(map(add, map(signs.__getitem__, model._coefs),
                      map(names.__getitem__, model._positions)))
-    for name, (start, end), sense, rhs in zip(model._row_names, _row_spans(model),
-                                              model._senses, model._rhs):
-        parts = terms[start:end]
-        if parts and parts[0][0] == "+":
-            parts[0] = parts[0][2:]
-        lines = _wrap(f" {name}:", parts)
-        lines[-1] += f" {sense} {nums[rhs]}"
-        out.extend(lines)
+    ends = model._row_ends
+    starts = [0, *ends][:-1]
+    for k in compress(starts, map(lt, starts, ends)):
+        if terms[k][0] == "+":
+            terms[k] = terms[k][2:]
+    bodies = map(" ".join, map(terms.__getitem__, map(slice, starts, ends)))
+    for name, start, end, body, sense, rhs in zip(model._row_names, starts, ends, bodies,
+                                                  model._senses, map(nums.__getitem__, model._rhs)):
+        if 0 < end - start <= 8:
+            out.append(f" {name}: {body} {sense} {rhs}")
+        else:  # no term, or one line per 8 terms
+            lines = _wrap(f" {name}:", terms[start:end])
+            lines[-1] += f" {sense} {rhs}"
+            out += lines
     bounds = []
     for name, kind, lb, ub in zip(names, model._kinds, model._lbs, model._ubs):
         if kind != BINARY and (_exact(lb) != 0 or ub is not None):

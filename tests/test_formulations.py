@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import shared_graph
+from conftest import ORACLE_SHAPES, shared_graph
 from pickopt import (ALL_KINDS, CutRequest, Instance, ModelOptions, Order, Pick, PickoptError,
                      UnsupportedFamilyError, ValidationError, VariantMismatchError,
                      WarehouseLayout, build_graph, build_model, check_feasible, cut_to_row,
@@ -396,6 +396,34 @@ def test_builds_on_a_shared_graph_match_builds_on_fresh_graphs():
     assert built == 614
 
 
+def test_every_variable_name_resolves_to_its_own_position():
+    # a name split at "_", with its digit parts read as ints, is the index
+    # model.var finds it by; two pickers, so picker numbers are exercised
+    n = len(fields(ModelOptions))
+    checked, built = set(), set()
+    for shape in ORACLE_SHAPES:
+        layout = WarehouseLayout(*shape, 1, 2)
+        graph = build_graph(layout)
+        instance = Instance(layout, generate_instance(layout, 3, 10, seed=sum(shape)).orders, 8, 2)
+        for kind, mask in product(ALL_KINDS, range(1 << n)):
+            options = ModelOptions(*(bool(mask >> i & 1) for i in range(n)))
+            try:
+                validate_options(kind, options, instance)
+            except PickoptError:
+                continue
+            model = build_model(instance, graph, kind, options)
+            built.add(kind)
+            names = tuple(model.variable_names())
+            if names in checked:  # options that add only rows name the same variables
+                continue
+            checked.add(names)
+            assert len(set(names)) == len(names), (shape, kind, options)
+            for pos, name in enumerate(names):
+                index = [int(part) if part.isdigit() else part for part in name.split("_")]
+                assert model.var(*index) == pos, (shape, kind, options, name)
+    assert built == set(ALL_KINDS)
+
+
 def test_dropping_a_graph_frees_its_compiled_blocks():
     # with the cycle collector off, a reference cycle would keep them too;
     # the graph's walk space goes with it
@@ -407,8 +435,8 @@ def test_dropping_a_graph_frees_its_compiled_blocks():
             build_model(instance, graph, kind,
                         ModelOptions(aisle_cuts=True, artificial_vertex_reversal=True))
         arc_builders = {"_arc_tables", "_basic_core", "_improved_core", "_subaisle_chains",
-                        "_gamma_rows", "_flow_rows", "_no_reversal_rows", "_reversal_rows",
-                        "_aisle_cut_arcs"}
+                        "_gamma_rows", "_flow_rows", "_flow_tails", "_no_reversal_rows",
+                        "_reversal_rows", "_aisle_cut_arcs"}
         assert {build.__name__ for build in graph._derived} == arc_builders
         # a tour kind keeps only the auxiliary graph, built once per graph
         build_model(instance, graph, "P_U2", ModelOptions(cross_aisle_bound=True))

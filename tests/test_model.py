@@ -33,7 +33,7 @@ def test_duplicate_names_rejected():
     m = LinearModel("dup")
     m.add_variable(BINARY, ("x", 0))
     # a repeated index would repeat the name and re-point var("x", 0)
-    with pytest.raises(ValidationError, match="duplicate variable index"):
+    with pytest.raises(ValidationError, match="duplicate variable name x_0"):
         m.add_variable(BINARY, ("x", 0))
     assert m.var("x", 0) == 0 and len(m.variables) == 1
     m.add_row("r", "g", [(0, 1)], GE, 0)
@@ -53,6 +53,35 @@ def test_names_follow_the_index():
         m.add_variable(BINARY, ("x", "0_1"))
     with pytest.raises(ValidationError, match="undeclared"):
         m.var("x", 9)
+
+
+def test_distinct_indices_with_one_name_are_refused():
+    # ("x", "7") and ("x", 7) are both named x_7; a solver would merge them
+    for first, second in ((("x", "7"), ("x", 7)), (("x", -1), ("x", "-1"))):
+        m = LinearModel("one name")
+        m.add_variable(BINARY, first)
+        with pytest.raises(ValidationError, match=f"duplicate variable name {m.var_name(0)}"):
+            m.add_variable(BINARY, second)
+        with pytest.raises(ValidationError, match="duplicate variable name x_7"):
+            m.add_variables(BINARY, ["x_7", "x_7"])
+        assert m.variable_names() == [m.var_name(0)]
+        assert m.var(*first) == m.var(*second) == 0
+
+
+def test_variables_are_declared_by_name():
+    m = LinearModel("names")
+    assert m.add_variables(BINARY, ["x_0_1", "w_1_2_dn", "xt_0"]) == 0
+    assert m.add_variables(CONTINUOUS, ["s_0"], lb=-1) == 3
+    assert [m.var("x", 0, 1), m.var("w", 1, 2, "dn"), m.var("xt", 0), m.var("s", 0)] == [0, 1, 2, 3]
+    assert m.has_var("w", 1, 2, "dn") and not m.has_var("w", 1, 2, "up")
+    assert m.variable_counts() == {"x": 1, "w": 1, "xt": 1, "s": 1}
+    with pytest.raises(ValidationError, match="not a str"):
+        m.add_variables(BINARY, [("y", 0)])
+    # an index that would not split back into its parts finds nothing
+    for lookup in (m.var, m.has_var):
+        with pytest.raises(ValidationError, match="'_'"):
+            lookup("x", "0_1")
+    assert len(m.variables) == 4
 
 
 def test_add_row_sums_and_sorts_repeated_positions():
@@ -90,7 +119,7 @@ def test_variables_and_rows_are_immutable():
         m.variables[0].ub = 5
     with pytest.raises(AttributeError):
         m.constraints[0].rhs = 0
-    assert Variable("x_0", BINARY, ("x", 0)) == ("x_0", BINARY, ("x", 0), 0, None)
+    assert Variable("x_0", BINARY) == ("x_0", BINARY, 0, None)
     assert Constraint("r1", "grp", ((0, 1), (1, 1)), GE, 1) == m.constraints[0]
 
 
@@ -241,13 +270,43 @@ def test_objective_value():
 
 def test_objective_coefficients_add_up():
     m = LinearModel("sum")
-    m.add_variables(BINARY, [("x", k) for k in range(4)])
+    m.add_variables(BINARY, [f"x_{k}" for k in range(4)])
     m.set_objective_coeffs([2, 0], [1, 0])  # a zero adds no term
     assert m.objective == {2: 1}
     m.set_objective_coeffs([1, 2, 1], [2, 3, 0.5])  # repeats within and across calls
     assert m.objective == {2: 4, 1: 2.5}
     m.set_objective_coeffs([3, 0], [-1, 7])
     assert list(m.objective.items()) == [(2, 4), (1, 2.5), (3, -1), (0, 7)]
+
+
+@pytest.mark.parametrize("pos", [-1, 5, True])
+def test_objective_positions_must_be_declared_variables(pos):
+    m = LinearModel("objective")
+    m.add_variable(BINARY, ("x", 0))
+    with pytest.raises(ValidationError, match=f"objective position {pos!r} is not"):
+        m.set_objective_coeffs([0, pos], [2, 3])
+    with pytest.raises(ValidationError, match=f"objective position {pos!r} is not"):
+        m.set_objective_coeff(pos, 3)
+    assert m.objective == {}
+    assert "obj: 0" in write_lp(m)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.0, 0.5, 1e300, 2.0 ** 60, -3.0, 1 / 3,
+                                   np.float64(3.0), np.float64(0.25)])
+def test_assignment_values_are_exact(value):
+    stored = VariableAssignment({"x_0": value}).get("x_0")
+    exact = Fraction(value)
+    expected = exact.numerator if exact.denominator == 1 else exact
+    assert stored == expected and type(stored) is type(expected)
+
+
+def test_non_finite_assignment_values_raise():
+    with pytest.raises(OverflowError):
+        VariableAssignment({"x_0": float("inf")})
+    with pytest.raises(OverflowError):
+        VariableAssignment().set("x_0", float("-inf"))
+    with pytest.raises(ValueError):
+        VariableAssignment({"x_0": float("nan")})
 
 
 def _random_assignment(rng, model, mode):
@@ -356,8 +415,8 @@ def _random_rows(rng, n_vars, n_rows):
 
 
 def _variables(m, n_vars):
-    m.add_variables(BINARY, [("x", k) for k in range(n_vars // 2)])
-    m.add_variables(CONTINUOUS, [("s", k) for k in range(n_vars - n_vars // 2)], lb=-1.5, ub=4)
+    m.add_variables(BINARY, [f"x_{k}" for k in range(n_vars // 2)])
+    m.add_variables(CONTINUOUS, [f"s_{k}" for k in range(n_vars - n_vars // 2)], lb=-1.5, ub=4)
     m.set_objective_coeffs(range(0, n_vars, 3), [1, 0.5, 2] * n_vars)
 
 
@@ -439,11 +498,11 @@ def _rejections():
                                                          LE, 1),
         "infinite objective": lambda m: m.set_objective_coeff(0, -inf),
         "NaN objective": lambda m: m.set_objective_coeffs([0, 1], [1, nan]),
-        "infinite bound": lambda m: m.add_variables(CONTINUOUS, [("u", 0)], ub=inf),
+        "infinite bound": lambda m: m.add_variables(CONTINUOUS, ["u_0"], ub=inf),
         "NaN bound": lambda m: m.add_variable(CONTINUOUS, ("u", 0), lb=nan),
-        "'_' in a text index part": lambda m: m.add_variables(BINARY, [("u", 0), ("u", "1_2")]),
-        "index repeated in the call": lambda m: m.add_variables(BINARY, [("u", 0), ("u", 0)]),
-        "index in the model": lambda m: m.add_variables(BINARY, [("u", 0), ("x", 0)]),
+        "'_' in a text index part": lambda m: m.add_variable(BINARY, ("u", "1_2")),
+        "index repeated in the call": lambda m: m.add_variables(BINARY, ["u_0", "u_0"]),
+        "index in the model": lambda m: m.add_variables(BINARY, ["u_0", "x_0"]),
     }
 
 
@@ -457,7 +516,7 @@ def test_a_rejected_call_leaves_the_model_unchanged(case):
     assert (len(m.variables), len(m.constraints), m.group_counts(), dict(m.objective),
             _exports(m)) == before
     # the model still takes the rows and variables the call would have added
-    m.add_variables(BINARY, [("u", 0), ("u", 1)])
+    m.add_variables(BINARY, ["u_0", "u_1"])
     m.add_rows(["n", "n1", "n2"], ["g"] * 3, [GE] * 3, [0] * 3, [1, 2, 3], [0, 1, 2], [1] * 3)
 
 
@@ -486,7 +545,7 @@ def test_views_are_read_only_sequences():
     assert rows[1:] == [rows[1], rows[2]] and rows[::-1][0].name == "r3"
     assert rows == list(rows) and rows == m.constraints and rows != list(rows)[:2]
     assert [v.name for v in m.variables[-2:]] == ["y_0", "s_0"]
-    assert m.variables[0] == Variable("x_0", BINARY, ("x", 0), 0, 1)
+    assert m.variables[0] == Variable("x_0", BINARY, 0, 1)
     with pytest.raises(IndexError):
         rows[3]
     with pytest.raises(TypeError):
