@@ -23,19 +23,20 @@ tests and the CLI can count rows per family; lazy exponential families are
 declared with zero initial rows, described in ``separation.FAMILIES``, and
 filled by separation.
 
-Nearly every variable and row belongs to a per-picker family.  Variables
-are declared in bulk so that picker t's copy of a variable sits
-``t * stride`` positions after picker 0's: picker-major, with the family's
-size per picker as stride, except z, which is picker-minor with stride 1.
+Nearly every variable and row belongs to a per-picker family, and the
+model keeps picker 0's copy of each.  A variable family is declared once
+for every picker with :meth:`~pickopt.model.LinearModel.add_variable_copies`:
+picker t's copy of a variable sits ``t`` strides after picker 0's,
+picker-major with the family's size per picker as stride, except z, which
+is picker-minor with stride 1.  Its name is the family, ``_``, the picker
+and a tail (z's ends with the picker); the tails of the arc kinds'
+families are made once per graph, with the graph's other tables.
 
-Every name is joined from parts, with no per-picker formatting.  A
-variable's name is its family, ``_``, the picker and a tail (z's ends with
-the picker); the tails of the arc kinds' families are made once per graph,
-with the graph's other tables.  Rows come in blocks of picker 0's rows whose terms name a
-variable family and an offset in it, and whose names are kept split where
-the picker goes.  The arc kinds' blocks that depend on the graph alone
-(routing, subaisle, gamma, flow, no-reversal and corner rows) are compiled
-once per :class:`~pickopt.layout.PickingGraph` and kept with it
+Rows come in blocks of picker 0's rows whose terms name a variable family
+and an offset in it, and whose names are kept split where the picker goes.
+The arc kinds' blocks that depend on the graph alone (routing, subaisle,
+gamma, flow, no-reversal and corner rows) are compiled once per
+:class:`~pickopt.layout.PickingGraph` and kept with it
 (:meth:`~pickopt.layout.PickingGraph.derived`); the blocks that depend on
 the orders (covers, assignment and capacity, cuts, single-traversing rows
 and column inequalities) are made by each build.  On a graph that was
@@ -44,10 +45,12 @@ and the instance's rows.  The tour kinds (P_U1, P_U2) compile all of
 picker 0's tour rows in each build, as one block: their graph-only rows
 are few, a tour kind is rarely built twice on one graph, and compiling
 them apart and joining them again cost a fresh build more than it saved a
-repeated one.  Only the auxiliary graph is kept per graph.  A build maps
-offsets to positions with its own family bases, which depend on the
-picker and order counts, shifts each block by its families' strides for
-every picker, and stores all rows through one ``add_rows``.
+repeated one.  Only the auxiliary graph is kept per graph.  A build hands
+every block, with its own family bases, which depend on the picker and
+order counts, to one :meth:`~pickopt.model.LinearModel.add_row_blocks`;
+the model maps offsets to positions, checks every picker's copy and keeps
+picker 0's rows only.  The blocks stored once (assignment and capacity
+rows, cuts and column inequalities) have no tails.
 """
 
 from __future__ import annotations
@@ -55,12 +58,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
 from .layout import PickingGraph
-from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel, var_name
+from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel, RowBlock, var_name
 from .separation import FAMILIES, FAMILY_OF_KIND, order_components
 
 P_BASIC = "P_basic"
@@ -147,29 +150,11 @@ def _new_model(kind: str) -> LinearModel:
 # -- row blocks ----------------------------------------------------------------
 
 
-class _Rows:
-    """A block of rows as columns: names, groups, senses, right-hand sides,
-    each row's end offset, and for each term its family, its offset in the
-    family and its coefficient.  Within a row the terms are sorted by family
-    and offset.  A per-picker block holds picker 0's rows with each name
-    split where the picker goes: picker t's row i is named ``heads[i]``,
-    ``str(t)`` and ``tails[i]``.  A block stored once has its names as
-    heads, and None as tails."""
-
-    __slots__ = ("heads", "tails", "groups", "senses", "rhs", "ends", "families", "offsets",
-                 "coefs", "__weakref__")
-
-    def __init__(self, heads, tails, groups, senses, rhs, ends, families, offsets, coefs):
-        self.heads, self.tails = heads, tails
-        self.groups, self.senses, self.rhs, self.ends = groups, senses, rhs, ends
-        self.families, self.offsets, self.coefs = families, offsets, coefs
-
-
-def _compile(rows, per_picker: bool = True) -> _Rows:
+def _compile(rows, per_picker: bool = True) -> RowBlock:
     """A block of rows ``(name, group, terms, sense, rhs)`` whose terms are
     ``(family, offset, coefficient)`` in (family, offset) order, stored for
     every picker, each name with one ``%d`` where the picker goes, or, when
-    ``per_picker`` is false, once.  ``add_rows`` refuses a row whose terms
+    ``per_picker`` is false, once.  The model refuses a row whose terms
     come in any other order."""
     # transposed by slicing one flat list: ``zip(*rows)`` would make an
     # iterator per row or term, and a collection of the young objects with it
@@ -180,72 +165,26 @@ def _compile(rows, per_picker: bool = True) -> _Rows:
     if per_picker:
         parts = list(chain.from_iterable(map(str.partition, heads, repeat("%d"))))
         heads, tails = parts[0::3], parts[2::3]
-    return _Rows(heads, tails, flat[1::5], flat[3::5], flat[4::5],
+    return RowBlock(heads, tails, flat[1::5], flat[3::5], flat[4::5],
                  list(accumulate(map(len, terms))), flat_terms[0::3], flat_terms[1::3],
                  flat_terms[2::3])
 
 
-def _store(model: LinearModel, pickers: int, bases: Sequence[int], strides: Sequence[int],
-           blocks: list) -> None:
-    """Append every block's rows through one ``add_rows``, a per-picker
-    block for pickers 0 to ``pickers - 1`` and a once block as it is.
-
-    A term's position is its family's base plus its offset, plus ``t``
-    times its family's stride for picker t: families hold disjoint ranges
-    of positions in family order, so every placed row stays sorted.
-    """
-    names, groups, senses, rhs, ends, positions, coefs = [], [], [], [], [], [], []
-    for block in blocks:
-        per_picker = block.tails is not None
-        copies = pickers if per_picker else 1
-        placed = list(map(add, map(bases.__getitem__, block.families), block.offsets))
-        if copies > 1:
-            shifts = list(map(strides.__getitem__, block.families))
-        for t in range(copies):
-            if t:
-                placed = list(map(add, placed, shifts))
-            if per_picker:
-                names += map(add, map(add, block.heads, repeat(str(t))), block.tails)
-            else:
-                names += block.heads
-            ends += map(add, block.ends, repeat(len(positions)))
-            positions += placed
-        groups += block.groups * copies
-        senses += block.senses * copies
-        rhs += block.rhs * copies
-        coefs += block.coefs * copies
-    model.add_rows(names, groups, senses, rhs, ends, positions, coefs)
+def _assignment_family(instance: Instance) -> tuple:
+    """z's names, picker-minor: ``z_<order id>_<picker>``, order k's z for
+    picker t at ``k * T + t`` after the first."""
+    heads = [f"z_{o.id}_" for o in instance.orders]
+    return heads, [""] * len(heads), True
 
 
-def _picker_names(pickers: int, family, tails: Sequence[str]) -> list[str]:
-    """The names of a variable family for pickers 0 to ``pickers - 1``,
-    picker-major: picker t's variable of ``tails[k]`` is named by its
-    family, ``_``, t and the tail.  ``family`` is one family for every
-    tail, or a list of each tail's family."""
-    names: list[str] = []
-    for t in range(pickers):
-        if isinstance(family, str):
-            names += map(f"{family}_{t}".__add__, tails)
-        else:
-            heads = {f: f"{f}_{t}" for f in set(family)}
-            names += map(add, map(heads.__getitem__, family), tails)
-    return names
-
-
-def _assignment_names(instance: Instance) -> list[str]:
-    """z's names, picker-minor: ``z_<order id>_<picker>``."""
-    pickers = [str(t) for t in range(instance.pickers)]
-    return [head + t for head in [f"z_{o.id}_" for o in instance.orders] for t in pickers]
-
-
-def _assignment_rows(instance: Instance, assign: str, capacity: str) -> _Rows:
+def _assignment_rows(instance: Instance, assign: str, capacity: str) -> RowBlock:
     """Each order goes to one picker; each picker's load fits the trolley.
     Order k's z for picker t has offset ``k * T + t``."""
     T = instance.pickers
     orders = instance.orders
     O = len(orders)
     # O rows of T terms, one per order, then T rows of O terms, one per picker
-    return _Rows([f"{assign}_o{o.id}" for o in orders]
+    return RowBlock([f"{assign}_o{o.id}" for o in orders]
                  + [f"{capacity}_t{t}" for t in range(T)], None,
                  [assign] * O + [capacity] * T, [EQ] * O + [LE] * T,
                  [1] * O + [instance.capacity] * T,
@@ -261,16 +200,15 @@ def _assignment_rows(instance: Instance, assign: str, capacity: str) -> _Rows:
 class _ArcTables(NamedTuple):
     """A picking graph's offsets of x by arc, the sorted offsets of the arcs
     leaving each vertex, alpha's offset by picking vertex (beta's is one
-    more), gamma's offset by reduced arc, the length of each arc, each
-    family's stride, and by family the ``(family, tails)`` that
-    :func:`_picker_names` names it by (None for z and the flows)."""
+    more), gamma's offset by reduced arc, the length of each arc, and by
+    family the ``(heads, tails, interleaved)`` it is declared by (None for
+    z and the flows)."""
 
     x: dict
     out: list
     alpha: dict
     gamma: dict
     lengths: list
-    strides: tuple
     names: tuple
 
 
@@ -280,22 +218,23 @@ def _arc_tables(graph: PickingGraph) -> _ArcTables:
     for offset, (u, _) in enumerate(arcs):
         out[u].append(offset)
     reduced_arcs = graph.reduced_arcs()
-    n_reduced = len(reduced_arcs)
     # name tails: a vertex's is _v, an arc's _u_v, a traversal's _i_dn or _i_up
     vertex = [f"_{v}" for v in range(graph.n_vertices)]
     picking = [vertex[v] for v in graph.picking_vertices]
-    names = (("x", [vertex[u] + vertex[v] for u, v in arcs]), ("y", vertex), None,
-             (["a", "b"] * len(picking), list(chain.from_iterable(zip(picking, picking)))),
-             ("g", [vertex[u] + vertex[v] for u, v in reduced_arcs]), None,
-             ("w", [f"_{i}_{direction}" for i, direction in _traversals(graph)]))
+    traversals = [f"_{i}_{direction}" for i, direction in _traversals(graph)]
+    names = ((["x_"] * len(arcs), [vertex[u] + vertex[v] for u, v in arcs], False),
+             (["y_"] * len(vertex), vertex, False),
+             None, (["a_", "b_"] * len(picking), list(chain.from_iterable(zip(picking, picking))),
+                    False),
+             (["g_"] * len(reduced_arcs), [vertex[u] + vertex[v] for u, v in reduced_arcs],
+              False), None,
+             (["w_"] * len(traversals), traversals, False))
     return _ArcTables(
         dict(zip(arcs, range(len(arcs)))), out,
         dict(zip(graph.picking_vertices, range(0, 2 * graph.n_picking, 2))),
-        dict(zip(reduced_arcs, range(n_reduced))),
+        dict(zip(reduced_arcs, range(len(reduced_arcs)))),
         [graph.layout.loc_spacing] * (2 * graph.n_chain_edges)
-        + [graph.layout.aisle_spacing] * (len(arcs) - 2 * graph.n_chain_edges),
-        (len(arcs), graph.n_vertices, 1, 2 * graph.n_picking, n_reduced,
-         graph.n_artificial * n_reduced, 2 * len(graph.subaisles)), names)
+        + [graph.layout.aisle_spacing] * (len(arcs) - 2 * graph.n_chain_edges), names)
 
 
 def _flow_tails(graph: PickingGraph) -> list[str]:
@@ -307,7 +246,7 @@ def _flow_tails(graph: PickingGraph) -> list[str]:
 
 
 def _arc_core(graph: PickingGraph, depart: str, ydef: str, flow: str,
-              ydef_vertices) -> tuple[_Rows, _Rows, _Rows]:
+              ydef_vertices) -> tuple[RowBlock, RowBlock, RowBlock]:
     """The departure, y-definition and flow-conservation rows shared by
     P_basic and P_G, with per-kind group labels."""
     x = graph.derived(_arc_tables).x
@@ -323,15 +262,15 @@ def _arc_core(graph: PickingGraph, depart: str, ydef: str, flow: str,
     return _compile(departs), _compile(ydefs), _compile(flows)
 
 
-def _basic_core(graph: PickingGraph) -> tuple[_Rows, _Rows, _Rows]:
+def _basic_core(graph: PickingGraph) -> tuple[RowBlock, RowBlock, RowBlock]:
     return _arc_core(graph, "bs1", "bs3", "bs5", range(graph.n_vertices))
 
 
-def _improved_core(graph: PickingGraph) -> tuple[_Rows, _Rows, _Rows]:
+def _improved_core(graph: PickingGraph) -> tuple[RowBlock, RowBlock, RowBlock]:
     return _arc_core(graph, "impf1", "impf3", "impf9", graph.artificial_vertices)
 
 
-def _subaisle_chains(graph: PickingGraph) -> _Rows:
+def _subaisle_chains(graph: PickingGraph) -> RowBlock:
     """The subaisle cuts' chain rows: alpha and beta propagate along each
     subaisle and are bounded by its vertical arcs."""
     tables = graph.derived(_arc_tables)
@@ -350,7 +289,7 @@ def _subaisle_chains(graph: PickingGraph) -> _Rows:
     return _compile(rows)
 
 
-def _gamma_rows(graph: PickingGraph) -> _Rows:
+def _gamma_rows(graph: PickingGraph) -> RowBlock:
     """Link gamma over the reduced arcs to x, alpha, beta."""
     tables = graph.derived(_arc_tables)
     x, a, g = tables.x, tables.alpha, tables.gamma
@@ -375,7 +314,7 @@ def _gamma_rows(graph: PickingGraph) -> _Rows:
     return _compile(rows)
 
 
-def _flow_rows(graph: PickingGraph) -> _Rows:
+def _flow_rows(graph: PickingGraph) -> RowBlock:
     """P_F's connectivity: one flow per artificial vertex to the origin."""
     reduced_arcs = graph.reduced_arcs()
     s = graph.origin
@@ -405,7 +344,7 @@ def _traversals(graph: PickingGraph) -> list[tuple]:
     return [(sub.index, direction) for sub in graph.subaisles for direction in ("dn", "up")]
 
 
-def _no_reversal_rows(graph: PickingGraph) -> _Rows:
+def _no_reversal_rows(graph: PickingGraph) -> RowBlock:
     """Tie every vertical arc of a subaisle to one traversal variable per
     direction, so a picker entering a subaisle crosses it completely."""
     x = graph.derived(_arc_tables).x
@@ -422,7 +361,7 @@ def _no_reversal_rows(graph: PickingGraph) -> _Rows:
     return _compile(rows)
 
 
-def _reversal_rows(graph: PickingGraph) -> _Rows:
+def _reversal_rows(graph: PickingGraph) -> RowBlock:
     """Forbid touching an artificial vertex only to turn around there.
 
     At the tail of each subaisle (and at interior-cross-aisle heads) the
@@ -452,7 +391,7 @@ def _aisle_cut_arcs(graph: PickingGraph) -> tuple[list[int], ...]:
     return tuple(sorted(x[arc] for arc in graph.delta_plus(sub.locs)) for sub in graph.subaisles)
 
 
-def _cut_rows(group: str, cuts: list, pickers: int, n_arcs: int) -> _Rows:
+def _cut_rows(group: str, cuts: list, pickers: int, n_arcs: int) -> RowBlock:
     """One row per cut and picker, the pickers of a cut consecutive: the
     cut's arcs cover the order if the picker takes it.  A cut is ``(name,
     sorted x offsets, order rank)``, its name with a ``%d`` for the picker."""
@@ -468,39 +407,33 @@ def _cut_rows(group: str, cuts: list, pickers: int, n_arcs: int) -> _Rows:
             coefs += [1] * len(arcs)
             coefs.append(-1)
             ends.append(len(offsets))
-    return _Rows(names, None, [group] * len(names), [GE] * len(names), [0] * len(names),
+    return RowBlock(names, None, [group] * len(names), [GE] * len(names), [0] * len(names),
                  ends, families, offsets, coefs)
 
 
 def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mapping,
-               options: ModelOptions) -> tuple[LinearModel, list[int], tuple, list]:
+               options: ModelOptions) -> tuple[LinearModel, list[int], list]:
     """An arc-space kind with its arc-space options: the model with its
-    variables declared, each family's base and stride, and the row blocks
-    to store."""
+    variables declared, each family's base, and the row blocks to store."""
     T = instance.pickers
     orders = instance.orders
     tables = graph.derived(_arc_tables)
-    x, out, a, strides, tails = tables.x, tables.out, tables.alpha, tables.strides, tables.names
-    n_x, n_y, _, n_ab, n_g, _, _ = strides
+    x, out, a, names = tables.x, tables.out, tables.alpha, list(tables.names)
     improved = kind in (P_G, P_F, P_U)
     alpha_beta = improved or kind == P_A or options.subaisle_cuts
 
     model = _new_model(kind)
-    names = _picker_names(T, *tails[X]) + _picker_names(T, *tails[Y]) \
-        + _assignment_names(instance)
-    if alpha_beta:
-        names += _picker_names(T, *tails[AB])
-    if improved:
-        names += _picker_names(T, *tails[G])
-    if kind == P_U:
-        names += _picker_names(T, *tails[W])
-    model.add_variables(BINARY, names)
+    names[Z] = _assignment_family(instance)
+    binary = [X, Y, Z] + [AB] * alpha_beta + [G] * improved + [W] * (kind == P_U)
+    bases = [0] * 7
+    for family, base in zip(binary, model.add_variable_copies(
+            BINARY, map(names.__getitem__, binary), T)):
+        bases[family] = base
     if kind == P_F:
-        model.add_variables(CONTINUOUS, _picker_names(T, "s", graph.derived(_flow_tails)))
-    model.set_objective_coeffs(range(T * n_x), tables.lengths * T)
-    z = T * (n_x + n_y)
-    g = z + len(orders) * T + T * n_ab
-    bases = [0, T * n_x, z, z + len(orders) * T, g, g + T * n_g, g + T * n_g]
+        tails = graph.derived(_flow_tails)
+        bases[S], = model.add_variable_copies(CONTINUOUS, [(["s_"] * len(tails), tails, False)],
+                                              T)
+    model.set_objective_coeffs(range(T * len(x)), tables.lengths * T)
 
     if improved:
         labels = ("impf2", "impf10", "impf11")
@@ -533,7 +466,7 @@ def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappin
                 for sub, offsets, order_ids in zip(graph.subaisles, graph.derived(_aisle_cut_arcs),
                                                    _orders_by_subaisle(graph, picks))
                 for o in order_ids]
-        blocks.append(_cut_rows("aisle_cut", cuts, T, n_x))
+        blocks.append(_cut_rows("aisle_cut", cuts, T, len(x)))
     if options.basic_cuts:
         cuts = [(f"basic_cut_t%d_o{o.id}_k{k}",
                  sorted(x[arc] for arc in graph.delta_plus(vertex_set)), rank[o.id])
@@ -541,7 +474,7 @@ def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappin
                 for k, (vertex_set, contains_origin) in enumerate(
                     order_components(graph, picks[o.id]))
                 if not contains_origin]
-        blocks.append(_cut_rows("basic_cut", cuts, T, n_x))
+        blocks.append(_cut_rows("basic_cut", cuts, T, len(x)))
     if options.single_traversing:
         # no subaisle is fully traversed both ways; block-2 layouts exempt
         # the first subaisle
@@ -551,10 +484,10 @@ def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappin
                                 for o in orders for v in sorted(picks[o.id]) if v not in exempt)))
     if options.artificial_vertex_reversal:
         blocks.append(graph.derived(_reversal_rows))
-    return model, bases, strides, blocks
+    return model, bases, blocks
 
 
-def _symmetry_rows(instance: Instance) -> _Rows:
+def _symmetry_rows(instance: Instance) -> RowBlock:
     """Column inequalities over the order-to-picker assignment matrix.
 
     With orders ranked by id and pickers ordered, order of rank r may only
@@ -579,16 +512,16 @@ def _symmetry_rows(instance: Instance) -> _Rows:
 
 
 def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mapping,
-                cross_aisle_bound: bool) -> tuple[LinearModel, list[int], tuple, list]:
+                cross_aisle_bound: bool) -> tuple[LinearModel, list[int], list]:
     """Undirected TSP model on the graph's auxiliary graph: P_U1 on the
     single-block graph, P_U2 on the two-block one.
 
     Per picker: a departure row, the origin degree, the cover rows, the
     degree rows (P_U1's first subaisle tail first, under its own group)
     and, for P_U2 with ``cross_aisle_bound``, the second-cross-aisle bound.
-    Returns the model with its variables declared, each family's base and
-    stride, and the row blocks to store: the tour's rows, compiled by this
-    build, and the assignment rows.
+    Returns the model with its variables declared, each family's base, and
+    the row blocks to store: the tour's rows, compiled by this build, and
+    the assignment rows.
     """
     aux = graph.auxiliary()
     T = instance.pickers
@@ -605,18 +538,17 @@ def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappi
         lead = None
 
     model = _new_model(kind)
-    # an edge's family is its index's first part, and its name tail the
-    # parts after the picker: var_name(("", u, v)) is "_u_v"
+    # an edge's name head is its index's first part and "_", and its tail
+    # the parts after the picker: var_name(("", u, v)) is "_u_v"
     indices = [e.var_index(0) for e in aux.edges]
-    families = [index[0] for index in indices]
-    tails = [var_name(("",) + index[2:]) for index in indices]
-    model.add_variables(BINARY, _picker_names(T, families, tails)
-                        + _picker_names(T, "y", [f"_{v}" for v in aux.vertices])
-                        + _assignment_names(instance))
-    E, V = len(aux.edges), len(aux.vertices)
-    model.set_objective_coeffs(range(T * E), [e.length for e in aux.edges] * T)
+    bases = model.add_variable_copies(BINARY, [
+        ([index[0] + "_" for index in indices], [var_name(("",) + index[2:]) for index in indices],
+         False),
+        (["y_"] * len(aux.vertices), [f"_{v}" for v in aux.vertices], False),
+        _assignment_family(instance)], T)
+    model.set_objective_coeffs(range(T * len(aux.edges)), [e.length for e in aux.edges] * T)
 
-    y = dict(zip(aux.vertices, range(V)))
+    y = dict(zip(aux.vertices, range(len(aux.vertices))))
 
     def edge_sum(edges):
         return [(X, e.id, 1) for e in edges]
@@ -639,8 +571,7 @@ def _tour_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappi
         south = aux.south_set
         crossing = [e for e in aux.edges if (e.u in south) != (e.v in south)]
         rows.append(("less2con_t%d", "less2con", edge_sum(crossing), LE, 2))
-    return model, [0, T * E, T * (E + V)], (E, V, 1), [
-        _compile(rows), _assignment_rows(instance, assign, capacity)]
+    return model, bases, [_compile(rows), _assignment_rows(instance, assign, capacity)]
 
 
 # -- the builder -------------------------------------------------------------
@@ -656,13 +587,13 @@ def build_model(instance: Instance, graph: PickingGraph, kind: str,
 
     # validate_options refuses every arc-space family for the TSP kinds
     if kind in TSP_KINDS:
-        model, bases, strides, blocks = _tour_model(kind, instance, graph, picks,
-                                                    options.cross_aisle_bound)
+        model, bases, blocks = _tour_model(kind, instance, graph, picks,
+                                           options.cross_aisle_bound)
     else:
-        model, bases, strides, blocks = _arc_model(kind, instance, graph, picks, options)
+        model, bases, blocks = _arc_model(kind, instance, graph, picks, options)
     if options.column_inequalities:
         blocks.append(_symmetry_rows(instance))
-    _store(model, instance.pickers, bases, strides, blocks)
+    model.add_row_blocks(blocks, instance.pickers, bases)
     model.meta["kind"] = kind
     model.meta["options"] = sorted(options.enabled())
     return model

@@ -9,19 +9,41 @@ free MPS or a JSON sidecar; no LP relaxations are solved here.
 
 A model stores columns, not objects.  Variables are four parallel lists
 (names, kinds, lower and upper bounds) and a table of positions by name;
-no index tuple is kept.  Rows are in compressed sparse row form: names,
-groups, senses and right-hand sides per row, each row's end offset, and
-one flat list each of term positions and coefficients.
-:meth:`LinearModel.add_variables` declares a whole family by name and
-:meth:`LinearModel.add_rows` appends many rows at once; ``add_variable``
-and ``add_row`` are their one-item cases.  The rows are canonical CSR:
-within each row the positions strictly increase.  ``add_rows`` takes only
-such rows and rejects any other; ``add_row`` is the one place a row is
-sorted by position and a repeated position merged.  Every check runs
-before anything is stored, so a rejected call leaves the model as it was.
-``model.variables`` and ``model.constraints`` are read-only views that
-build :class:`Variable` and :class:`Constraint` named tuples on access;
-the writers and the feasibility check read the columns directly.
+no index tuple is kept.  :meth:`LinearModel.add_variables` declares a
+family by its names, and :meth:`LinearModel.add_variable_copies` one
+family for each of several copies (a picker's, in the formulations): copy
+t of entry k is named ``heads[k] + str(t) + tails[k]``, copies side by
+side or interleaved, and the model keeps the lists of heads and tails.
+
+Rows come in blocks: :class:`RowBlock` holds canonical rows, each row's
+term positions strictly increasing.  :meth:`LinearModel.add_row_blocks`
+appends blocks stored once and blocks whose copy 0 stands for every copy:
+copy t of row i is named ``heads[i] + str(t) + tails[i]``, and a term on
+copy 0 of a variable declared for every copy moves to that variable's copy
+t, its position shifted by t strides of its family; any other term stays.
+:meth:`LinearModel.add_rows` appends rows stored once, and ``add_row`` one
+row, the one place a row is sorted by position and a repeated position
+merged.  The model keeps copy 0's rows of every block in compressed sparse
+row form (names split in heads and tails, groups, senses and right-hand
+sides per row, each row's end offset, and one list each of term
+positions, shifts and coefficients) and, for each block, its rows there
+and its copies; a run of blocks of one copy each is one segment.  A block
+of one copy, such as every block of a one-picker build, is stored once,
+under its rows' full names, so a row's tail is None exactly when its
+block has one copy.  Every
+check runs on every copy of every block before anything is stored, so a
+rejected call leaves the model as it was: every copy's row name is joined
+and checked against the model's, and positions are checked on copy 0 and
+the last copy, which bound every copy between, since a term's position is
+linear in the copy.  ``model.variables`` and ``model.constraints`` are
+read-only views that build :class:`Variable` and :class:`Constraint` named
+tuples on access, and count without building any.  The feasibility check
+sums copy 0's terms once per copy, reading each family's copy t where its
+copy 0 is, and ``write_mps`` reads each block's terms copy by copy.
+``write_lp`` and ``write_model_json``
+write copy 0's rows once, with a NUL where a copy's number goes, and each
+copy of a block by putting its number there; so no variable name and no
+part of a row name may hold a NUL.
 
 The writers format each distinct number once per call.  The JSON writer
 lays the document out field by field and sends only its small head through
@@ -47,8 +69,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
-from math import isfinite
-from operator import add, is_not, itemgetter, lt, mul
+from math import inf, isfinite
+from numbers import Integral
+from operator import add, ge, gt, is_not, itemgetter, lt, methodcaller, mul, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -60,10 +83,14 @@ CONTINUOUS = "continuous"
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = frozenset((LE, EQ, GE))
+_INTEGRAL = frozenset((BINARY, INTEGER))
 _PLAIN = frozenset((int, float))
 _INT_OR_NONE = frozenset((int, type(None)))
 _INT = frozenset((int,))
 _STR = frozenset((str,))
+# where a copy's number goes in the text the LP and JSON writers make of a
+# block's copy 0; no name a writer puts there may hold one
+_COPY = "\x00"
 
 LP_FORMAT = "lp"
 MPS_FORMAT = "mps"
@@ -76,6 +103,8 @@ def _exact(c):
     if type(c) is int:
         return c
     if isinstance(c, float) and c.is_integer():  # numpy's float64 too; int() is exact
+        return int(c)
+    if isinstance(c, Integral):  # numpy's integers too
         return int(c)
     if type(c) is not Fraction:
         c = Fraction(c)
@@ -109,11 +138,22 @@ def _require_finite(value, what: str) -> None:
         raise ValidationError(f"{what} is not a finite number: {value!r}")
 
 
-def _require_finite_coefs(names: list[str], ends: list[int], coefs: list) -> None:
-    k = _nonfinite_at(coefs)
-    if k is not None:
-        raise ValidationError(f"row {names[bisect_right(ends, k)]}: coefficient "
-                              f"is not a finite number: {coefs[k]!r}")
+def _descent(ends: list[int], positions: list[int]) -> Optional[int]:
+    """The first term whose position does not precede the next term's in its
+    row, or None.  A fall from one term to the next is no descent where the
+    next term begins a row, at one of ``ends``."""
+    falls = set(compress(range(1, len(positions)),
+                         map(ge, positions, islice(positions, 1, None))))
+    falls.difference_update(ends)
+    return min(falls) - 1 if falls else None
+
+
+def _copy_names(heads: list[str], tails: list[str], copies: int) -> list[str]:
+    """Every copy's row names, copy by copy: ``heads[i] + str(t) + tails[i]``."""
+    names: list[str] = []
+    for t in map(str, range(copies)):
+        names += map(t.join, zip(heads, tails))
+    return names
 
 
 _POSITION = itemgetter(0)
@@ -130,7 +170,7 @@ def _indexed_name(index: tuple) -> str:
     """``var_name(index)``, refused when a text part holds ``_``: then the
     name would not split back into the index, and ``("x", "0_1")`` would
     name ``("x", 0, 1)``'s variable."""
-    name = var_name(index)
+    name = _NAME_FORMATS[len(index)] % index  # var_name(index), without a call
     # joining adds len(index) - 1 underscores, so any more come from a part
     if name.count("_") != len(index) - 1:
         raise ValidationError(f"variable index {index} has a part containing '_'")
@@ -198,10 +238,48 @@ class ConstraintView(_View):
     __slots__ = ()
 
     def _count(self) -> int:
-        return len(self._model._row_names)
+        return self._model._n_rows
 
     def _item(self, row: int) -> Constraint:
         return self._model._row(row)
+
+
+class _Family(NamedTuple):
+    """Variables declared for every copy: copy t of entry k sits at ``first
+    + k * step + t * stride`` and is named ``heads[k] + str(t) + tails[k]``."""
+
+    first: int
+    step: int
+    stride: int
+    copies: int
+    heads: list
+    tails: list
+
+    def names(self, number: str) -> list[str]:
+        """Copy 0's names with ``number`` where the copy's number goes."""
+        return list(map(number.join, zip(self.heads, self.tails)))
+
+
+# family 0: every variable that is not copy 0 of a family; it is the same
+# variable in every copy of a row block
+_NO_FAMILY = _Family(0, 0, 0, inf, [], [])
+
+
+class RowBlock:
+    """Rows as :meth:`LinearModel.add_row_blocks` takes them: names, groups,
+    senses, right-hand sides, each row's end offset, and each term's family,
+    offset and coefficient; the term is on the variable at its family's base
+    plus its offset.  Each name is split in two, ``heads[i]`` and
+    ``tails[i]``, where a copy's number goes; a block stored once has its
+    names as heads and None as tails."""
+
+    __slots__ = ("heads", "tails", "groups", "senses", "rhs", "ends", "families", "offsets",
+                 "coefs", "__weakref__")
+
+    def __init__(self, heads, tails, groups, senses, rhs, ends, families, offsets, coefs):
+        self.heads, self.tails = heads, tails
+        self.groups, self.senses, self.rhs, self.ends = groups, senses, rhs, ends
+        self.families, self.offsets, self.coefs = families, offsets, coefs
 
 
 class LinearModel:
@@ -217,15 +295,27 @@ class LinearModel:
         self._lbs: list = []
         self._ubs: list = []
         self._by_name: dict[str, int] = {}
-        # row columns; row i's terms are _positions and _coefs over
-        # [_row_ends[i - 1], _row_ends[i]), from 0 for the first row
-        self._row_names: list[str] = []
+        # the families declared for every copy, after family 0
+        self._families: list[_Family] = [_NO_FAMILY]
+        # copy 0's rows: row i's terms are _positions, _shifts and _coefs over
+        # [_ends[i - 1], _ends[i]), from 0 for the first row; copy t of row i
+        # is named _heads[i] + str(t) + _tails[i], or _heads[i] if its tail is
+        # None, which marks a row of a block of one copy
+        self._heads: list[str] = []
+        self._tails: list[Optional[str]] = []
         self._groups: list[str] = []
         self._senses: list[str] = []
         self._rhs: list = []
-        self._row_ends: list[int] = []
+        self._ends: list[int] = []
         self._positions: list[int] = []
+        self._shifts: list[int] = []
         self._coefs: list = []
+        # each block's copy-0 rows [start, stop) and copies, in row order, and
+        # its first row among every copy's rows; a run of blocks of one copy
+        # each, such as blocks stored once, is one segment
+        self._segments: list[tuple[int, int, int]] = []
+        self._segment_starts: list[int] = []
+        self._n_rows = 0
         self._row_name_set: set[str] = set()
         self._group_rows: dict[str, int] = {}  # rows per group, in order of first row
         self.objective: dict[int, float] = {}
@@ -244,15 +334,22 @@ class LinearModel:
     def add_variables(self, kind: str, names: Iterable[str], lb=0, ub=None) -> int:
         """Declare one variable per name, all of one kind and with the same
         bounds, and return the position of the first.  Names are unique
-        within a model; :meth:`var` finds a variable named by
-        :func:`var_name`."""
+        within a model and hold no NUL; :meth:`var` finds a variable named
+        by :func:`var_name`."""
         names = list(names)
-        _require_finite(lb, "variable lower bound")
-        if ub is not None:
-            _require_finite(ub, "variable upper bound")
         if not _STR.issuperset(map(type, names)):
             bad = next(name for name in names if type(name) is not str)
             raise ValidationError(f"variable name {bad!r} is not a str")
+        return self._declare(kind, names, lb, ub)
+
+    def _declare(self, kind: str, names: list[str], lb, ub) -> int:
+        """Declare variables whose names are all str."""
+        _require_finite(lb, "variable lower bound")
+        if ub is not None:
+            _require_finite(ub, "variable upper bound")
+        if _COPY in "".join(names):
+            bad = next(name for name in names if _COPY in name)
+            raise ValidationError(f"variable name {bad!r} holds a NUL")
         first = len(self._names)
         positions = dict(zip(names, range(first, first + len(names))))
         if len(positions) < len(names) or not self._by_name.keys().isdisjoint(positions):
@@ -261,12 +358,53 @@ class LinearModel:
             raise ValidationError(f"duplicate variable name {bad}")
         if kind == BINARY:
             ub = 1
-        self._by_name.update(positions)
+        if self._by_name:
+            self._by_name.update(positions)
+        else:  # a model's first variables: the new table is the table
+            self._by_name = positions
         self._names += names
         self._kinds += [kind] * len(names)
         self._lbs += [lb] * len(names)
         self._ubs += [ub] * len(names)
         return first
+
+    def add_variable_copies(self, kind: str, families: Iterable[tuple],
+                            copies: int) -> list[int]:
+        """Declare families of variables, with bounds 0 and none, for each of
+        ``copies`` copies, one family after another, and return the position
+        of each one's first.
+
+        A family is ``(heads, tails, interleaved)``, two lists of equal
+        length: copy t of entry k is named ``heads[k] + str(t) + tails[k]``.
+        Its copies sit one after another, copy t of entry k at ``first + t *
+        len(tails) + k``, or, ``interleaved``, at ``first + k * copies + t``.
+        In :meth:`add_row_blocks`, a term on copy 0 of one of these variables
+        moves with the copy."""
+        if type(copies) is not int or copies < 1:
+            raise ValidationError(f"a variable family needs one copy or more, not {copies!r}")
+        numbers = list(map(str, range(copies)))
+        names: list[str] = []
+        declared = []
+        for heads, tails, interleaved in families:
+            if isinstance(heads, str) or isinstance(tails, str):
+                raise ValidationError("variable name heads and tails are lists, not one str")
+            heads, tails = list(heads), list(tails)
+            if len(heads) != len(tails):
+                raise ValidationError("variable name heads and tails differ in length")
+            first = len(self._names) + len(names)
+            try:
+                if interleaved:
+                    names += [t.join(pair) for pair in zip(heads, tails) for t in numbers]
+                else:
+                    for t in numbers:
+                        names += map(t.join, zip(heads, tails))
+            except TypeError:
+                raise ValidationError("variable name heads and tails are not all str") from None
+            step, stride = (copies, 1) if interleaved else (1, len(tails))
+            declared.append(_Family(first, step, stride, copies, heads, tails))
+        self._declare(kind, names, 0, None)
+        self._families += declared
+        return [family.first for family in declared]
 
     def add_variable(self, kind: str, index: tuple, lb=0, ub=None) -> int:
         """Declare a variable; its name is ``var_name(index)``, and a text
@@ -301,53 +439,181 @@ class LinearModel:
         :meth:`add_row` sorts and merges a row that is not yet canonical.
         """
         n = len(names)
-        if not (len(groups) == len(senses) == len(rhs) == len(ends) == n):
+        if not len(groups) == len(senses) == len(rhs) == len(ends) == n:
             raise ValidationError("row columns differ in length")
-        if len(positions) != len(coefs) or (ends[-1] if ends else 0) != len(positions) \
-                or (ends and ends[0] < 0) or sorted(ends) != list(ends):
+        if len(positions) != len(coefs) or (ends[-1] if n else 0) != len(positions):
+            raise ValidationError("row ends do not fit the terms")
+        return self._store(names, [None] * n, groups, senses, rhs, list(ends), positions, coefs,
+                           names, [], [0], 1)
+
+    def add_row_blocks(self, blocks: Iterable[RowBlock], copies: int,
+                       bases: Sequence[int]) -> int:
+        """Append blocks of canonical rows and return the index of the first
+        row; every copy of every block is checked before any is stored.
+
+        A term of a block is on the variable at ``bases[family] + offset``.
+        A block whose tails are None is stored once, named by its heads.
+        Any other gives copy 0's rows of ``copies`` copies, which follow one
+        another: copy t of row i is named ``heads[i] + str(t) + tails[i]``,
+        and a term on copy 0 of a variable declared by
+        :meth:`add_variable_copies` is on that variable's copy t in copy t,
+        which must exist; any other term is the same in every copy.  Only
+        copy 0 is stored.
+        """
+        if type(copies) is not int or copies < 1:
+            raise ValidationError(f"a row block needs one copy or more, not {copies!r}")
+        # copy 0's rows of every block, one after another, each block's first
+        # row there, and every copy's row name.  With one copy, every block
+        # is stored once, under its rows' full names, and they all are one
+        # block
+        heads, tails, groups, copied_groups, senses, rhs, ends, positions, coefs = \
+            [], [], [], [], [], [], [], [], []
+        firsts, names = [], []
+        for block in blocks:
+            n, terms = len(block.heads), len(block.offsets)
+            if not len(block.groups) == len(block.senses) == len(block.rhs) == len(block.ends) \
+                    == n or not (block.tails is None or len(block.tails) == n):
+                raise ValidationError("row columns differ in length")
+            if not len(block.families) == len(block.coefs) == terms \
+                    or (block.ends[-1] if n else 0) != terms:
+                raise ValidationError("row ends do not fit the terms")
+            ends += map(add, block.ends, repeat(len(positions)))
+            try:
+                positions += map(add, map(bases.__getitem__, block.families), block.offsets)
+            except (IndexError, TypeError):
+                raise ValidationError("a term's family has no base") from None
+            try:
+                if copies == 1:
+                    heads += block.heads if block.tails is None \
+                        else map("0".join, zip(block.heads, block.tails))
+                else:
+                    firsts.append(len(heads))
+                    if block.tails is None:
+                        names += block.heads
+                        tails += repeat(None, n)
+                    else:
+                        names += _copy_names(block.heads, block.tails, copies)
+                        tails += block.tails
+                        copied_groups += block.groups
+                    heads += block.heads
+            except TypeError:
+                raise ValidationError("row name heads and tails are not all str") from None
+            groups += block.groups
+            senses += block.senses
+            rhs += block.rhs
+            coefs += block.coefs
+        if copies == 1:
+            names, tails = heads, [None] * len(heads)
+        return self._store(heads, tails, groups, senses, rhs, ends, positions, coefs, names,
+                           copied_groups, firsts or [0], copies)
+
+    def _store(self, heads, tails, groups, senses, rhs, ends, positions, coefs, names,
+               copied_groups, firsts, copies) -> int:
+        """Check copy 0's rows of blocks of ``copies`` copies, and of blocks
+        stored once, whose tails are None, then store them.  ``names`` holds
+        every copy's row name, and ``firsts`` each block's first row; blocks
+        of one copy each may be given as one."""
+        def row_name(row: int, t: int = 0) -> str:
+            return heads[row] if tails[row] is None else heads[row] + str(t) + tails[row]
+
+        # each block's ends rise from 0 to its terms if the joined ends rise
+        if (ends and ends[0] < 0) or sorted(ends) != ends:
             raise ValidationError("row ends do not fit the terms")
         if not _SENSES.issuperset(senses):
             bad = next(sense for sense in senses if sense not in _SENSES)
             raise ValidationError(f"bad sense {bad!r}")
+        try:
+            joined = "".join(heads) + ("".join(filter(None, tails)) if copies > 1 else "")
+        except TypeError:
+            bad = next(part for part in heads if type(part) is not str)
+            raise ValidationError(f"row name {bad!r} is not a str") from None
+        if _COPY in joined:
+            bad = next(part for part in chain(heads, filter(None, tails)) if _COPY in part)
+            raise ValidationError(f"row name part {bad!r} holds a NUL")
         new_names = set(names)
-        if len(new_names) < n or not self._row_name_set.isdisjoint(new_names):
+        if len(new_names) < len(names) or not self._row_name_set.isdisjoint(new_names):
             seen = set(self._row_name_set)
             bad = next(name for name in names if name in seen or seen.add(name))
             raise ValidationError(f"duplicate row name {bad}")
         declared = len(self._names)
         if positions and (min(positions) < 0 or max(positions) >= declared):
             k = next(k for k, pos in enumerate(positions) if not 0 <= pos < declared)
-            raise ValidationError(f"row {names[bisect_right(ends, k)]}: variable position "
+            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: variable position "
                                   f"{positions[k]} not declared")
-        # one pass over neighbouring terms; a row's last term need not
-        # precede the next row's first
-        ascending = list(map(lt, positions, islice(positions, 1, None)))
-        ascending.append(True)
-        for end in ends:
-            ascending[end - 1] = True
-        if False in ascending:
-            k = ascending.index(False)
-            raise ValidationError(f"row {names[bisect_right(ends, k)]}: term positions do not "
-                                  f"strictly increase ({positions[k]} then {positions[k + 1]})")
-        _require_finite_coefs(names, ends, coefs)
+        k = _descent(ends, positions)
+        if k is not None:
+            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: term positions do "
+                                  f"not strictly increase ({positions[k]} then {positions[k + 1]})")
+        shifts = [0] * len(positions)
+        if copies > 1:
+            # a term moves by its family's stride in each copy, so its
+            # positions are linear in the copy: copy 0 and the last copy bound
+            # every copy between
+            family_at = [0] * len(self._names)  # each copy-0 position's family
+            for k, family in enumerate(self._families[1:], 1):
+                end = family.first + len(family.tails) * family.step
+                family_at[family.first:end:family.step] = repeat(k, len(family.tails))
+            families = list(map(family_at.__getitem__, positions))
+            for start, stop in zip(firsts, firsts[1:] + [len(heads)]):
+                if start < stop and tails[start] is None:  # a block stored once stays put
+                    first_term = ends[start - 1] if start else 0
+                    families[first_term:ends[stop - 1]] = repeat(0, ends[stop - 1] - first_term)
+            short = [family.copies < copies for family in self._families]
+            if True in short and True in map(short.__getitem__, families):
+                k = list(map(short.__getitem__, families)).index(True)
+                raise ValidationError(f"row {row_name(bisect_right(ends, k))}: variable "
+                                      f"{self._names[positions[k]]} has fewer than "
+                                      f"{copies} copies")
+            shifts = list(map([family.stride for family in self._families].__getitem__,
+                              families))
+            last = list(map(add, positions, map(mul, shifts, repeat(copies - 1))))
+            k = _descent(ends, last)
+            if k is not None:
+                raise ValidationError(f"row {row_name(bisect_right(ends, k), copies - 1)}: "
+                                      f"term positions do not strictly increase ({last[k]} "
+                                      f"then {last[k + 1]})")
+        k = _nonfinite_at(coefs)
+        if k is not None:
+            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: coefficient "
+                                  f"is not a finite number: {coefs[k]!r}")
         k = _nonfinite_at(rhs)
         if k is not None:
-            raise ValidationError(f"row {names[k]}: right-hand side "
+            raise ValidationError(f"row {row_name(k)}: right-hand side "
                                   f"is not a finite number: {rhs[k]!r}")
 
-        first = len(self._row_names)
-        offset = len(self._positions)
-        self._row_names += names
-        self._row_name_set |= new_names
+        first = self._n_rows
+        stored = len(self._heads)
+        self._heads += heads
+        self._tails += tails
         self._groups += groups
         self._senses += senses
         self._rhs += rhs
-        self._row_ends += map(add, ends, repeat(offset))
+        self._ends += map(add, ends, repeat(len(self._positions)))
         self._positions += positions
+        self._shifts += shifts
         self._coefs += coefs
+        for start, stop in zip(firsts, firsts[1:] + [len(heads)]):
+            if start == stop:
+                continue
+            n_copies = 1 if tails[start] is None else copies
+            start, stop = start + stored, stop + stored
+            if n_copies == 1 and self._segments and self._segments[-1][2] == 1:
+                self._segments[-1] = (self._segments[-1][0], stop, 1)  # one-copy runs are joined
+            else:
+                self._segments.append((start, stop, n_copies))
+                self._segment_starts.append(self._n_rows)
+            self._n_rows += (stop - start) * n_copies
+        if self._row_name_set:
+            self._row_name_set |= new_names
+        else:  # a model's first rows: the new names are the set
+            self._row_name_set = new_names
+        rows = Counter(groups)  # copy 0's, in order of first row
+        if copies > 1:
+            for group, more in Counter(copied_groups).items():
+                rows[group] += more * (copies - 1)
         counts = self._group_rows
-        for group, rows in Counter(groups).items():  # in order of first row
-            counts[group] = counts.get(group, 0) + rows
+        for group, n in rows.items():
+            counts[group] = counts.get(group, 0) + n
         return first
 
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],
@@ -361,27 +627,94 @@ class LinearModel:
         """
         terms = sorted(coeffs, key=_POSITION)
         if len(dict(terms)) < len(terms):
-            _require_finite_coefs([name], [len(terms)], [coef for _, coef in terms])
+            k = _nonfinite_at([coef for _, coef in terms])
+            if k is not None:
+                raise ValidationError(f"row {name}: coefficient is not a finite number: "
+                                      f"{terms[k][1]!r}")
             merged: dict[int, float] = {}
             for pos, coef in terms:
                 merged[pos] = merged.get(pos, 0) + coef
             terms = merged.items()
-        return self._row(self.add_rows([name], [group], [sense], [rhs], [len(terms)],
-                                       [pos for pos, _ in terms], [coef for _, coef in terms]))
+        positions, coefs = [pos for pos, _ in terms], [coef for _, coef in terms]
+        self.add_rows([name], [group], [sense], [rhs], [len(terms)], positions, coefs)
+        return Constraint(name, group, tuple(zip(positions, coefs)), sense, rhs)
+
+    def _locate(self, row: int) -> tuple[int, int]:
+        """A row's copy-0 row and its copy."""
+        k = bisect_right(self._segment_starts, row) - 1
+        start, stop, _ = self._segments[k]
+        t, i = divmod(row - self._segment_starts[k], stop - start)
+        return start + i, t
+
+    def _row_name(self, i: int, t: int) -> str:
+        """Copy t's name of copy-0 row i."""
+        tail = self._tails[i]
+        return self._heads[i] if tail is None else self._heads[i] + str(t) + tail
 
     def _row(self, row: int) -> Constraint:
-        start, end = (self._row_ends[row - 1] if row else 0), self._row_ends[row]
-        return Constraint(self._row_names[row], self._groups[row],
-                          tuple(zip(self._positions[start:end], self._coefs[start:end])),
-                          self._senses[row], self._rhs[row])
+        i, t = self._locate(row)
+        start, end = (self._ends[i - 1] if i else 0), self._ends[i]
+        positions = self._positions[start:end]
+        if t:
+            positions = map(add, positions, map(mul, self._shifts[start:end], repeat(t)))
+        return Constraint(self._row_name(i, t), self._groups[i],
+                          tuple(zip(positions, self._coefs[start:end])),
+                          self._senses[i], self._rhs[i])
+
+    def _per_row(self, column: list) -> list:
+        """A column of copy 0's rows, such as ``_senses``, for every row: each
+        block's for each of its copies.  When every block has one copy, it is
+        the column itself."""
+        if self._n_rows == len(column):
+            return column
+        return list(chain.from_iterable(column[start:stop] * copies
+                                        for start, stop, copies in self._segments))
+
+    def _row_names(self) -> list[str]:
+        """Every row's name, in row order."""
+        names: list[str] = []
+        heads, tails = self._heads, self._tails
+        for start, stop, copies in self._segments:
+            if copies == 1:
+                names += heads[start:stop]
+            else:
+                names += _copy_names(heads[start:stop], tails[start:stop], copies)
+        return names
+
+    def _terms(self) -> tuple[list[int], list[int], list]:
+        """Every row's end offset, and every term's position and coefficient,
+        in row order: each block's terms for each of its copies, moved by the
+        copy's shifts.  When every block has one copy, they are the columns
+        themselves."""
+        if self._n_rows == len(self._ends):
+            return self._ends, self._positions, self._coefs
+        ends: list[int] = []
+        positions: list[int] = []
+        coefs: list = []
+        for start, stop, copies in self._segments:
+            first = self._ends[start - 1] if start else 0
+            block_ends = self._ends[start:stop]
+            placed = self._positions[first:block_ends[-1]]
+            shifts = self._shifts[first:block_ends[-1]]
+            for t in range(copies):
+                if t:
+                    placed = list(map(add, placed, shifts))
+                ends += map(add, block_ends, repeat(len(positions) - first))
+                positions += placed
+            coefs += self._coefs[first:block_ends[-1]] * copies
+        return ends, positions, coefs
 
     def declare_lazy_group(self, group: str, description: str) -> None:
         self.lazy_groups[group] = description
 
     def set_objective_coeffs(self, positions: Iterable[int], coefs: Iterable) -> None:
         """Add each coefficient to its position's objective coefficient; a
-        zero adds no term.  A position is an ``int`` of a declared variable."""
+        zero adds no term.  A position is an ``int`` of a declared variable,
+        and there is one coefficient per position."""
         positions, coefs = list(positions), list(coefs)
+        if len(positions) != len(coefs):
+            raise ValidationError(f"{len(positions)} objective positions "
+                                  f"but {len(coefs)} coefficients")
         declared = len(self._names)
         if positions and (not _INT.issuperset(map(type, positions))
                           or min(positions) < 0 or max(positions) >= declared):
@@ -409,7 +742,7 @@ class LinearModel:
         return counts
 
     def rows_in_group(self, group: str) -> list[Constraint]:
-        return [self._row(i) for i, g in enumerate(self._groups) if g == group]
+        return [self._row(i) for i, g in enumerate(self._per_row(self._groups)) if g == group]
 
     def variable_counts(self) -> dict[str, int]:
         """Variables per family, the part of a name before its first ``_``."""
@@ -459,9 +792,11 @@ class VariableAssignment:
         Text is not a number, though ``Fraction`` would parse it: a ``str``
         or ``bytes`` value raises ``TypeError``, and a value ``Fraction``
         cannot take raises its ``TypeError`` or ``ValueError``."""
-        if isinstance(value, (str, bytes)):
-            raise TypeError(f"{value!r} is text, not a number")
-        self.values[name] = _exact(value)
+        if type(value) is not int:
+            if isinstance(value, (str, bytes)):
+                raise TypeError(f"{value!r} is text, not a number")
+            value = _exact(value)
+        self.values[name] = value
 
     def get(self, name: str) -> int | Fraction:
         return self.values.get(name, 0)
@@ -499,29 +834,58 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
     for pos in compress(range(len(names)), map(is_not, given, repeat(None))):
         val = x[pos] = given[pos]
         name, lb, ub = names[pos], model._lbs[pos], model._ubs[pos]
-        if model._kinds[pos] in (BINARY, INTEGER) and type(val) is not int:
+        if model._kinds[pos] in _INTEGRAL and type(val) is not int:
             note(f"domain({name})", "domain", val, EQ, 0)
         if val < lb:
             note(f"bound({name})", "domain", val, GE, lb)
         if ub is not None and val > ub:
             note(f"bound({name})", "domain", val, LE, ub)
 
-    # every row's left-hand side as a difference of prefix sums over all
-    # terms; a float coefficient makes the sums floats, so they are summed
-    # again with every coefficient exact
-    positions = model._positions
-    prefix = list(accumulate(map(mul, model._coefs, map(x.__getitem__, positions)), initial=0))
-    if type(prefix[-1]) not in (int, Fraction):
-        prefix = list(accumulate(map(mul, map(_exact, model._coefs),
-                                     map(x.__getitem__, positions)), initial=0))
-    before = 0
-    for row, end, sense, rhs in zip(count(), model._row_ends, model._senses, model._rhs):
-        lhs = prefix[end] - before
-        before = prefix[end]
-        if not (lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs):
-            note(model._row_names[row], model._groups[row], lhs, sense, rhs)
+    # every copy-0 row's left-hand side in copy t, as a difference of prefix
+    # sums over copy 0's terms read in copy t: x_t holds each family's copy t
+    # where its copy 0 is.  A float coefficient makes the sums floats, so
+    # they are summed again with every coefficient exact.  Copy t checks the
+    # rows of the blocks with more than t copies
+    ends, positions, coefs = model._ends, model._positions, model._coefs
+    most = 1
+    if _copied(model):
+        row_copies = []  # each copy-0 row's copies
+        for start, stop, copies in model._segments:
+            row_copies += [copies] * (stop - start)
+        most = max(row_copies)
+    exact = None
+    failed = []  # (copy-0 row, copy, left-hand side)
+    for t in range(most):
+        x_t = x
+        if t:
+            x_t = list(x)
+            for family in model._families[1:]:
+                if family.copies > t:
+                    first, step, moved = family.first, family.step, t * family.stride
+                    end = first + len(family.tails) * step
+                    x_t[first:end:step] = x[first + moved:end + moved:step]
+        prefix = list(accumulate(map(mul, coefs, map(x_t.__getitem__, positions)), initial=0))
+        if type(prefix[-1]) not in (int, Fraction):
+            exact = exact or list(map(_exact, coefs))
+            prefix = list(accumulate(map(mul, exact, map(x_t.__getitem__, positions)), initial=0))
+        rows = zip(count(), chain((0,), ends), ends, model._senses, model._rhs)
+        if t:
+            rows = compress(rows, map(gt, row_copies, repeat(t)))
+        for i, start, end, sense, rhs in rows:
+            lhs = prefix[end] - prefix[start]
+            if not (lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs):
+                failed.append((i, t, lhs))
+    # each failure in row order
+    firsts = [start for start, _, _ in model._segments] if failed else []
+    placed = []
+    for i, t, lhs in failed:
+        k = bisect_right(firsts, i) - 1
+        start, stop, _ = model._segments[k]
+        placed.append((model._segment_starts[k] + t * (stop - start) + i - start, i, t, lhs))
+    for _, i, t, lhs in sorted(placed):
+        note(model._row_name(i, t), model._groups[i], lhs, model._senses[i], model._rhs[i])
 
-    return FeasibilityReport(not violated, tuple(violations), len(model._row_names))
+    return FeasibilityReport(not violated, tuple(violations), model._n_rows)
 
 
 # -- exporters -------------------------------------------------------------
@@ -576,10 +940,38 @@ def _wrap(prefix: str, parts: list[str], per_line: int = 8) -> list[str]:
     return lines
 
 
-def _row_spans(model: LinearModel):
-    """Each row's first term and the end of its terms, by row."""
-    ends = model._row_ends
-    return zip(chain((0,), ends), ends)
+def _copied(model: LinearModel) -> bool:
+    """Whether a block has more than one copy.  If not, every row is stored
+    once, under its name, and the writers' text of copy 0's rows is every
+    row's text."""
+    return model._n_rows > len(model._heads)
+
+
+def _templates(model: LinearModel, texts: list[str], template) -> list[str]:
+    """``texts`` by variable position, with copy 0 of every family declared
+    for every copy given as ``template(family)`` makes it, each text with a
+    ``_COPY`` where the copy's number goes; ``texts`` itself when no block
+    has more than one copy."""
+    if not _copied(model):
+        return texts
+    texts = list(texts)
+    for family in model._families[1:]:
+        end = family.first + len(family.tails) * family.step
+        texts[family.first:end:family.step] = template(family)
+    return texts
+
+
+def _copies(model: LinearModel, rows: list[str], separator: str) -> Iterable[str]:
+    """The text of every row, block by block, from each copy-0 row's text:
+    a block's copy-0 rows joined by ``separator``, with each copy's number
+    where a ``_COPY`` is.  A row stored once is its block's copy 0, and
+    only its terms on copy 0 of a family hold a ``_COPY``."""
+    if not _copied(model):
+        yield from rows
+        return
+    for start, stop, copies in model._segments:
+        text = separator.join(rows[start:stop])
+        yield from map(text.replace, repeat(_COPY, copies), map(str, range(copies)))
 
 
 def write_lp(model: LinearModel) -> str:
@@ -591,24 +983,31 @@ def write_lp(model: LinearModel) -> str:
     obj = sorted(model.objective.items())
     out.extend(_wrap(" obj:", _lp_terms(obj, names, signs)))
     out.append("Subject To")
-    # every term's text in one pass over the columns, then each row's first
-    # term without its "+ "
+    # every term's text in one pass over copy 0's rows, then each row's
+    # first term without its "+ "
+    templates = _templates(model, names, methodcaller("names", _COPY))
     terms = list(map(add, map(signs.__getitem__, model._coefs),
-                     map(names.__getitem__, model._positions)))
-    ends = model._row_ends
+                     map(templates.__getitem__, model._positions)))
+    ends = model._ends
     starts = [0, *ends][:-1]
     for k in compress(starts, map(lt, starts, ends)):
         if terms[k][0] == "+":
             terms[k] = terms[k][2:]
     bodies = map(" ".join, map(terms.__getitem__, map(slice, starts, ends)))
-    for name, start, end, body, sense, rhs in zip(model._row_names, starts, ends, bodies,
+    row_names = model._heads
+    if _copied(model):
+        row_names = [head if tail is None else head + _COPY + tail
+                     for head, tail in zip(row_names, model._tails)]
+    rows = []
+    for name, start, end, body, sense, rhs in zip(row_names, starts, ends, bodies,
                                                   model._senses, map(nums.__getitem__, model._rhs)):
         if 0 < end - start <= 8:
-            out.append(f" {name}: {body} {sense} {rhs}")
+            rows.append(f" {name}: {body} {sense} {rhs}")
         else:  # no term, or one line per 8 terms
             lines = _wrap(f" {name}:", terms[start:end])
             lines[-1] += f" {sense} {rhs}"
-            out += lines
+            rows.append("\n".join(lines))
+    out += _copies(model, rows, "\n")
     bounds = []
     for name, kind, lb, ub in zip(names, model._kinds, model._lbs, model._ubs):
         if kind != BINARY and (_exact(lb) != 0 or ub is not None):
@@ -636,7 +1035,9 @@ def write_mps(model: LinearModel) -> str:
     out.append("ROWS")
     out.append(" N  COST")
     sense_tag = {LE: "L", EQ: "E", GE: "G"}
-    out += [f" {sense_tag[sense]}  {name}" for sense, name in zip(model._senses, model._row_names)]
+    row_names = model._row_names()
+    out += [f" {sense_tag[sense]}  {name}"
+            for sense, name in zip(model._per_row(model._senses), row_names)]
 
     # column-major entries: the column's padded name, each row's padded
     # name and the coefficient
@@ -644,12 +1045,12 @@ def write_mps(model: LinearModel) -> str:
     col_entries: list[list[str]] = [[] for _ in model._names]
     for pos, coef in sorted(model.objective.items()):
         col_entries[pos].append(f"{columns[pos]}{'COST':<10}  {nums[coef]}")
-    labels = [f"{name:<10}  " for name in model._row_names]
-    term_labels = chain.from_iterable(map(repeat, labels, (end - start for start, end
-                                                             in _row_spans(model))))
-    lines = map(add, map(add, map(columns.__getitem__, model._positions), term_labels),
-                map(nums.__getitem__, model._coefs))
-    for pos, line in zip(model._positions, lines):
+    ends, positions, coefs = model._terms()
+    labels = [f"{name:<10}  " for name in row_names]
+    term_labels = chain.from_iterable(map(repeat, labels, map(sub, ends, chain((0,), ends))))
+    lines = map(add, map(add, map(columns.__getitem__, positions), term_labels),
+                map(nums.__getitem__, coefs))
+    for pos, line in zip(positions, lines):
         col_entries[pos].append(line)
 
     out.append("COLUMNS")
@@ -670,7 +1071,7 @@ def write_mps(model: LinearModel) -> str:
         out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
 
     out.append("RHS")
-    for name, rhs in zip(model._row_names, model._rhs):
+    for name, rhs in zip(row_names, model._per_row(model._rhs)):
         if _exact(rhs) != 0:
             out.append(f"    RHS         {name:<10}  {nums[rhs]}")
     out.append("BOUNDS")
@@ -716,6 +1117,18 @@ def _json_block(items: list[str], opening: str, closing: str) -> str:
     return opening + "\n" + ",\n".join(items) + "\n" + closing
 
 
+def _json_name(head: str, tail: Optional[str]) -> str:
+    """``head``, or ``head + _COPY + tail``, quoted as ``json`` quotes it, with
+    the ``_COPY`` put in after quoting, which would escape it."""
+    if tail is None:
+        return encode_basestring_ascii(head)
+    return encode_basestring_ascii(head)[:-1] + _COPY + encode_basestring_ascii(tail)[1:]
+
+
+def _json_keys(family: _Family) -> list[str]:
+    return [f"    {_json_name(head, tail)}: " for head, tail in zip(family.heads, family.tails)]
+
+
 def write_model_json(model: LinearModel) -> str:
     """The model as a JSON document, laid out as ``json.dumps(doc, indent=1)``
     plus a newline.  Only the head goes through ``json.dumps``; variables,
@@ -737,20 +1150,23 @@ def write_model_json(model: LinearModel) -> str:
     objective = [f"  {names[pos]}: {_json_num(coef)}"
                  for pos, coef in sorted(model.objective.items())]
     keys = [f"    {name}: " for name in names]
+    templates = _templates(model, keys, _json_keys)
     coefs = model._coefs
     # str is int.__repr__ on an int and float.__repr__ on a float, as json
     # writes them; every coefficient is finite
     coef_texts = map(str if _PLAIN.issuperset(map(type, coefs)) else _json_num, coefs)
-    terms = list(map(add, map(keys.__getitem__, model._positions), coef_texts))
-    constraints = []
-    for name, group, (start, end), sense, rhs in zip(model._row_names, model._groups,
-                                                     _row_spans(model), model._senses,
-                                                     _json_texts(model._rhs)):
+    terms = list(map(add, map(templates.__getitem__, model._positions), coef_texts))
+    ends = model._ends
+    row_names = map(_json_name, model._heads, model._tails)
+    rows = []
+    for name, group, start, end, sense, rhs in zip(row_names, model._groups, chain((0,), ends),
+                                                   ends, model._senses, _json_texts(model._rhs)):
         coeffs = "{\n" + ",\n".join(terms[start:end]) + "\n   }" if end > start else "{}"
-        constraints.append(
-            f'  {{\n   "name": {encode_basestring_ascii(name)},\n'
+        rows.append(
+            f'  {{\n   "name": {name},\n'
             f'   "group": {quoted[group]},\n   "coeffs": {coeffs},\n'
             f'   "sense": {quoted[sense]},\n   "rhs": {rhs}\n  }}')
+    constraints = list(_copies(model, rows, ",\n"))
     return (head[:-2] + ',\n "variables": ' + _json_block(variables, "[", " ]")
             + ',\n "objective": ' + _json_block(objective, "{", " }")
             + ',\n "constraints": ' + _json_block(constraints, "[", " ]") + "\n}\n")

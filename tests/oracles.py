@@ -4,8 +4,9 @@ These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
 packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
 distances (both over edge lengths this module reads off the layout), a
-small parser for our LP output, and a row-by-row evaluator of
-model rows in ``Fraction`` arithmetic.  The route oracle and the batching
+small parser for our LP output, reference LP and JSON writers that read a
+model's public views row by row, and a row-by-row evaluator of model rows
+in ``Fraction`` arithmetic.  The route oracle and the batching
 enumerator price walks through the full scan.  A restriction mask may be
 built on the package's walk space or on the scan: the scan checks that
 both hold the same rows in the same order.
@@ -503,3 +504,56 @@ def model_to_dict(model) -> dict:
 def reference_model_json(model) -> str:
     """``write_model_json`` as ``json.dumps`` writes the document."""
     return json.dumps(model_to_dict(model), indent=1) + "\n"
+
+
+def _lp_number(value) -> str:
+    """A number as the LP writer prints it: an integral value as an int,
+    any other as the shortest repr of the float nearest to it."""
+    exact = Fraction(value)
+    return str(exact.numerator) if exact.denominator == 1 else repr(float(exact))
+
+
+def _lp_lines(prefix: str, parts: list[str]) -> list[str]:
+    """``prefix`` and the parts, eight to a line; a continuation line is
+    indented by three spaces.  No part is written as ``0``."""
+    if len(parts) <= 8:
+        return [f"{prefix} {' '.join(parts) or '0'}"]
+    return [f"{prefix if k == 0 else '  '} {' '.join(parts[k:k + 8])}"
+            for k in range(0, len(parts), 8)]
+
+
+def reference_lp(model) -> str:
+    """``write_lp`` restated row by row from ``model.variables``,
+    ``model.constraints`` and ``model.objective`` alone."""
+    variables = list(model.variables)
+    names = [v.name for v in variables]
+
+    def terms(pairs):
+        parts = []
+        for pos, coef in pairs:
+            c = Fraction(coef)
+            magnitude = "" if abs(c) == 1 else _lp_number(abs(c)) + " "
+            parts.append(f"{'-' if c < 0 else '+'} {magnitude}{names[pos]}")
+        if parts and parts[0].startswith("+ "):
+            parts[0] = parts[0][2:]
+        return parts
+
+    out = [f"\\ {model.name}", "Minimize"]
+    out += _lp_lines(" obj:", terms(sorted(model.objective.items())))
+    out.append("Subject To")
+    for row in model.constraints:
+        lines = _lp_lines(f" {row.name}:", terms(row.coeffs))
+        lines[-1] += f" {row.sense} {_lp_number(row.rhs)}"
+        out += lines
+    bounds = [f" {_lp_number(v.lb)} <= {v.name} <= "
+              f"{'+inf' if v.ub is None else _lp_number(v.ub)}"
+              for v in variables
+              if v.kind != "binary" and (Fraction(v.lb) != 0 or v.ub is not None)]
+    if bounds:
+        out += ["Bounds"] + bounds
+    for title, kind in (("Binaries", "binary"), ("Generals", "integer")):
+        of_kind = [v.name for v in variables if v.kind == kind]
+        if of_kind:
+            out += [title] + _lp_lines(" ", of_kind)
+    out.append("End")
+    return "\n".join(out) + "\n"

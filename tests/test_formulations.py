@@ -11,7 +11,8 @@ from pickopt import (ALL_KINDS, CutRequest, Instance, ModelOptions, Order, Pick,
                      WarehouseLayout, build_graph, build_model, check_feasible, cut_to_row,
                      generate_instance, validate_options, VariableAssignment, write_lp,
                      walk_space, write_model_json, write_mps)
-from pickopt.formulations import _Rows, _improved_core
+from pickopt.formulations import _improved_core
+from pickopt.model import RowBlock
 from pickopt.separation import FAMILIES, FAMILY_OF_KIND
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
@@ -451,7 +452,7 @@ def test_dropping_a_graph_frees_its_compiled_blocks():
             "build_auxiliary_graph", "_build_walk_space"}
         compiled = [block for value in graph._derived.values()
                     for block in (value if isinstance(value, tuple) else (value,))
-                    if isinstance(block, _Rows)]
+                    if isinstance(block, RowBlock)]
         assert len(compiled) == 11  # two cores of three blocks, five single blocks
         refs += map(weakref.ref, compiled)
         del graph, aux, core, compiled

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from conftest import shared_graph
-from oracles import (fraction_feasibility, fraction_objective, parse_lp,
+from oracles import (fraction_feasibility, fraction_objective, parse_lp, reference_lp,
                      reference_model_json)
 from test_golden_exports import export_models
-from pickopt import (ALL_KINDS, LinearModel, ValidationError, VariableAssignment,
-                     WarehouseLayout, build_model, check_feasible, encode_walk_PF,
-                     encode_walk_PG, generate_instance, solve_exact, write_lp, write_mps,
-                     write_model_json)
-from pickopt.model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, Constraint, Variable
+import pickopt.model
+from pickopt import (ALL_KINDS, LinearModel, ModelOptions, ValidationError,
+                     VariableAssignment, WarehouseLayout, build_model, check_feasible,
+                     encode_walk_PF, encode_walk_PG, generate_instance, solve_exact, write_lp,
+                     write_mps, write_model_json)
+from pickopt.formulations import ARC_KINDS
+from pickopt.model import (BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, Constraint, RowBlock,
+                           Variable)
 
 
 def tiny_model():
@@ -200,6 +203,16 @@ def test_numpy_values_are_stored_as_python_ints():
         assert check_feasible(m, a).satisfied, value
 
 
+def test_numpy_integers_become_ints_without_a_fraction(monkeypatch):
+    # no Fraction is built for a numpy integer: with none to build, the
+    # values are still stored as Python ints
+    monkeypatch.setattr(pickopt.model, "Fraction", None)
+    values = {"a": np.int64(-3), "b": np.int32(7), "c": np.uint8(255), "d": np.int64(2 ** 62)}
+    stored = VariableAssignment(values).values
+    assert stored == {"a": -3, "b": 7, "c": 255, "d": 2 ** 62}
+    assert all(type(value) is int for value in stored.values())
+
+
 def test_assignment_refuses_text():
     # Fraction would parse each of these; text is not a number
     a = VariableAssignment({"x": 1})
@@ -209,6 +222,23 @@ def test_assignment_refuses_text():
         with pytest.raises(TypeError):
             VariableAssignment({"y": text})
     assert dict(a.items()) == {"x": 1}
+
+
+def _first_difference(text: str, reference: str):
+    """None for equal texts, else the first line where they differ and that
+    line in each: a failure names a line instead of diffing megabytes."""
+    lines, expected = text.splitlines(), reference.splitlines()
+    for k, (line, want) in enumerate(zip(lines, expected)):
+        if line != want:
+            return k, line, want
+    return None if text == reference else (min(len(lines), len(expected)), "", "")
+
+
+def test_lp_matches_a_row_by_row_reference():
+    cases = {**export_models(), **_odd_models()}
+    for key, models in cases.items():
+        for model in models:
+            assert _first_difference(write_lp(model), reference_lp(model)) is None, key
 
 
 def test_lp_deterministic_and_parseable():
@@ -417,7 +447,8 @@ def _random_rows(rng, n_vars, n_rows):
 def _variables(m, n_vars):
     m.add_variables(BINARY, [f"x_{k}" for k in range(n_vars // 2)])
     m.add_variables(CONTINUOUS, [f"s_{k}" for k in range(n_vars - n_vars // 2)], lb=-1.5, ub=4)
-    m.set_objective_coeffs(range(0, n_vars, 3), [1, 0.5, 2] * n_vars)
+    positions = range(0, n_vars, 3)
+    m.set_objective_coeffs(positions, ([1, 0.5, 2] * n_vars)[:len(positions)])
 
 
 def _exports(m):
@@ -503,6 +534,11 @@ def _rejections():
         "'_' in a text index part": lambda m: m.add_variable(BINARY, ("u", "1_2")),
         "index repeated in the call": lambda m: m.add_variables(BINARY, ["u_0", "u_0"]),
         "index in the model": lambda m: m.add_variables(BINARY, ["u_0", "x_0"]),
+        "fewer objective coefficients than positions":
+            lambda m: m.set_objective_coeffs([0, 1], [1]),
+        "more objective coefficients than positions":
+            lambda m: m.set_objective_coeffs([0], [1, 2]),
+        "NUL in a variable name": lambda m: m.add_variables(BINARY, ["u_0", "u\x00_1"]),
     }
 
 
@@ -585,3 +621,248 @@ def test_building_a_model_keeps_few_objects_for_the_collector():
     gc.collect()
     assert len(model.constraints) > 300
     assert len(gc.get_objects()) - before < 100
+
+
+# -- row blocks: copy 0 stored, every copy checked and written -----------------------
+
+
+def _many_picker_models():
+    """Every kind with every option its layout takes, at 12 pickers, so that
+    copy numbers reach two digits and copy 1's names begin copy 10's and
+    copy 11's: the arc kinds and P_U1 on one block, and P_U2 and P_basic
+    (for the corner rows at an interior cross aisle) on two."""
+    arc = ModelOptions(subaisle_cuts=True, aisle_cuts=True, basic_cuts=True,
+                       single_traversing=True, artificial_vertex_reversal=True,
+                       column_inequalities=True)
+    models = []
+    for shape, kinds, tour in (((3, 1, 2, 1, 2), ARC_KINDS, "P_U1"),
+                               ((2, 2, 1, 1, 2), ("P_basic",), "P_U2")):
+        layout = WarehouseLayout(*shape)
+        instance = generate_instance(layout, 48, 10, seed=0)
+        assert instance.pickers == 12
+        graph = shared_graph(layout)
+        models += [build_model(instance, graph, kind, arc) for kind in kinds]
+        models.append(build_model(instance, graph, tour, ModelOptions(
+            column_inequalities=True, cross_aisle_bound=tour == "P_U2")))
+    return models
+
+
+def test_writers_match_their_references_with_many_pickers():
+    for model in _many_picker_models():
+        assert _first_difference(write_lp(model), reference_lp(model)) is None, model.kind
+        assert _first_difference(write_model_json(model), reference_model_json(model)) is None, \
+            model.kind
+        assert "_t11_" in write_lp(model), model.kind
+
+
+def test_counting_rows_and_variables_expands_no_terms(monkeypatch):
+    # perfbench's tracer counts both after every build
+    layout = WarehouseLayout(3, 1, 2, 1, 2)
+    model = build_model(generate_instance(layout, 8, 10, seed=19), shared_graph(layout), "P_F")
+    rows, variables = sum(model.group_counts().values()), len(model.variable_names())
+
+    def refuse(*args):
+        raise AssertionError("a count expanded the rows")
+
+    for name in ("_terms", "_row_names", "_per_row", "_row", "_locate"):
+        monkeypatch.setattr(LinearModel, name, refuse)
+    assert (len(model.constraints), len(model.variables)) == (rows, variables)
+    assert rows > 300
+
+
+def _family_model():
+    """x for 3 copies of 2 entries, copy after copy (positions 0-5); z for
+    3 copies of 2 entries, interleaved (6-11); s, of no family (12); one
+    row and one block of rows."""
+    m = LinearModel("copies", kind="test")
+    assert m.add_variable_copies(BINARY, [(["x_"] * 2, ["_a", "_b"], False),
+                                          (["z_1_", "z_2_"], ["", ""], True)], 3) == [0, 6]
+    assert m.add_variable(CONTINUOUS, ("s", 0), ub=4) == 12
+    m.set_objective_coeffs([0, 2, 4], [1, 2, 3])
+    m.add_row("c_1", "cut", [(12, 1), (3, 2)], GE, 1)
+    # x_0_a, z_1_0 and s by family and offset: x from 0, z from 6, s at 12
+    m.add_row_blocks([RowBlock(["cover_t"], ["_o1"], ["cover"], [GE], [0], [3], [0, 1, 0],
+                               [0, 0, 12], [1, -1, 1])], 3, [0, 6])
+    return m
+
+
+def _block(heads, tails, groups, senses, rhs, ends, positions, coefs):
+    """A block whose terms are given by position: family 0, at base 0."""
+    return RowBlock(heads, tails, groups, senses, rhs, ends, [0] * len(positions), positions,
+                    coefs)
+
+
+def test_variable_copies_are_named_and_placed():
+    m = _family_model()
+    assert m.variable_names() == ["x_0_a", "x_0_b", "x_1_a", "x_1_b", "x_2_a", "x_2_b",
+                                  "z_1_0", "z_1_1", "z_1_2", "z_2_0", "z_2_1", "z_2_2", "s_0"]
+    assert [m.var("x", 1, "b"), m.var("z", 2, 1), m.var("s", 0)] == [3, 10, 12]
+    # copy t's row is on copy t of x_?_a and z_1_? and on s in every copy
+    assert list(m.constraints)[1:] == [
+        Constraint(f"cover_t{t}_o1", "cover", ((2 * t, 1), (6 + t, -1), (12, 1)), GE, 0)
+        for t in range(3)]
+    assert m.group_counts() == {"cut": 1, "cover": 3}
+    assert m.rows_in_group("cover") == list(m.constraints)[1:]
+
+
+def _block_rejections():
+    """Calls on ``_family_model()`` that must raise ValidationError."""
+    def block(heads, tails, ends, positions, copies, groups=None):
+        return lambda m: m.add_row_blocks([_block(heads, tails, groups or ["g"] * len(heads),
+                                                  [GE] * len(heads), [0] * len(heads), ends,
+                                                  positions, [1] * len(positions))], copies, (0,))
+
+    valid = _block(["v_"], [""], ["g"], [GE], [0], [1], [0], [1])
+
+    return {
+        # copy 3 of x_0_a would be position 6, which z_1_0 holds
+        "last copy in the next family": block(["r_"], [""], [1], [0], 4),
+        # copy 4 of z_2_0 would be position 13, which nothing holds
+        "last copy past every variable": block(["r_"], [""], [1], [9], 5),
+        # x_0_a moves by 2 a copy and x_1_b stays at 3: 0 < 3 and 2 < 3, but 4 > 3
+        "terms out of order at the last copy only": block(["r_"], [""], [2], [0, 3], 3),
+        # z_1_0 moves by 1 a copy and z_1_1 stays at 7: 6 < 7, but 7 = 7
+        "a term on another's position at the last copy only": block(["r_"], [""], [2], [6, 7],
+                                                                     2),
+        "terms out of order in copy 0": block(["r_"], [""], [2], [6, 0], 2),
+        "undeclared position in copy 0": block(["r_"], [""], [1], [13], 2),
+        # copy 10 of row r is named r10, as copy 0 of row r1 is
+        "names repeated across copies": block(["r", "r1"], ["", ""], [0, 0], [], 11),
+        "a name already in the model": block(["c_"], [""], [0], [], 2),
+        "a name of the model's block": block(["cover_t"], ["_o1"], [0], [], 1),
+        "NUL in a head": block(["r\x00"], [""], [0], [], 2),
+        "NUL in a tail": block(["r_"], ["_\x00"], [0], [], 2),
+        "no copies": block(["r_"], [""], [0], [], 0),
+        "a head that is no str": block([7], [""], [0], [], 2),
+        "heads and tails of different lengths": block(["r_", "q_"], [""], [0, 0], [], 2),
+        "bad sense": lambda m: m.add_row_blocks(
+            [_block(["r_"], [""], ["g"], ["=<"], [0], [0], [], [])], 2, (0,)),
+        "infinite coefficient": lambda m: m.add_row_blocks(
+            [_block(["r_"], [""], ["g"], [GE], [0], [1], [0], [float("inf")])], 2, (0,)),
+        "a family with no base": lambda m: m.add_row_blocks(
+            [RowBlock(["r_"], [""], ["g"], [GE], [0], [1], [1], [0], [1])], 2, (0,)),
+        "a block with fewer groups than rows": lambda m: m.add_row_blocks(
+            [_block(["r_", "q_"], ["", ""], ["g"], [GE, GE], [0, 0], [0, 0], [], [])], 2, (0,)),
+        "a block whose ends pass its terms": lambda m: m.add_row_blocks(
+            [_block(["r_"], [""], ["g"], [GE], [0], [2], [0], [1])], 2, (0,)),
+        "families and offsets of different lengths": lambda m: m.add_row_blocks(
+            [RowBlock(["r_"], [""], ["g"], [GE], [0], [1], [0, 0], [0], [1])], 2, (0,)),
+        # every block of a call is checked before any is stored
+        "a bad block after a good one": lambda m: m.add_row_blocks(
+            [valid, _block(["r_"], [""], ["g"], [GE], [0], [1], [13], [1])], 2, (0,)),
+        "a bad once block after a good one": lambda m: m.add_row_blocks(
+            [valid, _block(["c_1"], None, ["g"], [GE], [0], [0], [], [])], 2, (0,)),
+        "ends of a later block below 0": lambda m: m.add_row_blocks(
+            [valid, _block(["r_", "q_"], ["", ""], ["g", "g"], [GE, GE], [0, 0], [-1, 0], [], [])],
+            2, (0,)),
+        "NUL in a row stored once": lambda m: m.add_row("c\x002", "g", [(0, 1)], GE, 0),
+        "NUL in a variable family's head": lambda m: m.add_variable_copies(
+            BINARY, [(["q\x00"], ["_1"], False)], 2),
+        "a variable family's name in the model": lambda m: m.add_variable_copies(
+            BINARY, [(["q_"], ["_1"], False), (["x_"] * 2, ["_c", "_a"], False)], 2),
+        "a variable family with no copies": lambda m: m.add_variable_copies(
+            BINARY, [(["q_"], ["_1"], False)], 0),
+        "variable heads and tails of different lengths": lambda m: m.add_variable_copies(
+            BINARY, [(["q_", "r_"], ["_1"], False)], 2),
+        "a variable family's tail that is no str": lambda m: m.add_variable_copies(
+            BINARY, [(["q_"], [1], True)], 2),
+        "a variable family's heads as one str": lambda m: m.add_variable_copies(
+            BINARY, [("q_", ["_1", "_2"], False)], 2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_block_rejections()))
+def test_a_rejected_block_leaves_the_model_unchanged(case):
+    m = _family_model()
+    before = (len(m.variables), len(m.constraints), m.group_counts(), dict(m.objective),
+              _exports(m))
+    with pytest.raises(ValidationError):
+        _block_rejections()[case](m)
+    assert (len(m.variables), len(m.constraints), m.group_counts(), dict(m.objective),
+            _exports(m)) == before
+
+
+def test_row_copies_equal_their_rows_added_copy_by_copy():
+    rng = random.Random(29)
+    coefs = [1, -1, 2, 0.5, 0.1, -3.25]
+    for copies in (1, 2, 3, 11, 12):
+        blocked, flat = LinearModel("m", kind="k"), LinearModel("m", kind="k")
+        for m in (blocked, flat):
+            m.add_variables(INTEGER, ["u_0", "u_1"])
+            m.add_variable_copies(BINARY, [(["x_"] * 4, [f"_{k}" for k in range(4)], False)],
+                                  copies)
+            m.add_variable_copies(CONTINUOUS, [([f"z_{k}_" for k in range(3)], [""] * 3, True)],
+                                  copies)
+            m.add_variables(BINARY, ["v_0"])
+            m.add_variables(CONTINUOUS, ["w_0"], lb=-1, ub=2)
+            m.set_objective_coeffs([0, 2, 3], [1, 0.5, -2])
+        z = 2 + 4 * copies
+        # each term's copy-0 position and its move per copy: u, v and w stay,
+        # x moves by its 4 entries and z by 1; sorted in copy 0, sorted in all
+        terms = [(0, 0), (1, 0)] + [(2 + k, 4) for k in range(4)] \
+            + [(z + k * copies, 1) for k in range(3)] \
+            + [(z + 3 * copies, 0), (z + 3 * copies + 1, 0)]
+        for round_ in range(3):
+            rows = [(f"b{round_}r{i}_t", f"_k{i}", rng.choice(["g1", "g2"]),
+                     sorted(rng.sample(terms, rng.randrange(0, 7))),
+                     rng.choice([LE, EQ, GE]), rng.choice([0, 1, -2, 0.25]))
+                    for i in range(rng.randrange(0, 9))]
+            picked = [[(pos, rng.choice(coefs)) for pos, _ in row[3]] for row in rows]
+            block = _block([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+                           [r[4] for r in rows], [r[5] for r in rows],
+                           list(accumulate(map(len, picked))),
+                           [pos for row in picked for pos, _ in row],
+                           [coef for row in picked for _, coef in row])
+            # a cut on u, then the block, in one call
+            blocked.add_row_blocks([_block([f"cut{round_}"], None, ["cut"], [LE], [0], [2],
+                                           [0, z + 3 * copies], [1, -1]), block], copies, (0,))
+            flat.add_row(f"cut{round_}", "cut", [(0, 1), (z + 3 * copies, -1)], LE, 0)
+            for t in range(copies):
+                moved = [[(pos + t * shift, coef) for (pos, shift), (_, coef) in zip(r[3], p)]
+                         for r, p in zip(rows, picked)]
+                flat.add_rows([r[0] + str(t) + r[1] for r in rows], [r[2] for r in rows],
+                              [r[4] for r in rows], [r[5] for r in rows],
+                              list(accumulate(map(len, moved))),
+                              [pos for row in moved for pos, _ in row],
+                              [coef for row in moved for _, coef in row])
+            for m in (blocked, flat):
+                m.add_row(f"late{round_}", "cut", [(z + 3 * copies, 1), (2, -1)], LE, 0)
+        assert blocked.constraints == flat.constraints
+        assert blocked.group_counts() == flat.group_counts()
+        for group in ("g1", "g2", "cut"):
+            assert blocked.rows_in_group(group) == flat.rows_in_group(group)
+        assert _exports(blocked) == _exports(flat)
+        assert write_lp(blocked) == reference_lp(blocked)
+        assert write_model_json(blocked) == reference_model_json(blocked)
+        for mode in ("integral", "fractional", "negative", "out of bounds"):
+            assignment = _random_assignment(rng, flat, mode)
+            assert check_feasible(blocked, assignment, 10 ** 6) == \
+                check_feasible(flat, assignment, 10 ** 6)
+
+
+def test_a_nul_in_a_group_is_written_as_json_writes_it():
+    # a NUL marks where the copy's number goes only in the writers' text of
+    # copy 0, and json escapes a NUL in a group
+    m = _family_model()
+    m.add_row("odd", "odd\x00group", [(1, 1)], LE, 1)
+    m.add_row_blocks([_block(["odd_"], ["_row"], ["grp\x00"], [EQ], [1], [1], [6], [1])], 3,
+                     (0,))
+    assert write_model_json(m) == reference_model_json(m)
+    assert write_lp(m) == reference_lp(m)
+    assert "odd_2_row" in write_lp(m) and "\\u0000" in write_model_json(m)
+
+
+def test_blocks_with_no_rows_take_no_place():
+    # empty blocks of either kind between, before and after others
+    m = _family_model()
+    empty_copies = _block([], [], [], [], [], [], [], [])
+    empty_once = _block([], None, [], [], [], [], [], [])
+    m.add_row_blocks([empty_copies, empty_once, _block(["a"], None, ["g"], [GE], [0], [1], [0],
+                                                       [1]),
+                      empty_copies, _block(["b_"], [""], ["g"], [GE], [0], [1], [0], [1]),
+                      empty_once, empty_copies], 2, (0,))
+    m.add_row_blocks([empty_once], 3, (0,))
+    assert [row.name for row in m.constraints][-3:] == ["a", "b_0", "b_1"]
+    assert [row.coeffs for row in m.constraints][-3:] == [((0, 1),), ((0, 1),), ((2, 1),)]
+    assert write_lp(m) == reference_lp(m)
+
