@@ -39,11 +39,12 @@ linear in the copy.  ``model.variables`` and ``model.constraints`` are
 read-only views that build :class:`Variable` and :class:`Constraint` named
 tuples on access, and count without building any.  The feasibility check
 sums copy 0's terms once per copy, reading each family's copy t where its
-copy 0 is, and ``write_mps`` reads each block's terms copy by copy.
-``write_lp`` and ``write_model_json``
-write copy 0's rows once, with a NUL where a copy's number goes, and each
-copy of a block by putting its number there; so no variable name and no
-part of a row name may hold a NUL.
+copy 0 is.  The writers write copy 0's rows once, with a NUL where a
+copy's number goes, and each copy of a block by putting its number there;
+``write_mps`` writes copy 0's columns of a family that only terms moving
+with the copy touch the same way, and every other column term by term.  So
+no variable name and no part of a row name may hold a NUL, and no row may
+be named ``COST`` or ``obj``, the objective's names in MPS and LP.
 
 The writers format each distinct number once per call.  The JSON writer
 lays the document out field by field and sends only its small head through
@@ -62,7 +63,7 @@ is a finite number.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from numbers import Integral
-from operator import add, ge, gt, is_not, itemgetter, lt, methodcaller, mul, sub
+from operator import add, ge, gt, is_not, itemgetter, lt, methodcaller, mul, ne, not_, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -88,6 +89,8 @@ _PLAIN = frozenset((int, float))
 _INT_OR_NONE = frozenset((int, type(None)))
 _INT = frozenset((int,))
 _STR = frozenset((str,))
+# the objective's row in MPS and its label in LP, which no row may take
+_OBJECTIVE_NAMES = frozenset(("COST", "obj"))
 # where a copy's number goes in the text the LP and JSON writers make of a
 # block's copy 0; no name a writer puts there may hold one
 _COPY = "\x00"
@@ -146,14 +149,6 @@ def _descent(ends: list[int], positions: list[int]) -> Optional[int]:
                          map(ge, positions, islice(positions, 1, None))))
     falls.difference_update(ends)
     return min(falls) - 1 if falls else None
-
-
-def _copy_names(heads: list[str], tails: list[str], copies: int) -> list[str]:
-    """Every copy's row names, copy by copy: ``heads[i] + str(t) + tails[i]``."""
-    names: list[str] = []
-    for t in map(str, range(copies)):
-        names += map(t.join, zip(heads, tails))
-    return names
 
 
 _POSITION = itemgetter(0)
@@ -492,7 +487,8 @@ class LinearModel:
                         names += block.heads
                         tails += repeat(None, n)
                     else:
-                        names += _copy_names(block.heads, block.tails, copies)
+                        for t in map(str, range(copies)):
+                            names += map(t.join, zip(block.heads, block.tails))
                         tails += block.tails
                         copied_groups += block.groups
                     heads += block.heads
@@ -531,6 +527,9 @@ class LinearModel:
             bad = next(part for part in chain(heads, filter(None, tails)) if _COPY in part)
             raise ValidationError(f"row name part {bad!r} holds a NUL")
         new_names = set(names)
+        if not new_names.isdisjoint(_OBJECTIVE_NAMES):
+            bad = next(name for name in names if name in _OBJECTIVE_NAMES)
+            raise ValidationError(f"row name {bad} is the objective's name in an export")
         if len(new_names) < len(names) or not self._row_name_set.isdisjoint(new_names):
             seen = set(self._row_name_set)
             bad = next(name for name in names if name in seen or seen.add(name))
@@ -669,40 +668,6 @@ class LinearModel:
             return column
         return list(chain.from_iterable(column[start:stop] * copies
                                         for start, stop, copies in self._segments))
-
-    def _row_names(self) -> list[str]:
-        """Every row's name, in row order."""
-        names: list[str] = []
-        heads, tails = self._heads, self._tails
-        for start, stop, copies in self._segments:
-            if copies == 1:
-                names += heads[start:stop]
-            else:
-                names += _copy_names(heads[start:stop], tails[start:stop], copies)
-        return names
-
-    def _terms(self) -> tuple[list[int], list[int], list]:
-        """Every row's end offset, and every term's position and coefficient,
-        in row order: each block's terms for each of its copies, moved by the
-        copy's shifts.  When every block has one copy, they are the columns
-        themselves."""
-        if self._n_rows == len(self._ends):
-            return self._ends, self._positions, self._coefs
-        ends: list[int] = []
-        positions: list[int] = []
-        coefs: list = []
-        for start, stop, copies in self._segments:
-            first = self._ends[start - 1] if start else 0
-            block_ends = self._ends[start:stop]
-            placed = self._positions[first:block_ends[-1]]
-            shifts = self._shifts[first:block_ends[-1]]
-            for t in range(copies):
-                if t:
-                    placed = list(map(add, placed, shifts))
-                ends += map(add, block_ends, repeat(len(positions) - first))
-                positions += placed
-            coefs += self._coefs[first:block_ends[-1]] * copies
-        return ends, positions, coefs
 
     def declare_lazy_group(self, group: str, description: str) -> None:
         self.lazy_groups[group] = description
@@ -961,6 +926,15 @@ def _templates(model: LinearModel, texts: list[str], template) -> list[str]:
     return texts
 
 
+def _row_templates(model: LinearModel) -> list[str]:
+    """Each copy-0 row's name, with a ``_COPY`` where a copy's number goes
+    in a block of more than one copy."""
+    if not _copied(model):
+        return model._heads
+    return [head if tail is None else head + _COPY + tail
+            for head, tail in zip(model._heads, model._tails)]
+
+
 def _copies(model: LinearModel, rows: list[str], separator: str) -> Iterable[str]:
     """The text of every row, block by block, from each copy-0 row's text:
     a block's copy-0 rows joined by ``separator``, with each copy's number
@@ -994,10 +968,7 @@ def write_lp(model: LinearModel) -> str:
         if terms[k][0] == "+":
             terms[k] = terms[k][2:]
     bodies = map(" ".join, map(terms.__getitem__, map(slice, starts, ends)))
-    row_names = model._heads
-    if _copied(model):
-        row_names = [head if tail is None else head + _COPY + tail
-                     for head, tail in zip(row_names, model._tails)]
+    row_names = _row_templates(model)
     rows = []
     for name, start, end, body, sense, rhs in zip(row_names, starts, ends, bodies,
                                                   model._senses, map(nums.__getitem__, model._rhs)):
@@ -1028,52 +999,138 @@ def write_lp(model: LinearModel) -> str:
     return "\n".join(out) + "\n"
 
 
+def _numbered(template, copies: int) -> Iterable[str]:
+    """Each of ``copies`` copies' text: copy t's is ``template(d)``, the text
+    for numbers of t's d digits, with t where each ``_COPY`` is."""
+    for d in range(1, len(str(copies - 1)) + 1):
+        text = template(d)
+        numbers = range(10 ** (d - 1) if d > 1 else 0, min(copies, 10 ** d))
+        yield from map(text.replace, repeat(_COPY), map(str, numbers))
+
+
+_MARKER = "    MARKER{:04d}  'MARKER'                 '{}'"
+
+
+def _mps_columns(model: LinearModel, labels: _Memo, nums: _Memo) -> list[str]:
+    """The COLUMNS lines: in each column its objective entry, then its entry
+    in each row, in row order; INTORG and INTEND markers around integer
+    columns.  ``labels[d]`` holds each copy-0 row's padded name for numbers
+    of d digits.
+
+    A family is written whole when it is side by side, no fixed term is on
+    any of its copies, every block with a term on it has its copies, and
+    each entry has one objective text in every copy.  Then each copy's
+    lines are copy 0's with the copy's number put in every name, and copy
+    0's are written once.  Every other column is written term by term, from
+    its own terms in each copy."""
+    names, families = model._names, model._families
+    positions, shifts, coefs, ends = model._positions, model._shifts, model._coefs, model._ends
+    family_at = [0] * len(names)  # each variable's family, in every copy
+    for k, family in enumerate(families[1:], 1):
+        size = len(family.tails) * family.copies
+        family_at[family.first:family.first + size] = repeat(k, size)
+    costs = [None] * len(names)
+    for pos, coef in model.objective.items():
+        costs[pos] = nums[coef]
+    term_families = list(map(family_at.__getitem__, positions))
+    # family 0 has step 0, and an interleaved family step ``copies``
+    whole = [family.step == 1 for family in families]
+    for k in set(compress(term_families, map(not_, shifts))):  # fixed terms
+        whole[k] = False
+    segments = [(ends[start - 1] if start else 0, ends[stop - 1], copies)
+                for start, stop, copies in model._segments]
+    for first, end, copies in segments:
+        for k in set(term_families[first:end]):
+            whole[k] = whole[k] and families[k].copies == copies
+    for k, family in enumerate(families):
+        if whole[k]:
+            n = len(family.tails)
+            whole[k] = costs[family.first:family.first + n] * family.copies \
+                == costs[family.first:family.first + n * family.copies]
+    moved = list(map(whole.__getitem__, term_families))
+    # each term's row name, padded for numbers of d digits, and coefficient
+    counts = list(map(sub, ends, chain((0,), ends)))
+    coef_texts = list(map(nums.__getitem__, model._coefs))
+    suffixes = _Memo(lambda d: list(map(add, chain.from_iterable(map(repeat, labels[d], counts)),
+                                        coef_texts)))
+
+    # every line and its column, to be sorted by column: a marker comes first
+    # in its column, then the objective entry, then the rows in order
+    integral = list(map(_INTEGRAL.__contains__, model._kinds))
+    keys = list(compress(count(), map(ne, integral + [False], [False] + integral)))
+    lines = [_MARKER.format(marker, "INTORG" if pos < len(names) and integral[pos] else "INTEND")
+             for marker, pos in enumerate(keys)]
+    column = _Memo(lambda pos: f"    {names[pos]:<10}  ")
+    objective = sorted(model.objective)
+    costed = [pos for pos in objective if not whole[family_at[pos]]]
+    keys += costed
+    lines += [column[pos] + "COST        " + costs[pos] for pos in costed]
+    for first, end, copies in segments:
+        picked = list(compress(range(first, end), map(not_, moved[first:end])))
+        if not picked:
+            continue
+        placed = list(map(positions.__getitem__, picked))
+        moves = list(map(shifts.__getitem__, picked))
+        for t, number in enumerate(map(str, range(copies))):
+            if t:
+                placed = list(map(add, placed, moves))
+            keys += placed
+            lines += map(add, map(column.__getitem__, placed),
+                         map(str.replace, map(suffixes[len(number)].__getitem__, picked),
+                             repeat(_COPY), repeat(number)))
+
+    # copy 0's lines of the families written whole, in column order
+    def copy0_columns(d: int) -> list[Optional[str]]:
+        texts = [None] * len(names)
+        for family in compress(families, whole):
+            texts[family.first:family.first + len(family.tails)] = [
+                f"    {name.ljust(11 - d)}  " for name in family.names(_COPY)]
+        return texts
+
+    def copy0_lines(d: int) -> list[str]:
+        texts = cost_texts + list(map(suffixes[d].__getitem__, picked))
+        return list(map(add, map(columns[d].__getitem__, placed), map(texts.__getitem__, order)))
+
+    columns = _Memo(copy0_columns)
+    picked = list(compress(count(), moved))
+    placed = [pos for pos in objective if columns[1][pos] is not None]
+    cost_texts = ["COST        " + costs[pos] for pos in placed]
+    placed += map(positions.__getitem__, picked)
+    order = sorted(range(len(placed)), key=placed.__getitem__)
+    placed = list(map(placed.__getitem__, order))
+    templates = _Memo(copy0_lines)
+    for family in compress(families, whole):
+        n = len(family.tails)
+        lo, hi = bisect_left(placed, family.first), bisect_left(placed, family.first + n)
+        if lo < hi:
+            keys += range(family.first, family.first + n * family.copies, n)
+            lines += _numbered(lambda d: "\n".join(templates[d][lo:hi]), family.copies)
+    return list(map(lines.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
+
+
 def write_mps(model: LinearModel) -> str:
-    """Free MPS: names may exceed the eight characters of fixed-field MPS."""
+    """Free MPS: names may exceed the eight characters of fixed-field MPS.
+
+    Rows and right-hand sides are written as ``write_lp`` writes rows, copy
+    0's lines of each block once and each copy by putting its number in;
+    the columns of a family written whole likewise (see ``_mps_columns``).
+    A name is padded to 10 characters, so a text for copies whose numbers
+    have d digits pads a name holding a ``_COPY`` to 11 - d."""
     nums = _Memo(_num)
-    out = [f"NAME          {model.name[:60]}"]
-    out.append("ROWS")
-    out.append(" N  COST")
-    sense_tag = {LE: "L", EQ: "E", GE: "G"}
-    row_names = model._row_names()
-    out += [f" {sense_tag[sense]}  {name}"
-            for sense, name in zip(model._per_row(model._senses), row_names)]
-
-    # column-major entries: the column's padded name, each row's padded
-    # name and the coefficient
-    columns = [f"    {name:<10}  " for name in model._names]
-    col_entries: list[list[str]] = [[] for _ in model._names]
-    for pos, coef in sorted(model.objective.items()):
-        col_entries[pos].append(f"{columns[pos]}{'COST':<10}  {nums[coef]}")
-    ends, positions, coefs = model._terms()
-    labels = [f"{name:<10}  " for name in row_names]
-    term_labels = chain.from_iterable(map(repeat, labels, map(sub, ends, chain((0,), ends))))
-    lines = map(add, map(add, map(columns.__getitem__, positions), term_labels),
-                map(nums.__getitem__, coefs))
-    for pos, line in zip(positions, lines):
-        col_entries[pos].append(line)
-
+    rows = _row_templates(model)
+    labels = _Memo(lambda d: [name.ljust(11 - d) + "  " for name in rows])
+    out = [f"NAME          {model.name[:60]}", "ROWS", " N  COST"]
+    tags = {LE: " L  ", EQ: " E  ", GE: " G  "}
+    out += _copies(model, list(map(add, map(tags.__getitem__, model._senses), rows)), "\n")
     out.append("COLUMNS")
-    integer_open = False
-    marker = 0
-    for kind, entries in zip(model._kinds, col_entries):
-        is_int = kind in (BINARY, INTEGER)
-        if is_int and not integer_open:
-            out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
-            marker += 1
-            integer_open = True
-        if not is_int and integer_open:
-            out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-            marker += 1
-            integer_open = False
-        out += entries
-    if integer_open:
-        out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-
+    out += _mps_columns(model, labels, nums)
     out.append("RHS")
-    for name, rhs in zip(row_names, model._per_row(model._rhs)):
-        if _exact(rhs) != 0:
-            out.append(f"    RHS         {name:<10}  {nums[rhs]}")
+    rhs = list(map(nums.__getitem__, model._rhs))
+    for start, stop, copies in model._segments:
+        given = [i for i in range(start, stop) if rhs[i] != "0"]
+        if given:
+            out += _numbered(lambda d: "\n".join([f"    RHS         {labels[d][i]}{rhs[i]}"
+                                                   for i in given]), copies)
     out.append("BOUNDS")
     for name, kind, lb, ub in zip(model._names, model._kinds, model._lbs, model._ubs):
         if kind == BINARY:

@@ -4,9 +4,9 @@ These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
 packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
 distances (both over edge lengths this module reads off the layout), a
-small parser for our LP output, reference LP and JSON writers that read a
-model's public views row by row, and a row-by-row evaluator of model rows
-in ``Fraction`` arithmetic.  The route oracle and the batching
+small parser for our LP output, reference LP, MPS and JSON writers that
+read a model's public views row by row, and a row-by-row evaluator of
+model rows in ``Fraction`` arithmetic.  The route oracle and the batching
 enumerator price walks through the full scan.  A restriction mask may be
 built on the package's walk space or on the scan: the scan checks that
 both hold the same rows in the same order.
@@ -556,4 +556,48 @@ def reference_lp(model) -> str:
         if of_kind:
             out += [title] + _lp_lines(" ", of_kind)
     out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def reference_mps(model) -> str:
+    """``write_mps`` restated row by row from ``model.variables``,
+    ``model.constraints`` and ``model.objective`` alone: each column's
+    objective entry, then its entry in each row in row order, and a name
+    padded to 10 characters."""
+    variables = list(model.variables)
+    rows = list(model.constraints)
+    tags = {"<=": "L", "=": "E", ">=": "G"}
+    out = [f"NAME          {model.name[:60]}", "ROWS", " N  COST"]
+    out += [f" {tags[row.sense]}  {row.name}" for row in rows]
+    entries = [[] for _ in variables]
+    for pos, coef in sorted(model.objective.items()):
+        entries[pos].append(("COST", coef))
+    for row in rows:
+        for pos, coef in row.coeffs:
+            entries[pos].append((row.name, coef))
+    out.append("COLUMNS")
+    markers, integer = 0, False
+    for variable, column in zip(variables, entries):
+        if (variable.kind in ("binary", "integer")) != integer:
+            integer = not integer
+            out.append(f"    MARKER{markers:04d}  'MARKER'                 "
+                       f"'{'INTORG' if integer else 'INTEND'}'")
+            markers += 1
+        out += [f"    {variable.name:<10}  {name:<10}  {_lp_number(coef)}"
+                for name, coef in column]
+    if integer:
+        out.append(f"    MARKER{markers:04d}  'MARKER'                 'INTEND'")
+    out.append("RHS")
+    out += [f"    RHS         {row.name:<10}  {_lp_number(row.rhs)}"
+            for row in rows if Fraction(row.rhs) != 0]
+    out.append("BOUNDS")
+    for variable in variables:
+        if variable.kind == "binary":
+            out.append(f" BV BND         {variable.name}")
+            continue
+        if Fraction(variable.lb) != 0:
+            out.append(f" LO BND         {variable.name}  {_lp_number(variable.lb)}")
+        if variable.ub is not None:
+            out.append(f" UP BND         {variable.name}  {_lp_number(variable.ub)}")
+    out.append("ENDATA")
     return "\n".join(out) + "\n"

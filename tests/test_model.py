@@ -7,7 +7,7 @@ import pytest
 
 from conftest import shared_graph
 from oracles import (fraction_feasibility, fraction_objective, parse_lp, reference_lp,
-                     reference_model_json)
+                     reference_model_json, reference_mps)
 from test_golden_exports import export_models
 import pickopt.model
 from pickopt import (ALL_KINDS, LinearModel, ModelOptions, ValidationError,
@@ -239,6 +239,7 @@ def test_lp_matches_a_row_by_row_reference():
     for key, models in cases.items():
         for model in models:
             assert _first_difference(write_lp(model), reference_lp(model)) is None, key
+            assert _first_difference(write_mps(model), reference_mps(model)) is None, key
 
 
 def test_lp_deterministic_and_parseable():
@@ -652,6 +653,7 @@ def test_writers_match_their_references_with_many_pickers():
         assert _first_difference(write_lp(model), reference_lp(model)) is None, model.kind
         assert _first_difference(write_model_json(model), reference_model_json(model)) is None, \
             model.kind
+        assert _first_difference(write_mps(model), reference_mps(model)) is None, model.kind
         assert "_t11_" in write_lp(model), model.kind
 
 
@@ -664,7 +666,7 @@ def test_counting_rows_and_variables_expands_no_terms(monkeypatch):
     def refuse(*args):
         raise AssertionError("a count expanded the rows")
 
-    for name in ("_terms", "_row_names", "_per_row", "_row", "_locate"):
+    for name in ("_per_row", "_row", "_locate"):
         monkeypatch.setattr(LinearModel, name, refuse)
     assert (len(model.constraints), len(model.variables)) == (rows, variables)
     assert rows > 300
@@ -756,6 +758,10 @@ def _block_rejections():
             [valid, _block(["r_", "q_"], ["", ""], ["g", "g"], [GE, GE], [0, 0], [-1, 0], [], [])],
             2, (0,)),
         "NUL in a row stored once": lambda m: m.add_row("c\x002", "g", [(0, 1)], GE, 0),
+        "a row named as MPS names the objective": lambda m: m.add_row(
+            "COST", "g", [(0, 1)], GE, 0),
+        "a block row named as LP labels the objective": lambda m: m.add_row_blocks(
+            [valid, _block(["obj"], None, ["g"], [GE], [0], [0], [], [])], 2, (0,)),
         "NUL in a variable family's head": lambda m: m.add_variable_copies(
             BINARY, [(["q\x00"], ["_1"], False)], 2),
         "a variable family's name in the model": lambda m: m.add_variable_copies(
@@ -834,10 +840,66 @@ def test_row_copies_equal_their_rows_added_copy_by_copy():
         assert _exports(blocked) == _exports(flat)
         assert write_lp(blocked) == reference_lp(blocked)
         assert write_model_json(blocked) == reference_model_json(blocked)
+        assert _first_difference(write_mps(blocked), reference_mps(blocked)) is None, copies
         for mode in ("integral", "fractional", "negative", "out of bounds"):
             assignment = _random_assignment(rng, flat, mode)
             assert check_feasible(blocked, assignment, 10 ** 6) == \
                 check_feasible(flat, assignment, 10 ** 6)
+
+
+def test_rows_may_not_take_the_objectives_names():
+    # MPS names the objective's row COST and LP labels it obj, so a row of
+    # either name would be read as a second objective
+    for name in ("COST", "obj"):
+        m = tiny_model()
+        with pytest.raises(ValidationError, match=f"row name {name} is the objective's name"):
+            m.add_row(name, "g", [(0, 1)], GE, 0)
+        with pytest.raises(ValidationError, match=f"row name {name} "):
+            m.add_rows(["r4", name], ["g", "g"], [GE, GE], [0, 0], [0, 0], [], [])
+    m.add_row("cost", "g", [(0, 1)], GE, 0)
+    m.add_row("Obj", "g", [(0, 1)], GE, 0)
+
+
+def _whole_family_model():
+    """Families of 12 copies of 2 entries, side by side unless noted, with
+    a column for each case ``write_mps`` must not write by substitution
+    and one it may: c has a cost that differs by copy (0-23), o has copy 1
+    in a row stored once (24-47), f has copy 2 as a fixed term of a block
+    (48-71), z and w are interleaved (72-95), e, whose names are under 10
+    characters, is written whole (96-119), and h moves in a block of 3
+    copies (120-143).  Then s, of no family (144)."""
+    m = LinearModel("whole", kind="test")
+    bases = m.add_variable_copies(BINARY, [
+        (["c", "c"], ["a", "b"], False), (["o", "o"], ["a", "b"], False),
+        (["f", "f"], ["a", "b"], False), (["z", "w"], ["", ""], True),
+        (["e", "e"], ["a", "b"], False), (["h", "h"], ["a", "b"], False)], 12)
+    assert bases == [0, 24, 48, 72, 96, 120]
+    m.add_variables(CONTINUOUS, ["s"], ub=3)
+    m.set_objective_coeffs([2 * t for t in range(12)] + [96 + 2 * t for t in range(12)]
+                           + [144], list(range(1, 13)) + [1] * 12 + [2])
+    m.add_row("once", "g", [(26, 1), (144, -1)], LE, 0)
+    # row r: copy t of c, o, f, z, w and e; row q: f's copy 2 in every
+    # copy, then e
+    m.add_row_blocks([RowBlock(["r", "q"], ["", "_x"], ["g", "g"], [GE, LE], [1, 0], [6, 8],
+                               [0, 1, 2, 3, 3, 4, 0, 4], [0, 0, 0, 0, 12, 0, 53, 1],
+                               [1, 2, -1, 0.5, 4, 1, 1, -3])], 12, bases)
+    m.add_row_blocks([RowBlock(["s"], ["_h"], ["g"], [EQ], [2], [1], [5], [0], [1])], 3, bases)
+    return m
+
+
+def test_mps_writes_a_family_by_substitution_only_where_every_entry_moves():
+    m = _whole_family_model()
+    text = write_mps(m)
+    assert _first_difference(text, reference_mps(m)) is None
+    # every name is padded to 10 characters, in copies 10 and 11 too
+    assert "    e10a        r10         1\n" in text
+    assert "    e11b        q11_x       -3\n" in text
+    assert "    RHS         r11         1\n" in text
+    assert "    c10a        COST        11\n" in text
+    assert "    e10a        COST        1\n    e10a        r10         1\n" in text
+    assert "    z10         r10         0.5\n    z11         r11         0.5\n" in text
+    assert "    f2b         q0_x        1\n    f2b         q1_x        1\n" in text
+    assert "    o1a         once        1\n    o1a         r1          2\n" in text
 
 
 def test_a_nul_in_a_group_is_written_as_json_writes_it():
