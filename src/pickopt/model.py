@@ -8,12 +8,23 @@ variable named :func:`var_name` of its index, the only naming rule, so
 free MPS or a JSON sidecar; no LP relaxations are solved here.
 
 A model stores columns, not objects.  Variables are four parallel lists
-(names, kinds, lower and upper bounds) and a table of positions by name;
-no index tuple is kept.  :meth:`LinearModel.add_variables` declares a
-family by its names, and :meth:`LinearModel.add_variable_copies` one
-family for each of several copies (a picker's, in the formulations): copy
-t of entry k is named ``heads[k] + str(t) + tails[k]``, copies side by
-side or interleaved, and the model keeps the lists of heads and tails.
+(names, kinds, lower and upper bounds) and a table of positions by name,
+which holds no copy's name until a lookup misses; no index tuple is kept.
+:meth:`LinearModel.add_variables` declares a family by its names, and
+:meth:`LinearModel.add_variable_copies` one family for each of several
+copies (a picker's, in the formulations): copy t of entry k is named
+``heads[k] + str(t) + tails[k]``, copies side by side or interleaved, and
+the model keeps the lists of heads and tails.
+
+A copy's number must read back from its name.  So, among the copied names
+of a namespace, the rows' or the variables', no head is a proper prefix of
+another and no tail starts with an ASCII digit; then a name reads in at
+most one way as a copied head, ``str(t)`` and a tail.  Names are checked by
+their parts (:mod:`pickopt.naming`), with no table of every copy's names:
+copies are unique when their heads and tails are, and a full name, of a
+row stored once or of a variable of no family, is refused when it reads as
+a copy's, its number without a leading zero and below its copies.  Only
+full names and copy 0's names are hashed.
 
 Rows come in blocks: :class:`RowBlock` holds canonical rows, each row's
 term positions strictly increasing.  :meth:`LinearModel.add_row_blocks`
@@ -25,26 +36,26 @@ t, its position shifted by t strides of its family; any other term stays.
 row, the one place a row is sorted by position and a repeated position
 merged.  The model keeps copy 0's rows of every block in compressed sparse
 row form (names split in heads and tails, groups, senses and right-hand
-sides per row, each row's end offset, and one list each of term
-positions, shifts and coefficients) and, for each block, its rows there
-and its copies; a run of blocks of one copy each is one segment.  A block
-of one copy, such as every block of a one-picker build, is stored once,
-under its rows' full names, so a row's tail is None exactly when its
-block has one copy.  Every
-check runs on every copy of every block before anything is stored, so a
-rejected call leaves the model as it was: every copy's row name is joined
-and checked against the model's, and positions are checked on copy 0 and
-the last copy, which bound every copy between, since a term's position is
-linear in the copy.  ``model.variables`` and ``model.constraints`` are
-read-only views that build :class:`Variable` and :class:`Constraint` named
-tuples on access, and count without building any.  The feasibility check
-sums copy 0's terms once per copy, reading each family's copy t where its
-copy 0 is.  The writers write copy 0's rows once, with a NUL where a
-copy's number goes, and each copy of a block by putting its number there;
-``write_mps`` writes copy 0's columns of a family that only terms moving
-with the copy touch the same way, and every other column term by term.  So
-no variable name and no part of a row name may hold a NUL, and no row may
-be named ``COST`` or ``obj``, the objective's names in MPS and LP.
+sides per row, each row's end offset, and one list each of term positions,
+shifts and coefficients) and, for each block, its rows there and its
+copies; a run of blocks of one copy each is one segment.  A block of one
+copy, such as every block of a one-picker build, is stored once, under its
+rows' full names, so a row's tail is None exactly when its block has one
+copy.  Every check covers every copy of every block before anything is
+stored, so a rejected call leaves the model as it was: names are checked by
+their parts, and positions on copy 0 and the last copy, which bound every
+copy between, since a term's position is linear in the copy.
+``model.variables`` and ``model.constraints`` are read-only views that
+build :class:`Variable` and :class:`Constraint` named tuples on access, and
+count without building any.  The feasibility check sums copy 0's terms once
+per copy, each read at its position in copy t.  The writers write copy 0's
+rows once, with a NUL where a copy's number goes, and each copy of a block
+by putting its number there; ``write_mps`` writes the same way copy 0's
+columns of a family that only terms moving with the copy touch, and copy
+0's bounds of a family side by side, and every other column and bound one
+by one.  So no variable name and no part of a row name may hold a NUL, and
+no row may be named ``COST`` or ``obj``, the objective's names in MPS and
+LP.
 
 The writers format each distinct number once per call.  The JSON writer
 lays the document out field by field and sends only its small head through
@@ -72,11 +83,12 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from numbers import Integral
-from operator import add, ge, gt, is_not, itemgetter, lt, methodcaller, mul, ne, not_, sub
+from operator import add, ge, is_not, itemgetter, lt, methodcaller, mul, ne, not_, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
+from .naming import COPY as _COPY, Namespace
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -91,9 +103,6 @@ _INT = frozenset((int,))
 _STR = frozenset((str,))
 # the objective's row in MPS and its label in LP, which no row may take
 _OBJECTIVE_NAMES = frozenset(("COST", "obj"))
-# where a copy's number goes in the text the LP and JSON writers make of a
-# block's copy 0; no name a writer puts there may hold one
-_COPY = "\x00"
 
 LP_FORMAT = "lp"
 MPS_FORMAT = "mps"
@@ -259,7 +268,6 @@ class _Family(NamedTuple):
 # variable in every copy of a row block
 _NO_FAMILY = _Family(0, 0, 0, inf, [], [])
 
-
 class RowBlock:
     """Rows as :meth:`LinearModel.add_row_blocks` takes them: names, groups,
     senses, right-hand sides, each row's end offset, and each term's family,
@@ -289,7 +297,11 @@ class LinearModel:
         self._kinds: list[str] = []
         self._lbs: list = []
         self._ubs: list = []
-        self._by_name: dict[str, int] = {}
+        self._variable_names = Namespace("variable")
+        # positions by name, in position order: a declaration of full names
+        # extends it while it holds every variable, and a lookup that misses
+        # fills it
+        self._lookup: dict[str, int] = {}
         # the families declared for every copy, after family 0
         self._families: list[_Family] = [_NO_FAMILY]
         # copy 0's rows: row i's terms are _positions, _shifts and _coefs over
@@ -311,8 +323,8 @@ class LinearModel:
         self._segments: list[tuple[int, int, int]] = []
         self._segment_starts: list[int] = []
         self._n_rows = 0
-        self._row_name_set: set[str] = set()
-        self._group_rows: dict[str, int] = {}  # rows per group, in order of first row
+        self._row_names = Namespace("row", _OBJECTIVE_NAMES)
+        self._group_rows: Counter[str] = Counter()  # rows per group, in order of first row
         self.objective: dict[int, float] = {}
         self.lazy_groups: dict[str, str] = {}  # group name -> short description
 
@@ -337,26 +349,23 @@ class LinearModel:
             raise ValidationError(f"variable name {bad!r} is not a str")
         return self._declare(kind, names, lb, ub)
 
-    def _declare(self, kind: str, names: list[str], lb, ub) -> int:
-        """Declare variables whose names are all str."""
+    def _declare(self, kind: str, names: list[str], lb, ub, copied: Optional[tuple] = None) -> int:
+        """Declare variables whose names are all str: full names, or, when
+        ``copied`` is ``(heads, tails, zeros, copies)``, the names of
+        ``copies`` copies of ``heads[k] + str(t) + tails[k]``, whose copy 0
+        is ``zeros[k]``, which are checked by their heads and tails alone."""
         _require_finite(lb, "variable lower bound")
         if ub is not None:
             _require_finite(ub, "variable upper bound")
-        if _COPY in "".join(names):
-            bad = next(name for name in names if _COPY in name)
-            raise ValidationError(f"variable name {bad!r} holds a NUL")
+        heads, tails, zeros, copies = copied or ((), (), (), 1)
+        full = [] if copied else names
+        checked = self._variable_names.check(full, heads, tails, copies, zeros)
         first = len(self._names)
-        positions = dict(zip(names, range(first, first + len(names))))
-        if len(positions) < len(names) or not self._by_name.keys().isdisjoint(positions):
-            seen = set(self._by_name)
-            bad = next(name for name in names if name in seen or seen.add(name))
-            raise ValidationError(f"duplicate variable name {bad}")
         if kind == BINARY:
             ub = 1
-        if self._by_name:
-            self._by_name.update(positions)
-        else:  # a model's first variables: the new table is the table
-            self._by_name = positions
+        self._variable_names.add(*checked)
+        if copied is None and len(self._lookup) == first:
+            self._lookup.update(zip(names, count(first)))
         self._names += names
         self._kinds += [kind] * len(names)
         self._lbs += [lb] * len(names)
@@ -374,30 +383,38 @@ class LinearModel:
         Its copies sit one after another, copy t of entry k at ``first + t *
         len(tails) + k``, or, ``interleaved``, at ``first + k * copies + t``.
         In :meth:`add_row_blocks`, a term on copy 0 of one of these variables
-        moves with the copy."""
+        moves with the copy.  With more than one copy, no head of the
+        model's families is a proper prefix of another, and no tail starts
+        with a digit, so that a copy's number reads back from its name."""
         if type(copies) is not int or copies < 1:
             raise ValidationError(f"a variable family needs one copy or more, not {copies!r}")
         numbers = list(map(str, range(copies)))
         names: list[str] = []
-        declared = []
+        every_head, every_tail, zeros, declared = [], [], [], []
         for heads, tails, interleaved in families:
             if isinstance(heads, str) or isinstance(tails, str):
                 raise ValidationError("variable name heads and tails are lists, not one str")
             heads, tails = list(heads), list(tails)
             if len(heads) != len(tails):
                 raise ValidationError("variable name heads and tails differ in length")
-            first = len(self._names) + len(names)
+            local = len(names)
             try:
                 if interleaved:
                     names += [t.join(pair) for pair in zip(heads, tails) for t in numbers]
+                    zeros += names[local::copies]
                 else:
                     for t in numbers:
                         names += map(t.join, zip(heads, tails))
+                    zeros += names[local:local + len(tails)]
             except TypeError:
                 raise ValidationError("variable name heads and tails are not all str") from None
             step, stride = (copies, 1) if interleaved else (1, len(tails))
-            declared.append(_Family(first, step, stride, copies, heads, tails))
-        self._declare(kind, names, 0, None)
+            declared.append(_Family(len(self._names) + local, step, stride, copies, heads, tails))
+            every_head += heads
+            every_tail += tails
+        # with one copy, the names are full names
+        self._declare(kind, names, 0, None,
+                      None if copies == 1 else (every_head, every_tail, zeros, copies))
         self._families += declared
         return [family.first for family in declared]
 
@@ -406,15 +423,27 @@ class LinearModel:
         part of ``index`` may not contain ``_``."""
         return self.add_variables(kind, [_indexed_name(index)], lb, ub)
 
+    def _filled(self) -> dict[str, int]:
+        """The table of positions by name, with every variable in it."""
+        lookup = self._lookup
+        if len(lookup) < len(self._names):
+            lookup.update(zip(islice(self._names, len(lookup), None), count(len(lookup))))
+        return lookup
+
     def var(self, *index) -> int:
         """Position of the variable named ``var_name(index)``."""
+        name = _indexed_name(index)
         try:
-            return self._by_name[_indexed_name(index)]
+            return self._lookup[name]
         except KeyError:
-            raise ValidationError(f"undeclared variable index {index}") from None
+            pos = self._filled().get(name)
+        if pos is None:
+            raise ValidationError(f"undeclared variable index {index}")
+        return pos
 
     def has_var(self, *index) -> bool:
-        return _indexed_name(index) in self._by_name
+        name = _indexed_name(index)
+        return name in self._lookup or name in self._filled()
 
     def var_name(self, pos: int) -> str:
         return self._names[pos]
@@ -439,7 +468,7 @@ class LinearModel:
         if len(positions) != len(coefs) or (ends[-1] if n else 0) != len(positions):
             raise ValidationError("row ends do not fit the terms")
         return self._store(names, [None] * n, groups, senses, rhs, list(ends), positions, coefs,
-                           names, [], [0], 1)
+                           names, [], [], [], [0], 1)
 
     def add_row_blocks(self, blocks: Iterable[RowBlock], copies: int,
                        bases: Sequence[int]) -> int:
@@ -453,17 +482,18 @@ class LinearModel:
         and a term on copy 0 of a variable declared by
         :meth:`add_variable_copies` is on that variable's copy t in copy t,
         which must exist; any other term is the same in every copy.  Only
-        copy 0 is stored.
+        copy 0 is stored.  With more than one copy, no head of the model's
+        copied rows is a proper prefix of another, and no tail starts with a
+        digit, so that a copy's number reads back from its name.
         """
         if type(copies) is not int or copies < 1:
             raise ValidationError(f"a row block needs one copy or more, not {copies!r}")
-        # copy 0's rows of every block, one after another, each block's first
-        # row there, and every copy's row name.  With one copy, every block
-        # is stored once, under its rows' full names, and they all are one
-        # block
-        heads, tails, groups, copied_groups, senses, rhs, ends, positions, coefs = \
-            [], [], [], [], [], [], [], [], []
-        firsts, names = [], []
+        # copy 0's rows of every block, one after another, and each block's
+        # first row there; the full names, and the heads, tails and groups
+        # of the copied rows.  With one copy, every block is stored once,
+        # under its rows' full names, and they all are one block
+        heads, tails, groups, senses, rhs, ends, positions, coefs = [], [], [], [], [], [], [], []
+        firsts, full, copied_heads, copied_tails, copied_groups = [], [], [], [], []
         for block in blocks:
             n, terms = len(block.heads), len(block.offsets)
             if not len(block.groups) == len(block.senses) == len(block.rhs) == len(block.ends) \
@@ -484,11 +514,11 @@ class LinearModel:
                 else:
                     firsts.append(len(heads))
                     if block.tails is None:
-                        names += block.heads
+                        full += block.heads
                         tails += repeat(None, n)
                     else:
-                        for t in map(str, range(copies)):
-                            names += map(t.join, zip(block.heads, block.tails))
+                        copied_heads += block.heads
+                        copied_tails += block.tails
                         tails += block.tails
                         copied_groups += block.groups
                     heads += block.heads
@@ -499,15 +529,16 @@ class LinearModel:
             rhs += block.rhs
             coefs += block.coefs
         if copies == 1:
-            names, tails = heads, [None] * len(heads)
-        return self._store(heads, tails, groups, senses, rhs, ends, positions, coefs, names,
-                           copied_groups, firsts or [0], copies)
+            full, tails = heads, [None] * len(heads)
+        return self._store(heads, tails, groups, senses, rhs, ends, positions, coefs, full,
+                           copied_heads, copied_tails, copied_groups, firsts or [0], copies)
 
-    def _store(self, heads, tails, groups, senses, rhs, ends, positions, coefs, names,
-               copied_groups, firsts, copies) -> int:
+    def _store(self, heads, tails, groups, senses, rhs, ends, positions, coefs, full,
+               copied_heads, copied_tails, copied_groups, firsts, copies) -> int:
         """Check copy 0's rows of blocks of ``copies`` copies, and of blocks
-        stored once, whose tails are None, then store them.  ``names`` holds
-        every copy's row name, and ``firsts`` each block's first row; blocks
+        stored once, whose tails are None, then store them.  ``full`` holds
+        the names of the rows stored once, the copied rows' heads, tails and
+        groups follow, and ``firsts`` holds each block's first row; blocks
         of one copy each may be given as one."""
         def row_name(row: int, t: int = 0) -> str:
             return heads[row] if tails[row] is None else heads[row] + str(t) + tails[row]
@@ -518,22 +549,7 @@ class LinearModel:
         if not _SENSES.issuperset(senses):
             bad = next(sense for sense in senses if sense not in _SENSES)
             raise ValidationError(f"bad sense {bad!r}")
-        try:
-            joined = "".join(heads) + ("".join(filter(None, tails)) if copies > 1 else "")
-        except TypeError:
-            bad = next(part for part in heads if type(part) is not str)
-            raise ValidationError(f"row name {bad!r} is not a str") from None
-        if _COPY in joined:
-            bad = next(part for part in chain(heads, filter(None, tails)) if _COPY in part)
-            raise ValidationError(f"row name part {bad!r} holds a NUL")
-        new_names = set(names)
-        if not new_names.isdisjoint(_OBJECTIVE_NAMES):
-            bad = next(name for name in names if name in _OBJECTIVE_NAMES)
-            raise ValidationError(f"row name {bad} is the objective's name in an export")
-        if len(new_names) < len(names) or not self._row_name_set.isdisjoint(new_names):
-            seen = set(self._row_name_set)
-            bad = next(name for name in names if name in seen or seen.add(name))
-            raise ValidationError(f"duplicate row name {bad}")
+        checked = self._row_names.check(full, copied_heads, copied_tails, copies)
         declared = len(self._names)
         if positions and (min(positions) < 0 or max(positions) >= declared):
             k = next(k for k, pos in enumerate(positions) if not 0 <= pos < declared)
@@ -602,17 +618,12 @@ class LinearModel:
                 self._segments.append((start, stop, n_copies))
                 self._segment_starts.append(self._n_rows)
             self._n_rows += (stop - start) * n_copies
-        if self._row_name_set:
-            self._row_name_set |= new_names
-        else:  # a model's first rows: the new names are the set
-            self._row_name_set = new_names
-        rows = Counter(groups)  # copy 0's, in order of first row
+        self._row_names.add(*checked)
+        counts = self._group_rows
+        counts.update(groups)  # copy 0's, in order of first row
         if copies > 1:
             for group, more in Counter(copied_groups).items():
-                rows[group] += more * (copies - 1)
-        counts = self._group_rows
-        for group, n in rows.items():
-            counts[group] = counts.get(group, 0) + n
+                counts[group] += more * (copies - 1)
         return first
 
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],
@@ -690,6 +701,14 @@ class LinearModel:
             raise ValidationError(f"objective coefficient at position {positions[k]} "
                                   f"is not a finite number: {coefs[k]!r}")
         objective = self.objective
+        before = len(objective)
+        if not before or objective.keys().isdisjoint(positions):
+            # one pass, which keeps each term if no position repeats
+            objective.update(compress(zip(positions, coefs), coefs))
+            if len(objective) - before == len(coefs) - coefs.count(0):
+                return
+            for pos in list(islice(objective, before, None)):
+                del objective[pos]
         for pos, coef in compress(zip(positions, coefs), coefs):
             objective[pos] = objective.get(pos, 0) + coef
 
@@ -807,47 +826,45 @@ def check_feasible(model: LinearModel, assignment: VariableAssignment,
             note(f"bound({name})", "domain", val, LE, ub)
 
     # every copy-0 row's left-hand side in copy t, as a difference of prefix
-    # sums over copy 0's terms read in copy t: x_t holds each family's copy t
-    # where its copy 0 is.  A float coefficient makes the sums floats, so
-    # they are summed again with every coefficient exact.  Copy t checks the
-    # rows of the blocks with more than t copies
+    # sums over copy 0's terms read in copy t: x_t, copied from x once, holds
+    # each family of more than t copies' copy t where its copy 0 is.  A float
+    # coefficient makes the sums floats, so they are summed again with every
+    # coefficient exact.  Copy t keeps the failures of the blocks with more
+    # than t copies, which read only families with more than t copies, and
+    # checks no row after the last such block
     ends, positions, coefs = model._ends, model._positions, model._coefs
-    most = 1
-    if _copied(model):
-        row_copies = []  # each copy-0 row's copies
-        for start, stop, copies in model._segments:
-            row_copies += [copies] * (stop - start)
-        most = max(row_copies)
+    segments = model._segments
+    most = max([copies for _, _, copies in segments]) if _copied(model) else 1
     exact = None
+    x_t = x
     failed = []  # (copy-0 row, copy, left-hand side)
     for t in range(most):
-        x_t = x
-        if t:
+        if t == 1:
             x_t = list(x)
-            for family in model._families[1:]:
-                if family.copies > t:
-                    first, step, moved = family.first, family.step, t * family.stride
-                    end = first + len(family.tails) * step
-                    x_t[first:end:step] = x[first + moved:end + moved:step]
+        for family in model._families[1:] if t else ():
+            if family.copies > t:
+                first, step, moved = family.first, family.step, t * family.stride
+                end = first + len(family.tails) * step
+                x_t[first:end:step] = x[first + moved:end + moved:step]
         prefix = list(accumulate(map(mul, coefs, map(x_t.__getitem__, positions)), initial=0))
         if type(prefix[-1]) not in (int, Fraction):
             exact = exact or list(map(_exact, coefs))
             prefix = list(accumulate(map(mul, exact, map(x_t.__getitem__, positions)), initial=0))
-        rows = zip(count(), chain((0,), ends), ends, model._senses, model._rhs)
-        if t:
-            rows = compress(rows, map(gt, row_copies, repeat(t)))
-        for i, start, end, sense, rhs in rows:
+        checked = max([stop for _, stop, copies in segments if copies > t]) if t else len(ends)
+        for i, start, end, sense, rhs in zip(range(checked), chain((0,), ends), ends,
+                                             model._senses, model._rhs):
             lhs = prefix[end] - prefix[start]
             if not (lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs):
                 failed.append((i, t, lhs))
-    # each failure in row order
-    firsts = [start for start, _, _ in model._segments] if failed else []
-    placed = []
+    # each failure of a copy its block has, in row order
+    firsts = [start for start, _, _ in segments] if failed else []
+    kept = []
     for i, t, lhs in failed:
         k = bisect_right(firsts, i) - 1
-        start, stop, _ = model._segments[k]
-        placed.append((model._segment_starts[k] + t * (stop - start) + i - start, i, t, lhs))
-    for _, i, t, lhs in sorted(placed):
+        start, stop, copies = segments[k]
+        if t < copies:
+            kept.append((model._segment_starts[k] + t * (stop - start) + i - start, i, t, lhs))
+    for _, i, t, lhs in sorted(kept):
         note(model._row_name(i, t), model._groups[i], lhs, model._senses[i], model._rhs[i])
 
     return FeasibilityReport(not violated, tuple(violations), model._n_rows)
@@ -1132,16 +1149,36 @@ def write_mps(model: LinearModel) -> str:
             out += _numbered(lambda d: "\n".join([f"    RHS         {labels[d][i]}{rhs[i]}"
                                                    for i in given]), copies)
     out.append("BOUNDS")
-    for name, kind, lb, ub in zip(model._names, model._kinds, model._lbs, model._ubs):
-        if kind == BINARY:
-            out.append(f" BV BND         {name}")
-        else:
-            if _exact(lb) != 0:
-                out.append(f" LO BND         {name}  {nums[lb]}")
-            if ub is not None:
-                out.append(f" UP BND         {name}  {nums[ub]}")
+    out += _mps_bounds(model, nums)
     out.append("ENDATA")
     return "\n".join(out) + "\n"
+
+
+def _mps_bounds(model: LinearModel, nums: _Memo) -> Iterable[str]:
+    """The BOUNDS lines, by position.  A family side by side is written as
+    the ROWS are, copy 0's lines once and each copy by putting its number
+    in: its bounds are 0 and none, so only a binary one has lines."""
+    def each(start: int, stop: int) -> Iterable[str]:
+        for name, kind, lb, ub in zip(*(column[start:stop] for column in (
+                model._names, model._kinds, model._lbs, model._ubs))):
+            if kind == BINARY:
+                yield f" BV BND         {name}"
+            else:
+                if _exact(lb) != 0:
+                    yield f" LO BND         {name}  {nums[lb]}"
+                if ub is not None:
+                    yield f" UP BND         {name}  {nums[ub]}"
+
+    done = 0  # the variables before this position are written
+    for family in model._families[1:]:
+        if family.step == 1 and family.tails:
+            yield from each(done, family.first)
+            done = family.first + len(family.tails) * family.copies
+            if model._kinds[family.first] == BINARY:
+                text = "\n".join([f" BV BND         {name}" for name in family.names(_COPY)])
+                yield from map(text.replace, repeat(_COPY, family.copies),
+                               map(str, range(family.copies)))
+    yield from each(done, len(model._names))
 
 
 FORMAT_MODEL = "pickopt-model-v1"

@@ -1,8 +1,15 @@
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci runs every property test on the same examples, with
+# no deadline, so that a slow or unlucky host cannot fail a run
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 sys.path.insert(0, str(Path(__file__).parent))
 

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import shared_graph
 from oracles import (fraction_feasibility, fraction_objective, parse_lp, reference_lp,
@@ -308,6 +311,12 @@ def test_objective_coefficients_add_up():
     assert m.objective == {2: 4, 1: 2.5}
     m.set_objective_coeffs([3, 0], [-1, 7])
     assert list(m.objective.items()) == [(2, 4), (1, 2.5), (3, -1), (0, 7)]
+    m.set_objective_coeffs([1], [1])  # no repeat within the call, one across calls
+    assert list(m.objective.items()) == [(2, 4), (1, 3.5), (3, -1), (0, 7)]
+    for before in ({}, {3: 1}):  # repeats in a call on positions new to the objective
+        m.objective = dict(before)
+        m.set_objective_coeffs([1, 2, 0, 1, 2], [2, 0, 3, 0.5, 1])
+        assert list(m.objective.items()) == list(before.items()) + [(1, 2.5), (0, 3), (2, 1)]
 
 
 @pytest.mark.parametrize("pos", [-1, 5, True])
@@ -762,6 +771,27 @@ def _block_rejections():
             "COST", "g", [(0, 1)], GE, 0),
         "a block row named as LP labels the objective": lambda m: m.add_row_blocks(
             [valid, _block(["obj"], None, ["g"], [GE], [0], [0], [], [])], 2, (0,)),
+        # copy t of a head that is a proper prefix of another, or of a tail
+        # that starts with a digit, could read as another copy's name
+        "a head that prefixes a head of the model": block(["cover"], ["_x"], [0], [], 2),
+        "a head that a head of the model prefixes": block(["cover_t1"], ["_x"], [0], [], 2),
+        "a head that prefixes a head of the call": block(["r", "r_"], ["", ""], [0, 0], [], 2),
+        "a tail that starts with a digit": block(["r_"], ["7_a"], [0], [], 2),
+        "a repeated head and tail in the call": block(["r_", "r_"], ["_a", "_a"], [0, 0], [], 2),
+        "a head and tail of the model's block": block(["cover_t"], ["_o1"], [0], [], 2),
+        "a full name of a copy of the model's block": lambda m: m.add_row(
+            "cover_t2_o1", "g", [(0, 1)], GE, 0),
+        "a once block's name of a copy of its call's block": lambda m: m.add_row_blocks(
+            [_block(["r_1_a"], None, ["g"], [GE], [0], [0], [], []),
+             _block(["r_"], ["_a"], ["g"], [GE], [0], [0], [], [])], 2, (0,)),
+        "a variable head that prefixes a head of the model": lambda m: m.add_variable_copies(
+            BINARY, [(["z_1"], ["_q"], False)], 2),
+        "a variable tail that starts with a digit": lambda m: m.add_variable_copies(
+            BINARY, [(["q_"], ["0"], True)], 2),
+        "a variable head and tail of the model's family": lambda m: m.add_variable_copies(
+            BINARY, [(["q_"], [""], False), (["z_2_"], [""], False)], 2),
+        "a full variable name of a copy of the model's family": lambda m: m.add_variables(
+            BINARY, ["q_0", "z_2_1"]),
         "NUL in a variable family's head": lambda m: m.add_variable_copies(
             BINARY, [(["q\x00"], ["_1"], False)], 2),
         "a variable family's name in the model": lambda m: m.add_variable_copies(
@@ -786,6 +816,167 @@ def test_a_rejected_block_leaves_the_model_unchanged(case):
         _block_rejections()[case](m)
     assert (len(m.variables), len(m.constraints), m.group_counts(), dict(m.objective),
             _exports(m)) == before
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("a head that prefixes a head of the model",
+     "row name head 'cover' is a prefix of head 'cover_t', so a copy's number would not read "
+     "back from its name"),
+    ("a head that a head of the model prefixes", "row name head 'cover_t' is a prefix of head "
+                                                 "'cover_t1'"),
+    ("a head that prefixes a head of the call", "row name head 'r' is a prefix of head 'r_'"),
+    ("a tail that starts with a digit", "row name tail '7_a' starts with a digit, so a copy's "
+                                        "number would not read back from its name"),
+    ("a repeated head and tail in the call", "duplicate row name r_0_a"),
+    ("a head and tail of the model's block", "duplicate row name cover_t0_o1"),
+    ("a full name of a copy of the model's block", "duplicate row name cover_t2_o1"),
+    ("a once block's name of a copy of its call's block", "duplicate row name r_1_a"),
+    ("a variable head that prefixes a head of the model", "variable name head 'z_1' is a prefix "
+                                                          "of head 'z_1_'"),
+    ("a variable tail that starts with a digit", "variable name tail '0' starts with a digit"),
+    ("a variable head and tail of the model's family", "duplicate variable name z_2_0"),
+    ("a full variable name of a copy of the model's family", "duplicate variable name z_2_1"),
+])
+def test_copied_names_are_refused_with_their_reason(case, reason):
+    with pytest.raises(ValidationError, match=f"^{re.escape(reason)}"):
+        _block_rejections()[case](_family_model())
+
+
+# name parts over an alphabet with digits, so that copies' names often meet
+_PARTS = st.text(alphabet="ab_019", max_size=3)
+
+
+def _numbered(known):
+    """Names that read as a known head, a number, maybe with a leading zero
+    or past the copies, and its tail."""
+    return st.builds(lambda part, t, zero: part[0] + "0" * zero + str(t) + part[1],
+                     st.sampled_from(known), st.integers(0, 13), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(["row", "variable"]))
+def test_copied_names_are_checked_by_their_heads_and_tails(data, namespace):
+    # the check by heads and tails refuses a call exactly when a head is a
+    # proper prefix of another, a tail starts with a digit, or joining every
+    # name the model would hold finds one twice
+    m = LinearModel("names")
+    names, heads, known = [], set(), []  # every joined name, copied head and head-tail pair
+    for _ in range(data.draw(st.integers(1, 4), label="calls")):
+        # copies of one digit, and of two, where a leading zero fits in
+        copies = data.draw(st.integers(1, 3) | st.integers(9, 12), label="copies")
+        # new heads and tails, some split around a digit of a name the
+        # model holds, so that a copy may take it
+        split = [(name[:i], name[i + 1:]) for name in names for i, c in enumerate(name)
+                 if c in "019"]
+        entries = data.draw(st.lists(st.tuples(_PARTS, _PARTS) | st.sampled_from(split)
+                                     if split else st.tuples(_PARTS, _PARTS), max_size=3),
+                            label="heads and tails")
+        size = len(entries)
+        new_heads, new_tails = [head for head, _ in entries], [tail for _, tail in entries]
+        pairs = known + list(zip(new_heads, new_tails))
+        full = data.draw(st.lists(st.one_of(_PARTS, _numbered(pairs)) if pairs else _PARTS,
+                                  max_size=3), label="full names")
+        if namespace == "variable":  # full names and copies come in separate calls
+            if data.draw(st.booleans(), label="full names only"):
+                new_heads, new_tails, copies = [], [], 1
+            else:
+                full = []
+        joined = full + [head + str(t) + tail for head, tail in zip(new_heads, new_tails)
+                         for t in range(copies)]
+        every_head = heads | set(new_heads) if copies > 1 else heads
+        rule = copies == 1 or (not any(tail[:1] in "0123456789" for tail in new_tails if tail)
+                               and not any(a != b and b.startswith(a)
+                                           for a in every_head for b in every_head))
+        accepted = rule and len(set(names + joined)) == len(names) + len(joined)
+        before = (m.variable_names(), [row.name for row in m.constraints])
+        if namespace == "row":
+            call = lambda: m.add_row_blocks(  # noqa: E731
+                [_block(full, None, ["g"] * len(full), [GE] * len(full), [0] * len(full),
+                        [0] * len(full), [], []),
+                 _block(new_heads, new_tails, ["g"] * size, [GE] * size, [0] * size, [0] * size,
+                        [], [])], copies, (0,))
+        elif full:
+            call = lambda: m.add_variables(BINARY, full)  # noqa: E731
+        else:
+            interleaved = data.draw(st.booleans(), label="interleaved")
+            call = lambda: m.add_variable_copies(  # noqa: E731
+                BINARY, [(new_heads, new_tails, interleaved)], copies)
+        if accepted:
+            call()
+            names += joined
+            if copies > 1:
+                heads, known = every_head, pairs
+        else:
+            with pytest.raises(ValidationError):
+                call()
+            assert (m.variable_names(), [row.name for row in m.constraints]) == before
+        held = m.variable_names() if namespace == "variable" else [r.name for r in m.constraints]
+        assert sorted(held) == sorted(names)
+
+
+def test_a_full_name_is_a_copys_only_under_its_number():
+    # copy t is named with str(t): no leading zero, and t below the copies
+    m = LinearModel("m")
+    m.add_row_blocks([_block(["r_"], ["_a"], ["g"], [GE], [0], [0], [], [])], 11, (0,))
+    m.add_rows(["r_01_a", "r_00_a", "r_11_a", "r_10", "r_10_ab", "r__a"], ["g"] * 6, [GE] * 6,
+               [0] * 6, [0] * 6, [], [])
+    for name in ("r_0_a", "r_7_a", "r_10_a"):
+        with pytest.raises(ValidationError, match=f"duplicate row name {name}$"):
+            m.add_row(name, "g", [], GE, 0)
+    assert len(m.constraints) == 17
+
+
+def test_lookups_see_variables_declared_after_the_first():
+    m = _family_model()
+    assert m.var("z", 1, 2) == 8 and not m.has_var("q", 0)
+    m.add_variable_copies(BINARY, [(["q_"], ["_b"], False)], 2)
+    m.add_variable(INTEGER, ("u", 1))
+    assert [m.var("q", 1, "b"), m.var("u", 1), m.var("x", 2, "a")] == [14, 15, 4]
+    assert m.has_var("q", 0, "b") and not m.has_var("q", 2, "b")
+
+
+def test_a_build_keeps_no_name_of_a_copy():
+    # a build keeps copy 0's name of each copied row and variable, and
+    # builds no table of positions by name until a lookup asks for one
+    layout = WarehouseLayout(3, 1, 2, 1, 2)
+    instance = generate_instance(layout, 6, 10, seed=8)
+    assert instance.pickers > 1
+    for kind in ("P_G", "P_F"):
+        model = build_model(instance, shared_graph(layout), kind)
+        rows, variables = model._row_names, model._variable_names
+        assert len(rows.full) + len(rows.zeros) == len(model._heads) < len(model.constraints)
+        assert len(variables.full) == 0
+        assert len(variables.zeros) * instance.pickers == len(model.variables)
+        assert model._lookup == {}
+        assert model.var("y", 1, shared_graph(layout).origin) > 0
+        assert len(model._lookup) == len(model.variables)
+
+
+def test_check_reads_no_copy_a_block_lacks():
+    # a block of 2 copies on a family of 2 copies, in a model whose other
+    # block has 3: only copies 0 and 1 of its rows are checked, though copy
+    # 2 of the family, past every variable, is not there to read
+    blocked, flat = LinearModel("m"), LinearModel("m")
+    for m in (blocked, flat):
+        m.add_variable_copies(INTEGER, [(["x_"], ["_a"], False)], 3)
+        m.add_variable_copies(INTEGER, [(["y_"], ["_b"], False)], 2)
+    blocked.add_row_blocks([_block(["r_"], [""], ["g"], [LE], [1], [1], [0], [1]),
+                            _block(["s_"], [""], ["g"], [GE], [1], [2], [0, 3], [1, -1])], 2,
+                           (0,))
+    blocked.add_row_blocks([_block(["q_"], [""], ["h"], [EQ], [1], [1], [0], [2])], 3, (0,))
+    for t in range(2):
+        flat.add_row(f"r_{t}", "g", [(t, 1)], LE, 1)
+    for t in range(2):
+        flat.add_row(f"s_{t}", "g", [(t, 1), (3 + t, -1)], GE, 1)
+    for t in range(3):
+        flat.add_row(f"q_{t}", "h", [(t, 2)], EQ, 1)
+    assert blocked.constraints == flat.constraints
+    rng = random.Random(3)
+    for _ in range(50):
+        assignment = VariableAssignment({name: rng.choice([0, 1, 2, Fraction(1, 2)])
+                                         for name in flat.variable_names()})
+        assert check_feasible(blocked, assignment, 10 ** 6) == \
+            check_feasible(flat, assignment, 10 ** 6)
 
 
 def test_row_copies_equal_their_rows_added_copy_by_copy():
