@@ -9,12 +9,13 @@ free MPS or a JSON sidecar; no LP relaxations are solved here.
 
 A model stores columns, not objects.  Variables are four parallel lists
 (names, kinds, lower and upper bounds) and a table of positions by name,
-which holds no copy's name until a lookup misses; no index tuple is kept.
-:meth:`LinearModel.add_variables` declares a family by its names, and
-:meth:`LinearModel.add_variable_copies` one family for each of several
-copies (a picker's, in the formulations): copy t of entry k is named
-``heads[k] + str(t) + tails[k]``, copies side by side or interleaved, and
-the model keeps the lists of heads and tails.
+filled from the first variable not in it by the first lookup that misses;
+no index tuple is kept.  :meth:`LinearModel.add_variables` declares
+variables by their names, and :meth:`LinearModel.add_variable_copies` a
+family for each of several copies (a picker's, in the formulations): copy
+t of entry k is named ``heads[k] + str(t) + tails[k]``, copies side by
+side or interleaved, and the model keeps the lists of heads and tails.  A
+binary variable's bounds are 0 and 1.
 
 A copy's number must read back from its name.  So, among the copied names
 of a namespace, the rows' or the variables', no head is a proper prefix of
@@ -26,36 +27,35 @@ row stored once or of a variable of no family, is refused when it reads as
 a copy's, its number without a leading zero and below its copies.  Only
 full names and copy 0's names are hashed.
 
-Rows come in blocks: :class:`RowBlock` holds canonical rows, each row's
-term positions strictly increasing.  :meth:`LinearModel.add_row_blocks`
-appends blocks stored once and blocks whose copy 0 stands for every copy:
-copy t of row i is named ``heads[i] + str(t) + tails[i]``, and a term on
-copy 0 of a variable declared for every copy moves to that variable's copy
-t, its position shifted by t strides of its family; any other term stays.
-:meth:`LinearModel.add_rows` appends rows stored once, and ``add_row`` one
-row, the one place a row is sorted by position and a repeated position
-merged.  The model keeps copy 0's rows of every block in compressed sparse
-row form (names split in heads and tails, groups, senses and right-hand
-sides per row, each row's end offset, and one list each of term positions,
-shifts and coefficients) and, for each block, its rows there and its
-copies; a run of blocks of one copy each is one segment.  A block of one
-copy, such as every block of a one-picker build, is stored once, under its
-rows' full names, so a row's tail is None exactly when its block has one
-copy.  Every check covers every copy of every block before anything is
-stored, so a rejected call leaves the model as it was: names are checked by
-their parts, and positions on copy 0 and the last copy, which bound every
-copy between, since a term's position is linear in the copy.
+Rows have one way in, :meth:`LinearModel.add_row_blocks`, which takes
+blocks of canonical rows (:class:`RowBlock`), each stored once or with
+copy 0 standing for every copy; :meth:`LinearModel.add_rows` adds one
+block stored once, and ``add_row`` one row, the one place a row is sorted
+by position and a repeated position merged.  The model keeps copy 0's rows
+of every block in compressed sparse row form (names split in heads and
+tails, groups, senses and right-hand sides per row, each row's end offset,
+and one list each of term positions, shifts and coefficients) and, for
+each block, its rows there and its copies; a run of blocks of one copy
+each is one segment.  Every check covers every copy of every block before
+anything is stored, so a rejected call leaves the model as it was: names
+by their parts, and positions on copy 0 and the last copy, which bound
+every copy between, since a term's position is linear in the copy.
 ``model.variables`` and ``model.constraints`` are read-only views that
-build :class:`Variable` and :class:`Constraint` named tuples on access, and
-count without building any.  The feasibility check sums copy 0's terms once
-per copy, each read at its position in copy t.  The writers write copy 0's
-rows once, with a NUL where a copy's number goes, and each copy of a block
-by putting its number there; ``write_mps`` writes the same way copy 0's
-columns of a family that only terms moving with the copy touch, and copy
-0's bounds of a family side by side, and every other column and bound one
-by one.  So no variable name and no part of a row name may hold a NUL, and
-no row may be named ``COST`` or ``obj``, the objective's names in MPS and
-LP.
+build :class:`Variable` and :class:`Constraint` named tuples on access,
+and count without building any.  The feasibility check sums copy 0's
+terms once per copy, each read at its position in copy t.  The writers
+write copy 0's rows once, with a NUL where a copy's number goes, and each
+copy of a block by putting its number there; ``write_mps`` writes the same
+way copy 0's columns of a family that only terms moving with the copy
+touch, and copy 0's bounds of a family side by side, and every other
+column and bound one by one.  So no variable name and no part of a row
+name may hold a NUL, and no row may be named ``COST`` or ``obj``, the
+objective's names in MPS and LP.
+
+Two second paths stay because a workload pays for them, as the README
+measures: a block of one copy, as in a one-picker build, is stored under
+its rows' full names, with tail None, and when no block has more than one
+copy the writers take copy 0's texts as they are (``_copied``).
 
 The writers format each distinct number once per call.  The JSON writer
 lays the document out field by field and sends only its small head through
@@ -143,6 +143,16 @@ def _nonfinite_at(values) -> Optional[int]:
     except (OverflowError, TypeError):  # a huge Fraction, or not a number
         pass
     return next((k for k, value in enumerate(values) if not _is_finite(value)), None)
+
+
+def _not_int_at(values) -> Optional[int]:
+    """Position of the first value that is not an ``int``, or None."""
+    try:
+        total = sum(values)  # a sum of ints is an int
+    except TypeError:  # not a number
+        total = None
+    return None if type(total) is int else next(
+        k for k, value in enumerate(values) if type(value) is not int)
 
 
 def _require_finite(value, what: str) -> None:
@@ -298,9 +308,8 @@ class LinearModel:
         self._lbs: list = []
         self._ubs: list = []
         self._variable_names = Namespace("variable")
-        # positions by name, in position order: a declaration of full names
-        # extends it while it holds every variable, and a lookup that misses
-        # fills it
+        # positions by name, in position order: each variable from the first
+        # not in it on, filled by the first lookup that misses
         self._lookup: dict[str, int] = {}
         # the families declared for every copy, after family 0
         self._families: list[_Family] = [_NO_FAMILY]
@@ -357,15 +366,14 @@ class LinearModel:
         _require_finite(lb, "variable lower bound")
         if ub is not None:
             _require_finite(ub, "variable upper bound")
+        if kind == BINARY and (lb != 0 or ub not in (None, 1)):
+            raise ValidationError(f"binary variable bounds are 0 and 1, not {lb!r} and {ub!r}")
+        ub = 1 if kind == BINARY else ub
         heads, tails, zeros, copies = copied or ((), (), (), 1)
         full = [] if copied else names
         checked = self._variable_names.check(full, heads, tails, copies, zeros)
         first = len(self._names)
-        if kind == BINARY:
-            ub = 1
         self._variable_names.add(*checked)
-        if copied is None and len(self._lookup) == first:
-            self._lookup.update(zip(names, count(first)))
         self._names += names
         self._kinds += [kind] * len(names)
         self._lbs += [lb] * len(names)
@@ -454,21 +462,16 @@ class LinearModel:
 
     def add_rows(self, names: list[str], groups: list[str], senses: list[str], rhs: list,
                  ends: list[int], positions: list[int], coefs: list) -> int:
-        """Append canonical rows given as columns and return the index of the
-        first.
+        """Append canonical rows given as columns, stored once, and return the
+        index of the first.
 
         Row ``i`` is named ``names[i]`` and has the terms ``positions[k]``,
         ``coefs[k]`` for ``k`` from ``ends[i - 1]`` (0 for the first row) up
         to ``ends[i]``.  Within a row the positions must strictly increase;
         :meth:`add_row` sorts and merges a row that is not yet canonical.
         """
-        n = len(names)
-        if not len(groups) == len(senses) == len(rhs) == len(ends) == n:
-            raise ValidationError("row columns differ in length")
-        if len(positions) != len(coefs) or (ends[-1] if n else 0) != len(positions):
-            raise ValidationError("row ends do not fit the terms")
-        return self._store(names, [None] * n, groups, senses, rhs, list(ends), positions, coefs,
-                           names, [], [], [], [0], 1)
+        return self.add_row_blocks([RowBlock(names, None, groups, senses, rhs, ends,
+                                             [0] * len(positions), positions, coefs)], 1, (0,))
 
     def add_row_blocks(self, blocks: Iterable[RowBlock], copies: int,
                        bases: Sequence[int]) -> int:
@@ -484,7 +487,8 @@ class LinearModel:
         which must exist; any other term is the same in every copy.  Only
         copy 0 is stored.  With more than one copy, no head of the model's
         copied rows is a proper prefix of another, and no tail starts with a
-        digit, so that a copy's number reads back from its name.
+        digit, so that a copy's number reads back from its name.  Term
+        positions and row ends are ``int``.
         """
         if type(copies) is not int or copies < 1:
             raise ValidationError(f"a row block needs one copy or more, not {copies!r}")
@@ -502,11 +506,16 @@ class LinearModel:
             if not len(block.families) == len(block.coefs) == terms \
                     or (block.ends[-1] if n else 0) != terms:
                 raise ValidationError("row ends do not fit the terms")
-            ends += map(add, block.ends, repeat(len(positions)))
             try:
-                positions += map(add, map(bases.__getitem__, block.families), block.offsets)
+                ends += list(map(add, block.ends, repeat(len(positions))))
+            except TypeError:  # an end that is no number, refused below
+                ends += block.ends
+            try:
+                positions += list(map(add, map(bases.__getitem__, block.families), block.offsets))
             except (IndexError, TypeError):
-                raise ValidationError("a term's family has no base") from None
+                if _not_int_at(block.offsets) is None:
+                    raise ValidationError("a term's family has no base") from None
+                positions += block.offsets  # an offset that is no number, refused below
             try:
                 if copies == 1:
                     heads += block.heads if block.tails is None \
@@ -529,23 +538,22 @@ class LinearModel:
             rhs += block.rhs
             coefs += block.coefs
         if copies == 1:
-            full, tails = heads, [None] * len(heads)
-        return self._store(heads, tails, groups, senses, rhs, ends, positions, coefs, full,
-                           copied_heads, copied_tails, copied_groups, firsts or [0], copies)
+            full, tails, firsts = heads, [None] * len(heads), [0]
 
-    def _store(self, heads, tails, groups, senses, rhs, ends, positions, coefs, full,
-               copied_heads, copied_tails, copied_groups, firsts, copies) -> int:
-        """Check copy 0's rows of blocks of ``copies`` copies, and of blocks
-        stored once, whose tails are None, then store them.  ``full`` holds
-        the names of the rows stored once, the copied rows' heads, tails and
-        groups follow, and ``firsts`` holds each block's first row; blocks
-        of one copy each may be given as one."""
         def row_name(row: int, t: int = 0) -> str:
             return heads[row] if tails[row] is None else heads[row] + str(t) + tails[row]
 
+        # copy 0's positions and ends; a copy's positions add int shifts
+        k = _not_int_at(ends)
+        if k is not None:
+            raise ValidationError(f"row {row_name(k)}: row end {ends[k]!r} is not an int")
         # each block's ends rise from 0 to its terms if the joined ends rise
         if (ends and ends[0] < 0) or sorted(ends) != ends:
             raise ValidationError("row ends do not fit the terms")
+        k = _not_int_at(positions)
+        if k is not None:
+            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: variable position "
+                                  f"{positions[k]!r} is not an int")
         if not _SENSES.issuperset(senses):
             bad = next(sense for sense in senses if sense not in _SENSES)
             raise ValidationError(f"bad sense {bad!r}")
@@ -671,15 +679,6 @@ class LinearModel:
                           tuple(zip(positions, self._coefs[start:end])),
                           self._senses[i], self._rhs[i])
 
-    def _per_row(self, column: list) -> list:
-        """A column of copy 0's rows, such as ``_senses``, for every row: each
-        block's for each of its copies.  When every block has one copy, it is
-        the column itself."""
-        if self._n_rows == len(column):
-            return column
-        return list(chain.from_iterable(column[start:stop] * copies
-                                        for start, stop, copies in self._segments))
-
     def declare_lazy_group(self, group: str, description: str) -> None:
         self.lazy_groups[group] = description
 
@@ -726,7 +725,8 @@ class LinearModel:
         return counts
 
     def rows_in_group(self, group: str) -> list[Constraint]:
-        return [self._row(i) for i, g in enumerate(self._per_row(self._groups)) if g == group]
+        groups, locate = self._groups, self._locate
+        return [self._row(row) for row in range(self._n_rows) if groups[locate(row)[0]] == group]
 
     def variable_counts(self) -> dict[str, int]:
         """Variables per family, the part of a name before its first ``_``."""
@@ -952,6 +952,15 @@ def _row_templates(model: LinearModel) -> list[str]:
             for head, tail in zip(model._heads, model._tails)]
 
 
+def _numbered(template, copies: int) -> Iterable[str]:
+    """Each of ``copies`` copies' text: copy t's is ``template(d)``, the text
+    for numbers of t's d digits, with t where each ``_COPY`` is."""
+    for d in range(1, len(str(copies - 1)) + 1):
+        text = template(d)
+        numbers = range(10 ** (d - 1) if d > 1 else 0, min(copies, 10 ** d))
+        yield from map(text.replace, repeat(_COPY), map(str, numbers))
+
+
 def _copies(model: LinearModel, rows: list[str], separator: str) -> Iterable[str]:
     """The text of every row, block by block, from each copy-0 row's text:
     a block's copy-0 rows joined by ``separator``, with each copy's number
@@ -962,7 +971,7 @@ def _copies(model: LinearModel, rows: list[str], separator: str) -> Iterable[str
         return
     for start, stop, copies in model._segments:
         text = separator.join(rows[start:stop])
-        yield from map(text.replace, repeat(_COPY, copies), map(str, range(copies)))
+        yield from _numbered(lambda d: text, copies)
 
 
 def write_lp(model: LinearModel) -> str:
@@ -1014,15 +1023,6 @@ def write_lp(model: LinearModel) -> str:
         out.extend(_wrap(" ", generals))
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-def _numbered(template, copies: int) -> Iterable[str]:
-    """Each of ``copies`` copies' text: copy t's is ``template(d)``, the text
-    for numbers of t's d digits, with t where each ``_COPY`` is."""
-    for d in range(1, len(str(copies - 1)) + 1):
-        text = template(d)
-        numbers = range(10 ** (d - 1) if d > 1 else 0, min(copies, 10 ** d))
-        yield from map(text.replace, repeat(_COPY), map(str, numbers))
 
 
 _MARKER = "    MARKER{:04d}  'MARKER'                 '{}'"
@@ -1176,8 +1176,7 @@ def _mps_bounds(model: LinearModel, nums: _Memo) -> Iterable[str]:
             done = family.first + len(family.tails) * family.copies
             if model._kinds[family.first] == BINARY:
                 text = "\n".join([f" BV BND         {name}" for name in family.names(_COPY)])
-                yield from map(text.replace, repeat(_COPY, family.copies),
-                               map(str, range(family.copies)))
+                yield from _numbered(lambda d: text, family.copies)
     yield from each(done, len(model._names))
 
 

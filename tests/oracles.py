@@ -3,8 +3,8 @@
 These deliberately avoid the package's own code paths: a symmetry-blind
 assignment enumerator for batching, a set-partition enumerator for bin
 packing, a full 3^|E| scan of walk multiplicity vectors, Bellman-Ford
-distances (both over edge lengths this module reads off the layout), a
-small parser for our LP output, reference LP, MPS and JSON writers that
+distances (both over edge lengths this module reads off the layout), small
+parsers for our LP and MPS output, reference LP, MPS and JSON writers that
 read a model's public views row by row, and a row-by-row evaluator of
 model rows in ``Fraction`` arithmetic.  The route oracle and the batching
 enumerator price walks through the full scan.  A restriction mask may be
@@ -370,6 +370,46 @@ def parse_lp(text):
     keywords = {"Minimize", "Subject", "To", "Bounds", "Binaries", "Generals", "End", "obj", "inf"}
     variables = {n for n in names if n not in keywords and not n.startswith("obj")}
     return variables, rows
+
+
+def parse_mps(text):
+    """A free-MPS file as plain data: its columns in order, each with
+    whether it lies between INTORG and INTEND markers or is declared BV,
+    its lower and upper bound (None for none), its objective entry and its
+    entries in each row; and its rows as ``(name, sense, rhs)``, sense
+    ``L``, ``E`` or ``G``.  Every number is a ``Fraction``.  It reads the
+    ROWS, COLUMNS, RHS and BOUNDS sections, and BOUNDS of kind BV, LO and UP.
+    """
+    rows, columns, section, integral = {}, {}, None, False
+
+    def column(name):
+        return columns.setdefault(name, {"integral": integral, "lb": Fraction(0), "ub": None,
+                                         "cost": Fraction(0), "rows": {}})
+
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line.split()[0]
+            continue
+        fields = line.split()
+        if section == "ROWS":
+            if fields[0] != "N":
+                rows[fields[1]] = [fields[0], Fraction(0)]
+        elif section == "COLUMNS":
+            if fields[1] == "'MARKER'":
+                integral = fields[2] == "'INTORG'"
+                continue
+            if fields[1] == "COST":
+                column(fields[0])["cost"] = Fraction(fields[2])
+            else:
+                column(fields[0])["rows"][fields[1]] = Fraction(fields[2])
+        elif section == "RHS":
+            rows[fields[1]][1] = Fraction(fields[2])
+        elif section == "BOUNDS":
+            if fields[0] == "BV":
+                column(fields[2]).update(integral=True, lb=Fraction(0), ub=Fraction(1))
+            else:
+                column(fields[2])["lb" if fields[0] == "LO" else "ub"] = Fraction(fields[3])
+    return columns, [(name, sense, rhs) for name, (sense, rhs) in rows.items()]
 
 
 def fraction_feasibility(model, values):

@@ -549,6 +549,18 @@ def _rejections():
         "more objective coefficients than positions":
             lambda m: m.set_objective_coeffs([0], [1, 2]),
         "NUL in a variable name": lambda m: m.add_variables(BINARY, ["u_0", "u\x00_1"]),
+        "float position": lambda m: m.add_row("n", "g", [(1.0, 1)], GE, 0),
+        "text position": lambda m: m.add_row("n", "g", [("0", 1)], GE, 0),
+        "numpy position": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
+                                               [1, 2], [0, np.int64(1)], [1, 1]),
+        "float row end": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
+                                              [1, 2.0], [0, 1], [1, 1]),
+        "text row end": lambda m: m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0],
+                                             ["1", 2], [0, 1], [1, 1]),
+        "binary lower bound below 0": lambda m: m.add_variables(BINARY, ["u_0"], lb=-1),
+        "binary lower bound of 1": lambda m: m.add_variables(BINARY, ["u_0"], lb=1),
+        "binary upper bound of 2": lambda m: m.add_variable(BINARY, ("u", 0), ub=2),
+        "binary upper bound of 0.5": lambda m: m.add_variables(BINARY, ["u_0", "u_1"], ub=0.5),
     }
 
 
@@ -582,6 +594,21 @@ def test_non_finite_numbers_are_rejected():
     m.add_row("big", "g", [(s, 10 ** 400), (s, Fraction(10 ** 400, 3))], LE, 1e308)
     m.set_objective_coeff(s, 10 ** 400)
     assert check_feasible(m, VariableAssignment({"s_0": 0})).satisfied
+
+
+def test_positions_row_ends_and_binary_bounds_are_refused_by_name():
+    m = tiny_model()
+    with pytest.raises(ValidationError, match="row n: variable position 1.0 is not an int"):
+        m.add_row("n", "g", [(1.0, 1)], GE, 0)
+    with pytest.raises(ValidationError, match="row n2: row end 2.0 is not an int"):
+        m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0], [1, 2.0], [0, 1], [1, 1])
+    with pytest.raises(ValidationError, match="row n2: variable position 'a' is not an int"):
+        m.add_rows(["n1", "n2"], ["g", "g"], [GE, GE], [0, 0], [1, 2], [0, "a"], [1, 1])
+    with pytest.raises(ValidationError, match="binary variable bounds are 0 and 1, not -1"):
+        m.add_variables(BINARY, ["y_1"], lb=-1)
+    # a binary's bounds may be given as they are, 0 and 1
+    m.add_variables(BINARY, ["y_1", "y_2"], lb=0.0, ub=1)
+    assert m.variables[-1] == Variable("y_2", BINARY, 0.0, 1)
 
 
 def test_views_are_read_only_sequences():
@@ -675,7 +702,7 @@ def test_counting_rows_and_variables_expands_no_terms(monkeypatch):
     def refuse(*args):
         raise AssertionError("a count expanded the rows")
 
-    for name in ("_per_row", "_row", "_locate"):
+    for name in ("_row", "_locate"):
         monkeypatch.setattr(LinearModel, name, refuse)
     assert (len(model.constraints), len(model.variables)) == (rows, variables)
     assert rows > 300
@@ -750,6 +777,9 @@ def _block_rejections():
             [_block(["r_"], [""], ["g"], ["=<"], [0], [0], [], [])], 2, (0,)),
         "infinite coefficient": lambda m: m.add_row_blocks(
             [_block(["r_"], [""], ["g"], [GE], [0], [1], [0], [float("inf")])], 2, (0,)),
+        "a float offset": block(["r_"], [""], [1], [1.0], 2),
+        "a float row end": block(["r_", "q_"], ["", ""], [1.0, 1], [0], 2),
+        "a float family base": lambda m: m.add_row_blocks([valid], 2, (0.0,)),
         "a family with no base": lambda m: m.add_row_blocks(
             [RowBlock(["r_"], [""], ["g"], [GE], [0], [1], [1], [0], [1])], 2, (0,)),
         "a block with fewer groups than rows": lambda m: m.add_row_blocks(
@@ -1033,6 +1063,77 @@ def test_row_copies_equal_their_rows_added_copy_by_copy():
         assert write_model_json(blocked) == reference_model_json(blocked)
         assert _first_difference(write_mps(blocked), reference_mps(blocked)) is None, copies
         for mode in ("integral", "fractional", "negative", "out of bounds"):
+            assignment = _random_assignment(rng, flat, mode)
+            assert check_feasible(blocked, assignment, 10 ** 6) == \
+                check_feasible(flat, assignment, 10 ** 6)
+
+
+def _expanded(block, copies, bases, moves):
+    """Every copy's rows of ``block`` as ``add_row`` takes them, copy after
+    copy: copy t of row i of a copied block is named ``head + str(t) +
+    tail``, and each term on a position in ``moves`` moves by its step t
+    times.  A block stored once has one copy, named by its heads."""
+    once = block.tails is None
+    rows = []
+    for t in range(1 if once else copies):
+        for i, (start, end) in enumerate(zip([0, *block.ends], block.ends)):
+            terms = [(bases[family] + offset, coef) for family, offset, coef in
+                     zip(block.families[start:end], block.offsets[start:end],
+                         block.coefs[start:end])]
+            terms = [(pos if once else pos + t * moves.get(pos, 0), coef) for pos, coef in terms]
+            name = block.heads[i] if once else block.heads[i] + str(t) + block.tails[i]
+            rows.append((name, block.groups[i], terms, block.senses[i], block.rhs[i]))
+    return rows
+
+
+def test_a_model_of_mixed_copy_counts_equals_its_flat_twin():
+    # calls of one, three and two copies, blocks stored once among copied
+    # ones, then cuts by add_row; every writer test elsewhere builds each
+    # model with one copy count
+    rng = random.Random(41)
+    blocked, flat = LinearModel("mixed", kind="k"), LinearModel("mixed", kind="k")
+    for m in (blocked, flat):
+        m.add_variables(INTEGER, ["u_0", "u_1"])
+        # x: 3 copies side by side (2-7); z: 3 copies interleaved (8-13);
+        # w: one copy (14); then s (15)
+        assert m.add_variable_copies(BINARY, [(["x_"] * 2, ["_a", "_b"], False)], 3) == [2]
+        assert m.add_variable_copies(INTEGER, [(["z_1_", "z_2_"], ["", ""], True)], 3) == [8]
+        assert m.add_variable_copies(BINARY, [(["w_"], ["_c"], False)], 1) == [14]
+        m.add_variables(CONTINUOUS, ["s_0"], lb=-1, ub=2)
+        m.set_objective_coeffs([0, 2, 5, 8, 14, 15], [1, 2, 0.5, -1, 3, 1])
+    bases = (0, 2, 8, 14)  # family 0 by position, then x, z and w
+    moves = {2: 2, 3: 2, 8: 1, 11: 1}  # copy 0 of x and z, and each one's step
+    calls = [
+        (1, [RowBlock(["a_"], ["_1"], ["g1"], [LE], [1], [2], [1, 3], [0, 0], [1, -1]),
+             RowBlock(["lone"], None, ["g2"], [GE], [0], [2], [0, 0], [1, 14], [2, 0.5])]),
+        (3, [RowBlock(["b_", "c_"], ["_x", ""], ["g1", "g3"], [GE, EQ], [0, 1], [3, 4],
+                      [0, 1, 2, 2], [0, 1, 0, 3], [1, -2, 1, 1]),
+             RowBlock(["mid"], None, ["g2"], [LE], [3], [2], [1, 0], [0, 15], [1, 1]),
+             RowBlock(["d_"], ["_y"], ["g3"], [LE], [0.5], [2], [1, 0], [0, 15], [0.25, -1])]),
+        (1, [RowBlock(["e_"], ["_z"], ["g1"], [EQ], [1], [1], [3], [0], [1])]),
+        (2, [RowBlock(["f_"], [""], ["g2"], [GE], [-1], [2], [1, 2], [1, 3], [3, -1]),
+             RowBlock(["tail"], None, ["g3"], [LE], [2], [1], [0], [7], [1])]),
+    ]
+    for copies, blocks in calls:
+        blocked.add_row_blocks(blocks, copies, bases)
+        for block in blocks:
+            for row in _expanded(block, copies, bases, moves):
+                flat.add_row(*row)
+    for m in (blocked, flat):
+        m.add_row("cut1", "cut", [(7, 1), (0, -1)], LE, 0)
+        m.add_row("cut2", "cut", [(13, 1), (14, 1), (1, 1)], GE, 1)
+    assert len(blocked.constraints) == 18
+    assert blocked._segments != flat._segments  # the blocks are stored by copy 0
+    assert _first_difference(write_lp(blocked), reference_lp(blocked)) is None
+    assert _first_difference(write_mps(blocked), reference_mps(blocked)) is None
+    assert write_model_json(blocked) == reference_model_json(blocked)
+    assert _exports(blocked) == _exports(flat)
+    assert blocked.constraints == flat.constraints
+    assert blocked.group_counts() == flat.group_counts()
+    for group in ("g1", "g2", "g3", "cut"):
+        assert blocked.rows_in_group(group) == flat.rows_in_group(group)
+    for mode in ("integral", "fractional", "negative", "out of bounds"):
+        for _ in range(10):
             assignment = _random_assignment(rng, flat, mode)
             assert check_feasible(blocked, assignment, 10 ** 6) == \
                 check_feasible(flat, assignment, 10 ** 6)
