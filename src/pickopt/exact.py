@@ -309,6 +309,7 @@ class WalkSpace:
         touches_origin = (touch[support] >> graph.origin) & 1 == 1
         self.ok = touches_origin & (components[support] == 1)
         self.visited = np.where(touches_origin, touch[support], 0)
+        self._no_reversal: Optional[np.ndarray] = None
 
     # -- queries -----------------------------------------------------------
 
@@ -337,13 +338,15 @@ class WalkSpace:
     # -- restriction mask ----------------------------------------------------
 
     def mask_no_reversal(self) -> np.ndarray:
-        """Walks where every entered subaisle is traversed completely."""
-        ok = np.ones(len(self.mult), dtype=bool)
-        for sub in self.subaisles:
-            cols = list(sub.edge_ids)
-            block = self.mult[:, cols]
-            ok &= (block == block[:, :1]).all(axis=1)
-        return ok
+        """Walks that traverse each subaisle they enter, read-only: made once."""
+        if self._no_reversal is None:
+            ok = np.ones(len(self.mult), dtype=bool)
+            for sub in self.subaisles:
+                block = self.mult[:, list(sub.edge_ids)]
+                ok &= (block == block[:, :1]).all(axis=1)
+            ok.flags.writeable = False
+            self._no_reversal = ok
+        return self._no_reversal
 
 
 def _build_walk_space(graph: PickingGraph) -> WalkSpace:

@@ -29,41 +29,35 @@ for every picker with :meth:`~pickopt.model.LinearModel.add_variable_copies`:
 picker t's copy of a variable sits ``t`` strides after picker 0's,
 picker-major with the family's size per picker as stride, except z, which
 is picker-minor with stride 1.  Its name is the family, ``_``, the picker
-and a tail (z's ends with the picker); the tails of the arc kinds'
-families are made once per graph, with the graph's other tables.
+and a tail (z's ends with the picker).  Rows come in blocks of picker 0's
+rows whose terms name a variable family and an offset in it, and whose
+names are kept split where the picker goes.
 
-Rows come in blocks of picker 0's rows whose terms name a variable family
-and an offset in it, and whose names are kept split where the picker goes.
-The arc kinds' blocks that depend on the graph alone (routing, subaisle,
-gamma, flow, no-reversal and corner rows) are compiled once per
-:class:`~pickopt.layout.PickingGraph` and kept with it
-(:meth:`~pickopt.layout.PickingGraph.derived`); the blocks that depend on
-the orders (covers, assignment and capacity, cuts, single-traversing rows
-and column inequalities) are made by each build.  On a graph that was
-built on before, an arc kind's build therefore pays only for its variables
-and the instance's rows.  The tour kinds (P_U1, P_U2) compile all of
-picker 0's tour rows in each build, as one block: their graph-only rows
-are few, a tour kind is rarely built twice on one graph, and compiling
-them apart and joining them again cost a fresh build more than it saved a
-repeated one.  Only the auxiliary graph is kept per graph.  A build hands
-every block, with its own family bases, which depend on the picker and
-order counts, to one :meth:`~pickopt.model.LinearModel.add_row_blocks`;
-the model maps offsets to positions, checks every picker's copy and keeps
-picker 0's rows only.  The blocks stored once (assignment and capacity
-rows, cuts and column inequalities) have no tails.
+The arc kinds' variable families and the row blocks that depend on the
+graph alone (routing, subaisle, gamma, flow, no-reversal and corner rows)
+are made, and so checked, once per :class:`~pickopt.layout.PickingGraph`
+and kept with it (:meth:`~pickopt.layout.PickingGraph.derived`); the
+blocks that depend on the orders (covers, assignment and capacity, cuts,
+single-traversing rows and column inequalities) are made by each build, as
+are all of a tour kind's rows (P_U1, P_U2): few depend on the graph alone,
+and a tour kind is rarely built twice on one graph.  A build hands every
+block, with the family bases of its picker and order counts, to one
+:meth:`~pickopt.model.LinearModel.add_row_blocks`, which checks only what
+depends on the model and the bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import UnsupportedFamilyError, ValidationError, VariantMismatchError
 from .instance import Instance
 from .layout import PickingGraph
-from .model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel, RowBlock, var_name
+from .model import (BINARY, CONTINUOUS, EQ, GE, LE, LinearModel, RowBlock, VariableFamily,
+                    var_name)
 from .separation import FAMILIES, FAMILY_OF_KIND, order_components
 
 P_BASIC = "P_basic"
@@ -99,7 +93,10 @@ class ModelOptions:
     cross_aisle_bound: bool = False
 
     def enabled(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self) if getattr(self, f.name))
+        return tuple(compress(_OPTIONS, map(getattr, repeat(self), _OPTIONS)))
+
+
+_OPTIONS, _NO_OPTIONS = tuple(f.name for f in fields(ModelOptions)), ModelOptions()
 
 
 def validate_options(kind: str, options: ModelOptions, instance: Instance) -> None:
@@ -156,25 +153,25 @@ def _compile(rows, per_picker: bool = True) -> RowBlock:
     every picker, each name with one ``%d`` where the picker goes, or, when
     ``per_picker`` is false, once.  The model refuses a row whose terms
     come in any other order."""
-    # transposed by slicing one flat list: ``zip(*rows)`` would make an
-    # iterator per row or term, and a collection of the young objects with it
-    flat = list(chain.from_iterable(rows))
+    # transposed by slicing one flat tuple, whose slices the block keeps:
+    # ``zip(*rows)`` would make an iterator per row or term, and a
+    # collection of the young objects with it
+    flat = tuple(chain.from_iterable(rows))
     terms = flat[2::5]
-    flat_terms = list(chain.from_iterable(chain.from_iterable(terms)))
+    flat_terms = tuple(chain.from_iterable(chain.from_iterable(terms)))
     heads, tails = flat[0::5], None
     if per_picker:
-        parts = list(chain.from_iterable(map(str.partition, heads, repeat("%d"))))
+        parts = tuple(chain.from_iterable(map(str.partition, heads, repeat("%d"))))
         heads, tails = parts[0::3], parts[2::3]
-    return RowBlock(heads, tails, flat[1::5], flat[3::5], flat[4::5],
-                 list(accumulate(map(len, terms))), flat_terms[0::3], flat_terms[1::3],
-                 flat_terms[2::3])
+    return RowBlock(heads, tails, flat[1::5], flat[3::5], flat[4::5], accumulate(map(len, terms)),
+                    flat_terms[0::3], flat_terms[1::3], flat_terms[2::3])
 
 
-def _assignment_family(instance: Instance) -> tuple:
-    """z's names, picker-minor: ``z_<order id>_<picker>``, order k's z for
-    picker t at ``k * T + t`` after the first."""
+def _assignment_family(instance: Instance) -> VariableFamily:
+    """z, picker-minor: ``z_<order id>_<picker>``, order k's z for picker t
+    at ``k * T + t`` after the first."""
     heads = [f"z_{o.id}_" for o in instance.orders]
-    return heads, [""] * len(heads), True
+    return VariableFamily(heads, [""] * len(heads), True)
 
 
 def _assignment_rows(instance: Instance, assign: str, capacity: str) -> RowBlock:
@@ -201,8 +198,8 @@ class _ArcTables(NamedTuple):
     """A picking graph's offsets of x by arc, the sorted offsets of the arcs
     leaving each vertex, alpha's offset by picking vertex (beta's is one
     more), gamma's offset by reduced arc, the length of each arc, and by
-    family the ``(heads, tails, interleaved)`` it is declared by (None for
-    z and the flows)."""
+    family the :class:`~pickopt.model.VariableFamily` it is declared by,
+    checked once per graph (None for z and the flows)."""
 
     x: dict
     out: list
@@ -222,13 +219,11 @@ def _arc_tables(graph: PickingGraph) -> _ArcTables:
     vertex = [f"_{v}" for v in range(graph.n_vertices)]
     picking = [vertex[v] for v in graph.picking_vertices]
     traversals = [f"_{i}_{direction}" for i, direction in _traversals(graph)]
-    names = ((["x_"] * len(arcs), [vertex[u] + vertex[v] for u, v in arcs], False),
-             (["y_"] * len(vertex), vertex, False),
-             None, (["a_", "b_"] * len(picking), list(chain.from_iterable(zip(picking, picking))),
-                    False),
-             (["g_"] * len(reduced_arcs), [vertex[u] + vertex[v] for u, v in reduced_arcs],
-              False), None,
-             (["w_"] * len(traversals), traversals, False))
+    names = (_family("x_", [vertex[u] + vertex[v] for u, v in arcs]), _family("y_", vertex),
+             None, VariableFamily(["a_", "b_"] * len(picking),
+                                  list(chain.from_iterable(zip(picking, picking))), False),
+             _family("g_", [vertex[u] + vertex[v] for u, v in reduced_arcs]), None,
+             _family("w_", traversals))
     return _ArcTables(
         dict(zip(arcs, range(len(arcs)))), out,
         dict(zip(graph.picking_vertices, range(0, 2 * graph.n_picking, 2))),
@@ -237,12 +232,17 @@ def _arc_tables(graph: PickingGraph) -> _ArcTables:
         + [graph.layout.aisle_spacing] * (len(arcs) - 2 * graph.n_chain_edges), names)
 
 
-def _flow_tails(graph: PickingGraph) -> list[str]:
-    """The flows' name tails ``_v0_u_v``: commodity v0 on reduced arc (u, v),
-    commodity-major."""
+def _flow_family(graph: PickingGraph) -> VariableFamily:
+    """The flows, named ``s_<picker>_v0_u_v``: commodity v0 on reduced arc
+    (u, v), commodity-major."""
     names = graph.derived(_arc_tables).names
-    vertex, gamma = names[Y][1], names[G][1]
-    return [vertex[v0] + tail for v0 in graph.artificial_vertices for tail in gamma]
+    vertex, gamma = names[Y].tails, names[G].tails
+    return _family("s_", [vertex[v0] + tail for v0 in graph.artificial_vertices for tail in gamma])
+
+
+def _family(head: str, tails: list[str]) -> VariableFamily:
+    """One head's variables, side by side."""
+    return VariableFamily([head] * len(tails), tails, False)
 
 
 def _arc_core(graph: PickingGraph, depart: str, ydef: str, flow: str,
@@ -430,9 +430,7 @@ def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappin
             BINARY, map(names.__getitem__, binary), T)):
         bases[family] = base
     if kind == P_F:
-        tails = graph.derived(_flow_tails)
-        bases[S], = model.add_variable_copies(CONTINUOUS, [(["s_"] * len(tails), tails, False)],
-                                              T)
+        bases[S], = model.add_variable_copies(CONTINUOUS, [graph.derived(_flow_family)], T)
     model.set_objective_coeffs(range(T * len(x)), tables.lengths * T)
 
     if improved:
@@ -441,16 +439,22 @@ def _arc_model(kind: str, instance: Instance, graph: PickingGraph, picks: Mappin
     else:
         labels = ("bs2", "bs6", "bs7")
         depart, ydef, flow = graph.derived(_basic_core)
-    covers = _compile(((f"{labels[0]}_t%d_o{o.id}_v{u}", labels[0],
-                        [(X, offset, 1) for offset in out[u]] + [(Z, k * T, -1)], GE, 0)
-                       for k, o in enumerate(orders) for u in sorted(picks[o.id])))
+    # each picking vertex of each order, with picker 0's z of the order: the
+    # arcs leaving it cover the order if the picker takes it
+    at = [(k * T, o.id, v) for k, o in enumerate(orders) for v in sorted(picks[o.id])]
+    arcs, n, tails = [out[v] for _, _, v in at], len(at), [f"_o{o}_v{v}" for _, o, v in at]
+    covers = RowBlock([f"{labels[0]}_t"] * n, tails, [labels[0]] * n, [GE] * n, [0] * n,
+                      accumulate([len(arc) + 1 for arc in arcs]),
+                      chain.from_iterable([[X] * len(arc) + [Z] for arc in arcs]),
+                      chain.from_iterable([arc + [z] for arc, (z, _, _) in zip(arcs, at)]),
+                      chain.from_iterable([[1] * len(arc) + [-1] for arc in arcs]))
     assignment = _assignment_rows(instance, labels[1], labels[2])
     subaisle = []
-    if alpha_beta:
-        subaisle = [graph.derived(_subaisle_chains), _compile(
-            ((f"sub5_t%d_o{o.id}_v{v}", "sub5", [(Z, k * T, -1), (AB, a[v], 1),
-                                                  (AB, a[v] + 1, 1)],
-              GE, 0) for k, o in enumerate(orders) for v in sorted(picks[o.id])))]
+    if alpha_beta:  # and so do alpha and beta at the vertex
+        subaisle = [graph.derived(_subaisle_chains), RowBlock(
+            ["sub5_t"] * n, tails, ["sub5"] * n, [GE] * n, [0] * n, range(3, 3 * n + 1, 3),
+            [Z, AB, AB] * n, chain.from_iterable([(z, a[v], a[v] + 1) for z, _, v in at]),
+            [-1, 1, 1] * n)]
     if improved:
         blocks = subaisle + [depart, covers, ydef, flow, assignment, graph.derived(_gamma_rows)]
         if kind == P_F:
@@ -581,7 +585,7 @@ def build_model(instance: Instance, graph: PickingGraph, kind: str,
                 options: Optional[ModelOptions] = None) -> LinearModel:
     """Build a formulation with the optional row families ``options`` asks
     for, after :func:`validate_options` accepts them."""
-    options = options or ModelOptions()
+    options = options or _NO_OPTIONS
     validate_options(kind, options, instance)
     picks = instance.all_pick_vertices(graph)
 

@@ -9,73 +9,61 @@ free MPS or a JSON sidecar; no LP relaxations are solved here.
 
 A model stores columns, not objects.  Variables are four parallel lists
 (names, kinds, lower and upper bounds) and a table of positions by name,
-filled from the first variable not in it by the first lookup that misses;
-no index tuple is kept.  :meth:`LinearModel.add_variables` declares
-variables by their names, and :meth:`LinearModel.add_variable_copies` a
-family for each of several copies (a picker's, in the formulations): copy
-t of entry k is named ``heads[k] + str(t) + tails[k]``, copies side by
-side or interleaved, and the model keeps the lists of heads and tails.  A
-binary variable's bounds are 0 and 1.
+filled from the first variable not in it by the first lookup that misses.
+:meth:`LinearModel.add_variables` declares variables by their names, and
+:meth:`LinearModel.add_variable_copies` families (:class:`VariableFamily`)
+for each of several copies (a picker's, in the formulations): copy t of
+entry k is named ``heads[k] + str(t) + tails[k]``, copies side by side or
+interleaved.  A binary variable's bounds are 0 and 1.  Rows have one way
+in, :meth:`LinearModel.add_row_blocks`, which takes blocks of canonical
+rows (:class:`RowBlock`), each stored once or with copy 0 standing for
+every copy; ``add_rows`` adds one block stored once, and ``add_row`` one
+row, the one place a row is sorted and a repeated position merged.  The
+model keeps copy 0's rows in compressed sparse row form (names split in
+heads and tails, groups, senses, right-hand sides and end offsets per row,
+and term positions, shifts and coefficients) and each block's rows and
+copies; a run of blocks of one copy each is one segment.
 
-A copy's number must read back from its name.  So, among the copied names
-of a namespace, the rows' or the variables', no head is a proper prefix of
-another and no tail starts with an ASCII digit; then a name reads in at
-most one way as a copied head, ``str(t)`` and a tail.  Names are checked by
-their parts (:mod:`pickopt.naming`), with no table of every copy's names:
-copies are unique when their heads and tails are, and a full name, of a
-row stored once or of a variable of no family, is refused when it reads as
-a copy's, its number without a leading zero and below its copies.  Only
-full names and copy 0's names are hashed.
-
-Rows have one way in, :meth:`LinearModel.add_row_blocks`, which takes
-blocks of canonical rows (:class:`RowBlock`), each stored once or with
-copy 0 standing for every copy; :meth:`LinearModel.add_rows` adds one
-block stored once, and ``add_row`` one row, the one place a row is sorted
-by position and a repeated position merged.  The model keeps copy 0's rows
-of every block in compressed sparse row form (names split in heads and
-tails, groups, senses and right-hand sides per row, each row's end offset,
-and one list each of term positions, shifts and coefficients) and, for
-each block, its rows there and its copies; a run of blocks of one copy
-each is one segment.  Every check covers every copy of every block before
+A copy's number must read back from its name: among the copied names of a
+namespace no head is a proper prefix of another and no tail starts with an
+ASCII digit (:mod:`pickopt.naming`).  Each check runs where what it reads
+is known.  A block or family checks all that depends on it alone when it
+is made, and cannot change after: numbers, ends, senses and its names by
+themselves; so a formulation's blocks kept with a graph are checked once
+per graph.  ``add_row_blocks`` and ``add_variable_copies`` check what
+depends on the model, the copies and the bases, for every copy before
 anything is stored, so a rejected call leaves the model as it was: names
-by their parts, and positions on copy 0 and the last copy, which bound
-every copy between, since a term's position is linear in the copy.
+against each other and the namespace, families and bases, and positions
+on copy 0 and the last copy, which bound every copy between, since a
+term's position is linear in the copy.
+
 ``model.variables`` and ``model.constraints`` are read-only views that
-build :class:`Variable` and :class:`Constraint` named tuples on access,
-and count without building any.  The feasibility check sums copy 0's
-terms once per copy, each read at its position in copy t.  The writers
-write copy 0's rows once, with a NUL where a copy's number goes, and each
-copy of a block by putting its number there; ``write_mps`` writes the same
-way copy 0's columns of a family that only terms moving with the copy
-touch, and copy 0's bounds of a family side by side, and every other
-column and bound one by one.  So no variable name and no part of a row
-name may hold a NUL, and no row may be named ``COST`` or ``obj``, the
-objective's names in MPS and LP.
-
-Two second paths stay because a workload pays for them, as the README
-measures: a block of one copy, as in a one-picker build, is stored under
-its rows' full names, with tail None, and when no block has more than one
-copy the writers take copy 0's texts as they are (``_copied``).
-
-The writers format each distinct number once per call.  The JSON writer
-lays the document out field by field and sends only its small head through
-``json.dumps``, yet its bytes are exactly ``json.dumps(doc, indent=1)`` plus
-a newline, where ``doc`` holds the same fields as plain dicts and lists.
+build :class:`Variable` and :class:`Constraint` named tuples on access.
+The feasibility check sums copy 0's terms once per copy, each read at its
+position in copy t.  The writers write copy 0's rows once, with a NUL where
+a copy's number goes, and each copy by putting its number there;
+``write_mps`` writes so the columns of a family that only moving terms
+touch and the bounds of a family side by side.  So no name part may hold a
+NUL, and no row may be named ``COST`` or ``obj``, the objective's names in
+MPS and LP.  A block of one copy is stored under its rows' full names, copy
+0's names, which it keeps; when no block has more than one copy the writers
+take copy 0's texts as they are (``_copied``).  The writers format each
+distinct number once per call, and the JSON writer's bytes are exactly
+``json.dumps(doc, indent=1)`` plus a newline.
 
 Feasibility checks and exports are exact, with no tolerances anywhere: they
 compute in plain ``int`` arithmetic, and a ``Fraction`` is built only for a
-value that is not an ``int``, such as a float objective coefficient at
-fractional spacing.  A :class:`VariableAssignment` holds each value as an
-``int`` or, when it is not integral, a ``Fraction``; ``set`` is the one
-place a value is converted.  Every coefficient, right-hand side and bound
-is a finite number.
+value that is not an ``int``.  A :class:`VariableAssignment` holds each
+value as an ``int`` or, when it is not integral, a ``Fraction``; ``set`` is
+the one place a value is converted.  Every coefficient, right-hand side and
+bound is a finite number.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,7 +76,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
-from .naming import COPY as _COPY, Namespace
+from .naming import COPY as _COPY, Namespace, parts
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -100,7 +88,6 @@ _INTEGRAL = frozenset((BINARY, INTEGER))
 _PLAIN = frozenset((int, float))
 _INT_OR_NONE = frozenset((int, type(None)))
 _INT = frozenset((int,))
-_STR = frozenset((str,))
 # the objective's row in MPS and its label in LP, which no row may take
 _OBJECTIVE_NAMES = frozenset(("COST", "obj"))
 
@@ -138,7 +125,7 @@ def _nonfinite_at(values) -> Optional[int]:
     clears every value at once."""
     try:
         total = sum(values)
-        if isinstance(total, (int, Fraction)) or isfinite(total):
+        if type(total) is int or isinstance(total, Fraction) or isfinite(total):
             return None
     except (OverflowError, TypeError):  # a huge Fraction, or not a number
         pass
@@ -146,13 +133,10 @@ def _nonfinite_at(values) -> Optional[int]:
 
 
 def _not_int_at(values) -> Optional[int]:
-    """Position of the first value that is not an ``int``, or None."""
-    try:
-        total = sum(values)  # a sum of ints is an int
-    except TypeError:  # not a number
-        total = None
-    return None if type(total) is int else next(
-        k for k, value in enumerate(values) if type(value) is not int)
+    """Position of the first value that is not an ``int`` (a ``bool`` is not), or None."""
+    if _INT.issuperset(map(type, values)):
+        return None
+    return next(k for k, value in enumerate(values) if type(value) is not int)
 
 
 def _require_finite(value, what: str) -> None:
@@ -278,21 +262,92 @@ class _Family(NamedTuple):
 # variable in every copy of a row block
 _NO_FAMILY = _Family(0, 0, 0, inf, [], [])
 
-class RowBlock:
-    """Rows as :meth:`LinearModel.add_row_blocks` takes them: names, groups,
-    senses, right-hand sides, each row's end offset, and each term's family,
-    offset and coefficient; the term is on the variable at its family's base
-    plus its offset.  Each name is split in two, ``heads[i]`` and
-    ``tails[i]``, where a copy's number goes; a block stored once has its
-    names as heads and None as tails."""
-
+class _BlockSlots:  # a RowBlock's slots, which it fills once
     __slots__ = ("heads", "tails", "groups", "senses", "rhs", "ends", "families", "offsets",
-                 "coefs", "__weakref__")
+                 "coefs", "names", "distinct", "numbered", "counts", "__weakref__")
 
-    def __init__(self, heads, tails, groups, senses, rhs, ends, families, offsets, coefs):
-        self.heads, self.tails = heads, tails
-        self.groups, self.senses, self.rhs, self.ends = groups, senses, rhs, ends
-        self.families, self.offsets, self.coefs = families, offsets, coefs
+
+class RowBlock(_BlockSlots):
+    """Rows as :meth:`LinearModel.add_row_blocks` takes them: names, split
+    in ``heads[i]`` and ``tails[i]`` where a copy's number goes (tails None
+    for a block stored once), groups, senses, right-hand sides, each row's
+    end offset, and each term's family, offset and coefficient, the term
+    being on the variable at its family's base plus its offset.  It checks,
+    when made, all that depends on it alone: columns of one length, ``int``
+    ends rising from 0 to its terms, ``int`` offsets and families (none
+    negative), senses, finite numbers and its names by themselves.  It keeps
+    them as tuples, with what :func:`~pickopt.naming.parts` gives and each
+    group's rows, and cannot change."""
+
+    __slots__ = ()
+
+    def __new__(cls, heads, tails, groups, senses, rhs, ends, families, offsets, coefs):
+        columns = (tuple(heads), None if tails is None else tuple(tails), tuple(groups),
+                   tuple(senses), tuple(rhs), tuple(ends), tuple(families), tuple(offsets),
+                   tuple(coefs))
+        heads, tails, groups, senses, rhs, ends, families, offsets, coefs = columns
+        n, terms = len(heads), len(offsets)
+        if not len(groups) == len(senses) == len(rhs) == len(ends) == n \
+                or not (tails is None or len(tails) == n):
+            raise ValidationError("row columns differ in length")
+        if not len(families) == len(coefs) == terms or (ends[-1] if n else 0) != terms:
+            raise ValidationError("row ends do not fit the terms")
+        names, distinct, numbered = parts("row", heads, tails, _OBJECTIVE_NAMES)
+        if not _INT.issuperset(map(type, ends + offsets)):
+            k = _not_int_at(ends)
+            if k is not None:
+                raise ValidationError(f"row {names[k]}: row end {ends[k]!r} is not an int")
+            k = _not_int_at(offsets)
+            raise ValidationError(f"row {names[bisect_right(ends, k)]}: variable "
+                                  f"position {offsets[k]!r} is not an int")
+        used = set(families)  # a family equal to an int one is that one
+        if not _INT.issuperset(map(type, used)) or (used and min(used) < 0):
+            raise ValidationError("a term's family has no base")
+        if (ends and ends[0] < 0) or tuple(sorted(ends)) != ends:
+            raise ValidationError("row ends do not fit the terms")
+        if not _SENSES.issuperset(senses):
+            bad = next(sense for sense in senses if sense not in _SENSES)
+            raise ValidationError(f"bad sense {bad!r}")
+        k = _nonfinite_at(coefs + rhs)
+        if k is not None:
+            row, what, value = (bisect_right(ends, k), "coefficient", coefs[k]) if k < terms \
+                else (k - terms, "right-hand side", rhs[k - terms])
+            raise ValidationError(f"row {names[row]}: {what} is not a finite number: {value!r}")
+        block = object.__new__(_BlockSlots)  # then made a RowBlock, which refuses changes
+        block.heads, block.tails, block.groups, block.senses, block.rhs, block.ends, \
+            block.families, block.offsets, block.coefs = columns
+        block.names, block.distinct, block.numbered = names, distinct, numbered
+        distinct = tuple(dict.fromkeys(groups)) if n and groups.count(groups[0]) < n else groups[:1]
+        block.counts = tuple(zip(distinct, map(groups.count, distinct)))
+        block.__class__ = cls
+        return block
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a RowBlock is checked when made and cannot change: {name}")
+
+    __delattr__ = __setattr__
+
+
+class VariableFamily(namedtuple("VariableFamily",
+                                "heads tails interleaved names distinct numbered")):
+    """A family of variables as :meth:`LinearModel.add_variable_copies`
+    takes it, made from ``(heads, tails, interleaved)``: copy t of entry k
+    is named ``heads[k] + str(t) + tails[k]``, the copies side by side or
+    interleaved.  It checks its names by themselves when it is made, and
+    keeps what :func:`~pickopt.naming.parts` gives."""
+
+    __slots__ = ()
+
+    def __new__(cls, heads, tails, interleaved: bool):
+        if isinstance(heads, str) or isinstance(tails, str):
+            raise ValidationError("variable name heads and tails are lists, not one str")
+        heads, tails = tuple(heads), tuple(tails)
+        if len(heads) != len(tails):
+            raise ValidationError("variable name heads and tails differ in length")
+        return tuple.__new__(cls, (heads, tails, bool(interleaved),
+                                   *parts("variable", heads, tails)))
+
+    _make = classmethod(lambda cls, iterable: cls(*tuple(iterable)[:3]))  # and so _replace
 
 
 class LinearModel:
@@ -332,7 +387,7 @@ class LinearModel:
         self._segments: list[tuple[int, int, int]] = []
         self._segment_starts: list[int] = []
         self._n_rows = 0
-        self._row_names = Namespace("row", _OBJECTIVE_NAMES)
+        self._row_names = Namespace("row")
         self._group_rows: Counter[str] = Counter()  # rows per group, in order of first row
         self.objective: dict[int, float] = {}
         self.lazy_groups: dict[str, str] = {}  # group name -> short description
@@ -353,25 +408,19 @@ class LinearModel:
         within a model and hold no NUL; :meth:`var` finds a variable named
         by :func:`var_name`."""
         names = list(names)
-        if not _STR.issuperset(map(type, names)):
-            bad = next(name for name in names if type(name) is not str)
-            raise ValidationError(f"variable name {bad!r} is not a str")
-        return self._declare(kind, names, lb, ub)
+        return self._declare(kind, names, lb, ub, [parts("variable", names, None)[0]], [], 1)
 
-    def _declare(self, kind: str, names: list[str], lb, ub, copied: Optional[tuple] = None) -> int:
-        """Declare variables whose names are all str: full names, or, when
-        ``copied`` is ``(heads, tails, zeros, copies)``, the names of
-        ``copies`` copies of ``heads[k] + str(t) + tails[k]``, whose copy 0
-        is ``zeros[k]``, which are checked by their heads and tails alone."""
+    def _declare(self, kind: str, names: list[str], lb, ub, full: list, copied: list,
+                 copies: int) -> int:
+        """Declare variables named ``names``: the ``full`` and ``copied``
+        names :meth:`~pickopt.naming.Namespace.check` takes."""
         _require_finite(lb, "variable lower bound")
         if ub is not None:
             _require_finite(ub, "variable upper bound")
         if kind == BINARY and (lb != 0 or ub not in (None, 1)):
             raise ValidationError(f"binary variable bounds are 0 and 1, not {lb!r} and {ub!r}")
         ub = 1 if kind == BINARY else ub
-        heads, tails, zeros, copies = copied or ((), (), (), 1)
-        full = [] if copied else names
-        checked = self._variable_names.check(full, heads, tails, copies, zeros)
+        checked = self._variable_names.check(full, copied, copies)
         first = len(self._names)
         self._variable_names.add(*checked)
         self._names += names
@@ -380,49 +429,35 @@ class LinearModel:
         self._ubs += [ub] * len(names)
         return first
 
-    def add_variable_copies(self, kind: str, families: Iterable[tuple],
-                            copies: int) -> list[int]:
+    def add_variable_copies(self, kind: str, families: Iterable, copies: int) -> list[int]:
         """Declare families of variables, with bounds 0 and none, for each of
         ``copies`` copies, one family after another, and return the position
-        of each one's first.
-
-        A family is ``(heads, tails, interleaved)``, two lists of equal
-        length: copy t of entry k is named ``heads[k] + str(t) + tails[k]``.
-        Its copies sit one after another, copy t of entry k at ``first + t *
-        len(tails) + k``, or, ``interleaved``, at ``first + k * copies + t``.
-        In :meth:`add_row_blocks`, a term on copy 0 of one of these variables
-        moves with the copy.  With more than one copy, no head of the
-        model's families is a proper prefix of another, and no tail starts
-        with a digit, so that a copy's number reads back from its name."""
+        of each one's first.  A family is a :class:`VariableFamily`, or the
+        ``(heads, tails, interleaved)`` that makes one.  Its copies sit one
+        after another, copy t of entry k at ``first + t * len(tails) + k``,
+        or, ``interleaved``, at ``first + k * copies + t``; a row term on
+        copy 0 of one moves with the copy.  With more than one copy, the
+        model's families' names keep the naming rule."""
         if type(copies) is not int or copies < 1:
             raise ValidationError(f"a variable family needs one copy or more, not {copies!r}")
+        families = [family if type(family) is VariableFamily else VariableFamily(*family)
+                    for family in families]
         numbers = list(map(str, range(copies)))
         names: list[str] = []
-        every_head, every_tail, zeros, declared = [], [], [], []
-        for heads, tails, interleaved in families:
-            if isinstance(heads, str) or isinstance(tails, str):
-                raise ValidationError("variable name heads and tails are lists, not one str")
-            heads, tails = list(heads), list(tails)
-            if len(heads) != len(tails):
-                raise ValidationError("variable name heads and tails differ in length")
-            local = len(names)
-            try:
-                if interleaved:
-                    names += [t.join(pair) for pair in zip(heads, tails) for t in numbers]
-                    zeros += names[local::copies]
-                else:
-                    for t in numbers:
-                        names += map(t.join, zip(heads, tails))
-                    zeros += names[local:local + len(tails)]
-            except TypeError:
-                raise ValidationError("variable name heads and tails are not all str") from None
-            step, stride = (copies, 1) if interleaved else (1, len(tails))
-            declared.append(_Family(len(self._names) + local, step, stride, copies, heads, tails))
-            every_head += heads
-            every_tail += tails
+        declared = []
+        for family in families:
+            first, n = len(self._names) + len(names), len(family.tails)
+            if family.interleaved:
+                names += [t.join(pair) for pair in zip(family.heads, family.tails) for t in numbers]
+            else:
+                names += family.names  # copy 0's, joined once
+                for number in numbers[1:]:
+                    names += map(number.join, zip(family.heads, family.tails))
+            step, stride = (copies, 1) if family.interleaved else (1, n)
+            declared.append(_Family(first, step, stride, copies, family.heads, family.tails))
         # with one copy, the names are full names
-        self._declare(kind, names, 0, None,
-                      None if copies == 1 else (every_head, every_tail, zeros, copies))
+        self._declare(kind, names, 0, None, [] if copies > 1 else [f.names for f in families],
+                      families if copies > 1 else [], copies)
         self._families += declared
         return [family.first for family in declared]
 
@@ -463,13 +498,10 @@ class LinearModel:
     def add_rows(self, names: list[str], groups: list[str], senses: list[str], rhs: list,
                  ends: list[int], positions: list[int], coefs: list) -> int:
         """Append canonical rows given as columns, stored once, and return the
-        index of the first.
-
-        Row ``i`` is named ``names[i]`` and has the terms ``positions[k]``,
-        ``coefs[k]`` for ``k`` from ``ends[i - 1]`` (0 for the first row) up
-        to ``ends[i]``.  Within a row the positions must strictly increase;
-        :meth:`add_row` sorts and merges a row that is not yet canonical.
-        """
+        index of the first.  Row ``i`` is named ``names[i]`` and has the terms
+        ``positions[k]``, ``coefs[k]`` for ``k`` from ``ends[i - 1]`` (0 for
+        the first row) up to ``ends[i]``, the positions strictly increasing;
+        :meth:`add_row` sorts and merges a row that is not yet canonical."""
         return self.add_row_blocks([RowBlock(names, None, groups, senses, rhs, ends,
                                              [0] * len(positions), positions, coefs)], 1, (0,))
 
@@ -478,134 +510,81 @@ class LinearModel:
         """Append blocks of canonical rows and return the index of the first
         row; every copy of every block is checked before any is stored.
 
-        A term of a block is on the variable at ``bases[family] + offset``.
-        A block whose tails are None is stored once, named by its heads.
-        Any other gives copy 0's rows of ``copies`` copies, which follow one
-        another: copy t of row i is named ``heads[i] + str(t) + tails[i]``,
-        and a term on copy 0 of a variable declared by
-        :meth:`add_variable_copies` is on that variable's copy t in copy t,
-        which must exist; any other term is the same in every copy.  Only
-        copy 0 is stored.  With more than one copy, no head of the model's
-        copied rows is a proper prefix of another, and no tail starts with a
-        digit, so that a copy's number reads back from its name.  Term
-        positions and row ends are ``int``.
+        A term of a block is on the variable at ``bases[family] + offset``,
+        bases being ``int``.  A block whose tails are None is stored once;
+        any other gives ``copies`` copies, one after another, copy t of row
+        i named ``heads[i] + str(t) + tails[i]``, with a term on copy 0 of a
+        variable of :meth:`add_variable_copies` on its copy t, which must
+        exist.  A block checked itself when made; this checks what depends
+        on the model, the copies and the bases, the naming rule among them.
         """
         if type(copies) is not int or copies < 1:
             raise ValidationError(f"a row block needs one copy or more, not {copies!r}")
-        # copy 0's rows of every block, one after another, and each block's
-        # first row there; the full names, and the heads, tails and groups
-        # of the copied rows.  With one copy, every block is stored once,
-        # under its rows' full names, and they all are one block
+        if not _INT.issuperset(map(type, bases)):
+            raise ValidationError(f"family base {bases[_not_int_at(bases)]!r} is not an int")
+        # copy 0's rows of every block, and each block's copies and first
+        # term; with one copy, every block is stored once, under full names
         heads, tails, groups, senses, rhs, ends, positions, coefs = [], [], [], [], [], [], [], []
-        firsts, full, copied_heads, copied_tails, copied_groups = [], [], [], [], []
+        full, copied, placed = [], [], []
         for block in blocks:
-            n, terms = len(block.heads), len(block.offsets)
-            if not len(block.groups) == len(block.senses) == len(block.rhs) == len(block.ends) \
-                    == n or not (block.tails is None or len(block.tails) == n):
-                raise ValidationError("row columns differ in length")
-            if not len(block.families) == len(block.coefs) == terms \
-                    or (block.ends[-1] if n else 0) != terms:
-                raise ValidationError("row ends do not fit the terms")
-            try:
-                ends += list(map(add, block.ends, repeat(len(positions))))
-            except TypeError:  # an end that is no number, refused below
-                ends += block.ends
-            try:
-                positions += list(map(add, map(bases.__getitem__, block.families), block.offsets))
-            except (IndexError, TypeError):
-                if _not_int_at(block.offsets) is None:
-                    raise ValidationError("a term's family has no base") from None
-                positions += block.offsets  # an offset that is no number, refused below
-            try:
-                if copies == 1:
-                    heads += block.heads if block.tails is None \
-                        else map("0".join, zip(block.heads, block.tails))
-                else:
-                    firsts.append(len(heads))
-                    if block.tails is None:
-                        full += block.heads
-                        tails += repeat(None, n)
-                    else:
-                        copied_heads += block.heads
-                        copied_tails += block.tails
-                        tails += block.tails
-                        copied_groups += block.groups
-                    heads += block.heads
-            except TypeError:
-                raise ValidationError("row name heads and tails are not all str") from None
+            n_copies = 1 if block.tails is None else copies
+            if n_copies == 1:
+                full.append(block.names)
+            else:
+                copied.append(block)
+            heads += block.heads if n_copies > 1 else block.names
+            tails += block.tails if n_copies > 1 else repeat(None, len(block.heads))
+            placed.append((n_copies, len(positions), block))
             groups += block.groups
             senses += block.senses
             rhs += block.rhs
+            ends += map(add, block.ends, repeat(len(positions)))
+            try:
+                positions += map(add, map(bases.__getitem__, block.families), block.offsets)
+            except IndexError:
+                raise ValidationError("a term's family has no base") from None
             coefs += block.coefs
-        if copies == 1:
-            full, tails, firsts = heads, [None] * len(heads), [0]
+        checked = self._row_names.check(full, copied, copies)
 
-        def row_name(row: int, t: int = 0) -> str:
+        def row_name(term: int, t: int = 0) -> str:
+            row = bisect_right(ends, term)
             return heads[row] if tails[row] is None else heads[row] + str(t) + tails[row]
 
-        # copy 0's positions and ends; a copy's positions add int shifts
-        k = _not_int_at(ends)
-        if k is not None:
-            raise ValidationError(f"row {row_name(k)}: row end {ends[k]!r} is not an int")
-        # each block's ends rise from 0 to its terms if the joined ends rise
-        if (ends and ends[0] < 0) or sorted(ends) != ends:
-            raise ValidationError("row ends do not fit the terms")
-        k = _not_int_at(positions)
-        if k is not None:
-            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: variable position "
-                                  f"{positions[k]!r} is not an int")
-        if not _SENSES.issuperset(senses):
-            bad = next(sense for sense in senses if sense not in _SENSES)
-            raise ValidationError(f"bad sense {bad!r}")
-        checked = self._row_names.check(full, copied_heads, copied_tails, copies)
         declared = len(self._names)
         if positions and (min(positions) < 0 or max(positions) >= declared):
             k = next(k for k, pos in enumerate(positions) if not 0 <= pos < declared)
-            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: variable position "
-                                  f"{positions[k]} not declared")
+            raise ValidationError(f"row {row_name(k)}: variable position {positions[k]} "
+                                  f"not declared")
         k = _descent(ends, positions)
         if k is not None:
-            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: term positions do "
-                                  f"not strictly increase ({positions[k]} then {positions[k + 1]})")
+            raise ValidationError(f"row {row_name(k)}: term positions do not strictly "
+                                  f"increase ({positions[k]} then {positions[k + 1]})")
         shifts = [0] * len(positions)
-        if copies > 1:
+        if copied:
             # a term moves by its family's stride in each copy, so its
             # positions are linear in the copy: copy 0 and the last copy bound
             # every copy between
-            family_at = [0] * len(self._names)  # each copy-0 position's family
+            family_at = [0] * declared  # each copy-0 position's family
             for k, family in enumerate(self._families[1:], 1):
                 end = family.first + len(family.tails) * family.step
                 family_at[family.first:end:family.step] = repeat(k, len(family.tails))
-            families = list(map(family_at.__getitem__, positions))
-            for start, stop in zip(firsts, firsts[1:] + [len(heads)]):
-                if start < stop and tails[start] is None:  # a block stored once stays put
-                    first_term = ends[start - 1] if start else 0
-                    families[first_term:ends[stop - 1]] = repeat(0, ends[stop - 1] - first_term)
+            at = list(map(family_at.__getitem__, positions))
+            for n_copies, first, block in placed:  # a block stored once stays put
+                if n_copies == 1:
+                    at[first:first + len(block.offsets)] = repeat(0, len(block.offsets))
             short = [family.copies < copies for family in self._families]
-            if True in short and True in map(short.__getitem__, families):
-                k = list(map(short.__getitem__, families)).index(True)
-                raise ValidationError(f"row {row_name(bisect_right(ends, k))}: variable "
-                                      f"{self._names[positions[k]]} has fewer than "
-                                      f"{copies} copies")
-            shifts = list(map([family.stride for family in self._families].__getitem__,
-                              families))
+            if True in short and True in map(short.__getitem__, at):
+                k = list(map(short.__getitem__, at)).index(True)
+                raise ValidationError(f"row {row_name(k)}: variable {self._names[positions[k]]} "
+                                      f"has fewer than {copies} copies")
+            shifts = list(map([family.stride for family in self._families].__getitem__, at))
             last = list(map(add, positions, map(mul, shifts, repeat(copies - 1))))
             k = _descent(ends, last)
             if k is not None:
-                raise ValidationError(f"row {row_name(bisect_right(ends, k), copies - 1)}: "
-                                      f"term positions do not strictly increase ({last[k]} "
-                                      f"then {last[k + 1]})")
-        k = _nonfinite_at(coefs)
-        if k is not None:
-            raise ValidationError(f"row {row_name(bisect_right(ends, k))}: coefficient "
-                                  f"is not a finite number: {coefs[k]!r}")
-        k = _nonfinite_at(rhs)
-        if k is not None:
-            raise ValidationError(f"row {row_name(k)}: right-hand side "
-                                  f"is not a finite number: {rhs[k]!r}")
+                raise ValidationError(f"row {row_name(k, copies - 1)}: term positions do not "
+                                      f"strictly increase ({last[k]} then {last[k + 1]})")
 
         first = self._n_rows
-        stored = len(self._heads)
         self._heads += heads
         self._tails += tails
         self._groups += groups
@@ -615,34 +594,27 @@ class LinearModel:
         self._positions += positions
         self._shifts += shifts
         self._coefs += coefs
-        for start, stop in zip(firsts, firsts[1:] + [len(heads)]):
-            if start == stop:
-                continue
-            n_copies = 1 if tails[start] is None else copies
-            start, stop = start + stored, stop + stored
-            if n_copies == 1 and self._segments and self._segments[-1][2] == 1:
+        stop = len(self._heads) - len(heads)
+        counts = self._group_rows  # rows per group, in order of first row
+        for n_copies, _, block in placed:
+            start, stop = stop, stop + len(block.heads)
+            if start < stop and n_copies == 1 and self._segments and self._segments[-1][2] == 1:
                 self._segments[-1] = (self._segments[-1][0], stop, 1)  # one-copy runs are joined
-            else:
+            elif start < stop:
                 self._segments.append((start, stop, n_copies))
                 self._segment_starts.append(self._n_rows)
             self._n_rows += (stop - start) * n_copies
+            for group, rows in block.counts:
+                counts[group] += rows * n_copies
         self._row_names.add(*checked)
-        counts = self._group_rows
-        counts.update(groups)  # copy 0's, in order of first row
-        if copies > 1:
-            for group, more in Counter(copied_groups).items():
-                counts[group] += more * (copies - 1)
         return first
 
     def add_row(self, name: str, group: str, coeffs: Iterable[tuple[int, float]],
                 sense: str, rhs) -> Constraint:
         """Append one row of ``(position, coefficient)`` terms and return it.
-
         This is where a row is made canonical: its terms are sorted by
         position, and the coefficients of a repeated position are summed in
-        input order; a term summing to zero is kept.  The row is then checked
-        and stored by :meth:`add_rows`.
-        """
+        input order; a term summing to zero is kept."""
         terms = sorted(coeffs, key=_POSITION)
         if len(dict(terms)) < len(terms):
             k = _nonfinite_at([coef for _, coef in terms])
@@ -686,12 +658,15 @@ class LinearModel:
         """Add each coefficient to its position's objective coefficient; a
         zero adds no term.  A position is an ``int`` of a declared variable,
         and there is one coefficient per position."""
+        declared = len(self._names)
+        # a range's positions are declared ints if its first and last are
+        ranged = type(positions) is range and (not positions or 0 <= min(
+            positions[0], positions[-1]) and max(positions[0], positions[-1]) < declared)
         positions, coefs = list(positions), list(coefs)
         if len(positions) != len(coefs):
             raise ValidationError(f"{len(positions)} objective positions "
                                   f"but {len(coefs)} coefficients")
-        declared = len(self._names)
-        if positions and (not _INT.issuperset(map(type, positions))
+        if positions and not ranged and (not _INT.issuperset(map(type, positions))
                           or min(positions) < 0 or max(positions) >= declared):
             bad = next(pos for pos in positions if type(pos) is not int or not 0 <= pos < declared)
             raise ValidationError(f"objective position {bad!r} is not a declared variable position")

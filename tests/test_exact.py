@@ -185,6 +185,27 @@ def test_no_reversal_walks_fully_traverse():
                 assert len(values) == 1, "subaisle entered but not fully traversed"
 
 
+def test_two_no_reversal_solves_on_one_graph_build_the_mask_once(monkeypatch):
+    graph = build_graph(LAYOUT)
+    space = walk_space(graph)
+    built = []
+    real_ones = np.ones
+
+    def counted_ones(*args, **kwargs):  # the mask starts as every walk allowed
+        built.append(args)
+        return real_ones(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ones", counted_ones)
+    instance = generate_instance(LAYOUT, 3, 10, seed=4)
+    first = solve_no_reversal_exact(instance, graph)
+    mask = space.mask_no_reversal()
+    assert solve_no_reversal_exact(instance, graph) == first
+    assert built == [(len(space.mult),)]
+    assert space.mask_no_reversal() is mask and not mask.flags.writeable
+    # a space that is never asked for the mask does not make it
+    assert walk_space(build_graph(WarehouseLayout(2, 1, 1, 1, 2)))._no_reversal is None
+
+
 def test_no_reversal_at_least_exact():
     suite = make_suite(10, master_seed=56)
     for instance, graph in suite:

@@ -11,8 +11,10 @@ from pickopt import (ALL_KINDS, CutRequest, Instance, ModelOptions, Order, Pick,
                      WarehouseLayout, build_graph, build_model, check_feasible, cut_to_row,
                      generate_instance, validate_options, VariableAssignment, write_lp,
                      walk_space, write_model_json, write_mps)
-from pickopt.formulations import _improved_core
-from pickopt.model import RowBlock
+import pickopt.model
+from pickopt.formulations import _ArcTables, _arc_tables, _gamma_rows, _improved_core
+from pickopt.model import RowBlock, VariableFamily, _nonfinite_at
+from pickopt.naming import parts
 from pickopt.separation import FAMILIES, FAMILY_OF_KIND
 
 LAYOUT = WarehouseLayout(2, 1, 2, 1, 2)
@@ -436,7 +438,7 @@ def test_dropping_a_graph_frees_its_compiled_blocks():
             build_model(instance, graph, kind,
                         ModelOptions(aisle_cuts=True, artificial_vertex_reversal=True))
         arc_builders = {"_arc_tables", "_basic_core", "_improved_core", "_subaisle_chains",
-                        "_gamma_rows", "_flow_rows", "_flow_tails", "_no_reversal_rows",
+                        "_gamma_rows", "_flow_rows", "_flow_family", "_no_reversal_rows",
                         "_reversal_rows", "_aisle_cut_arcs"}
         assert {build.__name__ for build in graph._derived} == arc_builders
         # a tour kind keeps only the auxiliary graph, built once per graph
@@ -467,3 +469,66 @@ def test_tour_builds_keep_no_compiled_rows_on_the_graph():
         options = ModelOptions(cross_aisle_bound=kind == "P_U2")
         build_model(generate_instance(graph.layout, 3, 8, seed=1), graph, kind, options)
         assert [build.__name__ for build in graph._derived] == ["build_auxiliary_graph"], kind
+
+
+def _kept(graph) -> list:
+    """The row blocks and variable families a graph keeps for the arc kinds."""
+    values = list(graph._derived.values())
+    for value in values[:]:
+        if isinstance(value, _ArcTables):
+            values += value.names
+        elif type(value) is tuple:
+            values += value
+    return [value for value in values if isinstance(value, (RowBlock, VariableFamily))]
+
+
+def test_a_build_on_a_warm_graph_checks_only_what_it_makes(monkeypatch):
+    # a block or family checks its names, numbers and ends when it is made;
+    # a graph's are made by the first build on it, and later builds check
+    # only the instance's
+    layout = WarehouseLayout(3, 1, 2, 1, 2)
+    instance = generate_instance(layout, 6, 10, seed=8)
+    assert instance.pickers > 1
+    for kind in ("P_G", "P_F"):
+        graph = build_graph(layout)
+        build_model(instance, graph, kind)
+        kept = _kept(graph)
+        assert len(kept) > 6
+        checked, finite = [], []
+        monkeypatch.setattr(pickopt.model, "parts", lambda what, heads, *rest: checked.append(
+            heads) or parts(what, heads, *rest))
+        monkeypatch.setattr(pickopt.model, "_nonfinite_at", lambda values: finite.append(
+            values) or _nonfinite_at(values))
+        model = build_model(instance, graph, kind)
+        monkeypatch.undo()
+        # z, the covers, sub5 and the assignment rows
+        assert _kept(graph) == kept and len(checked) == 4
+        # the objective's finiteness check, then one per row block made: none
+        # of the graph's blocks is checked again when stored
+        assert len(finite) == 1 + 3
+        kept_heads = {id(value.heads) for value in kept}
+        assert not kept_heads.intersection(map(id, checked))
+        assert len(model.constraints) > 150
+
+
+def test_a_graph_kept_block_cannot_change():
+    graph = build_graph(LAYOUT)
+    build_model(one_order_instance(), graph, "P_G")
+    block = graph.derived(_gamma_rows)
+    for name in ("rhs", "heads", "names", "counts"):
+        with pytest.raises(AttributeError):
+            setattr(block, name, ())
+        with pytest.raises(AttributeError):
+            delattr(block, name)
+    with pytest.raises(TypeError):
+        block.rhs[0] = 1
+    with pytest.raises(AttributeError):
+        block.extra = 1
+    family = graph.derived(_arc_tables).names[0]
+    with pytest.raises(AttributeError):
+        family.tails = ()
+    with pytest.raises(TypeError):
+        family.tails[0] = "_0_1"
+    # a family remade from its fields checks itself again
+    with pytest.raises(ValidationError, match="duplicate variable name"):
+        family._replace(tails=family.tails[:1] * len(family.tails))

@@ -780,6 +780,15 @@ def _block_rejections():
         "a float offset": block(["r_"], [""], [1], [1.0], 2),
         "a float row end": block(["r_", "q_"], ["", ""], [1.0, 1], [0], 2),
         "a float family base": lambda m: m.add_row_blocks([valid], 2, (0.0,)),
+        # a bool adds as an int, but is no position, offset, end or base
+        "a bool position": lambda m: m.add_row("r", "g", [(True, 1)], GE, 0),
+        "a bool offset": block(["r_"], [""], [1], [True], 2),
+        "a bool row end": block(["r_", "q_"], ["", ""], [True, 1], [0], 2),
+        "a bool family base": lambda m: m.add_row_blocks([valid], 2, (True,)),
+        "a bool family": lambda m: m.add_row_blocks(
+            [RowBlock(["r_"], [""], ["g"], [GE], [0], [1], [False], [0], [1])], 2, (0,)),
+        "a negative family": lambda m: m.add_row_blocks(
+            [RowBlock(["r_"], [""], ["g"], [GE], [0], [1], [-1], [0], [1])], 2, (0, 6)),
         "a family with no base": lambda m: m.add_row_blocks(
             [RowBlock(["r_"], [""], ["g"], [GE], [0], [1], [1], [0], [1])], 2, (0,)),
         "a block with fewer groups than rows": lambda m: m.add_row_blocks(
