@@ -61,52 +61,44 @@ def orient_walk(graph: PickingGraph, walk: Walk) -> frozenset[tuple[int, int]]:
     return frozenset(arcs)
 
 
-def _chain_flags(graph: PickingGraph, arcs: frozenset) -> tuple[dict, dict, dict, dict]:
-    """Per-location alpha/beta and per-subaisle full-traversal flags."""
-    alpha: dict[int, bool] = {}
-    beta: dict[int, bool] = {}
-    full_down: dict[int, bool] = {}
-    full_up: dict[int, bool] = {}
+def _walk_values(graph: PickingGraph, walk: Walk) -> tuple:
+    """What the encoders set from one walk, each part in the order it is
+    set: its arcs; the vertices it visits, the origin aside; the locations
+    flagged alpha and beta; its full traversals, ``(subaisle, "dn")`` or
+    ``(subaisle, "up")``; and its gamma arcs, the cross-aisle arcs it uses
+    and the reduced arc of each subaisle it fully traverses."""
+    arcs = orient_walk(graph, walk)
+    alpha, beta, traversed = [], [], []
+    north, south = graph.north_of, graph.south_of
     for sub in graph.subaisles:
-        ok = True
+        # the locations reached from the head by downward arcs, and from the
+        # tail by upward ones; a run on past the far end fully traverses
         for v in sub.locs:
-            ok = ok and (graph.north_of(v), v) in arcs
-            alpha[v] = ok
-        full_down[sub.index] = ok and (graph.north_of(sub.tail), sub.tail) in arcs
-        ok = True
-        for v in reversed(sub.locs):
-            ok = ok and (graph.south_of(v), v) in arcs
-            beta[v] = ok
-        full_up[sub.index] = ok and (graph.south_of(sub.head), sub.head) in arcs
-    return alpha, beta, full_down, full_up
-
-
-def _gamma_arcs(graph: PickingGraph, arcs: frozenset,
-                full_down: dict, full_up: dict) -> set[tuple[int, int]]:
-    gamma: set[tuple[int, int]] = set()
-    for u, v, _, sub in graph.reduced_edges:
-        if sub is None:
-            if (u, v) in arcs:
-                gamma.add((u, v))
-            if (v, u) in arcs:
-                gamma.add((v, u))
+            if (north(v), v) not in arcs:
+                break
+            alpha.append(v)
         else:
-            if full_down[sub]:
-                gamma.add((u, v))
-            if full_up[sub]:
-                gamma.add((v, u))
-    return gamma
+            if (north(sub.tail), sub.tail) in arcs:
+                traversed.append((sub.index, "dn"))
+        for v in reversed(sub.locs):
+            if (south(v), v) not in arcs:
+                break
+            beta.append(v)
+        else:
+            if (south(sub.head), sub.head) in arcs:
+                traversed.append((sub.index, "up"))
+    full = set(traversed)
+    gamma = [arc for u, v, _, sub in graph.reduced_edges
+             for arc, way in (((u, v), "dn"), ((v, u), "up"))
+             if (arc in arcs if sub is None else (sub, way) in full)]
+    visited = walk.visited(graph) - {graph.origin}
+    return sorted(arcs), sorted(visited), sorted(alpha), sorted(beta), traversed, sorted(gamma)
 
 
-def encode_walk_PG(model: LinearModel, instance: Instance, graph: PickingGraph,
-                   solution: Solution) -> VariableAssignment:
-    """Encode a solution into any arc-space model (P_basic, P_A, P_G, P_U).
-
-    Fills exactly the variables the model declares; the objective value of
-    the result equals the summed walk length.  A solution that
-    :func:`pickopt.exact.validate_solution` rejects, or whose picker count
-    differs from the instance's, raises :class:`EncodingError`.
-    """
+def _encode(model: LinearModel, instance: Instance, graph: PickingGraph,
+            solution: Solution) -> tuple[VariableAssignment, list[tuple]]:
+    """The arc-space encoding of ``solution`` and each picker's
+    :func:`_walk_values`."""
     if len(solution.batching) != instance.pickers:
         raise EncodingError("solution picker count does not match the instance")
     try:
@@ -118,58 +110,58 @@ def encode_walk_PG(model: LinearModel, instance: Instance, graph: PickingGraph,
     has_gamma = model.has_var("g", 0, graph.reduced_edges[0][0], graph.reduced_edges[0][1])
     has_w = model.has_var("w", 0, 0, "dn")
 
+    var, name = model.var, model.var_name
+    per_picker = []
     for t in range(instance.pickers):
-        walk = solution.walks[t]
-        arcs = orient_walk(graph, walk)
-        for u, v in sorted(arcs):
-            assignment.set(model.var_name(model.var("x", t, u, v)), 1)
-        visited = walk.visited(graph)
-        for v in sorted(visited):
-            if v != graph.origin:
-                assignment.set(model.var_name(model.var("y", t, v)), 1)
-        alpha, beta, full_down, full_up = _chain_flags(graph, arcs)
+        values = _walk_values(graph, solution.walks[t])
+        per_picker.append(values)
+        arcs, visited, alpha, beta, traversed, gamma = values
+        names = [name(var("x", t, u, v)) for u, v in arcs]
+        names += [name(var("y", t, v)) for v in visited]
         if has_alpha:
-            for v, flag in sorted(alpha.items()):
-                if flag:
-                    assignment.set(model.var_name(model.var("a", t, v)), 1)
-            for v, flag in sorted(beta.items()):
-                if flag:
-                    assignment.set(model.var_name(model.var("b", t, v)), 1)
+            names += [name(var("a", t, v)) for v in alpha]
+            names += [name(var("b", t, v)) for v in beta]
         if has_gamma:
-            for u, v in sorted(_gamma_arcs(graph, arcs, full_down, full_up)):
-                assignment.set(model.var_name(model.var("g", t, u, v)), 1)
+            names += [name(var("g", t, u, v)) for u, v in gamma]
         if has_w:
-            for sub in graph.subaisles:
-                if full_down[sub.index]:
-                    assignment.set(model.var_name(model.var("w", t, sub.index, "dn")), 1)
-                if full_up[sub.index]:
-                    assignment.set(model.var_name(model.var("w", t, sub.index, "up")), 1)
-        for o in solution.batching[t]:
-            assignment.set(model.var_name(model.var("z", o, t)), 1)
-    return assignment
+            names += [name(var("w", t, i, way)) for i, way in traversed]
+        names += [name(var("z", o, t)) for o in solution.batching[t]]
+        for n in names:
+            assignment.set(n, 1)
+    return assignment, per_picker
+
+
+def encode_walk_PG(model: LinearModel, instance: Instance, graph: PickingGraph,
+                   solution: Solution) -> VariableAssignment:
+    """Encode a solution into any arc-space model (P_basic, P_A, P_G, P_U).
+
+    Fills exactly the variables the model declares; the objective value of
+    the result equals the summed walk length.  A solution that
+    :func:`pickopt.exact.validate_solution` rejects, or whose picker count
+    differs from the instance's, raises :class:`EncodingError`.
+    """
+    return _encode(model, instance, graph, solution)[0]
 
 
 def encode_walk_PF(model: LinearModel, instance: Instance, graph: PickingGraph,
                    solution: Solution) -> VariableAssignment:
     """P_G encoding plus one unit of flow per visited artificial vertex,
     routed to the origin inside the gamma support."""
-    assignment = encode_walk_PG(model, instance, graph, solution)
+    assignment, per_picker = _encode(model, instance, graph, solution)
     s = graph.origin
-    for t in range(instance.pickers):
+    for t, (_, visited, _, _, _, gamma) in enumerate(per_picker):
         gamma_out: dict[int, list[int]] = {}
-        for u, v, _, _ in graph.reduced_edges:
-            for a, b in ((u, v), (v, u)):
-                if assignment.get(model.var_name(model.var("g", t, a, b))) == 1:
-                    gamma_out.setdefault(a, []).append(b)
-        for v0 in graph.artificial_vertices:
-            if assignment.get(model.var_name(model.var("y", t, v0))) != 1:
+        for u, v in gamma:  # sorted, so each list is too
+            gamma_out.setdefault(u, []).append(v)
+        for v0 in visited:
+            if not graph.is_artificial(v0):
                 continue
             # BFS from v0 to the origin along gamma arcs
             parent: dict[int, int] = {v0: v0}
             queue = deque([v0])
             while queue and s not in parent:
                 u = queue.popleft()
-                for v in sorted(gamma_out.get(u, ())):
+                for v in gamma_out.get(u, ()):
                     if v not in parent:
                         parent[v] = u
                         queue.append(v)

@@ -271,7 +271,7 @@ class WalkSpace:
     :func:`_subset_tables` decides.  Rows of ``mult`` are sorted by their
     base-3 code, the order in which a scan of ``{0,1,2}^|E|`` would meet
     them, so the smallest feasible index is the lexicographically smallest
-    vector.
+    vector.  :meth:`route` is the package's one way to an exact route.
     """
 
     def __init__(self, graph: PickingGraph):
@@ -283,6 +283,7 @@ class WalkSpace:
         # the graph itself is not kept: the graph keeps its space, and a
         # value it derives holds no reference back
         self.n_vertices = graph.n_vertices
+        self.n_artificial = graph.n_artificial
         self.subaisles = graph.subaisles
         self.n_edges = m
 
@@ -310,8 +311,26 @@ class WalkSpace:
         self.ok = touches_origin & (components[support] == 1)
         self.visited = np.where(touches_origin, touch[support], 0)
         self._no_reversal: Optional[np.ndarray] = None
+        self._routes: tuple[dict, dict] = ({}, {})  # by no_reversal: pick set -> index
 
     # -- queries -----------------------------------------------------------
+
+    def route(self, picks: Iterable[int], no_reversal: bool = False) -> int:
+        """Index of the cheapest walk that visits every location of
+        ``picks``, among those that fully traverse each subaisle they enter
+        if ``no_reversal``; kept per pick set, so at most two per set of
+        picking locations.  A pick set that holds anything but picking
+        locations raises :class:`ValidationError` and is not kept."""
+        picks = frozenset(picks)
+        kept = self._routes[no_reversal]
+        index = kept.get(picks)
+        if index is None:
+            for v in picks:
+                if not self.n_artificial <= v < self.n_vertices:
+                    raise ValidationError(f"required vertex {v} is not a picking location")
+            mask = self.mask_no_reversal() if no_reversal else None
+            index = kept[picks] = self.query(picks, mask)
+        return index
 
     def query(self, required: Iterable[int], mask: Optional[np.ndarray] = None) -> int:
         req_bits = 0
@@ -402,18 +421,17 @@ MAX_EXACT_ORDERS = 6
 
 
 def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
-                          mask_fn) -> Solution:
+                          no_reversal: bool) -> Solution:
     if len(instance.orders) > MAX_EXACT_ORDERS:
         raise OracleSizeError(
             f"{len(instance.orders)} orders exceed the exact-solver bound "
             f"{MAX_EXACT_ORDERS} (partition enumeration)")
     graph = graph or build_graph(instance.layout)
     space = walk_space(graph)
-    mask = mask_fn(space) if mask_fn is not None else None
 
     sizes = {o.id: o.size for o in instance.orders}
     T = instance.pickers
-    route = _router(instance, graph, space, mask)
+    route = _router(instance, graph, no_reversal)
     idle = space.length(route(()))
 
     def evaluate(partition):
@@ -430,19 +448,11 @@ def _solve_by_enumeration(instance: Instance, graph: Optional[PickingGraph],
     return _route_batches(instance, graph, space, best_partition, route)
 
 
-def _router(instance: Instance, graph: PickingGraph, space: WalkSpace,
-            mask: Optional[np.ndarray] = None):
-    """Walk index of a batch's cheapest route, memoized by its pick set."""
+def _router(instance: Instance, graph: PickingGraph, no_reversal: bool = False):
+    """Walk index of a batch's cheapest route, by its pick set."""
     picks = instance.all_pick_vertices(graph)
-    memo: dict[frozenset, int] = {}
-
-    def route(batch: tuple[int, ...]) -> int:
-        req = frozenset().union(*(picks[o] for o in batch))
-        idx = memo.get(req)
-        if idx is None:
-            idx = memo[req] = space.query(req, mask)
-        return idx
-    return route
+    route = walk_space(graph).route
+    return lambda batch: route(frozenset().union(*(picks[o] for o in batch)), no_reversal)
 
 
 def _route_batches(instance: Instance, graph: PickingGraph, space: WalkSpace,
@@ -458,13 +468,13 @@ def _route_batches(instance: Instance, graph: PickingGraph, space: WalkSpace,
 
 def solve_exact(instance: Instance, graph: Optional[PickingGraph] = None) -> Solution:
     """Exact optimum by canonical partition enumeration over the oracle."""
-    return _solve_by_enumeration(instance, graph, None)
+    return _solve_by_enumeration(instance, graph, False)
 
 
 def solve_no_reversal_exact(instance: Instance,
                             graph: Optional[PickingGraph] = None) -> Solution:
     """Exact optimum over walks that fully traverse every entered subaisle."""
-    return _solve_by_enumeration(instance, graph, WalkSpace.mask_no_reversal)
+    return _solve_by_enumeration(instance, graph, True)
 
 
 def batching_to_solution(instance: Instance, graph: PickingGraph,
@@ -481,8 +491,7 @@ def batching_to_solution(instance: Instance, graph: PickingGraph,
         if not batch or not ids.issuperset(batch):
             raise ValidationError(f"batch {i} {list(batch)} is empty or holds an unknown order id")
     ordered.sort(key=lambda b: b[0])
-    space = walk_space(graph)
-    return _route_batches(instance, graph, space, ordered, _router(instance, graph, space))
+    return _route_batches(instance, graph, walk_space(graph), ordered, _router(instance, graph))
 
 
 __all__ = [

@@ -137,20 +137,14 @@ def make_s_shape_estimator(graph: PickingGraph) -> Estimator:
 
 
 def make_oracle_estimator(graph: PickingGraph) -> Estimator:
-    """Exact minimum walk length of each pick set, from the walk space."""
-    cache: dict[frozenset, float] = {}
+    """Exact minimum walk length of each pick set, as the graph's walk
+    space routes and keeps it."""
 
     def estimate(picks: frozenset):
         if not picks:
             return 0
-        value = cache.get(picks)
-        if value is None:
-            for v in picks:
-                if v >= graph.n_vertices or graph.is_artificial(v):
-                    raise ValidationError(f"required vertex {v} is not a picking location")
-            space = walk_space(graph)
-            value = cache[picks] = space.length(space.query(picks))
-        return value
+        space = walk_space(graph)
+        return space.length(space.route(picks))
 
     return estimate
 

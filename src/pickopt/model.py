@@ -419,6 +419,8 @@ class LinearModel:
             _require_finite(ub, "variable upper bound")
         if kind == BINARY and (lb != 0 or ub not in (None, 1)):
             raise ValidationError(f"binary variable bounds are 0 and 1, not {lb!r} and {ub!r}")
+        if ub is not None and lb > ub:
+            raise ValidationError(f"variable lower bound {lb!r} is above its upper bound {ub!r}")
         ub = 1 if kind == BINARY else ub
         checked = self._variable_names.check(full, copied, copies)
         first = len(self._names)
@@ -750,7 +752,9 @@ class VariableAssignment:
         """Store ``value`` exactly; the one place a value is normalised.
         Text is not a number, though ``Fraction`` would parse it: a ``str``
         or ``bytes`` value raises ``TypeError``, and a value ``Fraction``
-        cannot take raises its ``TypeError`` or ``ValueError``."""
+        cannot take raises what ``Fraction`` raises: ``TypeError`` for what
+        is not a number, ``ValueError`` for NaN and ``OverflowError`` for
+        an infinity."""
         if type(value) is not int:
             if isinstance(value, (str, bytes)):
                 raise TypeError(f"{value!r} is text, not a number")

@@ -98,6 +98,27 @@ def test_encode_pf_flow_balances():
                 assert out - into == a.get(f"y_{t}_{v0}")
 
 
+def test_pf_encoding_reads_no_gamma_or_visit_value_back(monkeypatch):
+    # encode_walk_PF routes its flows on the gamma arcs and visited vertices
+    # it derives from each walk, so it looks up each g and y index it sets,
+    # once, as encode_walk_PG does
+    inst = generate_instance(LAYOUT, 3, 10, seed=44)
+    g = shared_graph(LAYOUT)
+    sol = solve_exact(inst, g)
+    model = build_model(inst, g, "P_F")
+    looked_up = []
+    real_var = model.var
+    monkeypatch.setattr(model, "var", lambda *index: looked_up.append(index) or real_var(*index))
+    by_pg = encode_walk_PG(model, inst, g, sol)
+    pg_lookups = [index for index in looked_up if index[0] in ("g", "y")]
+    looked_up.clear()
+    by_pf = encode_walk_PF(model, inst, g, sol)
+    assert [index for index in looked_up if index[0] in ("g", "y")] == pg_lookups
+    assert len(pg_lookups) == sum(name[0] in "gy" for name in by_pg.values)
+    assert {k: v for k, v in by_pf.values.items() if not k.startswith("s_")} == by_pg.values
+    assert any(k.startswith("s_") for k in by_pf.values)
+
+
 def test_projection_between_pg_and_pf():
     # dropping the flow block of a P_F encoding leaves a P_G-feasible point
     # satisfying every enumerated gamma cut; adding flows to a P_G encoding

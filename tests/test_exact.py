@@ -12,8 +12,9 @@ from oracles import (blind_solve, mask_no_artificial_uturn, mask_single_traversa
 from pickopt import (Instance, MAX_ORACLE_EDGES, OracleSizeError, Order, Pick, Solution,
                      ValidationError, WalkSpace, WarehouseLayout, batching_to_solution,
                      build_graph, build_model, capacity_feasible_partitions, check_feasible,
-                     encode_walk_PG, generate_instance, load_solution, save_solution,
-                     solve_exact, solve_no_reversal_exact, validate_solution, walk_space)
+                     cw2_batching, encode_walk_PG, generate_instance, load_solution,
+                     make_oracle_estimator, save_solution, seed_batching, solve_exact,
+                     solve_no_reversal_exact, validate_solution, walk_space)
 from pickopt.exact import _cycle_space, _subset_tables
 from pickopt.layout import connected_components
 
@@ -204,6 +205,51 @@ def test_two_no_reversal_solves_on_one_graph_build_the_mask_once(monkeypatch):
     assert space.mask_no_reversal() is mask and not mask.flags.writeable
     # a space that is never asked for the mask does not make it
     assert walk_space(build_graph(WarehouseLayout(2, 1, 1, 1, 2)))._no_reversal is None
+
+
+def test_every_exact_route_on_one_graph_is_queried_once(monkeypatch):
+    # the solvers, the oracle estimator and batching_to_solution all route
+    # through the graph's walk space, which keeps each answer per pick set
+    graph = build_graph(LAYOUT)
+    queried = []
+    real_query = WalkSpace.query
+
+    def counted_query(self, required, mask=None):
+        queried.append((frozenset(required), mask is not None))
+        return real_query(self, required, mask)
+
+    monkeypatch.setattr(WalkSpace, "query", counted_query)
+    for seed in range(3):
+        for n_orders in (2, 4):
+            instance = generate_instance(LAYOUT, n_orders, 10, seed=seed)
+            for _ in range(2):
+                solve_exact(instance, graph)
+                solve_no_reversal_exact(instance, graph)
+                for batching in (seed_batching, cw2_batching):
+                    batches = batching(instance, make_oracle_estimator(graph), graph).batches
+                    batching_to_solution(instance, graph, batches)
+    assert len(queried) == len(set(queried))
+    assert {no_reversal for _, no_reversal in queried} == {False, True}
+
+
+def test_a_route_through_a_non_picking_location_is_refused_and_not_kept():
+    graph = build_graph(LAYOUT)
+    space = walk_space(graph)
+    picks = frozenset({graph.subaisles[0].locs[0], graph.origin})
+    for no_reversal in (False, True):
+        for _ in range(2):
+            with pytest.raises(ValidationError,
+                               match=f"required vertex {graph.origin} is not a picking location"):
+                space.route(picks, no_reversal)
+    with pytest.raises(ValidationError, match="is not a picking location"):
+        make_oracle_estimator(graph)(picks)
+    assert space._routes == ({}, {})
+    # a pick set of picking locations is kept, once for each kind of walk
+    locs = frozenset(graph.subaisles[1].locs)
+    assert space.route(locs) == space.query(locs)
+    assert space.route(locs, True) == space.query(locs, space.mask_no_reversal())
+    assert space._routes == ({locs: space.query(locs)},
+                             {locs: space.query(locs, space.mask_no_reversal())})
 
 
 def test_no_reversal_at_least_exact():

@@ -541,6 +541,7 @@ def _rejections():
         "NaN objective": lambda m: m.set_objective_coeffs([0, 1], [1, nan]),
         "infinite bound": lambda m: m.add_variables(CONTINUOUS, ["u_0"], ub=inf),
         "NaN bound": lambda m: m.add_variable(CONTINUOUS, ("u", 0), lb=nan),
+        "lower bound above upper bound": lambda m: m.add_variables(INTEGER, ["u_0"], lb=5, ub=2),
         "'_' in a text index part": lambda m: m.add_variable(BINARY, ("u", "1_2")),
         "index repeated in the call": lambda m: m.add_variables(BINARY, ["u_0", "u_0"]),
         "index in the model": lambda m: m.add_variables(BINARY, ["u_0", "x_0"]),
